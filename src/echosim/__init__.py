@@ -1,5 +1,7 @@
 """echosim: deterministic agent-based simulation of opinion dynamics,
-echo chambers, and nudge-based mitigation on social graphs."""
+echo chambers, and nudge-based mitigation on social graphs.
+
+The public names are the ones imported below."""
 
 __version__ = "0.1.0"
 
@@ -29,67 +31,3 @@ from .population import Persona, Population, init_population, persona_card
 from .prompts import OpinionOutput, build_reflection_prompt, parse_opinion_output
 from .recommendation import exposure_set, recommend
 from .runner import compare, component_rng, run, sweep
-
-__all__ = [
-    "AgentState",
-    "BackendError",
-    "BackendSettings",
-    "BcmParams",
-    "ConfigError",
-    "FjParams",
-    "GraphSpec",
-    "LlmParams",
-    "LlmRunResult",
-    "MemoryStore",
-    "MetricsSnapshot",
-    "MockBackend",
-    "NetworkGraph",
-    "NudgePolicy",
-    "OpinionOutput",
-    "OpinionParseError",
-    "ParameterError",
-    "Persona",
-    "Population",
-    "RemoteChatBackend",
-    "RunConfig",
-    "Transcript",
-    "active_nudge_content",
-    "bcm_day",
-    "build_reflection_prompt",
-    "clustering_coefficient",
-    "compare",
-    "component_rng",
-    "compress_long_term",
-    "config_from_dict",
-    "default_config",
-    "default_graph_spec",
-    "degree_sequence",
-    "deltas",
-    "exposure_set",
-    "fj_day",
-    "force_layout",
-    "from_edge_list_text",
-    "generate_graph",
-    "generate_random",
-    "generate_scale_free",
-    "generate_small_world",
-    "global_disagreement",
-    "init_population",
-    "is_connected",
-    "llm_day",
-    "mock_backend_rule",
-    "nci",
-    "parse_opinion_output",
-    "passive_nudge_feed",
-    "persona_card",
-    "polarization",
-    "recommend",
-    "resolve_config",
-    "run",
-    "run_llm",
-    "run_numeric",
-    "select_targets",
-    "snapshot",
-    "sweep",
-    "to_edge_list_text",
-]

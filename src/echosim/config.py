@@ -70,7 +70,8 @@ class RunConfig:
                 raise ConfigError(f"n must be >= 2, got {self.n}")
             if self.days < 1:
                 raise ConfigError(f"days must be >= 1, got {self.days}")
-            if not isinstance(self.seed, int) or self.seed < 0:
+            # bool is a subclass of int, so `seed: true` must be ruled out explicitly
+            if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
                 raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
             if not self.topic:
                 raise ConfigError("topic must be non-empty")

@@ -10,6 +10,7 @@ no duplicate edges), and immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -26,45 +27,75 @@ DEFAULT_SCALE_FREE_M = 2
 DEFAULT_RANDOM_P_EDGE = 0.08
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkGraph:
-    """Undirected simple graph over node indices ``0..n-1``.
-
-    ``edges`` holds unordered pairs stored as ``(i, j)`` with ``i < j``;
-    ``adjacency[i]`` is the sorted tuple of neighbors of ``i``.
+    """Undirected simple graph over nodes ``0..n-1`` in compressed sparse-row
+    form: the neighbors of ``i`` are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending; both arrays are read-only. ``edges`` (pairs ``(i, j)`` with
+    ``i < j``) and ``adjacency`` (sorted neighbor tuples) are derived views.
     """
 
     n: int
-    edges: frozenset
-    adjacency: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple]) -> "NetworkGraph":
         if n < 1:
             raise ParameterError(f"node count must be >= 1, got {n}")
-        canonical = set()
-        for a, b in edges:
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        bad = (pairs[:, 0] == pairs[:, 1]) | (pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)
+        if bad.any():
+            a, b = pairs[np.argmax(bad)].tolist()
             if a == b:
                 raise ParameterError(f"self-loop on node {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParameterError(f"edge ({a}, {b}) out of range for n={n}")
-            canonical.add((a, b) if a < b else (b, a))
-        neighbors = [[] for _ in range(n)]
-        for a, b in canonical:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-        return NetworkGraph(n=n, edges=frozenset(canonical), adjacency=adjacency)
+            raise ParameterError(f"edge ({a}, {b}) out of range for n={n}")
+        a, b = pairs.T
+        # each edge in both directions as row * n + col; sorting gives CSR order
+        key = np.sort(np.concatenate([a * n + b, b * n + a]))
+        rows, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)  # duplicates dropped
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        indptr.flags.writeable = indices.flags.writeable = False
+        return NetworkGraph(n=n, indptr=indptr, indices=indices)
 
-    def neighbors(self, i: int) -> tuple:
-        return self.adjacency[i]
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row of each entry of ``indices``: the node whose neighbor it is."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
+
+    def upper(self) -> tuple:
+        """``(i, j)`` arrays of every edge once, with ``i < j``, in ascending order."""
+        keep = self.rows < self.indices
+        return self.rows[keep], self.indices[keep]
+
+    def row_means(self, values: np.ndarray, keep: Optional[np.ndarray] = None) -> tuple:
+        """(mask of rows with a kept entry, mean of ``values`` over each such row's
+        kept entries, summed in order). ``values`` and ``keep`` run along ``indices``."""
+        rows = self.rows
+        if keep is not None:
+            rows, values = rows[keep], values[keep]
+        count = np.bincount(rows, minlength=self.n)
+        total = np.bincount(rows, weights=values, minlength=self.n)
+        nonempty = count > 0
+        return nonempty, total[nonempty] / count[nonempty]
+
+    @cached_property
+    def edges(self) -> frozenset:
+        i, j = self.upper()
+        return frozenset(zip(i.tolist(), j.tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        return tuple(tuple(ns.tolist()) for ns in np.split(self.indices, self.indptr[1:-1]))
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
 
 @dataclass(frozen=True)
@@ -229,9 +260,17 @@ def clustering_coefficient(g: NetworkGraph) -> float:
     return total / g.n
 
 
+def belief_vector(g: NetworkGraph, beliefs) -> np.ndarray:
+    """``beliefs`` as a float array, checked to hold one value per node."""
+    values = np.asarray(beliefs, dtype=float)
+    if values.size != g.n:
+        raise ParameterError(f"belief vector length {values.size} != node count {g.n}")
+    return values
+
+
 def degree_sequence(g: NetworkGraph) -> list:
     """Node degrees in index order; sums to twice the edge count."""
-    return [len(g.adjacency[i]) for i in range(g.n)]
+    return np.diff(g.indptr).tolist()
 
 
 def hop_distances(g: NetworkGraph, source: int) -> list:
@@ -262,7 +301,8 @@ def to_edge_list_text(g: NetworkGraph) -> str:
     """Canonical edge-list form: first line ``n``, then one ``i j`` pair per
     line with ``i < j``, in ascending order."""
     lines = [str(g.n)]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
+    i, j = g.upper()
+    lines.extend(f"{a} {b}" for a, b in zip(i.tolist(), j.tolist()))
     return "\n".join(lines) + "\n"
 
 

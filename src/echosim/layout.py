@@ -18,10 +18,10 @@ def force_layout(g: NetworkGraph, rng: np.random.Generator, iterations: int = LA
     """Spring-embedder coordinates in roughly the unit square, shape (n, 2)."""
     n = g.n
     pos = rng.random((n, 2))
-    if n == 1 or not g.edges:
+    if n == 1 or g.edge_count == 0:
         return pos
     k = float(np.sqrt(1.0 / n))
-    edge_index = np.array(sorted(g.edges), dtype=int)
+    src, dst = g.upper()
     temperature = 0.1
     cooling = temperature / (iterations + 1)
 
@@ -33,7 +33,6 @@ def force_layout(g: NetworkGraph, rng: np.random.Generator, iterations: int = LA
         repulsion = (k * k / dist**2)[..., None] * delta
         disp = repulsion.sum(axis=1)
 
-        src, dst = edge_index[:, 0], edge_index[:, 1]
         d = pos[src] - pos[dst]
         d_len = np.maximum(np.linalg.norm(d, axis=1), 1e-9)
         pull = d / d_len[:, None] * (d_len**2 / k)[:, None]

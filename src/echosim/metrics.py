@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import NetworkGraph
+from .graphs import NetworkGraph, belief_vector
 
 METRIC_NAMES = ("polarization", "global_disagreement", "nci")
 
@@ -38,37 +38,19 @@ def polarization(beliefs) -> float:
 
 
 def global_disagreement(g: NetworkGraph, beliefs) -> float:
-    values = np.asarray(beliefs, dtype=float)
-    if values.size != g.n:
-        raise ParameterError(f"belief vector length {values.size} != node count {g.n}")
-    total = 0.0
-    for i in range(g.n):
-        ns = g.adjacency[i]
-        if not ns:
-            continue
-        diffs = values[i] - values[list(ns)]
-        total += float(np.mean(diffs**2))
-    return total / (2 * g.n)
+    values = belief_vector(g, beliefs)
+    _, mean_sq = g.row_means((values[g.rows] - values[g.indices]) ** 2)
+    return float(mean_sq.sum()) / (2 * g.n)
 
 
 def nci(g: NetworkGraph, beliefs) -> Optional[float]:
     """Neighbor correlation index; ``None`` when undefined (constant vectors
     or fewer than two non-isolated nodes)."""
-    values = np.asarray(beliefs, dtype=float)
-    if values.size != g.n:
-        raise ParameterError(f"belief vector length {values.size} != node count {g.n}")
-    own = []
-    neighbor_mean = []
-    for i in range(g.n):
-        ns = g.adjacency[i]
-        if not ns:
-            continue
-        own.append(values[i])
-        neighbor_mean.append(float(np.mean(values[list(ns)])))
-    if len(own) < 2:
+    values = belief_vector(g, beliefs)
+    connected, nm_arr = g.row_means(values[g.indices])
+    own_arr = values[connected]
+    if own_arr.size < 2:
         return None
-    own_arr = np.array(own)
-    nm_arr = np.array(neighbor_mean)
     if np.ptp(own_arr) == 0 or np.ptp(nm_arr) == 0:
         return None
     r = float(np.corrcoef(own_arr, nm_arr)[0, 1])
@@ -99,7 +81,7 @@ def snapshot(day: int, g: NetworkGraph, beliefs) -> MetricsSnapshot:
         polarization=polarization(values),
         global_disagreement=global_disagreement(g, values),
         nci=nci(g, values),
-        beliefs=tuple(float(v) for v in values),
+        beliefs=tuple(values.tolist()),
     )
 
 

@@ -14,8 +14,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import NetworkGraph
-from .recommendation import DEFAULT_SIMILARITY_THRESHOLD, exposure_set
+from .graphs import NetworkGraph, belief_vector
+from .recommendation import DEFAULT_SIMILARITY_THRESHOLD
+# unused: kept because perfbench/spans.py:install patches it, and speed-ups may not edit the benchmark
+from .recommendation import exposure_set  # noqa: F401
 
 NUMERIC_ENGINES = ("bcm", "fj")
 
@@ -66,11 +68,6 @@ class FjParams:
         )
 
 
-def _exposures(g: NetworkGraph, beliefs, i: int, use_recommendation: bool, threshold: float) -> list:
-    mode = "recommended" if use_recommendation else "all_neighbors"
-    return exposure_set(g, beliefs, i, mode, cap=None, rng=None, threshold=threshold)
-
-
 def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:
     """One synchronous day of the bounded-confidence update.
 
@@ -79,15 +76,15 @@ def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:
     ``v_i`` moves by ``mu`` times the mean pairwise difference.
     """
     p.validate()
-    old = np.asarray(beliefs, dtype=float)
-    if old.size != g.n:
-        raise ParameterError(f"belief vector length {old.size} != node count {g.n}")
+    old = belief_vector(g, beliefs)
+    diff = old[g.indices] - old[g.rows]
+    distance = np.abs(diff)
+    keep = distance <= p.epsilon
+    if p.use_recommendation:
+        keep &= distance <= p.similarity_threshold
+    heard, mean_diff = g.row_means(diff, keep)
     new = old.copy()
-    for i in range(g.n):
-        sources = _exposures(g, old, i, p.use_recommendation, p.similarity_threshold)
-        qualified = [j for j in sources if abs(old[i] - old[j]) <= p.epsilon]
-        if qualified:
-            new[i] = old[i] + p.mu * float(np.mean(old[qualified] - old[i]))
+    new[heard] += p.mu * mean_diff
     return new
 
 
@@ -95,17 +92,17 @@ def fj_day(g: NetworkGraph, beliefs, p: FjParams) -> np.ndarray:
     """One synchronous day of anchored averaging. Agents with an empty
     exposure set keep their previous belief."""
     p.validate()
-    old = np.asarray(beliefs, dtype=float)
-    if old.size != g.n:
-        raise ParameterError(f"belief vector length {old.size} != node count {g.n}")
+    old = belief_vector(g, beliefs)
     if p.anchors is None or len(p.anchors) != old.size:
         raise ParameterError("fj_day requires anchors aligned with the belief vector")
     anchors = np.asarray(p.anchors, dtype=float)
+    heard_values = old[g.indices]
+    keep = None
+    if p.use_recommendation:
+        keep = np.abs(heard_values - old[g.rows]) <= p.similarity_threshold
+    heard, mean_heard = g.row_means(heard_values, keep)
     new = old.copy()
-    for i in range(g.n):
-        sources = _exposures(g, old, i, p.use_recommendation, p.similarity_threshold)
-        if sources:
-            new[i] = p.alpha * anchors[i] + (1.0 - p.alpha) * float(np.mean(old[sources]))
+    new[heard] = p.alpha * anchors[heard] + (1.0 - p.alpha) * mean_heard
     return new
 
 

@@ -28,7 +28,8 @@ def recommend(g: NetworkGraph, beliefs, i: int, threshold: float) -> set:
     if threshold < 0:
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
     own = beliefs[i]
-    return {j for j in g.adjacency[i] if abs(own - beliefs[j]) <= threshold}
+    neighbors = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+    return {j for j in neighbors if abs(own - beliefs[j]) <= threshold}
 
 
 def exposure_set(
@@ -52,7 +53,7 @@ def exposure_set(
     if mode == "all_neighbors":
         if not 0 <= i < g.n:
             raise ParameterError(f"agent index {i} out of range for n={g.n}")
-        selected = list(g.adjacency[i])
+        selected = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
     else:
         selected = sorted(recommend(g, beliefs, i, threshold))
     if cap is not None:

@@ -112,17 +112,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     _write(metrics_csv, "\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
 
     trajectory_jsonl = run_dir / "trajectory.jsonl"
-    lines = []
-    for day in range(config.days + 1):
-        for agent in range(config.n):
-            record = {"day": day, "agent": agent}
-            if grid:
-                record["belief"] = int(trajectory[day][agent])
-                record["opinion"] = texts[day][agent]
-            else:
-                record["belief"] = float(trajectory[day][agent])
-            lines.append(json.dumps(record, sort_keys=True))
-    _write(trajectory_jsonl, "\n".join(lines) + "\n")
+    _write(trajectory_jsonl, trajectory_text(trajectory, texts))
 
     transcript_jsonl = None
     if transcript is not None:
@@ -173,6 +163,20 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
         snapshots=snapshots,
         deltas=run_deltas,
     )
+
+
+def trajectory_text(trajectory, texts=None) -> str:
+    """One JSON record per (day, agent), keys sorted. Numeric beliefs are finite
+    floats, whose ``repr`` is what ``json.dumps`` writes; grid rows also carry
+    ``texts[day][agent]`` and go through ``json.dumps``."""
+    rows = np.asarray(trajectory)
+    if texts is None:
+        lines = [f'{{"agent": {a}, "belief": {b!r}, "day": {d}}}'
+                 for d, row in enumerate(rows) for a, b in enumerate(row.tolist())]
+    else:
+        lines = [json.dumps({"agent": a, "belief": int(b), "day": d, "opinion": texts[d][a]}, sort_keys=True)
+                 for d, row in enumerate(rows) for a, b in enumerate(row.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def projection_text(final_beliefs, positions) -> str:

@@ -1,10 +1,13 @@
 """Independent brute-force oracles and small shared test utilities.
 
 The oracles deliberately avoid the library's own code paths: plain Python
-loops, manual Pearson, full O(n^2) scans via has_edge.
+loops, manual Pearson, full O(n^2) scans via has_edge. The numeric-engine
+oracles update one agent at a time and average with ``np.mean``.
 """
 
 import math
+
+import numpy as np
 
 from echosim.graphs import NetworkGraph
 
@@ -43,6 +46,37 @@ def naive_nci(g: NetworkGraph, beliefs):
         return None
     cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return cov / (sx * sy)
+
+
+def _naive_sources(g: NetworkGraph, beliefs, i, use_recommendation, threshold):
+    neighbors = [j for j in range(g.n) if j != i and g.has_edge(i, j)]
+    if use_recommendation:
+        neighbors = [j for j in neighbors if abs(beliefs[i] - beliefs[j]) <= threshold]
+    return neighbors
+
+
+def naive_bcm_day(g: NetworkGraph, beliefs, p):
+    """Bounded-confidence day, one agent at a time (``p`` is a BcmParams)."""
+    old = np.asarray(beliefs, dtype=float)
+    new = old.copy()
+    for i in range(g.n):
+        sources = _naive_sources(g, old, i, p.use_recommendation, p.similarity_threshold)
+        qualified = [j for j in sources if abs(old[i] - old[j]) <= p.epsilon]
+        if qualified:
+            new[i] = old[i] + p.mu * float(np.mean(old[qualified] - old[i]))
+    return new
+
+
+def naive_fj_day(g: NetworkGraph, beliefs, p):
+    """Anchored-averaging day, one agent at a time (``p`` is an FjParams with anchors)."""
+    old = np.asarray(beliefs, dtype=float)
+    anchors = np.asarray(p.anchors, dtype=float)
+    new = old.copy()
+    for i in range(g.n):
+        sources = _naive_sources(g, old, i, p.use_recommendation, p.similarity_threshold)
+        if sources:
+            new[i] = p.alpha * anchors[i] + (1.0 - p.alpha) * float(np.mean(old[sources]))
+    return new
 
 
 def naive_clustering(g: NetworkGraph):

@@ -93,6 +93,12 @@ def test_precedence_overrides_beat_file_beats_defaults():
     assert cfg.engine == "fj"
 
 
+def test_boolean_seed_rejected():
+    for flag in (True, False):
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config(overrides={"seed": flag})
+
+
 def test_graph_kind_override_discards_stale_parameters():
     file_data = {"graph": {"kind": "small_world", "k": 6, "p_rewire": 0.2}}
     cfg = resolve_config(file_data, {"graph": {"kind": "random"}})

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosim.errors import ParameterError
 from echosim.graphs import NetworkGraph, generate_small_world
 from echosim.metrics import polarization
 from echosim.numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric
-from helpers import complete_graph, cycle_graph
+from helpers import complete_graph, cycle_graph, naive_bcm_day, naive_fj_day
 
 TWO_NODES = NetworkGraph.from_edges(2, [(0, 1)])
 
@@ -133,6 +135,25 @@ class TestRunNumeric:
             other = run_numeric(engine, remapped, permuted, params, 20)
             assert np.allclose(base, other[:, perm], atol=1e-12)
 
+    def test_fj_matches_closed_form_fixed_point(self):
+        # z* = alpha (I - (1 - alpha) D^-1 A)^-1 s on connected nodes; isolated nodes keep s
+        base = generate_small_world(40, 4, 0.2, np.random.default_rng(41))
+        g = NetworkGraph.from_edges(43, base.edges)  # nodes 40..42 are isolated
+        anchors = np.random.default_rng(42).uniform(-2, 2, g.n)
+        for alpha in (0.1, 0.3, 0.8):
+            system = np.eye(g.n)
+            rhs = anchors.copy()
+            for i in range(g.n):
+                neighbors = [j for j in range(g.n) if g.has_edge(i, j)]
+                if neighbors:
+                    system[i, neighbors] -= (1.0 - alpha) / len(neighbors)
+                    rhs[i] = alpha * anchors[i]
+            expected = np.linalg.solve(system, rhs)
+            params = FjParams(alpha=alpha, use_recommendation=False)
+            final = run_numeric("fj", g, anchors, params, 400)[-1]
+            assert np.max(np.abs(final - expected)) <= 1e-9
+            assert np.array_equal(final[40:], anchors[40:])
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             BcmParams(mu=0.0).validate()
@@ -146,3 +167,51 @@ class TestRunNumeric:
             run_numeric("degroot", TWO_NODES, [0.0, 1.0], BcmParams(), 5)
         with pytest.raises(ParameterError):
             run_numeric("bcm", TWO_NODES, [0.0, 1.0], BcmParams(), 0)
+
+
+def oracle_instance(seed: int):
+    """Random graph with a hub of degree >= 8, a few isolated nodes and a sparse
+    remainder, plus beliefs that are sometimes on a dyadic grid so ties with
+    the gates are exact."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 40))
+    isolated = int(rng.integers(1, 4))
+    live = n - isolated
+    hub_degree = int(rng.integers(8, live))
+    edges = [(0, int(j)) for j in rng.choice(np.arange(1, live), size=hub_degree, replace=False)]
+    edges += [(i, j) for i in range(1, live) for j in range(i + 1, live) if rng.random() < 0.15]
+    if rng.random() < 0.5:
+        beliefs = rng.integers(-8, 9, size=n) / 4.0
+    else:
+        beliefs = rng.uniform(-2, 2, size=n)
+    return NetworkGraph.from_edges(n, edges), beliefs
+
+
+GATES = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 4.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), GATES, GATES, st.sampled_from([0.1, 0.3, 0.5]))
+def test_bcm_day_matches_loop_oracle(seed, use_recommendation, epsilon, threshold, mu):
+    g, beliefs = oracle_instance(seed)
+    p = BcmParams(epsilon=epsilon, mu=mu, use_recommendation=use_recommendation,
+                  similarity_threshold=threshold)
+    for _ in range(4):
+        expected = naive_bcm_day(g, beliefs, p)
+        got = bcm_day(g, beliefs, p)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        beliefs = got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), GATES, st.sampled_from([0.0, 0.3, 1.0]))
+def test_fj_day_matches_loop_oracle(seed, use_recommendation, threshold, alpha):
+    g, beliefs = oracle_instance(seed)
+    p = FjParams(alpha=alpha, use_recommendation=use_recommendation,
+                 similarity_threshold=threshold).with_anchors(beliefs)
+    beliefs = np.roll(beliefs, 1)
+    for _ in range(4):
+        expected = naive_fj_day(g, beliefs, p)
+        got = fj_day(g, beliefs, p)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        beliefs = got

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,10 @@ import echosim.runner as runner_mod
 from echosim.config import config_from_dict, config_hash, load_config_file
 from echosim.errors import BackendError, ParameterError
 from echosim.metrics import deltas
-from echosim.runner import compare, component_rng, export_projection, run, sweep
+from echosim.graphs import generate_graph
+from echosim.numeric import run_numeric
+from echosim.population import init_population
+from echosim.runner import compare, component_rng, export_projection, run, sweep, trajectory_text
 
 
 def cfg_dict(**over):
@@ -37,7 +43,6 @@ class TestRun:
         artifacts = run(config_from_dict(cfg_dict(engine="llm")), tmp_path / "r")
         assert artifacts.transcript_jsonl is not None
         assert artifacts.transcript_jsonl.exists()
-        import json
         for line in artifacts.trajectory_jsonl.read_text().splitlines():
             record = json.loads(line)
             assert record["belief"] in (-2, -1, 0, 1, 2)
@@ -172,6 +177,32 @@ class TestSweep:
         line = result.aggregate_csv.read_text().strip().splitlines()[1]
         assert line.startswith("delta_polarization,")
         assert float(line.split(",")[1]) == pytest.approx(np.mean(pols))
+
+
+def json_dumps_trajectory(trajectory) -> str:
+    records = (
+        {"day": day, "agent": agent, "belief": float(trajectory[day][agent])}
+        for day in range(len(trajectory))
+        for agent in range(len(trajectory[day]))
+    )
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+class TestTrajectoryWriter:
+    def test_numeric_rows_match_json_dumps(self):
+        awkward = [[0.1 + 0.2, -0.0, 1e16, 5e-324, -1.5e-7, 2.0], [-2.0, 1 / 3, 0.0, 1e-5, -1e22, 123.456]]
+        random_rows = np.random.default_rng(3).uniform(-2, 2, size=(4, 6))
+        for trajectory in (np.array(awkward), random_rows):
+            assert trajectory_text(trajectory) == json_dumps_trajectory(trajectory)
+
+    def test_written_file_matches_json_dumps_of_the_run(self, tmp_path):
+        cfg = config_from_dict(cfg_dict(engine="fj", n=12, days=8, exposure_mode="all_neighbors"))
+        artifacts = run(cfg, tmp_path / "r")
+        population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
+        g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
+        params = replace(cfg.fj, use_recommendation=False)
+        trajectory = run_numeric("fj", g, population.beliefs, params, cfg.days)
+        assert artifacts.trajectory_jsonl.read_text(encoding="utf-8") == json_dumps_trajectory(trajectory)
 
 
 class TestExportProjection:
