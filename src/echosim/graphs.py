@@ -41,9 +41,12 @@ class NetworkGraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple]) -> "NetworkGraph":
+        """Graph on ``n`` nodes from ``(i, j)`` pairs, or an int array of shape (m, 2)."""
         if n < 1:
             raise ParameterError(f"node count must be >= 1, got {n}")
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         bad = (pairs[:, 0] == pairs[:, 1]) | (pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)
         if bad.any():
             a, b = pairs[np.argmax(bad)].tolist()
@@ -234,10 +237,10 @@ def generate_random(n: int, p_edge: float, rng: np.random.Generator) -> NetworkG
     """G(n, p): each of the n(n-1)/2 pairs is included independently with probability ``p_edge``."""
     GraphSpec(kind="random", n=n, p_edge=p_edge).validate()
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mask = rng.random(len(pairs)) < p_edge
-    edges = [pair for pair, hit in zip(pairs, mask) if hit]
-    return NetworkGraph.from_edges(n, edges)
+    # one draw per pair in (i, j) order, a row at a time, so memory stays O(n + m)
+    cols = [np.flatnonzero(rng.random(n - 1 - i) < p_edge) + (i + 1) for i in range(n)]
+    rows = np.repeat(np.arange(n), [c.size for c in cols])
+    return NetworkGraph.from_edges(n, np.column_stack([rows, np.concatenate(cols)]))
 
 
 def clustering_coefficient(g: NetworkGraph) -> float:

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own code paths: plain Python
 loops, manual Pearson, full O(n^2) scans via has_edge. The numeric-engine
-oracles update one agent at a time and average with ``np.mean``.
+oracles update one agent at a time and average with ``np.mean``; the layout
+oracle sums forces one pair at a time.
 """
 
 import math
@@ -77,6 +78,52 @@ def naive_fj_day(g: NetworkGraph, beliefs, p):
         if sources:
             new[i] = p.alpha * anchors[i] + (1.0 - p.alpha) * float(np.mean(old[sources]))
     return new
+
+
+def naive_force_layout(g: NetworkGraph, rng, iterations):
+    """Fruchterman-Reingold layout, one pair at a time: every pair repels with
+    k^2/d, every edge pulls with d^2/k, and each step is capped by a linearly
+    cooling temperature."""
+    n = g.n
+    pos = rng.random((n, 2))
+    if n == 1 or g.edge_count == 0:
+        return pos
+    k = math.sqrt(1.0 / n)
+    temperature = 0.1
+    cooling = temperature / (iterations + 1)
+    for _ in range(iterations):
+        disp = np.zeros((n, 2))
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                dx, dy = pos[i] - pos[j]
+                dist = max(math.sqrt(dx * dx + dy * dy), 1e-9)
+                disp[i] += k * k / dist**2 * np.array([dx, dy])
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not g.has_edge(i, j):
+                    continue
+                d = pos[i] - pos[j]
+                d_len = max(math.sqrt(d[0] * d[0] + d[1] * d[1]), 1e-9)
+                pull = d / d_len * (d_len**2 / k)
+                disp[i] -= pull
+                disp[j] += pull
+        new = pos.copy()
+        for i in range(n):
+            length = max(math.sqrt(disp[i, 0] ** 2 + disp[i, 1] ** 2), 1e-9)
+            new[i] = pos[i] + disp[i] / length * min(length, temperature)
+        pos = new
+        temperature -= cooling
+    return pos
+
+
+def naive_generate_random(n: int, p_edge: float, rng) -> NetworkGraph:
+    """G(n, p) from the full list of n(n-1)/2 pairs and one draw per pair, in
+    (i, j) order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = rng.random(len(pairs)) < p_edge
+    return NetworkGraph.from_edges(n, [pair for pair, hit in zip(pairs, mask) if hit])
 
 
 def naive_clustering(g: NetworkGraph):

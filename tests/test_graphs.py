@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from echosim.graphs import (
     is_connected,
     to_edge_list_text,
 )
-from helpers import cycle_graph, naive_clustering, path_graph, star_graph
+from helpers import cycle_graph, naive_clustering, naive_generate_random, path_graph, star_graph
 
 RING_CLUSTERING_K4 = 0.5  # closed form 3(k-2)/(4(k-1)) at k=4
 
@@ -125,6 +127,27 @@ class TestRandom:
     def test_rejects_bad_probability(self):
         with pytest.raises(ParameterError):
             generate_random(10, 1.2, rng())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 600])
+    def test_matches_pair_list_oracle(self, n):
+        for p_edge in [0.0, 0.08, 1.0] + ([4 / (n - 1)] if n > 4 else []):
+            for seed in (1, 2, 3):
+                fast, slow = rng(seed), rng(seed)
+                assert to_edge_list_text(generate_random(n, p_edge, fast)) == to_edge_list_text(
+                    naive_generate_random(n, p_edge, slow))
+                assert fast.random() == slow.random()  # same number of draws
+
+    def test_memory_is_linear(self):
+        # the pair list alone holds n(n-1)/2 = 5e7 tuples at n=10000
+        n = 10_000
+        tracemalloc.start()
+        try:
+            g = generate_random(n, 4 / (n - 1), rng())
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 0
+        assert peak_mb < 16
 
 
 class TestMeasures:
