@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import re
+import threading
 import time
 from typing import Optional, Protocol, runtime_checkable
 
@@ -113,7 +114,10 @@ class RemoteChatBackend:
 
     The API key is read from the environment (never from configuration
     files). Transient transport failures and 429/5xx responses are retried
-    with exponential backoff; anything else raises BackendError.
+    with exponential backoff, or after the server's numeric ``Retry-After``
+    on a 429 or 503; anything else raises BackendError. Without an injected
+    session, each thread gets its own ``requests.Session``, so the language
+    engine's worker pool never shares one.
     """
 
     def __init__(
@@ -132,8 +136,18 @@ class RemoteChatBackend:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self._session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
         self.name = f"remote:{model}"
+
+    def _http(self) -> requests.Session:
+        """The injected session, else this thread's own."""
+        if self._session is not None:
+            return self._session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env, "")
@@ -151,11 +165,13 @@ class RemoteChatBackend:
         }
         headers = {"Authorization": f"Bearer {self._api_key()}"}
         last_error = "no attempt made"
+        retry_after = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
+                time.sleep(self.backoff_base * 2 ** (attempt - 1) if retry_after is None else retry_after)
+            retry_after = None
             try:
-                response = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
+                response = self._http().post(url, json=body, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = str(exc)
                 logger.debug("request to %s failed (attempt %d): %s", url, attempt, exc)
@@ -168,6 +184,8 @@ class RemoteChatBackend:
             )
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = f"HTTP {response.status_code}"
+                if response.status_code in (429, 503):
+                    retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
                 continue
             if response.status_code != 200:
                 raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
@@ -176,6 +194,16 @@ class RemoteChatBackend:
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
         raise BackendError(f"gave up after {self.max_retries + 1} attempts: {last_error}")
+
+
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """Seconds of a numeric ``Retry-After`` header; None when absent, an
+    HTTP date, or not a finite non-negative number."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 def make_backend(kind: str, **kwargs) -> TextBackend:

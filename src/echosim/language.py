@@ -12,8 +12,12 @@ Each simulated day has four phases:
 4. compression -- short-term memory is folded into the budget-bounded
    long-term summary and cleared.
 
-All exposures read start-of-day state, so the day is synchronous. With the
-mock backend, entire runs are bit-reproducible per seed.
+All exposures read start-of-day state, so the day is synchronous. A
+compression call reads only the memory that phase 1 left, so phase 4's
+calls share the day's pool of ``max_in_flight`` workers with phase 3's:
+the n reflections, then the n compressions, all applied at the day barrier
+in agent order. With the mock backend, entire runs are bit-reproducible per
+seed.
 """
 
 from __future__ import annotations
@@ -254,17 +258,22 @@ def llm_day(
         for i in range(n)
     ]
 
-    def reflect(i: int):
-        return _reflect_once(backend, prompts[i], params.retries, params.max_length, params.temperature)
+    # phase 4 reads only the memory phase 1 left, so its compression calls
+    # join the same bounded pool: reflections first, then compressions
+    def call(k: int):
+        if k < n:
+            return _reflect_once(backend, prompts[k], params.retries, params.max_length, params.temperature)
+        memory = states[k - n].memory
+        return _compress(backend, memory.long_term, memory.short_term, memory.budget)
 
     if params.max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=params.max_in_flight) as pool:
-            results = list(pool.map(reflect, range(n)))
+            results = list(pool.map(call, range(2 * n)))
     else:
-        results = [reflect(i) for i in range(n)]
+        results = [call(k) for k in range(2 * n)]
 
     # apply results at the day barrier, in agent order
-    for i, (parsed, flags) in enumerate(results):
+    for i, (parsed, flags) in enumerate(results[:n]):
         before = states[i].belief
         transcript.append(
             TranscriptEvent(day=day, agent=i, kind="reflection",
@@ -282,15 +291,14 @@ def llm_day(
                                 belief_before=before, belief_after=parsed.belief)
             )
 
-    # phase 4: compress the day into long-term memory, clear short-term
-    for i in range(n):
-        memory = states[i].memory
-        summary, failed = _compress(backend, memory.long_term, memory.short_term, memory.budget)
+    # phase 4: the summaries replace long-term memory; short-term is cleared
+    for i, (summary, failed) in enumerate(results[n:]):
         if failed:
             transcript.append(
                 TranscriptEvent(day=day, agent=i, kind="reflection",
                                 payload="summary_transport_error;used_truncation_fallback")
             )
+        memory = states[i].memory
         memory.long_term = summary
         memory.short_term.clear()
     return states

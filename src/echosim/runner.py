@@ -79,6 +79,9 @@ def _simulate(config: RunConfig, g: NetworkGraph, population: Population):
         return run_numeric("fj", g, population.beliefs, params, config.days), None, None
     backend = _build_backend(config)
     params: LlmParams = replace(config.llm, exposure_mode=config.exposure_mode)
+    if config.backend.kind == "mock":
+        # the mock is CPU-bound under the GIL, so a pool only adds overhead
+        params = replace(params, max_in_flight=1)
     result = run_llm(
         g, population, backend, params, config.nudge,
         days=config.days, rng=component_rng(config.seed, "engine"),
@@ -114,9 +117,11 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     trajectory_jsonl = run_dir / "trajectory.jsonl"
     _write(trajectory_jsonl, trajectory_text(trajectory, texts))
 
-    transcript_jsonl = None
-    if transcript is not None:
-        transcript_jsonl = run_dir / "transcript.jsonl"
+    transcript_jsonl = run_dir / "transcript.jsonl"
+    if transcript is None:
+        transcript_jsonl.unlink(missing_ok=True)  # left by an earlier llm run
+        transcript_jsonl = None
+    else:
         _write(transcript_jsonl, transcript.to_jsonl())
 
     projection_csv = run_dir / "projection.csv"

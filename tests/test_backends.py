@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 import requests
@@ -122,10 +123,11 @@ class TestCompression:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or json.dumps(payload or {})
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -205,6 +207,93 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="ECHOSIM_TEST_KEY"):
             remote(session).complete("p", 10, 0.0)
         assert session.calls == []
+
+
+def record_sleeps(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("echosim.backends.time.sleep", sleeps.append)
+    return sleeps
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_numeric_header_replaces_backoff(self, monkeypatch, status):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        sleeps = record_sleeps(monkeypatch)
+        session = FakeSession([
+            FakeResponse(status_code=status, headers={"Retry-After": "7"}),
+            FakeResponse(status_code=500),
+            FakeResponse(payload=completion("fine")),
+        ])
+        out = remote(session, max_retries=3, backoff_base=0.5).complete("p", 10, 0.0)
+        assert out == "fine"
+        assert sleeps == [7.0, 1.0]  # the header, then the backoff of attempt 2
+
+    @pytest.mark.parametrize("status, value", [
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT"),  # an HTTP date is not honoured
+        (503, "-3"),
+        (500, "7"),  # only 429 and 503 carry a usable Retry-After
+    ])
+    def test_other_headers_fall_back_to_backoff(self, monkeypatch, status, value):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        sleeps = record_sleeps(monkeypatch)
+        session = FakeSession([
+            FakeResponse(status_code=status, headers={"Retry-After": value}),
+            FakeResponse(payload=completion("fine")),
+        ])
+        assert remote(session, backoff_base=0.5).complete("p", 10, 0.0) == "fine"
+        assert sleeps == [0.5]
+
+    def test_no_sleep_after_the_last_attempt(self, monkeypatch):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        sleeps = record_sleeps(monkeypatch)
+        session = FakeSession([FakeResponse(status_code=429, headers={"Retry-After": "7"})] * 2)
+        with pytest.raises(BackendError, match="gave up"):
+            remote(session, max_retries=1).complete("p", 10, 0.0)
+        assert sleeps == [7.0]
+
+
+class TestSessions:
+    def test_each_thread_gets_its_own_session(self, monkeypatch):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        created = []
+
+        def make_session():
+            session = FakeSession([FakeResponse(payload=completion("ok"))] * 2)
+            created.append(session)
+            return session
+
+        monkeypatch.setattr("echosim.backends.requests.Session", make_session)
+        backend = RemoteChatBackend(base_url="https://api.example.test/v1", model="m",
+                                    api_key_env="ECHOSIM_TEST_KEY")
+        assert created == []  # sessions are made on first use
+        barrier = threading.Barrier(2, timeout=5)
+
+        def two_calls():
+            barrier.wait()  # both threads hold a session at the same time
+            backend.complete("p", 10, 0.0)
+            backend.complete("p", 10, 0.0)
+
+        threads = [threading.Thread(target=two_calls) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        backend.complete("p", 10, 0.0)
+        assert len(created) == 3
+        assert sorted(len(s.calls) for s in created) == [1, 2, 2]
+
+    def test_injected_session_is_used_on_every_thread(self, monkeypatch):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        session = FakeSession([FakeResponse(payload=completion("ok"))] * 3)
+        backend = remote(session)
+        threads = [threading.Thread(target=backend.complete, args=("p", 10, 0.0)) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        backend.complete("p", 10, 0.0)
+        assert len(session.calls) == 3
 
 
 def test_make_backend_dispatch():

@@ -1,4 +1,6 @@
+import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from echosim.language import (
     run_llm,
 )
 from echosim.population import BELIEF_GRID, Persona, Population
+from echosim.prompts import SUMMARY_HEADER
 from helpers import cycle_graph
 
 TOPIC = "Euthanasia should be legal."
@@ -267,6 +270,114 @@ class TestFullRuns:
                            NudgePolicy(), days=5, rng=rng(6))
         assert np.array_equal(serial.belief_trajectory, parallel.belief_trajectory)
         assert serial.transcript.to_jsonl() == parallel.transcript.to_jsonl()
+
+
+class BarrierBackend:
+    """Every call waits until another call is in flight with it."""
+
+    name = "barrier"
+
+    def __init__(self, parties):
+        self.barrier = threading.Barrier(parties, timeout=5)
+        self.inner = MockBackend()
+
+    def complete(self, prompt, max_length, temperature):
+        self.barrier.wait()
+        return self.inner.complete(prompt, max_length, temperature)
+
+
+class InFlightBackend:
+    """Records the largest number of calls in flight at once."""
+
+    name = "in-flight"
+
+    def __init__(self):
+        self.inner = MockBackend()
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, max_length, temperature):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.001)
+            return self.inner.complete(prompt, max_length, temperature)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class RecordingBackend:
+    name = "recording"
+
+    def __init__(self):
+        self.inner = MockBackend()
+        self.prompts = []
+
+    def complete(self, prompt, max_length, temperature):
+        self.prompts.append(prompt)
+        return self.inner.complete(prompt, max_length, temperature)
+
+
+class SummaryFailingBackend:
+    """Answers reflections; every compression call fails in transport."""
+
+    name = "summary-failing"
+
+    def __init__(self):
+        self.inner = MockBackend()
+
+    def complete(self, prompt, max_length, temperature):
+        if SUMMARY_HEADER in prompt:
+            raise BackendError("summaries down")
+        return self.inner.complete(prompt, max_length, temperature)
+
+
+class TestDayPool:
+    """Reflections and compressions share one pool of max_in_flight workers."""
+
+    def test_compressions_run_concurrently(self):
+        # the day ends only if each compression call meets the other in flight
+        g = NetworkGraph.from_edges(2, [(0, 1)])
+        states, transcript = one_day(g, [0, 1], backend=BarrierBackend(2),
+                                     params=LlmParams(max_in_flight=2))
+        assert all(s.memory.long_term for s in states)
+        assert not [e for e in transcript.events if "summary_transport_error" in e.payload]
+
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 3])
+    def test_calls_in_flight_never_exceed_the_bound(self, max_in_flight):
+        g = cycle_graph(8)
+        backend = InFlightBackend()
+        one_day(g, [0, 1, 2, 1, 0, -1, -2, -1], backend=backend,
+                params=LlmParams(max_in_flight=max_in_flight))
+        assert 1 <= backend.peak <= max_in_flight
+
+    def test_serial_order_is_reflections_then_compressions(self):
+        n = 6
+        g = cycle_graph(n)
+        backend = RecordingBackend()
+        one_day(g, [0] * n, backend=backend,
+                params=LlmParams(exposure_mode="all_neighbors", cap=None, max_in_flight=1))
+        kinds = ["summary" if SUMMARY_HEADER in p else "reflect" for p in backend.prompts]
+        assert kinds == ["reflect"] * n + ["summary"] * n
+        heard = [sorted(int(j) for j in re.findall(r"^- Agent (\d+):", p, re.MULTILINE))
+                 for p in backend.prompts]
+        in_agent_order = [sorted({(i - 1) % n, (i + 1) % n}) for i in range(n)]
+        assert heard == in_agent_order * 2
+
+    def test_failed_compressions_match_serial_transcript(self):
+        g = cycle_graph(9)
+        beliefs = [(-1) ** i * (i % 3) for i in range(9)]
+        serial_states, serial = one_day(g, beliefs, backend=SummaryFailingBackend(),
+                                        params=LlmParams(max_in_flight=1))
+        pooled_states, pooled = one_day(g, beliefs, backend=SummaryFailingBackend(),
+                                        params=LlmParams(max_in_flight=3))
+        assert pooled.to_jsonl() == serial.to_jsonl()
+        failed = [e for e in serial.events if "summary_transport_error" in e.payload]
+        assert failed  # the fallback ran
+        assert [s.memory.long_term for s in pooled_states] == [s.memory.long_term for s in serial_states]
 
 
 class TestValidation:

@@ -88,6 +88,23 @@ class TestRun:
         assert "reproducible: false" in artifacts.manifest_txt.read_text()
         assert "backend: remote" in artifacts.manifest_txt.read_text()
 
+    def test_rerun_leaves_only_its_own_artifacts(self, tmp_path):
+        run(config_from_dict(cfg_dict(engine="llm")), tmp_path / "r")
+        assert (tmp_path / "r" / "transcript.jsonl").exists()
+        numeric = run(config_from_dict(cfg_dict(engine="bcm")), tmp_path / "r")
+        fresh = run(config_from_dict(cfg_dict(engine="bcm")), tmp_path / "fresh")
+        assert numeric.transcript_jsonl is None
+        assert read_all(numeric.run_dir) == read_all(fresh.run_dir)
+
+    def test_mock_runs_never_start_a_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the mock backend must run serially")
+
+        monkeypatch.setattr("echosim.language.ThreadPoolExecutor", no_pool)
+        cfg = config_from_dict(cfg_dict(engine="llm", llm={"max_in_flight": 4}))
+        artifacts = run(cfg, tmp_path / "r")
+        assert "max_in_flight: 4" in artifacts.config_yaml.read_text()
+
     def test_deltas_match_snapshots(self, tmp_path):
         artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
         assert artifacts.deltas == deltas(artifacts.snapshots)
