@@ -32,8 +32,6 @@ from .prompts import (
 
 logger = logging.getLogger(__name__)
 
-BACKEND_KINDS = ("mock", "remote")
-
 _STANCE_TOKEN_RE = re.compile(r"\(stance ([+-]?\d+)\)")
 _OWN_STANCE_RE = re.compile(r"Stance value:\s*([+-]?\d+)")
 _EXCHANGE_LINE_RE = re.compile(r"^- (Agent \d+): (.*)$", re.MULTILINE)
@@ -205,10 +203,3 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
         return None
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
-
-def make_backend(kind: str, **kwargs) -> TextBackend:
-    if kind == "mock":
-        return MockBackend()
-    if kind == "remote":
-        return RemoteChatBackend(**kwargs)
-    raise BackendError(f"unknown backend kind {kind!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -87,7 +87,7 @@ class RunConfig:
             self.llm.validate()
             self.nudge.validate()
             self.backend.validate()
-        except ParameterError as exc:
+        except (ParameterError, TypeError) as exc:  # TypeError: a value of the wrong type
             raise ConfigError(str(exc)) from exc
 
 
@@ -97,120 +97,62 @@ def default_config() -> RunConfig:
 
 # --- dict <-> config -------------------------------------------------------
 
-_GRAPH_KEYS = {"kind", "k", "p_rewire", "m", "p_edge"}
-_BCM_KEYS = {"epsilon", "mu", "similarity_threshold"}
-_FJ_KEYS = {"alpha", "similarity_threshold"}
-_LLM_KEYS = {"cap", "retries", "long_term_budget", "temperature", "max_length",
-             "max_in_flight", "similarity_threshold"}
-_NUDGE_KEYS = {"kind", "extremity_threshold", "passive_texts"}
-_BACKEND_KEYS = {"kind", "base_url", "model", "api_key_env", "timeout", "max_retries"}
-_TOP_KEYS = {"n", "days", "seed", "topic", "engine", "exposure_mode",
-             "graph", "bcm", "fj", "llm", "nudge", "backend"}
+_SECTIONS = {"graph": GraphSpec, "bcm": BcmParams, "fj": FjParams, "llm": LlmParams,
+             "nudge": NudgePolicy, "backend": BackendSettings}
+# section fields a file never sets: the graph's n is the population's, the exposure
+# fields follow the top-level exposure_mode, and FJ anchors come from the run state
+_DERIVED = {"n", "exposure_mode", "use_recommendation", "anchors"}
 
 
-def _check_keys(section: str, given: dict, allowed: set) -> None:
-    unknown = set(given) - allowed
+def _file_keys(cls) -> list:
+    return [f.name for f in fields(cls) if f.name not in _DERIVED]
+
+
+def _check_keys(section: str, given, allowed) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a mapping, got {type(given).__name__}")
+    unknown = set(given) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
-
-
-def _graph_from_dict(d: dict, n: int) -> GraphSpec:
-    _check_keys("graph", d, _GRAPH_KEYS)
-    kind = d.get("kind", "small_world")
-    base = default_graph_spec(kind, n)
-    fields = {name: d[name] for name in ("k", "p_rewire", "m", "p_edge") if name in d}
-    return replace(base, **fields)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build and validate a RunConfig from a plain (YAML-shaped) dict."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    _check_keys("config", data, _TOP_KEYS)
+    _check_keys("config", data, [f.name for f in fields(RunConfig)])
     base = RunConfig()
-    n = data.get("n", base.n)
-
-    graph = _graph_from_dict(data.get("graph", {}), n) if "graph" in data else default_graph_spec("small_world", n)
-
-    bcm_d = data.get("bcm", {})
-    _check_keys("bcm", bcm_d, _BCM_KEYS)
-    fj_d = data.get("fj", {})
-    _check_keys("fj", fj_d, _FJ_KEYS)
-    llm_d = data.get("llm", {})
-    _check_keys("llm", llm_d, _LLM_KEYS)
-    nudge_d = dict(data.get("nudge", {}))
-    _check_keys("nudge", nudge_d, _NUDGE_KEYS)
-    if "passive_texts" in nudge_d:
-        nudge_d["passive_texts"] = tuple(nudge_d["passive_texts"])
-    backend_d = data.get("backend", {})
-    _check_keys("backend", backend_d, _BACKEND_KEYS)
-
-    cfg = RunConfig(
-        n=n,
-        days=data.get("days", base.days),
-        seed=data.get("seed", base.seed),
-        topic=data.get("topic", base.topic),
-        engine=data.get("engine", base.engine),
-        exposure_mode=data.get("exposure_mode", base.exposure_mode),
-        graph=graph,
-        bcm=replace(base.bcm, **bcm_d),
-        fj=replace(base.fj, **fj_d),
-        llm=replace(base.llm, **llm_d),
-        nudge=replace(base.nudge, **nudge_d),
-        backend=replace(base.backend, **backend_d),
-    )
+    top = {key: value for key, value in data.items() if key not in _SECTIONS}
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        given = data.get(name, {})
+        _check_keys(name, given, _file_keys(cls))
+        default = (default_graph_spec(given.get("kind", "small_world"), data.get("n", base.n))
+                   if cls is GraphSpec else getattr(base, name))
+        try:  # YAML has no tuples: a sequence field is read into its default's type
+            sections[name] = replace(default, **{
+                key: tuple(value) if isinstance(getattr(default, key), tuple) else value
+                for key, value in given.items()
+            })
+        except TypeError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    cfg = RunConfig(**top, **sections)
     cfg.validate()
     return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical serializable form; engine-param fields that derive from the
-    top-level exposure mode (or from run state, like anchors) are omitted."""
-    graph: dict = {"kind": cfg.graph.kind}
-    for name in ("k", "p_rewire", "m", "p_edge"):
-        value = getattr(cfg.graph, name)
-        if value is not None:
-            graph[name] = value
-    return {
-        "n": cfg.n,
-        "days": cfg.days,
-        "seed": cfg.seed,
-        "topic": cfg.topic,
-        "engine": cfg.engine,
-        "exposure_mode": cfg.exposure_mode,
-        "graph": graph,
-        "bcm": {
-            "epsilon": cfg.bcm.epsilon,
-            "mu": cfg.bcm.mu,
-            "similarity_threshold": cfg.bcm.similarity_threshold,
-        },
-        "fj": {
-            "alpha": cfg.fj.alpha,
-            "similarity_threshold": cfg.fj.similarity_threshold,
-        },
-        "llm": {
-            "cap": cfg.llm.cap,
-            "retries": cfg.llm.retries,
-            "long_term_budget": cfg.llm.long_term_budget,
-            "temperature": cfg.llm.temperature,
-            "max_length": cfg.llm.max_length,
-            "max_in_flight": cfg.llm.max_in_flight,
-            "similarity_threshold": cfg.llm.similarity_threshold,
-        },
-        "nudge": {
-            "kind": cfg.nudge.kind,
-            "extremity_threshold": cfg.nudge.extremity_threshold,
-            "passive_texts": list(cfg.nudge.passive_texts),
-        },
-        "backend": {
-            "kind": cfg.backend.kind,
-            "base_url": cfg.backend.base_url,
-            "model": cfg.backend.model,
-            "api_key_env": cfg.backend.api_key_env,
-            "timeout": cfg.backend.timeout,
-            "max_retries": cfg.backend.max_retries,
-        },
-    }
+    """Canonical serializable form: the keys a file may set, with tuples as
+    lists; graph parameters of the other kinds (None) are omitted."""
+    data = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+    for name, cls in _SECTIONS.items():
+        section, data[name] = data[name], {}
+        for key in _file_keys(cls):
+            value = getattr(section, key)
+            if value is None and cls is GraphSpec:
+                continue
+            data[name][key] = list(value) if isinstance(value, tuple) else value
+    return data
 
 
 def config_to_yaml(cfg: RunConfig) -> str:

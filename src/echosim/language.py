@@ -153,8 +153,10 @@ def init_agent_states(population: Population, long_term_budget: int = 600) -> li
     return states
 
 
-def _compress(backend: TextBackend, old_summary: str, day_items, budget: int):
-    """Inner compression step; returns (summary, transport_failed)."""
+def compress_long_term(backend: TextBackend, old_summary: str, day_items, budget: int) -> tuple:
+    """Fold the day's items into the running summary, never exceeding
+    ``budget`` characters; returns (summary, transport_failed). Transport
+    failures fall back to truncating (old summary + newest items)."""
     if not day_items:
         return old_summary[:budget], False
     prompt = build_summary_prompt(old_summary, day_items, budget)
@@ -164,14 +166,6 @@ def _compress(backend: TextBackend, old_summary: str, day_items, budget: int):
     except BackendError:
         joined = " ".join(text for _, text in day_items)
         return f"{old_summary} {joined}".strip()[:budget], True
-
-
-def compress_long_term(backend: TextBackend, old_summary: str, day_items, budget: int) -> str:
-    """Fold the day's items into the running summary, never exceeding
-    ``budget`` characters. Transport failures fall back to truncating
-    (old summary + newest items)."""
-    summary, _ = _compress(backend, old_summary, day_items, budget)
-    return summary
 
 
 def _reflect_once(backend: TextBackend, prompt: str, retries: int, max_length: int, temperature: float):
@@ -264,7 +258,7 @@ def llm_day(
         if k < n:
             return _reflect_once(backend, prompts[k], params.retries, params.max_length, params.temperature)
         memory = states[k - n].memory
-        return _compress(backend, memory.long_term, memory.short_term, memory.budget)
+        return compress_long_term(backend, memory.long_term, memory.short_term, memory.budget)
 
     if params.max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=params.max_in_flight) as pool:

@@ -64,7 +64,6 @@ class MetricsSnapshot:
     polarization: float
     global_disagreement: float
     nci: Optional[float]
-    beliefs: tuple
 
     def csv_row(self) -> str:
         nci_cell = "" if self.nci is None else repr(self.nci)
@@ -81,7 +80,6 @@ def snapshot(day: int, g: NetworkGraph, beliefs) -> MetricsSnapshot:
         polarization=polarization(values),
         global_disagreement=global_disagreement(g, values),
         nci=nci(g, values),
-        beliefs=tuple(values.tolist()),
     )
 
 

@@ -8,7 +8,7 @@ clipping is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -60,12 +60,7 @@ class FjParams:
             raise ParameterError(f"similarity threshold must be >= 0, got {self.similarity_threshold}")
 
     def with_anchors(self, anchors) -> "FjParams":
-        return FjParams(
-            alpha=self.alpha,
-            use_recommendation=self.use_recommendation,
-            similarity_threshold=self.similarity_threshold,
-            anchors=tuple(float(a) for a in anchors),
-        )
+        return replace(self, anchors=tuple(float(a) for a in anchors))
 
 
 def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:

@@ -3,15 +3,16 @@
 Every run writes a self-contained directory: per-day metrics CSV, a
 line-delimited trajectory record, the transcript (language engine only), a
 projection export (final beliefs plus layout coordinates), the resolved
-config, a population record, and a manifest with the config hash and code
-version. Mock and numeric runs are bit-reproducible from the persisted
-config; remote-backend runs are excluded from that guarantee and marked in
-the manifest.
+config, a population record, and a manifest with the config hash and the
+code, Python and numpy versions. Mock and numeric runs are bit-reproducible
+from the persisted config; remote-backend runs are excluded from that
+guarantee and marked in the manifest.
 """
 
 from __future__ import annotations
 
 import json
+import platform
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -68,7 +69,7 @@ def _build_backend(config: RunConfig) -> TextBackend:
     return backend
 
 
-def _simulate(config: RunConfig, g: NetworkGraph, population: Population):
+def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend]):
     """(belief trajectory, opinion texts per day or None, transcript or None)."""
     use_rec = config.exposure_mode == "recommended"
     if config.engine == "bcm":
@@ -77,7 +78,6 @@ def _simulate(config: RunConfig, g: NetworkGraph, population: Population):
     if config.engine == "fj":
         params = replace(config.fj, use_recommendation=use_rec)
         return run_numeric("fj", g, population.beliefs, params, config.days), None, None
-    backend = _build_backend(config)
     params: LlmParams = replace(config.llm, exposure_mode=config.exposure_mode)
     if config.backend.kind == "mock":
         # the mock is CPU-bound under the GIL, so a pool only adds overhead
@@ -96,8 +96,7 @@ def _write(path: Path, text: str) -> None:
 def run(config: RunConfig, out_dir) -> RunArtifacts:
     """Execute one experiment and persist all artifacts under ``out_dir``."""
     config.validate()
-    if config.engine == "llm" and config.backend.kind == "remote":
-        _build_backend(config)  # credentials check before any work
+    backend = _build_backend(config) if config.engine == "llm" else None  # before any work
 
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -106,7 +105,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     population = init_population(config.n, config.topic, grid, component_rng(config.seed, "population"))
     g = generate_graph(config.graph, component_rng(config.seed, "graph"))
 
-    trajectory, texts, transcript = _simulate(config, g, population)
+    trajectory, texts, transcript = _simulate(config, g, population, backend)
     snapshots = [snapshot(day, g, trajectory[day]) for day in range(config.days + 1)]
     run_deltas = deltas(snapshots)
     positions = force_layout(g, component_rng(config.seed, "layout"))
@@ -145,6 +144,8 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             [
                 f"config_hash: {config_hash(config)}",
                 f"code_version: {__version__}",
+                f"python_version: {platform.python_version()}",
+                f"numpy_version: {np.__version__}",
                 f"engine: {config.engine}",
                 f"backend: {backend_name}",
                 f"graph_kind: {config.graph.kind}",

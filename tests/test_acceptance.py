@@ -5,6 +5,7 @@ Each test prints a single ``[criterion NN] PASS/FAIL`` line (run with
 runtime budget. Seeds are pinned so results are reproducible.
 """
 
+import json
 import time
 from dataclasses import replace
 
@@ -178,11 +179,10 @@ def test_criterion_06_language_engine_structural_run(tmp_path):
                          "config.yaml", "manifest.txt")
         )
         snapshot_rows = len(first.metrics_csv.read_text().strip().splitlines()) - 1
-        grid_ok = all(
-            snap_value in BELIEF_GRID
-            for snap in first.snapshots
-            for snap_value in snap.beliefs
-        )
+        # every belief of every snapshot day, as the run persisted it
+        beliefs = [json.loads(line)["belief"] for line in first.trajectory_jsonl.read_text().splitlines()]
+        grid_ok = (len(beliefs) == len(first.snapshots) * LLM_CONFIG["n"]
+                   and all(belief in BELIEF_GRID for belief in beliefs))
 
         # memory-budget invariant, checked on a direct engine run with the same wiring
         cfg = config_from_dict(LLM_CONFIG)

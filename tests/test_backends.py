@@ -8,7 +8,6 @@ from echosim.backends import (
     MOCK_DIGEST_ITEMS,
     MockBackend,
     RemoteChatBackend,
-    make_backend,
     mock_backend_rule,
     mock_summary_rule,
 )
@@ -85,6 +84,7 @@ class TestMockSummary:
 
     def test_backend_dispatches_on_prompt_kind(self):
         backend = MockBackend()
+        assert backend.name == "mock"
         summary = backend.complete(build_summary_prompt("", [(1, "(stance 0) hi")], 100), 64, 0.0)
         assert "BELIEF:" not in summary
         reply = backend.complete(reflection_prompt(0), 64, 0.7)
@@ -100,26 +100,28 @@ class FailingBackend:
 
 class TestCompression:
     def test_empty_day_empty_summary(self):
-        assert compress_long_term(MockBackend(), "", [], 600) == ""
+        assert compress_long_term(MockBackend(), "", [], 600) == ("", False)
 
     def test_empty_day_keeps_old_summary(self):
-        assert compress_long_term(MockBackend(), "keep me", [], 600) == "keep me"
+        assert compress_long_term(MockBackend(), "keep me", [], 600) == ("keep me", False)
 
     def test_mock_digest_matches_rule(self):
         items = [(j, f"(stance -1) note {j}") for j in range(5)]
-        out = compress_long_term(MockBackend(), "old", items, 600)
+        out, failed = compress_long_term(MockBackend(), "old", items, 600)
         expected = "; ".join(f"Agent {j}: (stance -1) note {j}" for j, _ in items[-MOCK_DIGEST_ITEMS:])
-        assert out == expected
+        assert out == expected and failed is False
 
     def test_transport_failure_falls_back_to_truncation(self):
         items = [(1, "aaa"), (2, "bbb")]
-        out = compress_long_term(FailingBackend(), "old summary", items, 18)
+        out, failed = compress_long_term(FailingBackend(), "old summary", items, 18)
         assert out == "old summary aaa bb"
+        assert failed is True
         assert len(out) <= 18
 
     def test_result_never_exceeds_budget(self):
         items = [(j, "(stance +2) " + "y" * 300) for j in range(4)]
-        assert len(compress_long_term(MockBackend(), "z" * 500, items, 100)) <= 100
+        out, _ = compress_long_term(MockBackend(), "z" * 500, items, 100)
+        assert len(out) <= 100
 
 
 class FakeResponse:
@@ -266,6 +268,7 @@ class TestSessions:
         monkeypatch.setattr("echosim.backends.requests.Session", make_session)
         backend = RemoteChatBackend(base_url="https://api.example.test/v1", model="m",
                                     api_key_env="ECHOSIM_TEST_KEY")
+        assert backend.name == "remote:m"
         assert created == []  # sessions are made on first use
         barrier = threading.Barrier(2, timeout=5)
 
@@ -294,10 +297,3 @@ class TestSessions:
             t.join()
         backend.complete("p", 10, 0.0)
         assert len(session.calls) == 3
-
-
-def test_make_backend_dispatch():
-    assert make_backend("mock").name == "mock"
-    assert make_backend("remote", base_url="https://x", model="m").name == "remote:m"
-    with pytest.raises(BackendError):
-        make_backend("psychic")

@@ -59,6 +59,11 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_section_that_is_not_a_mapping(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bcm: 3\n")
+        assert main(["validate-config", "--config", cfg]) == 2
+        assert "config error: bcm must be a mapping" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "mystery: 1\n")
         assert main(["validate-config", "--config", cfg]) == 2

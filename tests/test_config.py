@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -54,6 +56,11 @@ def test_unknown_keys_rejected():
         config_from_dict({"walrus": 1})
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"bcm": {"sigma": 0.1}})
+    # section fields that derive from the top level or the run state are not file keys
+    for derived in ({"bcm": {"use_recommendation": False}}, {"fj": {"anchors": [0.0]}},
+                    {"llm": {"exposure_mode": "all_neighbors"}}, {"graph": {"n": 50}}):
+        with pytest.raises(ConfigError, match="unknown key"):
+            config_from_dict(derived)
     with pytest.raises(ConfigError, match="does not apply"):
         config_from_dict({"graph": {"kind": "random", "p_rewire": 0.1}})
 
@@ -79,6 +86,11 @@ def test_invalid_values_raise_config_error():
         {"nudge": {"kind": "shove"}},
         {"backend": {"kind": "carrier-pigeon"}},
         {"n": 10, "graph": {"kind": "small_world", "k": 10}},
+        {"bcm": 3},
+        {"graph": 5},
+        {"bcm": {"mu": "x"}},
+        {"n": "fifty"},
+        {"nudge": {"passive_texts": 3}},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -139,3 +151,15 @@ def test_graph_population_size_mismatch_detected():
     with pytest.raises(ConfigError, match="disagrees"):
         cfg.validate()
     assert isinstance(cfg, RunConfig)
+
+
+def test_readme_full_config_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A full config file.*?```yaml\n(.*?)```", readme, re.DOTALL).group(1)
+    documented = yaml.safe_load(block)
+    config_from_dict(documented)
+    expected = config_to_dict(default_config())
+    assert documented.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, dict):
+            assert documented[key].keys() == value.keys(), key

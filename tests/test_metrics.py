@@ -140,16 +140,16 @@ class TestSnapshotsAndDeltas:
 
     def test_delta_is_final_minus_initial(self):
         g = cycle_graph(4)
-        first = MetricsSnapshot(0, 1.0, 0.4, 0.1, (0.0,) * 4)
-        last = MetricsSnapshot(30, 1.936, 0.2, 0.6, (0.0,) * 4)
+        first = MetricsSnapshot(0, 1.0, 0.4, 0.1)
+        last = MetricsSnapshot(30, 1.936, 0.2, 0.6)
         d_pol, d_dg, d_nci = deltas([first, last])
         assert d_pol == pytest.approx(0.936)
         assert d_dg == pytest.approx(-0.2)
         assert d_nci == pytest.approx(0.5)
 
     def test_undefined_nci_propagates(self):
-        first = MetricsSnapshot(0, 1.0, 0.4, None, (0.0,))
-        last = MetricsSnapshot(1, 1.0, 0.4, 0.5, (0.0,))
+        first = MetricsSnapshot(0, 1.0, 0.4, None)
+        last = MetricsSnapshot(1, 1.0, 0.4, 0.5)
         assert deltas([first, last])[2] is None
 
     def test_consensus_run_collapses_variance_and_disagreement(self):
@@ -162,10 +162,10 @@ class TestSnapshotsAndDeltas:
         assert d_pol < 0 and d_dg < 0
 
     def test_csv_row_formats_undefined_as_empty_cell(self):
-        s = MetricsSnapshot(3, 0.5, 0.25, None, (0.0,))
+        s = MetricsSnapshot(3, 0.5, 0.25, None)
         assert s.csv_row() == "3,0.5,0.25,"
         assert METRICS_CSV_HEADER.split(",") == ["day", "polarization", "global_disagreement", "nci"]
 
     def test_delta_needs_two_snapshots(self):
         with pytest.raises(ParameterError):
-            deltas([MetricsSnapshot(0, 0.0, 0.0, None, ())])
+            deltas([MetricsSnapshot(0, 0.0, 0.0, None)])

@@ -1,4 +1,5 @@
 import json
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,8 @@ class TestRun:
         assert manifest["backend"] == "none"
         assert manifest["reproducible"] == "true"
         assert manifest["graph_connected"] in ("true", "false")
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
     def test_remote_without_key_fails_fast(self, tmp_path, monkeypatch):
         monkeypatch.delenv("ECHOSIM_MISSING_KEY", raising=False)
