@@ -3,7 +3,7 @@ echo chambers, and nudge-based mitigation on social graphs.
 
 The public names are the ones imported below."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .backends import BackendError, MockBackend, RemoteChatBackend, mock_backend_rule
 from .config import BackendSettings, RunConfig, config_from_dict, default_config, resolve_config

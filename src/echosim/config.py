@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -70,9 +70,8 @@ class RunConfig:
                 raise ConfigError(f"n must be >= 2, got {self.n}")
             if self.days < 1:
                 raise ConfigError(f"days must be >= 1, got {self.days}")
-            # bool is a subclass of int, so `seed: true` must be ruled out explicitly
-            if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-                raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+            if self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
             if not self.topic:
                 raise ConfigError("topic must be non-empty")
             if self.engine not in ENGINES:
@@ -87,7 +86,7 @@ class RunConfig:
             self.llm.validate()
             self.nudge.validate()
             self.backend.validate()
-        except (ParameterError, TypeError) as exc:  # TypeError: a value of the wrong type
+        except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -116,26 +115,52 @@ def _check_keys(section: str, given, allowed) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_value(key: str, value, hint) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` has the annotated
+    type ``hint``. Nothing is converted, so ``2`` stays ``2`` in a float field."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is tuple:  # tuple[X, ...], a list in YAML
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            _check_value(f"{key}[{i}]", item, get_args(hint)[0])
+        return
+    # bool is a subclass of int, so true/false must be ruled out of the numbers by hand
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[hint]}, got {type(value).__name__}")
+
+
+def _check_types(prefix: str, given: dict, cls) -> None:
+    hints = get_type_hints(cls)
+    for key, value in given.items():
+        _check_value(prefix + key, value, hints[key])
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Build and validate a RunConfig from a plain (YAML-shaped) dict."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
     _check_keys("config", data, [f.name for f in fields(RunConfig)])
-    base = RunConfig()
     top = {key: value for key, value in data.items() if key not in _SECTIONS}
+    _check_types("", top, RunConfig)
+    base = RunConfig()
     sections = {}
     for name, cls in _SECTIONS.items():
         given = data.get(name, {})
         _check_keys(name, given, _file_keys(cls))
+        _check_types(f"{name}.", given, cls)
         default = (default_graph_spec(given.get("kind", "small_world"), data.get("n", base.n))
                    if cls is GraphSpec else getattr(base, name))
-        try:  # YAML has no tuples: a sequence field is read into its default's type
-            sections[name] = replace(default, **{
-                key: tuple(value) if isinstance(getattr(default, key), tuple) else value
-                for key, value in given.items()
-            })
-        except TypeError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        # YAML has no tuples: a list is read into its tuple field as a tuple
+        sections[name] = replace(default, **{
+            key: tuple(value) if isinstance(value, list) else value for key, value in given.items()
+        })
     cfg = RunConfig(**top, **sections)
     cfg.validate()
     return cfg

@@ -211,24 +211,48 @@ def generate_small_world(n: int, k: int, p_rewire: float, rng: np.random.Generat
 def generate_scale_free(n: int, m: int, rng: np.random.Generator) -> NetworkGraph:
     """Preferential attachment: complete core of ``m + 1`` nodes, then each new
     node attaches to ``m`` distinct existing nodes with probability
-    proportional to their current degree."""
+    proportional to their current degree.
+
+    Each draw is the one ``rng.random()`` that ``rng.choice(v, p=degree / total)``
+    would take, mapped to the first node whose degree prefix sum exceeds
+    ``u * total`` by a search of a Fenwick tree over the integer degrees, so a
+    draw costs O(log n) rather than O(n).
+    """
     GraphSpec(kind="scale_free", n=n, m=m).validate()
 
     core = m + 1
-    edges = {(i, j) for i in range(core) for j in range(i + 1, core)}
-    degree = np.zeros(n, dtype=float)
-    degree[:core] = m  # complete core
+    edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
+    tree = [0] * (n + 1)  # 1-based: tree[i] sums the degrees of nodes i - (i & -i) .. i - 1
+
+    def add_degree(node: int, amount: int) -> None:
+        i = node + 1
+        while i <= n:
+            tree[i] += amount
+            i += i & -i
+
+    for node in range(core):
+        add_degree(node, m)  # complete core
+    total = core * m
+    top = 1 << (n.bit_length() - 1)
 
     for v in range(core, n):
-        weights = degree[:v] / degree[:v].sum()
         chosen: set = set()
         while len(chosen) < m:
-            candidate = int(rng.choice(v, p=weights))
-            chosen.add(candidate)
+            # descend the tree: ``node`` ends as the count of leading nodes whose
+            # degrees sum to <= u * total, which is the index of the first node whose
+            # prefix sum exceeds it; subtracting integers from the float target is exact
+            rest, node, step = rng.random() * total, 0, top
+            while step:
+                if node + step <= n and tree[node + step] <= rest:
+                    node += step
+                    rest -= tree[node]
+                step >>= 1
+            chosen.add(node)
         for c in chosen:
-            edges.add((min(c, v), max(c, v)))
-            degree[c] += 1
-            degree[v] += 1
+            edges.append((c, v))
+            add_degree(c, 1)
+        add_degree(v, m)
+        total += 2 * m
 
     return NetworkGraph.from_edges(n, edges)
 

@@ -31,7 +31,7 @@ ACTIVE_NUDGE_PREFIX = "An opposing perspective: "
 class NudgePolicy:
     kind: str = "none"
     extremity_threshold: int = 2
-    passive_texts: tuple = DEFAULT_PASSIVE_TEXTS
+    passive_texts: tuple[str, ...] = DEFAULT_PASSIVE_TEXTS
 
     def validate(self) -> None:
         if self.kind not in NUDGE_KINDS:

@@ -126,6 +126,26 @@ def naive_generate_random(n: int, p_edge: float, rng) -> NetworkGraph:
     return NetworkGraph.from_edges(n, [pair for pair, hit in zip(pairs, mask) if hit])
 
 
+def naive_generate_scale_free(n: int, m: int, rng) -> NetworkGraph:
+    """Preferential attachment with one ``rng.choice`` over the normalised
+    degrees per draw: complete core of ``m + 1`` nodes, then ``m`` distinct
+    targets for each new node."""
+    core = m + 1
+    edges = {(i, j) for i in range(core) for j in range(i + 1, core)}
+    degree = np.zeros(n, dtype=float)
+    degree[:core] = m
+    for v in range(core, n):
+        weights = degree[:v] / degree[:v].sum()
+        chosen: set = set()
+        while len(chosen) < m:
+            chosen.add(int(rng.choice(v, p=weights)))
+        for c in chosen:
+            edges.add((min(c, v), max(c, v)))
+            degree[c] += 1
+            degree[v] += 1
+    return NetworkGraph.from_edges(n, edges)
+
+
 def naive_clustering(g: NetworkGraph):
     total = 0.0
     for i in range(g.n):

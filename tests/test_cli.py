@@ -64,6 +64,13 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", cfg]) == 2
         assert "config error: bcm must be a mapping" in capsys.readouterr().err
 
+    def test_float_where_an_integer_is_meant(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "n: 10\ndays: 2.5\n")
+        assert main(["validate-config", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: days must be an integer, got float") == 2
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "mystery: 1\n")
         assert main(["validate-config", "--config", cfg]) == 2

@@ -73,27 +73,50 @@ def test_graph_parameters_filled_from_defaults():
 
 
 def test_invalid_values_raise_config_error():
-    for bad in (
-        {"n": 1},
-        {"days": 0},
-        {"seed": -3},
-        {"topic": ""},
-        {"engine": "quantum"},
-        {"exposure_mode": "gossip"},
-        {"bcm": {"mu": 0.9}},
-        {"fj": {"alpha": 2.0}},
-        {"llm": {"cap": 0}},
-        {"nudge": {"kind": "shove"}},
-        {"backend": {"kind": "carrier-pigeon"}},
-        {"n": 10, "graph": {"kind": "small_world", "k": 10}},
-        {"bcm": 3},
-        {"graph": 5},
-        {"bcm": {"mu": "x"}},
-        {"n": "fifty"},
-        {"nudge": {"passive_texts": 3}},
+    # each message names the key at fault
+    for bad, message in (
+        ({"n": 1}, "n must be >= 2"),
+        ({"days": 0}, "days must be >= 1"),
+        ({"seed": -3}, "seed must be >= 0"),
+        ({"topic": ""}, "topic must be non-empty"),
+        ({"engine": "quantum"}, "unknown engine"),
+        ({"exposure_mode": "gossip"}, "unknown exposure mode"),
+        ({"bcm": {"mu": 0.9}}, "mu must be in"),
+        ({"fj": {"alpha": 2.0}}, "alpha must be in"),
+        ({"llm": {"cap": 0}}, "cap must be >= 1"),
+        ({"nudge": {"kind": "shove"}}, "unknown nudge kind"),
+        ({"backend": {"kind": "carrier-pigeon"}}, "unknown backend kind"),
+        ({"n": 10, "graph": {"kind": "small_world", "k": 10}}, "k must be < n"),
+        ({"bcm": 3}, "bcm must be a mapping, got int"),
+        ({"graph": 5}, "graph must be a mapping, got int"),
+        ({"bcm": {"mu": "x"}}, "bcm.mu must be a number, got str"),
+        ({"n": "fifty"}, "n must be an integer, got str"),
+        ({"nudge": {"passive_texts": 3}}, "nudge.passive_texts must be a list, got int"),
+        ({"days": 2.5}, "days must be an integer, got float"),
+        ({"llm": {"cap": 2.5}}, "llm.cap must be an integer, got float"),
+        ({"topic": 3}, "topic must be a string, got int"),
+        ({"backend": {"timeout": "x"}}, "backend.timeout must be a number, got str"),
     ):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(bad)
+
+
+def test_value_types_follow_the_annotations():
+    for bad, message in (
+        ({"bcm": {"epsilon": True}}, "bcm.epsilon must be a number, got bool"),
+        ({"llm": {"retries": False}}, "llm.retries must be an integer, got bool"),
+        ({"graph": {"kind": "random", "p_edge": "x"}}, "graph.p_edge must be a number, got str"),
+        ({"graph": {"kind": 3}}, "graph.kind must be a string, got int"),
+        ({"nudge": {"passive_texts": ["a", 2]}}, "nudge.passive_texts[1] must be a string, got int"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(bad)
+    # Optional fields take null, and nothing is converted: an int in a float field stays an int
+    cfg = config_from_dict({"llm": {"cap": None}, "bcm": {"epsilon": 2}, "backend": {"timeout": 10},
+                            "nudge": {"passive_texts": ["Be kind."]}})
+    assert cfg.llm.cap is None and cfg.nudge.passive_texts == ("Be kind.",)
+    assert type(cfg.bcm.epsilon) is int and type(cfg.backend.timeout) is int
+    assert "epsilon: 2\n" in config_to_yaml(cfg)
 
 
 def test_precedence_overrides_beat_file_beats_defaults():

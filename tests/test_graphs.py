@@ -19,7 +19,14 @@ from echosim.graphs import (
     is_connected,
     to_edge_list_text,
 )
-from helpers import cycle_graph, naive_clustering, naive_generate_random, path_graph, star_graph
+from helpers import (
+    cycle_graph,
+    naive_clustering,
+    naive_generate_random,
+    naive_generate_scale_free,
+    path_graph,
+    star_graph,
+)
 
 RING_CLUSTERING_K4 = 0.5  # closed form 3(k-2)/(4(k-1)) at k=4
 
@@ -107,6 +114,17 @@ class TestScaleFree:
     def test_rejects_bad_parameters(self, n, m):
         with pytest.raises(ParameterError):
             generate_scale_free(n, m, rng())
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n,seeds", [(50, range(1, 21)), (300, range(1, 21)), (2000, range(1, 6))],
+                             ids=["n50", "n300", "n2000"])
+    def test_matches_choice_oracle(self, n, seeds, m):
+        # the Fenwick search must pick the node rng.choice would, from the same draw
+        for seed in seeds:
+            fast, slow = rng(seed), rng(seed)
+            assert to_edge_list_text(generate_scale_free(n, m, fast)) == to_edge_list_text(
+                naive_generate_scale_free(n, m, slow)), seed
+            assert fast.random() == slow.random()  # same number of draws
 
 
 class TestRandom:
