@@ -40,8 +40,8 @@ def main():
     a = generate_graph(spec, np.random.default_rng(7))
     b = generate_graph(spec, np.random.default_rng(7))
     c = generate_graph(spec, np.random.default_rng(8))
-    print(f"same seed, same edge set:      {a.edges == b.edges}")
-    print(f"different seed, different set: {a.edges != c.edges}")
+    print(f"same seed, same edge list:      {to_edge_list_text(a) == to_edge_list_text(b)}")
+    print(f"different seed, different list: {to_edge_list_text(a) != to_edge_list_text(c)}")
 
     print("\n=== structure comparison at matched density ===")
     sw = np.mean([

@@ -42,19 +42,18 @@ def main():
     g = generate_graph(default_graph_spec("small_world", N), np.random.default_rng([SEED, 0]))
     population = init_population(N, TOPIC, False, np.random.default_rng([SEED, 1]))
 
-    for use_rec in (True, False):
-        mode = "recommendation on" if use_rec else "all neighbors"
+    for mode in ("recommended", "all_neighbors"):
         bcm = run_numeric("bcm", g, population.beliefs,
-                          BcmParams(epsilon=2.0, mu=0.3, use_recommendation=use_rec), DAYS)
+                          BcmParams(epsilon=2.0, mu=0.3, exposure_mode=mode), DAYS)
         metric_table(g, bcm, f"bounded confidence, {mode}")
 
         fj = run_numeric("fj", g, population.beliefs,
-                         FjParams(alpha=0.3, use_recommendation=use_rec), DAYS)
+                         FjParams(alpha=0.3, exposure_mode=mode), DAYS)
         metric_table(g, fj, f"anchored averaging, {mode}")
 
     print("\n--- long-horizon behavior ---")
     consensus = run_numeric("bcm", g, population.beliefs,
-                            BcmParams(epsilon=4.0, mu=0.5, use_recommendation=False), 200)
+                            BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
     print(f"bounded confidence with a wide-open gate reaches consensus: "
           f"final spread {consensus[-1].max() - consensus[-1].min():.2e}")
     anchored = run_numeric("fj", g, population.beliefs, FjParams(alpha=0.3), 200)

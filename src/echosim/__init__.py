@@ -29,5 +29,5 @@ from .metrics import MetricsSnapshot, deltas, global_disagreement, nci, polariza
 from .numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric
 from .population import Persona, Population, init_population, persona_card
 from .prompts import OpinionOutput, build_reflection_prompt, parse_opinion_output
-from .recommendation import exposure_set, recommend
+from .recommendation import exposure_set
 from .runner import compare, component_rng, run, sweep

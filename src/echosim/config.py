@@ -100,7 +100,7 @@ _SECTIONS = {"graph": GraphSpec, "bcm": BcmParams, "fj": FjParams, "llm": LlmPar
              "nudge": NudgePolicy, "backend": BackendSettings}
 # section fields a file never sets: the graph's n is the population's, the exposure
 # fields follow the top-level exposure_mode, and FJ anchors come from the run state
-_DERIVED = {"n", "exposure_mode", "use_recommendation", "anchors"}
+_DERIVED = {"n", "exposure_mode", "anchors"}
 
 
 def _file_keys(cls) -> list:
@@ -155,8 +155,11 @@ def config_from_dict(data: dict) -> RunConfig:
         given = data.get(name, {})
         _check_keys(name, given, _file_keys(cls))
         _check_types(f"{name}.", given, cls)
-        default = (default_graph_spec(given.get("kind", "small_world"), data.get("n", base.n))
-                   if cls is GraphSpec else getattr(base, name))
+        try:
+            default = (default_graph_spec(given.get("kind", "small_world"), data.get("n", base.n))
+                       if cls is GraphSpec else getattr(base, name))
+        except ParameterError as exc:  # an unknown graph kind
+            raise ConfigError(str(exc)) from exc
         # YAML has no tuples: a list is read into its tuple field as a tuple
         sections[name] = replace(default, **{
             key: tuple(value) if isinstance(value, list) else value for key, value in given.items()

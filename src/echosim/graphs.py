@@ -31,8 +31,8 @@ DEFAULT_RANDOM_P_EDGE = 0.08
 class NetworkGraph:
     """Undirected simple graph over nodes ``0..n-1`` in compressed sparse-row
     form: the neighbors of ``i`` are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending; both arrays are read-only. ``edges`` (pairs ``(i, j)`` with
-    ``i < j``) and ``adjacency`` (sorted neighbor tuples) are derived views.
+    ascending; both arrays are read-only. Every graph read in the package goes
+    through them.
     """
 
     n: int
@@ -85,16 +85,8 @@ class NetworkGraph:
         return nonempty, total[nonempty] / count[nonempty]
 
     @cached_property
-    def edges(self) -> frozenset:
-        i, j = self.upper()
-        return frozenset(zip(i.tolist(), j.tolist()))
-
-    @cached_property
-    def adjacency(self) -> tuple:
+    def adjacency(self) -> tuple:  # sorted neighbor tuples; read only by perfbench/spans.py
         return tuple(tuple(ns.tolist()) for ns in np.split(self.indices, self.indptr[1:-1]))
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
 
     @property
     def edge_count(self) -> int:
@@ -269,21 +261,24 @@ def generate_random(n: int, p_edge: float, rng: np.random.Generator) -> NetworkG
 
 def clustering_coefficient(g: NetworkGraph) -> float:
     """Average local clustering: mean over nodes of triangles / possible pairs,
-    counting 0 for nodes of degree < 2."""
-    if g.n == 0:
-        return 0.0
+    counting 0 for nodes of degree < 2.
+
+    Each pair ``(a, b)``, ``a < b``, of a node's neighbors is looked up in the
+    sorted edge keys ``row * n + column``; memory is O(m + max degree²).
+    """
+    keys = g.rows * g.n + g.indices
     total = 0.0
     for i in range(g.n):
-        ns = g.adjacency[i]
-        d = len(ns)
+        ns = g.indices[g.indptr[i]:g.indptr[i + 1]]
+        d = ns.size
         if d < 2:
             continue
-        triangles = 0
-        for a_idx in range(d):
-            for b_idx in range(a_idx + 1, d):
-                if g.has_edge(ns[a_idx], ns[b_idx]):
-                    triangles += 1
-        total += triangles / (d * (d - 1) / 2)
+        a, b = np.triu_indices(d, 1)
+        # b has a neighbor, so a < b is below the last nonempty row and every
+        # pair sorts before the last key: the search never runs off the end
+        pairs = ns[a] * g.n + ns[b]
+        linked = keys[np.searchsorted(keys, pairs)] == pairs
+        total += int(np.count_nonzero(linked)) / (d * (d - 1) / 2)
     return total / g.n
 
 
@@ -304,24 +299,22 @@ def hop_distances(g: NetworkGraph, source: int) -> list:
     """BFS hop count from ``source`` to every node; unreachable nodes get ``None``."""
     if not 0 <= source < g.n:
         raise ParameterError(f"source {source} out of range for n={g.n}")
-    dist: list = [None] * g.n
+    dist = np.full(g.n, -1)
     dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if dist[v] is None:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    frontier = dist == 0
+    hops = 0
+    while frontier.any():
+        hops += 1
+        # the frontier's neighbors: the CSR entries of the frontier's rows
+        reached = np.zeros(g.n, dtype=bool)
+        reached[g.indices[np.flatnonzero(frontier[g.rows])]] = True
+        frontier = reached & (dist < 0)
+        dist[frontier] = hops
+    return [None if d < 0 else d for d in dist.tolist()]
 
 
 def is_connected(g: NetworkGraph) -> bool:
-    if g.n <= 1:
-        return True
-    return all(d is not None for d in hop_distances(g, 0))
+    return None not in hop_distances(g, 0)
 
 
 def to_edge_list_text(g: NetworkGraph) -> str:

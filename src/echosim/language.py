@@ -41,9 +41,7 @@ from .prompts import (
     parse_opinion_output,
     stance_statement,
 )
-from .recommendation import DEFAULT_EXPOSURE_CAP, DEFAULT_SIMILARITY_THRESHOLD, exposure_set
-
-EVENT_KINDS = ("exposure", "nudge", "reflection", "update")
+from .recommendation import DEFAULT_EXPOSURE_CAP, DEFAULT_SIMILARITY_THRESHOLD, check_exposure, exposure_set
 
 
 @dataclass
@@ -124,8 +122,7 @@ class LlmParams:
     max_in_flight: int = 4
 
     def validate(self) -> None:
-        if self.exposure_mode not in ("all_neighbors", "recommended"):
-            raise ParameterError(f"unknown exposure mode {self.exposure_mode!r}")
+        check_exposure(self.exposure_mode, self.similarity_threshold)
         if self.cap is not None and self.cap < 1:
             raise ParameterError(f"cap must be >= 1, got {self.cap}")
         if self.retries < 0:

@@ -26,8 +26,6 @@ import numpy as np
 from .errors import ParameterError
 from .graphs import NetworkGraph, belief_vector
 
-METRIC_NAMES = ("polarization", "global_disagreement", "nci")
-
 
 def polarization(beliefs) -> float:
     """Population variance of the belief vector (divide by N, not N-1)."""

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .graphs import NetworkGraph, belief_vector
-from .recommendation import DEFAULT_SIMILARITY_THRESHOLD
-# unused: kept because perfbench/spans.py:install patches it, and speed-ups may not edit the benchmark
-from .recommendation import exposure_set  # noqa: F401
+from .recommendation import DEFAULT_SIMILARITY_THRESHOLD, check_exposure, exposure_mask
+from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
 
 NUMERIC_ENGINES = ("bcm", "fj")
 
@@ -29,7 +28,7 @@ class BcmParams:
 
     epsilon: float = 2.0
     mu: float = 0.3
-    use_recommendation: bool = True
+    exposure_mode: str = "recommended"
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
 
     def validate(self) -> None:
@@ -37,8 +36,7 @@ class BcmParams:
             raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 0 < self.mu <= 0.5:
             raise ParameterError(f"mu must be in (0, 0.5], got {self.mu}")
-        if self.similarity_threshold < 0:
-            raise ParameterError(f"similarity threshold must be >= 0, got {self.similarity_threshold}")
+        check_exposure(self.exposure_mode, self.similarity_threshold)
 
 
 @dataclass(frozen=True)
@@ -49,15 +47,14 @@ class FjParams:
     run's initial beliefs when left unset."""
 
     alpha: float = 0.3
-    use_recommendation: bool = True
+    exposure_mode: str = "recommended"
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
     anchors: Optional[tuple] = field(default=None)
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.similarity_threshold < 0:
-            raise ParameterError(f"similarity threshold must be >= 0, got {self.similarity_threshold}")
+        check_exposure(self.exposure_mode, self.similarity_threshold)
 
     def with_anchors(self, anchors) -> "FjParams":
         return replace(self, anchors=tuple(float(a) for a in anchors))
@@ -66,17 +63,15 @@ class FjParams:
 def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:
     """One synchronous day of the bounded-confidence update.
 
-    For each agent the exposure set (recommendation-filtered if enabled) is
-    further gated by ``|v_i - v_j| <= epsilon``; if any neighbor qualifies,
+    For each agent the exposure set (all neighbors, or the recommended ones)
+    is further gated by ``|v_i - v_j| <= epsilon``; if any neighbor qualifies,
     ``v_i`` moves by ``mu`` times the mean pairwise difference.
     """
     p.validate()
     old = belief_vector(g, beliefs)
     diff = old[g.indices] - old[g.rows]
     distance = np.abs(diff)
-    keep = distance <= p.epsilon
-    if p.use_recommendation:
-        keep &= distance <= p.similarity_threshold
+    keep = (distance <= p.epsilon) & exposure_mask(p.exposure_mode, p.similarity_threshold, distance)
     heard, mean_diff = g.row_means(diff, keep)
     new = old.copy()
     new[heard] += p.mu * mean_diff
@@ -92,9 +87,7 @@ def fj_day(g: NetworkGraph, beliefs, p: FjParams) -> np.ndarray:
         raise ParameterError("fj_day requires anchors aligned with the belief vector")
     anchors = np.asarray(p.anchors, dtype=float)
     heard_values = old[g.indices]
-    keep = None
-    if p.use_recommendation:
-        keep = np.abs(heard_values - old[g.rows]) <= p.similarity_threshold
+    keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
     heard, mean_heard = g.row_means(heard_values, keep)
     new = old.copy()
     new[heard] = p.alpha * anchors[heard] + (1.0 - p.alpha) * mean_heard

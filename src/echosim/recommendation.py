@@ -2,6 +2,8 @@
 
 The recommended set keeps only neighbors whose belief differs from the
 agent's by at most a threshold, modeling engagement-driven content curation.
+All three engines apply this one rule: ``exposure_mask`` over the belief
+distances along the graph's CSR rows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import NetworkGraph
+from .graphs import NetworkGraph, belief_vector
 
 EXPOSURE_MODES = ("all_neighbors", "recommended")
 
@@ -19,17 +21,20 @@ DEFAULT_SIMILARITY_THRESHOLD = 2.0
 DEFAULT_EXPOSURE_CAP = 8  # language engine only; numeric engines are uncapped
 
 
-def recommend(g: NetworkGraph, beliefs, i: int, threshold: float) -> set:
-    """Neighbors j of i with ``|beliefs[i] - beliefs[j]| <= threshold``."""
-    if not 0 <= i < g.n:
-        raise ParameterError(f"agent index {i} out of range for n={g.n}")
-    if len(beliefs) != g.n:
-        raise ParameterError(f"belief vector length {len(beliefs)} != node count {g.n}")
+def check_exposure(mode: str, threshold: float) -> None:
+    """Raise ParameterError unless ``mode`` is an exposure mode and ``threshold >= 0``."""
+    if mode not in EXPOSURE_MODES:
+        raise ParameterError(f"unknown exposure mode {mode!r}")
     if threshold < 0:
-        raise ParameterError(f"threshold must be >= 0, got {threshold}")
-    own = beliefs[i]
-    neighbors = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
-    return {j for j in neighbors if abs(own - beliefs[j]) <= threshold}
+        raise ParameterError(f"similarity threshold must be >= 0, got {threshold}")
+
+
+def exposure_mask(mode: str, threshold: float, distance: np.ndarray) -> np.ndarray:
+    """Which neighbors at belief distances ``distance`` an agent hears: every
+    one under "all_neighbors", those within ``threshold`` under "recommended"."""
+    if mode == "all_neighbors":
+        return np.ones(distance.shape, dtype=bool)
+    return distance <= threshold
 
 
 def exposure_set(
@@ -44,18 +49,17 @@ def exposure_set(
     """Agents whose opinions reach agent ``i`` today, in ascending index order.
 
     ``mode="all_neighbors"`` returns the full neighborhood;
-    ``mode="recommended"`` applies the similarity filter. When the result
-    exceeds ``cap`` a uniform random subset of size ``cap`` is drawn from the
+    ``mode="recommended"`` keeps the neighbors ``j`` with
+    ``|beliefs[i] - beliefs[j]| <= threshold``. When the result exceeds
+    ``cap`` a uniform random subset of size ``cap`` is drawn from the
     supplied ``rng`` (ascending order is restored afterwards).
     """
-    if mode not in EXPOSURE_MODES:
-        raise ParameterError(f"unknown exposure mode {mode!r}")
-    if mode == "all_neighbors":
-        if not 0 <= i < g.n:
-            raise ParameterError(f"agent index {i} out of range for n={g.n}")
-        selected = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
-    else:
-        selected = sorted(recommend(g, beliefs, i, threshold))
+    check_exposure(mode, threshold)
+    if not 0 <= i < g.n:
+        raise ParameterError(f"agent index {i} out of range for n={g.n}")
+    values = belief_vector(g, beliefs)
+    neighbors = g.indices[g.indptr[i]:g.indptr[i + 1]]
+    selected = neighbors[exposure_mask(mode, threshold, np.abs(values[neighbors] - values[i]))].tolist()
     if cap is not None:
         if cap < 1:
             raise ParameterError(f"cap must be >= 1, got {cap}")

@@ -24,7 +24,7 @@ from .backends import MockBackend, RemoteChatBackend, TextBackend
 from .config import RunConfig, config_hash, config_to_yaml
 from .errors import ParameterError
 from .graphs import NetworkGraph, generate_graph, is_connected, to_edge_list_text
-from .language import LlmParams, run_llm
+from .language import run_llm
 from .layout import force_layout
 from .metrics import METRICS_CSV_HEADER, deltas, snapshot
 from .numeric import run_numeric
@@ -71,14 +71,9 @@ def _build_backend(config: RunConfig) -> TextBackend:
 
 def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend]):
     """(belief trajectory, opinion texts per day or None, transcript or None)."""
-    use_rec = config.exposure_mode == "recommended"
-    if config.engine == "bcm":
-        params = replace(config.bcm, use_recommendation=use_rec)
-        return run_numeric("bcm", g, population.beliefs, params, config.days), None, None
-    if config.engine == "fj":
-        params = replace(config.fj, use_recommendation=use_rec)
-        return run_numeric("fj", g, population.beliefs, params, config.days), None, None
-    params: LlmParams = replace(config.llm, exposure_mode=config.exposure_mode)
+    params = replace(getattr(config, config.engine), exposure_mode=config.exposure_mode)
+    if config.engine != "llm":
+        return run_numeric(config.engine, g, population.beliefs, params, config.days), None, None
     if config.backend.kind == "mock":
         # the mock is CPU-bound under the GIL, so a pool only adds overhead
         params = replace(params, max_in_flight=1)

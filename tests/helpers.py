@@ -1,7 +1,8 @@
 """Independent brute-force oracles and small shared test utilities.
 
 The oracles deliberately avoid the library's own code paths: plain Python
-loops, manual Pearson, full O(n^2) scans via has_edge. The numeric-engine
+loops, manual Pearson, full O(n^2) scans of an edge set that ``edge_set``
+reads row by row from the CSR arrays. The numeric-engine
 oracles update one agent at a time and average with ``np.mean``; the layout
 oracle sums forces one pair at a time.
 """
@@ -13,6 +14,16 @@ import numpy as np
 from echosim.graphs import NetworkGraph
 
 
+def edge_set(g: NetworkGraph) -> set:
+    """Every edge as both ``(i, j)`` and ``(j, i)``, read with Python loops
+    from the CSR rows."""
+    edges = set()
+    for i in range(g.n):
+        for k in range(int(g.indptr[i]), int(g.indptr[i + 1])):
+            edges.add((i, int(g.indices[k])))
+    return edges
+
+
 def naive_polarization(beliefs):
     n = len(beliefs)
     mean = sum(beliefs) / n
@@ -20,9 +31,10 @@ def naive_polarization(beliefs):
 
 
 def naive_global_disagreement(g: NetworkGraph, beliefs):
+    edges = edge_set(g)
     total = 0.0
     for i in range(g.n):
-        neighbors = [j for j in range(g.n) if j != i and g.has_edge(i, j)]
+        neighbors = [j for j in range(g.n) if j != i and (i, j) in edges]
         if not neighbors:
             continue
         total += sum((beliefs[i] - beliefs[j]) ** 2 for j in neighbors) / len(neighbors)
@@ -30,9 +42,10 @@ def naive_global_disagreement(g: NetworkGraph, beliefs):
 
 
 def naive_nci(g: NetworkGraph, beliefs):
+    edges = edge_set(g)
     xs, ys = [], []
     for i in range(g.n):
-        neighbors = [j for j in range(g.n) if j != i and g.has_edge(i, j)]
+        neighbors = [j for j in range(g.n) if j != i and (i, j) in edges]
         if not neighbors:
             continue
         xs.append(beliefs[i])
@@ -49,19 +62,20 @@ def naive_nci(g: NetworkGraph, beliefs):
     return cov / (sx * sy)
 
 
-def _naive_sources(g: NetworkGraph, beliefs, i, use_recommendation, threshold):
-    neighbors = [j for j in range(g.n) if j != i and g.has_edge(i, j)]
-    if use_recommendation:
+def _naive_sources(g: NetworkGraph, edges, beliefs, i, exposure_mode, threshold):
+    neighbors = [j for j in range(g.n) if j != i and (i, j) in edges]
+    if exposure_mode == "recommended":
         neighbors = [j for j in neighbors if abs(beliefs[i] - beliefs[j]) <= threshold]
     return neighbors
 
 
 def naive_bcm_day(g: NetworkGraph, beliefs, p):
     """Bounded-confidence day, one agent at a time (``p`` is a BcmParams)."""
+    edges = edge_set(g)
     old = np.asarray(beliefs, dtype=float)
     new = old.copy()
     for i in range(g.n):
-        sources = _naive_sources(g, old, i, p.use_recommendation, p.similarity_threshold)
+        sources = _naive_sources(g, edges, old, i, p.exposure_mode, p.similarity_threshold)
         qualified = [j for j in sources if abs(old[i] - old[j]) <= p.epsilon]
         if qualified:
             new[i] = old[i] + p.mu * float(np.mean(old[qualified] - old[i]))
@@ -70,11 +84,12 @@ def naive_bcm_day(g: NetworkGraph, beliefs, p):
 
 def naive_fj_day(g: NetworkGraph, beliefs, p):
     """Anchored-averaging day, one agent at a time (``p`` is an FjParams with anchors)."""
+    edges = edge_set(g)
     old = np.asarray(beliefs, dtype=float)
     anchors = np.asarray(p.anchors, dtype=float)
     new = old.copy()
     for i in range(g.n):
-        sources = _naive_sources(g, old, i, p.use_recommendation, p.similarity_threshold)
+        sources = _naive_sources(g, edges, old, i, p.exposure_mode, p.similarity_threshold)
         if sources:
             new[i] = p.alpha * anchors[i] + (1.0 - p.alpha) * float(np.mean(old[sources]))
     return new
@@ -85,6 +100,7 @@ def naive_force_layout(g: NetworkGraph, rng, iterations):
     k^2/d, every edge pulls with d^2/k, and each step is capped by a linearly
     cooling temperature."""
     n = g.n
+    edges = edge_set(g)
     pos = rng.random((n, 2))
     if n == 1 or g.edge_count == 0:
         return pos
@@ -102,7 +118,7 @@ def naive_force_layout(g: NetworkGraph, rng, iterations):
                 disp[i] += k * k / dist**2 * np.array([dx, dy])
         for i in range(n):
             for j in range(i + 1, n):
-                if not g.has_edge(i, j):
+                if (i, j) not in edges:
                     continue
                 d = pos[i] - pos[j]
                 d_len = max(math.sqrt(d[0] * d[0] + d[1] * d[1]), 1e-9)
@@ -147,9 +163,10 @@ def naive_generate_scale_free(n: int, m: int, rng) -> NetworkGraph:
 
 
 def naive_clustering(g: NetworkGraph):
+    edges = edge_set(g)
     total = 0.0
     for i in range(g.n):
-        neighbors = [j for j in range(g.n) if j != i and g.has_edge(i, j)]
+        neighbors = [j for j in range(g.n) if j != i and (i, j) in edges]
         d = len(neighbors)
         if d < 2:
             continue
@@ -157,10 +174,25 @@ def naive_clustering(g: NetworkGraph):
             1
             for a in range(d)
             for b in range(a + 1, d)
-            if g.has_edge(neighbors[a], neighbors[b])
+            if (neighbors[a], neighbors[b]) in edges
         )
         total += 2 * triangles / (d * (d - 1))
     return total / g.n
+
+
+def naive_hop_distances(g: NetworkGraph, source: int):
+    """Breadth-first search over a queue, one node at a time, scanning all
+    ``n`` candidates for each; unreachable nodes get ``None``."""
+    edges = edge_set(g)
+    dist = [None] * g.n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the list grows while it is walked
+        for v in range(g.n):
+            if (u, v) in edges and dist[v] is None:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def cycle_graph(n: int) -> NetworkGraph:

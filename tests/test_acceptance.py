@@ -27,7 +27,7 @@ from echosim.language import LlmParams, run_llm
 from echosim.metrics import deltas, global_disagreement, nci, polarization, snapshot
 from echosim.numeric import BcmParams, FjParams, bcm_day, run_numeric
 from echosim.population import BELIEF_GRID, init_population
-from echosim.recommendation import recommend
+from echosim.recommendation import exposure_set
 from echosim.runner import component_rng, run, sweep
 from helpers import (
     naive_global_disagreement,
@@ -104,7 +104,7 @@ def test_criterion_03_bcm_consensus():
         beliefs = init_population(50, TOPIC, False,
                                   component_rng(CONSENSUS_SEED, "population")).beliefs
         traj = run_numeric("bcm", g, beliefs,
-                           BcmParams(epsilon=4.0, mu=0.5, use_recommendation=False), 200)
+                           BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
         spread = float(traj[-1].max() - traj[-1].min())
         d_pol, d_dg, _ = deltas([snapshot(0, g, traj[0]), snapshot(200, g, traj[-1])])
     ok = spread < 0.01 and d_pol < 0 and d_dg < 0 and sw.elapsed < 2.0
@@ -257,15 +257,16 @@ def test_criterion_09_recommendation_properties():
         g, beliefs = random_instance(rng)
         lo, hi = sorted(rng.uniform(0, 4, size=2))
         for i in range(g.n):
-            monotone = monotone and recommend(g, beliefs, i, lo) <= recommend(g, beliefs, i, hi)
+            monotone = monotone and set(exposure_set(g, beliefs, i, "recommended", threshold=lo)) <= set(
+                exposure_set(g, beliefs, i, "recommended", threshold=hi))
         threshold = float(rng.uniform(0, 4))
-        sets = [recommend(g, beliefs, i, threshold) for i in range(g.n)]
+        sets = [set(exposure_set(g, beliefs, i, "recommended", threshold=threshold)) for i in range(g.n)]
         for i in range(g.n):
             for j in sets[i]:
                 symmetric = symmetric and i in sets[j]
 
     star = star_graph(4)
-    star_ok = recommend(star, [0.0, -2.0, -1.0, 1.0, 2.0], 0, 1.0) == {2, 3}
+    star_ok = exposure_set(star, [0.0, -2.0, -1.0, 1.0, 2.0], 0, "recommended", threshold=1.0) == [2, 3]
 
     ok = monotone and symmetric and star_ok
     assert report(9, "recommendation filter properties", ok,

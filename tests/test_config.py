@@ -57,7 +57,7 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"bcm": {"sigma": 0.1}})
     # section fields that derive from the top level or the run state are not file keys
-    for derived in ({"bcm": {"use_recommendation": False}}, {"fj": {"anchors": [0.0]}},
+    for derived in ({"bcm": {"exposure_mode": "all_neighbors"}}, {"fj": {"anchors": [0.0]}},
                     {"llm": {"exposure_mode": "all_neighbors"}}, {"graph": {"n": 50}}):
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_dict(derived)
@@ -96,6 +96,8 @@ def test_invalid_values_raise_config_error():
         ({"llm": {"cap": 2.5}}, "llm.cap must be an integer, got float"),
         ({"topic": 3}, "topic must be a string, got int"),
         ({"backend": {"timeout": "x"}}, "backend.timeout must be a number, got str"),
+        ({"graph": {"kind": "torus"}}, "unknown graph kind 'torus'"),
+        ({"engine": "llm", "llm": {"similarity_threshold": -1.0}}, "similarity threshold must be >= 0"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(bad)
@@ -145,7 +147,7 @@ def test_graph_kind_override_discards_stale_parameters():
 def test_anchor_and_exposure_fields_stay_out_of_the_dict():
     d = config_to_dict(default_config())
     assert "anchors" not in d["fj"]
-    assert "use_recommendation" not in d["bcm"]
+    assert "exposure_mode" not in d["bcm"]
     assert "exposure_mode" not in d["llm"]
     assert "api_key" not in d["backend"]  # only the env var *name* is stored
 

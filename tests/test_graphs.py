@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosim.errors import ParameterError
 from echosim.graphs import (
@@ -24,7 +26,9 @@ from helpers import (
     naive_clustering,
     naive_generate_random,
     naive_generate_scale_free,
+    naive_hop_distances,
     path_graph,
+    random_instance,
     star_graph,
 )
 
@@ -36,7 +40,7 @@ def rng(seed=1):
 
 
 def assert_valid(g: NetworkGraph):
-    for i, j in g.edges:
+    for i, j in zip(*g.upper()):
         assert i != j
         assert 0 <= i < j < g.n
         assert j in g.adjacency[i] and i in g.adjacency[j]
@@ -49,7 +53,7 @@ def assert_valid(g: NetworkGraph):
 class TestSmallWorld:
     def test_no_rewiring_is_the_ring(self):
         g = generate_small_world(6, 2, 0.0, rng())
-        assert g.edges == cycle_graph(6).edges
+        assert to_edge_list_text(g) == to_edge_list_text(cycle_graph(6))
         assert degree_sequence(g) == [2] * 6
 
     def test_ring_lattice_clustering_matches_closed_form(self):
@@ -65,7 +69,7 @@ class TestSmallWorld:
     def test_deterministic_per_seed(self):
         a = generate_small_world(50, 4, 0.3, rng(7))
         b = generate_small_world(50, 4, 0.3, rng(7))
-        assert a.edges == b.edges
+        assert to_edge_list_text(a) == to_edge_list_text(b)
 
     def test_full_rewiring_still_simple(self):
         g = generate_small_world(30, 4, 1.0, rng(3))
@@ -102,7 +106,7 @@ class TestScaleFree:
     def test_seeds_differ_counts_match(self):
         a = generate_scale_free(50, 2, rng(1))
         b = generate_scale_free(50, 2, rng(2))
-        assert a.edges != b.edges
+        assert to_edge_list_text(a) != to_edge_list_text(b)
         assert a.edge_count == b.edge_count
 
     def test_max_degree_grows_with_n(self):
@@ -140,7 +144,8 @@ class TestRandom:
         assert abs(np.mean(counts) - expected) / expected < 0.05
 
     def test_deterministic_per_seed(self):
-        assert generate_random(30, 0.2, rng(5)).edges == generate_random(30, 0.2, rng(5)).edges
+        assert to_edge_list_text(generate_random(30, 0.2, rng(5))) == to_edge_list_text(
+            generate_random(30, 0.2, rng(5)))
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ParameterError):
@@ -200,6 +205,38 @@ class TestMeasures:
         assert not is_connected(g2)
 
 
+def pieces_instance(seed: int) -> NetworkGraph:
+    """One or two ``random_instance`` graphs side by side with up to three
+    isolated nodes, each edge kept with one random probability and the node
+    labels shuffled, so parts are unreachable from one another."""
+    rng = np.random.default_rng(seed)
+    edges, n = [], 0
+    for _ in range(int(rng.integers(1, 3))):
+        part, _ = random_instance(rng)
+        edges += [(n + int(i), n + int(j)) for i, j in zip(*part.upper())]
+        n += part.n
+    n += int(rng.integers(0, 4))
+    keep = rng.uniform(0.1, 1.0)
+    perm = rng.permutation(n)
+    return NetworkGraph.from_edges(n, [(int(perm[i]), int(perm[j])) for i, j in edges if rng.random() < keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_clustering_matches_loop_oracle(seed):
+    g = pieces_instance(seed)
+    assert abs(clustering_coefficient(g) - naive_clustering(g)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_hop_distances_match_bfs_oracle(seed, source):
+    g = pieces_instance(seed)
+    source %= g.n
+    assert hop_distances(g, source) == naive_hop_distances(g, source)
+    assert is_connected(g) == (None not in naive_hop_distances(g, 0))
+
+
 class TestStructureProperties:
     def test_small_world_clusters_more_than_density_matched_random(self):
         sw = np.mean(
@@ -215,7 +252,7 @@ class TestStructureProperties:
             spec = default_graph_spec(kind, 50)
             a = generate_graph(spec, rng(11))
             b = generate_graph(spec, rng(11))
-            assert a.edges == b.edges
+            assert to_edge_list_text(a) == to_edge_list_text(b)
             assert_valid(a)
 
 
@@ -240,7 +277,8 @@ class TestEdgeListFormat:
 
     def test_round_trip(self):
         g = generate_small_world(30, 4, 0.2, rng(2))
-        assert from_edge_list_text(to_edge_list_text(g)).edges == g.edges
+        back = from_edge_list_text(to_edge_list_text(g))
+        assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
 
     def test_rejects_malformed(self):
         with pytest.raises(ParameterError):

@@ -58,7 +58,7 @@ class TestGlobalDisagreement:
         for _ in range(50):
             g, beliefs = random_instance(rng)
             dg = global_disagreement(g, beliefs)
-            agree = all(beliefs[i] == beliefs[j] for i, j in g.edges)
+            agree = all(beliefs[i] == beliefs[j] for i, j in zip(*g.upper()))
             assert (dg == 0.0) == agree
 
 
@@ -102,7 +102,7 @@ class TestInvariances:
             g, beliefs = random_instance(rng)
             perm = rng.permutation(g.n)
             remapped = NetworkGraph.from_edges(
-                g.n, [(int(perm[i]), int(perm[j])) for i, j in g.edges]
+                g.n, [(int(perm[i]), int(perm[j])) for i, j in zip(*g.upper())]
             )
             permuted = np.empty_like(beliefs)
             permuted[perm] = beliefs
@@ -156,7 +156,7 @@ class TestSnapshotsAndDeltas:
         rng = np.random.default_rng(2)
         g = generate_small_world(50, 4, 0.1, rng)
         beliefs0 = np.random.default_rng(5).uniform(-2, 2, 50)
-        traj = run_numeric("bcm", g, beliefs0, BcmParams(epsilon=4.0, mu=0.5, use_recommendation=False), 200)
+        traj = run_numeric("bcm", g, beliefs0, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
         snaps = [snapshot(0, g, traj[0]), snapshot(200, g, traj[-1])]
         d_pol, d_dg, _ = deltas(snaps)
         assert d_pol < 0 and d_dg < 0

@@ -7,7 +7,8 @@ from echosim.errors import ParameterError
 from echosim.graphs import NetworkGraph, generate_small_world
 from echosim.metrics import polarization
 from echosim.numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric
-from helpers import complete_graph, cycle_graph, naive_bcm_day, naive_fj_day
+from echosim.recommendation import EXPOSURE_MODES
+from helpers import complete_graph, cycle_graph, edge_set, naive_bcm_day, naive_fj_day
 
 TWO_NODES = NetworkGraph.from_edges(2, [(0, 1)])
 
@@ -30,13 +31,13 @@ class TestBcmDay:
     def test_gate_composes_with_recommendation_filter(self):
         # neighbor at distance 1.5 passes a threshold of 2 but not eps = 1
         g = TWO_NODES
-        p = BcmParams(epsilon=1.0, mu=0.5, use_recommendation=True, similarity_threshold=2.0)
+        p = BcmParams(epsilon=1.0, mu=0.5, exposure_mode="recommended", similarity_threshold=2.0)
         assert bcm_day(g, [0.0, 1.5], p).tolist() == [0.0, 1.5]
 
     def test_reads_start_of_day_values_only(self):
         # on a path, the middle node averages its two ends as they were
         g = NetworkGraph.from_edges(3, [(0, 1), (1, 2)])
-        new = bcm_day(g, [0.0, 1.0, 2.0], BcmParams(epsilon=4.0, mu=0.5, use_recommendation=False))
+        new = bcm_day(g, [0.0, 1.0, 2.0], BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"))
         assert new.tolist() == [0.5, 1.0, 1.5]
 
     def test_stays_in_convex_hull(self):
@@ -51,7 +52,7 @@ class TestBcmDay:
         rng = np.random.default_rng(12)
         g = generate_small_world(30, 4, 0.2, rng)
         beliefs = np.random.default_rng(13).uniform(-2, 2, 30)
-        traj = run_numeric("bcm", g, beliefs, BcmParams(epsilon=4.0, mu=0.5, use_recommendation=False), 80)
+        traj = run_numeric("bcm", g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 80)
         initial = polarization(traj[0])
         assert all(polarization(day) <= initial + 1e-12 for day in traj)
 
@@ -59,25 +60,25 @@ class TestBcmDay:
 class TestFjDay:
     def test_full_anchoring_reproduces_anchors(self):
         anchors = [0.3, -1.7, 2.0]
-        p = FjParams(alpha=1.0, use_recommendation=False).with_anchors(anchors)
+        p = FjParams(alpha=1.0, exposure_mode="all_neighbors").with_anchors(anchors)
         new = fj_day(complete_graph(3), [0.0, 0.0, 0.0], p)
         assert new.tolist() == anchors
 
     def test_pure_averaging_hand_case(self):
-        p = FjParams(alpha=0.0, use_recommendation=False).with_anchors([-2.0, 0.0, 2.0])
+        p = FjParams(alpha=0.0, exposure_mode="all_neighbors").with_anchors([-2.0, 0.0, 2.0])
         new = fj_day(complete_graph(3), [-2.0, 0.0, 2.0], p)
         assert new.tolist() == [1.0, 0.0, -1.0]
 
     def test_uniform_fixed_point(self):
         # dyadic values make the convex combination exact
-        p = FjParams(alpha=0.5, use_recommendation=False).with_anchors([0.75] * 4)
+        p = FjParams(alpha=0.5, exposure_mode="all_neighbors").with_anchors([0.75] * 4)
         assert fj_day(cycle_graph(4), [0.75] * 4, p).tolist() == [0.75] * 4
-        p2 = FjParams(alpha=0.4, use_recommendation=False).with_anchors([0.9] * 4)
+        p2 = FjParams(alpha=0.4, exposure_mode="all_neighbors").with_anchors([0.9] * 4)
         assert fj_day(cycle_graph(4), [0.9] * 4, p2) == pytest.approx([0.9] * 4, abs=1e-12)
 
     def test_empty_exposure_keeps_previous_value(self):
         g = NetworkGraph.from_edges(3, [(0, 1)])  # node 2 isolated
-        p = FjParams(alpha=0.5, use_recommendation=False).with_anchors([0.0, 0.0, 0.0])
+        p = FjParams(alpha=0.5, exposure_mode="all_neighbors").with_anchors([0.0, 0.0, 0.0])
         assert fj_day(g, [1.0, 1.0, -1.5], p)[2] == -1.5
 
     def test_requires_anchors(self):
@@ -96,7 +97,7 @@ class TestRunNumeric:
     def test_bcm_consensus_under_full_confidence(self):
         g = generate_small_world(50, 4, 0.1, np.random.default_rng(2))
         beliefs = np.random.default_rng(2).uniform(-2, 2, 50)
-        traj = run_numeric("bcm", g, beliefs, BcmParams(epsilon=4.0, mu=0.5, use_recommendation=False), 200)
+        traj = run_numeric("bcm", g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
         assert traj[-1].max() - traj[-1].min() < 0.01
 
     def test_fj_converges_to_fixed_point(self):
@@ -109,7 +110,7 @@ class TestRunNumeric:
         g = generate_small_world(40, 4, 0.1, np.random.default_rng(6))
         beliefs = np.random.default_rng(7).uniform(-2, 2, 40)
         alpha = 0.3
-        traj = run_numeric("fj", g, beliefs, FjParams(alpha=alpha, use_recommendation=False), 60)
+        traj = run_numeric("fj", g, beliefs, FjParams(alpha=alpha, exposure_mode="all_neighbors"), 60)
         changes = np.abs(np.diff(traj, axis=0)).max(axis=1)
         for prev, curr in zip(changes, changes[1:]):
             if prev > 1e-14:
@@ -127,7 +128,7 @@ class TestRunNumeric:
         g = generate_small_world(20, 4, 0.3, rng)
         beliefs = np.random.default_rng(32).uniform(-2, 2, 20)
         perm = np.random.default_rng(33).permutation(20)
-        remapped = NetworkGraph.from_edges(20, [(int(perm[i]), int(perm[j])) for i, j in g.edges])
+        remapped = NetworkGraph.from_edges(20, [(int(perm[i]), int(perm[j])) for i, j in zip(*g.upper())])
         permuted = np.empty_like(beliefs)
         permuted[perm] = beliefs
         for engine, params in (("bcm", BcmParams()), ("fj", FjParams(alpha=0.3))):
@@ -138,18 +139,19 @@ class TestRunNumeric:
     def test_fj_matches_closed_form_fixed_point(self):
         # z* = alpha (I - (1 - alpha) D^-1 A)^-1 s on connected nodes; isolated nodes keep s
         base = generate_small_world(40, 4, 0.2, np.random.default_rng(41))
-        g = NetworkGraph.from_edges(43, base.edges)  # nodes 40..42 are isolated
+        g = NetworkGraph.from_edges(43, np.column_stack(base.upper()))  # nodes 40..42 are isolated
         anchors = np.random.default_rng(42).uniform(-2, 2, g.n)
+        edges = edge_set(g)
         for alpha in (0.1, 0.3, 0.8):
             system = np.eye(g.n)
             rhs = anchors.copy()
             for i in range(g.n):
-                neighbors = [j for j in range(g.n) if g.has_edge(i, j)]
+                neighbors = [j for j in range(g.n) if (i, j) in edges]
                 if neighbors:
                     system[i, neighbors] -= (1.0 - alpha) / len(neighbors)
                     rhs[i] = alpha * anchors[i]
             expected = np.linalg.solve(system, rhs)
-            params = FjParams(alpha=alpha, use_recommendation=False)
+            params = FjParams(alpha=alpha, exposure_mode="all_neighbors")
             final = run_numeric("fj", g, anchors, params, 400)[-1]
             assert np.max(np.abs(final - expected)) <= 1e-9
             assert np.array_equal(final[40:], anchors[40:])
@@ -191,10 +193,10 @@ GATES = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0, 4.0])
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.booleans(), GATES, GATES, st.sampled_from([0.1, 0.3, 0.5]))
-def test_bcm_day_matches_loop_oracle(seed, use_recommendation, epsilon, threshold, mu):
+@given(st.integers(0, 10_000), st.sampled_from(EXPOSURE_MODES), GATES, GATES, st.sampled_from([0.1, 0.3, 0.5]))
+def test_bcm_day_matches_loop_oracle(seed, exposure_mode, epsilon, threshold, mu):
     g, beliefs = oracle_instance(seed)
-    p = BcmParams(epsilon=epsilon, mu=mu, use_recommendation=use_recommendation,
+    p = BcmParams(epsilon=epsilon, mu=mu, exposure_mode=exposure_mode,
                   similarity_threshold=threshold)
     for _ in range(4):
         expected = naive_bcm_day(g, beliefs, p)
@@ -204,10 +206,10 @@ def test_bcm_day_matches_loop_oracle(seed, use_recommendation, epsilon, threshol
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.booleans(), GATES, st.sampled_from([0.0, 0.3, 1.0]))
-def test_fj_day_matches_loop_oracle(seed, use_recommendation, threshold, alpha):
+@given(st.integers(0, 10_000), st.sampled_from(EXPOSURE_MODES), GATES, st.sampled_from([0.0, 0.3, 1.0]))
+def test_fj_day_matches_loop_oracle(seed, exposure_mode, threshold, alpha):
     g, beliefs = oracle_instance(seed)
-    p = FjParams(alpha=alpha, use_recommendation=use_recommendation,
+    p = FjParams(alpha=alpha, exposure_mode=exposure_mode,
                  similarity_threshold=threshold).with_anchors(beliefs)
     beliefs = np.roll(beliefs, 1)
     for _ in range(4):

@@ -5,33 +5,40 @@ from hypothesis import strategies as st
 
 from echosim.errors import ParameterError
 from echosim.graphs import NetworkGraph
-from echosim.recommendation import exposure_set, recommend
+from echosim.language import LlmParams
+from echosim.numeric import BcmParams, FjParams
+from echosim.recommendation import exposure_set
 from helpers import cycle_graph, random_instance, star_graph
+
+
+def recommended(g, beliefs, i, threshold):
+    """The similarity-filtered neighbors of ``i`` as a set."""
+    return set(exposure_set(g, beliefs, i, "recommended", threshold=threshold))
 
 
 def test_filter_excludes_pairs_beyond_threshold():
     g = NetworkGraph.from_edges(2, [(0, 1)])
     beliefs = [2.0, -1.0]  # |2 - (-1)| = 3 > 2
-    assert recommend(g, beliefs, 0, 2.0) == set()
+    assert recommended(g, beliefs, 0, 2.0) == set()
 
 
 def test_threshold_wider_than_range_keeps_all_neighbors():
     g = cycle_graph(6)
     beliefs = [-2.0, -1.0, 0.0, 1.0, 2.0, 0.5]
     for i in range(6):
-        assert recommend(g, beliefs, i, 4.0) == set(g.adjacency[i])
+        assert recommended(g, beliefs, i, 4.0) == set(g.adjacency[i])
 
 
 def test_star_graph_worked_example():
     g = star_graph(4)
     beliefs = [0.0, -2.0, -1.0, 1.0, 2.0]
-    assert recommend(g, beliefs, 0, 1.0) == {2, 3}
+    assert recommended(g, beliefs, 0, 1.0) == {2, 3}
 
 
 def test_zero_threshold_keeps_exact_matches_only():
     g = star_graph(3)
     beliefs = [1.0, 1.0, 0.5, 1.0]
-    assert recommend(g, beliefs, 0, 0.0) == {1, 3}
+    assert recommended(g, beliefs, 0, 0.0) == {1, 3}
 
 
 @settings(max_examples=50, deadline=None)
@@ -40,7 +47,7 @@ def test_monotone_in_threshold(seed, t_a, t_b):
     lo, hi = min(t_a, t_b), max(t_a, t_b)
     g, beliefs = random_instance(np.random.default_rng(seed))
     for i in range(g.n):
-        assert recommend(g, beliefs, i, lo) <= recommend(g, beliefs, i, hi)
+        assert recommended(g, beliefs, i, lo) <= recommended(g, beliefs, i, hi)
 
 
 @settings(max_examples=50, deadline=None)
@@ -50,8 +57,8 @@ def test_symmetry(seed, threshold):
     for i in range(g.n):
         for j in range(g.n):
             if i != j:
-                assert (j in recommend(g, beliefs, i, threshold)) == (
-                    i in recommend(g, beliefs, j, threshold)
+                assert (j in recommended(g, beliefs, i, threshold)) == (
+                    i in recommended(g, beliefs, j, threshold)
                 )
 
 
@@ -86,12 +93,21 @@ def test_cap_requires_rng_only_when_it_bites():
 def test_parameter_errors():
     g = cycle_graph(4)
     with pytest.raises(ParameterError):
-        recommend(g, [0.0] * 4, 9, 1.0)
+        exposure_set(g, [0.0] * 4, 9, "recommended", threshold=1.0)
     with pytest.raises(ParameterError):
-        recommend(g, [0.0] * 3, 0, 1.0)
+        exposure_set(g, [0.0] * 3, 0, "recommended", threshold=1.0)
     with pytest.raises(ParameterError):
-        recommend(g, [0.0] * 4, 0, -1.0)
+        exposure_set(g, [0.0] * 4, 0, "recommended", threshold=-1.0)
     with pytest.raises(ParameterError):
         exposure_set(g, [0.0] * 4, 0, "everything")
     with pytest.raises(ParameterError):
         exposure_set(g, [0.0] * 4, 0, "all_neighbors", cap=0)
+
+
+def test_every_engine_checks_mode_and_threshold():
+    for cls in (BcmParams, FjParams, LlmParams):
+        with pytest.raises(ParameterError, match="unknown exposure mode"):
+            cls(exposure_mode="typo").validate()
+        with pytest.raises(ParameterError, match="similarity threshold must be >= 0"):
+            cls(similarity_threshold=-1.0).validate()
+        cls(exposure_mode="all_neighbors", similarity_threshold=0.0).validate()

@@ -220,7 +220,7 @@ class TestTrajectoryWriter:
         artifacts = run(cfg, tmp_path / "r")
         population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
-        params = replace(cfg.fj, use_recommendation=False)
+        params = replace(cfg.fj, exposure_mode="all_neighbors")
         trajectory = run_numeric("fj", g, population.beliefs, params, cfg.days)
         assert artifacts.trajectory_jsonl.read_text(encoding="utf-8") == json_dumps_trajectory(trajectory)
 
