@@ -38,8 +38,8 @@ def main():
     agent = 12
     print(persona_card(population.personas[agent]))
     print(f"\nstance by day: {result.belief_trajectory[:, agent].tolist()}")
-    print(f"final statement: {result.states[agent].opinion_text}")
-    print(f"memory summary:  {result.states[agent].memory.long_term[:120] or '(empty)'}")
+    print(f"final statement: {result.opinion_trajectory[-1][agent]}")
+    print(f"memory summary:  {result.long_term[agent][:120] or '(empty)'}")
 
     print("\n=== transcript excerpt ===")
     shown = 0

@@ -23,7 +23,7 @@ from .graphs import (
     to_edge_list_text,
 )
 from .interventions import NudgePolicy, active_nudge_content, passive_nudge_feed, select_targets
-from .language import AgentState, LlmParams, LlmRunResult, MemoryStore, Transcript, compress_long_term, llm_day, run_llm
+from .language import LlmParams, LlmRunResult, Transcript, compress_long_term, llm_day, run_llm
 from .layout import force_layout
 from .metrics import MetricsSnapshot, deltas, global_disagreement, nci, polarization, snapshot
 from .numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric

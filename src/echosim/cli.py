@@ -10,8 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import config_to_yaml, load_config_file, resolve_config
+from .config import BACKEND_KINDS, ENGINES, config_to_yaml, load_config_file, resolve_config
 from .errors import BackendError, ConfigError, ParameterError
+from .graphs import GRAPH_KINDS
+from .interventions import NUDGE_KINDS
+from .recommendation import EXPOSURE_MODES
 from .runner import compare, export_projection, run, sweep
 
 DEFAULT_SWEEP_SEEDS = 10
@@ -43,11 +46,11 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--days", type=int, help="simulation horizon in days")
     p.add_argument("--seed", type=int, help="run seed")
     p.add_argument("--topic", help="discussion topic statement")
-    p.add_argument("--engine", choices=("bcm", "fj", "llm"), help="dynamics engine")
-    p.add_argument("--exposure-mode", dest="exposure_mode", choices=("all_neighbors", "recommended"))
-    p.add_argument("--graph-kind", dest="graph_kind", choices=("small_world", "scale_free", "random"))
-    p.add_argument("--nudge-kind", dest="nudge_kind", choices=("none", "active", "passive"))
-    p.add_argument("--backend-kind", dest="backend_kind", choices=("mock", "remote"))
+    p.add_argument("--engine", choices=ENGINES, help="dynamics engine")
+    p.add_argument("--exposure-mode", dest="exposure_mode", choices=EXPOSURE_MODES)
+    p.add_argument("--graph-kind", dest="graph_kind", choices=GRAPH_KINDS)
+    p.add_argument("--nudge-kind", dest="nudge_kind", choices=NUDGE_KINDS)
+    p.add_argument("--backend-kind", dest="backend_kind", choices=BACKEND_KINDS)
 
 
 def cmd_run(args) -> int:

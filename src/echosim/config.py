@@ -24,9 +24,9 @@ from .interventions import NudgePolicy
 from .language import LlmParams
 from .numeric import BcmParams, FjParams
 from .population import DEFAULT_TOPIC
-from .recommendation import EXPOSURE_MODES
 
 ENGINES = ("bcm", "fj", "llm")
+BACKEND_KINDS = ("mock", "remote")
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class BackendSettings:
     max_retries: int = 3
 
     def validate(self) -> None:
-        if self.kind not in ("mock", "remote"):
+        if self.kind not in BACKEND_KINDS:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.kind == "remote" and (not self.base_url or not self.model):
             raise ConfigError("remote backend needs base_url and model")
@@ -63,6 +63,9 @@ class RunConfig:
     def __post_init__(self):
         if self.graph is None:
             object.__setattr__(self, "graph", default_graph_spec("small_world", self.n))
+        # every engine section follows the top-level exposure mode
+        for name in ENGINES:
+            object.__setattr__(self, name, replace(getattr(self, name), exposure_mode=self.exposure_mode))
 
     def validate(self) -> None:
         try:
@@ -76,8 +79,6 @@ class RunConfig:
                 raise ConfigError("topic must be non-empty")
             if self.engine not in ENGINES:
                 raise ConfigError(f"unknown engine {self.engine!r}")
-            if self.exposure_mode not in EXPOSURE_MODES:
-                raise ConfigError(f"unknown exposure mode {self.exposure_mode!r}")
             self.graph.validate()
             if self.graph.n != self.n:
                 raise ConfigError(f"graph n={self.graph.n} disagrees with population n={self.n}")
@@ -98,9 +99,9 @@ def default_config() -> RunConfig:
 
 _SECTIONS = {"graph": GraphSpec, "bcm": BcmParams, "fj": FjParams, "llm": LlmParams,
              "nudge": NudgePolicy, "backend": BackendSettings}
-# section fields a file never sets: the graph's n is the population's, the exposure
-# fields follow the top-level exposure_mode, and FJ anchors come from the run state
-_DERIVED = {"n", "exposure_mode", "anchors"}
+# section fields a file never sets: the graph's n is the population's, and the
+# engines' exposure_mode is the top-level one, which __post_init__ writes in
+_DERIVED = {"n", "exposure_mode"}
 
 
 def _file_keys(cls) -> list:

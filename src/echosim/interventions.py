@@ -8,6 +8,7 @@ the extremity threshold, and apply to the language engine only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -77,11 +78,4 @@ def passive_nudge_feed(rng: np.random.Generator, texts: Sequence[str] = DEFAULT_
     if not texts:
         raise ParameterError("passive nudge text list is empty")
     start = int(rng.integers(0, len(texts)))
-
-    def rotate():
-        position = start
-        while True:
-            yield texts[position % len(texts)]
-            position += 1
-
-    return rotate()
+    return itertools.islice(itertools.cycle(texts), start, None)

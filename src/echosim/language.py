@@ -1,22 +1,23 @@
 """The language-agent engine: text-exchanging agents with dual memory.
 
-Each simulated day has four phases:
+An agent is a grid belief, an opinion text and a long-term summary. Each
+simulated day maps the start-of-day lists of the three to new lists:
 
-1. exposure -- every agent receives the start-of-day opinion texts of its
+1. exposure -- every agent hears the start-of-day opinion texts of its
    exposure set (all neighbors, or the similarity-filtered set, capped for
-   context-size control) into short-term memory;
+   context-size control), which are its short-term memory for the day;
 2. nudge -- the active policy may inject one note per flagged agent;
 3. reflection -- one backend call per agent produces an updated opinion
    text and grid belief (with retries on unparseable replies, falling back
    to the previous belief);
-4. compression -- short-term memory is folded into the budget-bounded
-   long-term summary and cleared.
+4. compression -- the heard items are folded into the budget-bounded
+   long-term summary.
 
 All exposures read start-of-day state, so the day is synchronous. A
-compression call reads only the memory that phase 1 left, so phase 4's
-calls share the day's pool of ``max_in_flight`` workers with phase 3's:
-the n reflections, then the n compressions, all applied at the day barrier
-in agent order. With the mock backend, entire runs are bit-reproducible per
+compression call reads only what phase 1 heard, so phase 4's calls share
+the day's pool of ``max_in_flight`` workers with phase 3's: the n
+reflections, then the n compressions, all applied at the day barrier in
+agent order. With the mock backend, entire runs are bit-reproducible per
 seed.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -42,25 +43,6 @@ from .prompts import (
     stance_statement,
 )
 from .recommendation import DEFAULT_EXPOSURE_CAP, DEFAULT_SIMILARITY_THRESHOLD, check_exposure, exposure_set
-
-
-@dataclass
-class MemoryStore:
-    """Dual memory: the day's (source, text) items plus one running summary
-    that never exceeds its character budget after compression."""
-
-    short_term: list = field(default_factory=list)
-    long_term: str = ""
-    budget: int = 600
-
-
-@dataclass
-class AgentState:
-    """Mutable per-agent state for the language engine."""
-
-    belief: int
-    opinion_text: str
-    memory: MemoryStore
 
 
 @dataclass(frozen=True)
@@ -133,23 +115,6 @@ class LlmParams:
             raise ParameterError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
 
 
-def init_agent_states(population: Population, long_term_budget: int = 600) -> list:
-    """Day-0 states: grid beliefs with their canonical stance statements."""
-    if not population.grid:
-        raise ParameterError("the language engine needs grid (integer) beliefs")
-    states = []
-    for belief in population.beliefs:
-        b = int(belief)
-        states.append(
-            AgentState(
-                belief=b,
-                opinion_text=stance_statement(b),
-                memory=MemoryStore(budget=long_term_budget),
-            )
-        )
-    return states
-
-
 def compress_long_term(backend: TextBackend, old_summary: str, day_items, budget: int) -> tuple:
     """Fold the day's items into the running summary, never exceeding
     ``budget`` characters; returns (summary, transport_failed). Transport
@@ -189,7 +154,9 @@ def _reflect_once(backend: TextBackend, prompt: str, retries: int, max_length: i
 def llm_day(
     g: NetworkGraph,
     population: Population,
-    states: list,
+    beliefs: list,
+    texts: list,
+    long_term: list,
     backend: TextBackend,
     params: LlmParams,
     nudge_policy: NudgePolicy,
@@ -197,36 +164,35 @@ def llm_day(
     rng: np.random.Generator,
     day: int,
     transcript: Transcript,
-) -> list:
-    """Run one synchronous day, mutating ``states`` in place."""
+) -> tuple:
+    """One synchronous day: new end-of-day (beliefs, texts, long_term) lists from
+    the start-of-day ones, which are left as they are; events go to ``transcript``."""
     params.validate()
     nudge_policy.validate()
     n = g.n
-    start_beliefs = np.array([s.belief for s in states], dtype=float)
-    start_texts = [s.opinion_text for s in states]
+    start_beliefs = np.array(beliefs, dtype=float)
+    broadcasts = [f"(stance {b:+d}) {text}" for b, text in zip(beliefs, texts)]
 
-    # phase 1: exposure against start-of-day beliefs and texts
+    # phase 1: exposure against start-of-day beliefs; the heard items are short-term memory
+    heard_items = []
     for i in range(n):
         heard = exposure_set(
             g, start_beliefs, i, params.exposure_mode,
             cap=params.cap, rng=rng, threshold=params.similarity_threshold,
         )
-        if not heard:
-            continue
-        for j in heard:
-            broadcast = f"(stance {int(start_beliefs[j]):+d}) {start_texts[j]}"
-            states[i].memory.short_term.append((j, broadcast))
-        transcript.append(
-            TranscriptEvent(day=day, agent=i, kind="exposure",
-                            payload=",".join(str(j) for j in heard))
-        )
+        heard_items.append([(j, broadcasts[j]) for j in heard])
+        if heard:
+            transcript.append(
+                TranscriptEvent(day=day, agent=i, kind="exposure",
+                                payload=",".join(str(j) for j in heard))
+            )
 
     # phase 2: nudges, one per flagged agent at most
     nudges: dict = {}
     if nudge_policy.kind != "none":
         for target in sorted(select_targets(start_beliefs, nudge_policy.extremity_threshold)):
             if nudge_policy.kind == "active":
-                content = active_nudge_content(target, start_beliefs, start_texts, g)
+                content = active_nudge_content(target, start_beliefs, texts, g)
             else:
                 content = next(passive_feed)
             if content is None:
@@ -234,7 +200,7 @@ def llm_day(
             nudges[target] = content
             transcript.append(
                 TranscriptEvent(day=day, agent=target, kind="nudge", payload=content,
-                                belief_before=states[target].belief)
+                                belief_before=beliefs[target])
             )
 
     # phase 3: reflection; one backend call per agent, retried on bad parses
@@ -242,20 +208,20 @@ def llm_day(
         build_reflection_prompt(
             population.personas[i],
             population.topic,
-            states[i].memory,
-            OpinionOutput(opinion_text=states[i].opinion_text, belief=states[i].belief),
+            long_term[i],
+            heard_items[i],
+            OpinionOutput(opinion_text=texts[i], belief=beliefs[i]),
             nudges.get(i),
         )
         for i in range(n)
     ]
 
-    # phase 4 reads only the memory phase 1 left, so its compression calls
+    # phase 4 reads only what phase 1 heard, so its compression calls
     # join the same bounded pool: reflections first, then compressions
     def call(k: int):
         if k < n:
             return _reflect_once(backend, prompts[k], params.retries, params.max_length, params.temperature)
-        memory = states[k - n].memory
-        return compress_long_term(backend, memory.long_term, memory.short_term, memory.budget)
+        return compress_long_term(backend, long_term[k - n], heard_items[k - n], params.long_term_budget)
 
     if params.max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=params.max_in_flight) as pool:
@@ -264,8 +230,9 @@ def llm_day(
         results = [call(k) for k in range(2 * n)]
 
     # apply results at the day barrier, in agent order
+    new_beliefs, new_texts = list(beliefs), list(texts)
     for i, (parsed, flags) in enumerate(results[:n]):
-        before = states[i].belief
+        before = beliefs[i]
         transcript.append(
             TranscriptEvent(day=day, agent=i, kind="reflection",
                             payload=";".join(flags) if flags else "ok",
@@ -274,25 +241,22 @@ def llm_day(
         )
         if parsed is None:
             continue
-        states[i].opinion_text = parsed.opinion_text
+        new_texts[i] = parsed.opinion_text
         if parsed.belief != before:
-            states[i].belief = parsed.belief
+            new_beliefs[i] = parsed.belief
             transcript.append(
                 TranscriptEvent(day=day, agent=i, kind="update", payload=parsed.opinion_text,
                                 belief_before=before, belief_after=parsed.belief)
             )
 
-    # phase 4: the summaries replace long-term memory; short-term is cleared
-    for i, (summary, failed) in enumerate(results[n:]):
+    # phase 4: the summaries replace long-term memory
+    for i, (_, failed) in enumerate(results[n:]):
         if failed:
             transcript.append(
                 TranscriptEvent(day=day, agent=i, kind="reflection",
                                 payload="summary_transport_error;used_truncation_fallback")
             )
-        memory = states[i].memory
-        memory.long_term = summary
-        memory.short_term.clear()
-    return states
+    return new_beliefs, new_texts, [summary for summary, _ in results[n:]]
 
 
 @dataclass
@@ -300,7 +264,7 @@ class LlmRunResult:
     belief_trajectory: np.ndarray  # (days + 1, n) integer grid values
     opinion_trajectory: list       # per day, per agent opinion text
     transcript: Transcript
-    states: list
+    long_term: list                # per agent long-term summary after the last day
 
 
 def run_llm(
@@ -312,25 +276,31 @@ def run_llm(
     days: int,
     rng: np.random.Generator,
 ) -> LlmRunResult:
-    """Full language-engine run over ``days`` synchronous days."""
+    """Full language-engine run over ``days`` synchronous days, from the
+    population's grid beliefs with their stance statements and no memory."""
     if days < 1:
         raise ParameterError(f"days must be >= 1, got {days}")
     params.validate()
     nudge_policy.validate()
-    states = init_agent_states(population, long_term_budget=params.long_term_budget)
+    if not population.grid:
+        raise ParameterError("the language engine needs grid (integer) beliefs")
+    beliefs = [int(b) for b in population.beliefs]
+    texts = [stance_statement(b) for b in beliefs]
+    long_term = [""] * g.n
     transcript = Transcript()
     feed = passive_nudge_feed(rng, nudge_policy.passive_texts) if nudge_policy.kind == "passive" else None
 
     trajectory = np.empty((days + 1, g.n), dtype=int)
-    trajectory[0] = [s.belief for s in states]
-    texts = [[s.opinion_text for s in states]]
+    trajectory[0] = beliefs
+    opinion_trajectory = [texts]
     for day in range(1, days + 1):
-        llm_day(g, population, states, backend, params, nudge_policy, feed, rng, day, transcript)
-        trajectory[day] = [s.belief for s in states]
-        texts.append([s.opinion_text for s in states])
+        beliefs, texts, long_term = llm_day(g, population, beliefs, texts, long_term, backend, params,
+                                            nudge_policy, feed, rng, day, transcript)
+        trajectory[day] = beliefs
+        opinion_trajectory.append(texts)
     return LlmRunResult(
         belief_trajectory=trajectory,
-        opinion_trajectory=texts,
+        opinion_trajectory=opinion_trajectory,
         transcript=transcript,
-        states=states,
+        long_term=long_term,
     )

@@ -8,8 +8,7 @@ clipping is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,23 +40,20 @@ class BcmParams:
 
 @dataclass(frozen=True)
 class FjParams:
-    """Anchored averaging: each agent blends an immutable anchor belief
+    """Anchored averaging: each agent blends its immutable anchor belief
     (weight ``alpha``) with the mean of its exposure set (weight 1 - alpha).
-    ``alpha = 1`` reproduces the anchors exactly. ``anchors`` defaults to the
-    run's initial beliefs when left unset."""
+    ``alpha = 1`` reproduces the anchors exactly. The anchors are run state,
+    not a parameter: ``fj_day`` takes them, and ``run_numeric`` passes the
+    initial beliefs."""
 
     alpha: float = 0.3
     exposure_mode: str = "recommended"
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    anchors: Optional[tuple] = field(default=None)
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
         check_exposure(self.exposure_mode, self.similarity_threshold)
-
-    def with_anchors(self, anchors) -> "FjParams":
-        return replace(self, anchors=tuple(float(a) for a in anchors))
 
 
 def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:
@@ -78,14 +74,12 @@ def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:
     return new
 
 
-def fj_day(g: NetworkGraph, beliefs, p: FjParams) -> np.ndarray:
-    """One synchronous day of anchored averaging. Agents with an empty
-    exposure set keep their previous belief."""
+def fj_day(g: NetworkGraph, beliefs, p: FjParams, anchors) -> np.ndarray:
+    """One synchronous day of anchored averaging toward ``anchors``, one per
+    agent. Agents with an empty exposure set keep their previous belief."""
     p.validate()
     old = belief_vector(g, beliefs)
-    if p.anchors is None or len(p.anchors) != old.size:
-        raise ParameterError("fj_day requires anchors aligned with the belief vector")
-    anchors = np.asarray(p.anchors, dtype=float)
+    anchors = belief_vector(g, anchors)
     heard_values = old[g.indices]
     keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
     heard, mean_heard = g.row_means(heard_values, keep)
@@ -97,20 +91,17 @@ def fj_day(g: NetworkGraph, beliefs, p: FjParams) -> np.ndarray:
 def run_numeric(engine: str, g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
     """Belief trajectory of shape (days + 1, n); row 0 is the initial vector.
 
-    ``engine`` is "bcm" or "fj". For "fj", anchors default to the initial
-    beliefs if the params carry none.
+    ``engine`` is "bcm" or "fj"; the "fj" anchors are the initial beliefs.
     """
     if engine not in NUMERIC_ENGINES:
         raise ParameterError(f"unknown numeric engine {engine!r}")
     if days < 1:
         raise ParameterError(f"days must be >= 1, got {days}")
-    initial = np.asarray(initial_beliefs, dtype=float)
-    if engine == "fj" and params.anchors is None:
-        params = params.with_anchors(initial)
-    step = bcm_day if engine == "bcm" else fj_day
-
     trajectory = np.empty((days + 1, g.n), dtype=float)
-    trajectory[0] = initial
+    trajectory[0] = belief_vector(g, initial_beliefs)
     for t in range(1, days + 1):
-        trajectory[t] = step(g, trajectory[t - 1], params)
+        if engine == "bcm":
+            trajectory[t] = bcm_day(g, trajectory[t - 1], params)
+        else:
+            trajectory[t] = fj_day(g, trajectory[t - 1], params, trajectory[0])
     return trajectory

@@ -62,12 +62,13 @@ def stance_statement(belief: int) -> str:
 def build_reflection_prompt(
     persona: Persona,
     topic: str,
-    memory,
+    long_term: str,
+    heard: Sequence[tuple],
     current: OpinionOutput,
     nudge: Optional[str] = None,
 ) -> str:
-    """Deterministic daily prompt: persona, topic, memory, today's exposures,
-    optional platform note, current position, and the reply format."""
+    """Deterministic daily prompt: persona, topic, long-term summary, today's
+    heard (source, text) items, optional note, current position, reply format."""
     parts = [
         REFLECTION_HEADER,
         "",
@@ -78,11 +79,11 @@ def build_reflection_prompt(
         topic,
         "",
         SECTION_MEMORY,
-        memory.long_term if memory.long_term else "Nothing so far.",
+        long_term if long_term else "Nothing so far.",
     ]
-    if memory.short_term:
+    if heard:
         parts += ["", SECTION_HEARD]
-        parts += [f"- Agent {source}: {text}" for source, text in memory.short_term]
+        parts += [f"- Agent {source}: {text}" for source, text in heard]
     if nudge is not None:
         parts += ["", SECTION_NOTE, nudge]
     parts += [

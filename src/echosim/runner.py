@@ -71,7 +71,7 @@ def _build_backend(config: RunConfig) -> TextBackend:
 
 def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend]):
     """(belief trajectory, opinion texts per day or None, transcript or None)."""
-    params = replace(getattr(config, config.engine), exposure_mode=config.exposure_mode)
+    params = getattr(config, config.engine)
     if config.engine != "llm":
         return run_numeric(config.engine, g, population.beliefs, params, config.days), None, None
     if config.backend.kind == "mock":
@@ -262,19 +262,23 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     """
     if len(seeds) < 2:
         raise ParameterError(f"sweep needs at least 2 seeds, got {len(seeds)}")
+    seeds = [int(s) for s in seeds]
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ParameterError(f"sweep seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     per_seed: dict = {}
     failures: dict = {}
     for s in seeds:
-        cfg = replace(config, seed=int(s))
+        cfg = replace(config, seed=s)
         try:
             artifacts = run(cfg, out / f"seed_{s}")
         except Exception as exc:  # keep sweeping; report at the end
-            failures[int(s)] = f"{type(exc).__name__}: {exc}"
+            failures[s] = f"{type(exc).__name__}: {exc}"
             continue
-        per_seed[int(s)] = artifacts.deltas
+        per_seed[s] = artifacts.deltas
 
     csv_lines = ["metric,mean,stddev,count"]
     for k, name in enumerate(DELTA_ROWS):
@@ -292,7 +296,7 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
         _write(out / "failures.txt", "\n".join(report) + "\n")
 
     return SweepResult(
-        seeds=[int(s) for s in seeds],
+        seeds=seeds,
         per_seed_deltas=per_seed,
         failures=failures,
         aggregate_csv=aggregate_csv,

@@ -82,11 +82,11 @@ def naive_bcm_day(g: NetworkGraph, beliefs, p):
     return new
 
 
-def naive_fj_day(g: NetworkGraph, beliefs, p):
-    """Anchored-averaging day, one agent at a time (``p`` is an FjParams with anchors)."""
+def naive_fj_day(g: NetworkGraph, beliefs, p, anchors):
+    """Anchored-averaging day, one agent at a time (``p`` is an FjParams)."""
     edges = edge_set(g)
     old = np.asarray(beliefs, dtype=float)
-    anchors = np.asarray(p.anchors, dtype=float)
+    anchors = np.asarray(anchors, dtype=float)
     new = old.copy()
     for i in range(g.n):
         sources = _naive_sources(g, edges, old, i, p.exposure_mode, p.similarity_threshold)

@@ -7,7 +7,6 @@ runtime budget. Seeds are pinned so results are reproducible.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -188,12 +187,9 @@ def test_criterion_06_language_engine_structural_run(tmp_path):
         cfg = config_from_dict(LLM_CONFIG)
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
         population = init_population(cfg.n, cfg.topic, True, component_rng(cfg.seed, "population"))
-        result = run_llm(g, population, MockBackend(), replace(cfg.llm, exposure_mode=cfg.exposure_mode),
+        result = run_llm(g, population, MockBackend(), cfg.llm,
                          cfg.nudge, days=cfg.days, rng=component_rng(cfg.seed, "engine"))
-        budget_ok = all(
-            len(s.memory.long_term) <= cfg.llm.long_term_budget and not s.memory.short_term
-            for s in result.states
-        )
+        budget_ok = all(len(summary) <= cfg.llm.long_term_budget for summary in result.long_term)
 
     ok = identical and snapshot_rows == 31 and grid_ok and budget_ok and sw.elapsed < 10.0
     assert report(6, "language engine structural run (mock)", ok,

@@ -12,7 +12,7 @@ from echosim.backends import (
     mock_summary_rule,
 )
 from echosim.errors import BackendError
-from echosim.language import MemoryStore, compress_long_term
+from echosim.language import compress_long_term
 from echosim.population import Persona
 from echosim.prompts import (
     OpinionOutput,
@@ -27,9 +27,9 @@ TOPIC = "Euthanasia should be legal."
 
 
 def reflection_prompt(own, heard=(), nudge=None):
-    memory = MemoryStore(short_term=[(j, f"(stance {b:+d}) text {j}") for j, b in enumerate(heard)])
+    items = [(j, f"(stance {b:+d}) text {j}") for j, b in enumerate(heard)]
     current = OpinionOutput(opinion_text="current view", belief=own)
-    return build_reflection_prompt(PERSONA, TOPIC, memory, current, nudge)
+    return build_reflection_prompt(PERSONA, TOPIC, "", items, current, nudge)
 
 
 class TestMockRule:
@@ -57,8 +57,7 @@ class TestMockRule:
         assert out.belief == -1
 
     def test_stale_stances_in_memory_are_not_exposures(self):
-        memory = MemoryStore(long_term="Agent 9: (stance +2) old extreme take")
-        prompt = build_reflection_prompt(PERSONA, TOPIC, memory,
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "Agent 9: (stance +2) old extreme take", [],
                                          OpinionOutput(opinion_text="v", belief=0))
         out = parse_opinion_output(mock_backend_rule(prompt))
         assert out.belief == 0  # nothing heard today

@@ -114,6 +114,12 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, BASE)
         assert main(["sweep", "--config", cfg, "--seeds", "1,zwei", "--out", str(tmp_path / "sw")]) == 2
 
+    def test_repeated_seed_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        assert main(["sweep", "--config", cfg, "--seeds", "3,3", "--out", str(tmp_path / "sw")]) == 2
+        assert "repeated: 3" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
 
 class TestExportProjectionCommand:
     def test_reexport_matches(self, tmp_path, capsys):

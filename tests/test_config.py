@@ -152,6 +152,14 @@ def test_anchor_and_exposure_fields_stay_out_of_the_dict():
     assert "api_key" not in d["backend"]  # only the env var *name* is stored
 
 
+def test_every_engine_section_carries_the_top_level_exposure_mode():
+    for mode in ("all_neighbors", "recommended"):
+        cfg = config_from_dict({"exposure_mode": mode})
+        assert (cfg.bcm.exposure_mode, cfg.fj.exposure_mode, cfg.llm.exposure_mode) == (mode, mode, mode)
+    cfg = replace(default_config(), exposure_mode="all_neighbors")
+    assert (cfg.bcm.exposure_mode, cfg.fj.exposure_mode, cfg.llm.exposure_mode) == ("all_neighbors",) * 3
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("n: 12\nengine: llm\n", encoding="utf-8")

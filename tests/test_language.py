@@ -13,12 +13,11 @@ from echosim.language import (
     LlmParams,
     Transcript,
     TranscriptEvent,
-    init_agent_states,
     llm_day,
     run_llm,
 )
 from echosim.population import BELIEF_GRID, Persona, Population
-from echosim.prompts import SUMMARY_HEADER
+from echosim.prompts import SECTION_HEARD, SUMMARY_HEADER, stance_statement
 from helpers import cycle_graph
 
 TOPIC = "Euthanasia should be legal."
@@ -38,54 +37,72 @@ def rng(seed=1):
 
 
 def one_day(g, beliefs, nudge=NudgePolicy(), params=LlmParams(), backend=None, seed=1):
+    """(end-of-day beliefs, long-term summaries, transcript) of day 1 from ``beliefs``."""
     population = make_population(beliefs)
-    states = init_agent_states(population, long_term_budget=params.long_term_budget)
     transcript = Transcript()
     from echosim.interventions import passive_nudge_feed
     feed = passive_nudge_feed(rng(seed), nudge.passive_texts) if nudge.kind == "passive" else None
-    llm_day(g, population, states, backend or MockBackend(), params, nudge, feed,
-            rng(seed), day=1, transcript=transcript)
-    return states, transcript
+    beliefs, _, long_term = llm_day(g, population, list(beliefs), [stance_statement(b) for b in beliefs],
+                                    [""] * g.n, backend or MockBackend(), params, nudge, feed,
+                                    rng(seed), day=1, transcript=transcript)
+    return beliefs, long_term, transcript
+
+
+def heard_lines(prompt):
+    """The lines of a reflection prompt's "Today you heard" section."""
+    if SECTION_HEARD not in prompt:
+        return []
+    return prompt.split(SECTION_HEARD + "\n", 1)[1].split("\n\n", 1)[0].splitlines()
 
 
 class TestSingleDay:
     def test_isolated_node_unchanged_with_one_reflection_event(self):
         g = NetworkGraph.from_edges(3, [(0, 1)])
-        states, transcript = one_day(g, [0, 1, 2])
-        assert states[2].belief == 2
+        beliefs, _, transcript = one_day(g, [0, 1, 2])
+        assert beliefs[2] == 2
         events_for_2 = [e for e in transcript.events if e.agent == 2]
         assert [e.kind for e in events_for_2] == ["reflection"]
 
     def test_antipodal_pair_filtered_out_stays_put(self):
         g = NetworkGraph.from_edges(2, [(0, 1)])
-        states, transcript = one_day(g, [-2, 2])
-        assert [s.belief for s in states] == [-2, 2]
+        beliefs, _, transcript = one_day(g, [-2, 2])
+        assert beliefs == [-2, 2]
         assert not [e for e in transcript.events if e.kind == "exposure"]
 
     def test_mean_attraction_moves_both_to_one(self):
         # agent 0: round(0.7*0 + 0.3*2) = 1; agent 1: round(0.7*2 + 0.3*0) = 1
         g = NetworkGraph.from_edges(2, [(0, 1)])
-        states, _ = one_day(g, [0, 2])
-        assert [s.belief for s in states] == [1, 1]
+        beliefs, _, _ = one_day(g, [0, 2])
+        assert beliefs == [1, 1]
 
     def test_small_gap_rounds_to_no_movement(self):
         # 0.3 and 0.7 both round back onto the starting grid points
         g = NetworkGraph.from_edges(2, [(0, 1)])
-        states, _ = one_day(g, [0, 1])
-        assert [s.belief for s in states] == [0, 1]
+        beliefs, _, _ = one_day(g, [0, 1])
+        assert beliefs == [0, 1]
 
-    def test_short_term_clears_and_summary_fits_budget(self):
+    def test_summary_fits_budget(self):
         g = cycle_graph(5)
         params = LlmParams(long_term_budget=80)
-        states, _ = one_day(g, [0, 1, 2, 1, 0], params=params)
-        for s in states:
-            assert s.memory.short_term == []
-            assert len(s.memory.long_term) <= 80
+        _, long_term, _ = one_day(g, [0, 1, 2, 1, 0], params=params)
+        for summary in long_term:
+            assert len(summary) <= 80
+
+    def test_inputs_are_not_mutated(self):
+        g = cycle_graph(4)
+        start = [2, 0, -2, 1]
+        population = make_population(start)
+        beliefs, texts, long_term = list(start), [stance_statement(b) for b in start], ["a", "b", "", "c"]
+        inputs = (list(beliefs), list(texts), list(long_term))
+        out = llm_day(g, population, beliefs, texts, long_term, MockBackend(), LlmParams(),
+                      NudgePolicy(kind="active"), None, rng(), day=1, transcript=Transcript())
+        assert (beliefs, texts, long_term) == inputs
+        assert all(new is not old for new, old in zip(out, (beliefs, texts, long_term)))
 
     def test_every_belief_change_has_an_update_event(self):
         g = cycle_graph(6)
-        states, transcript = one_day(g, [0, 2, 0, 2, 0, 2])
-        changed = {i for i, s in enumerate(states) if s.belief != [0, 2, 0, 2, 0, 2][i]}
+        beliefs, _, transcript = one_day(g, [0, 2, 0, 2, 0, 2])
+        changed = {i for i, b in enumerate(beliefs) if b != [0, 2, 0, 2, 0, 2][i]}
         update_agents = {e.agent for e in transcript.events if e.kind == "update"}
         assert update_agents == changed
         for e in transcript.events:
@@ -96,20 +113,20 @@ class TestSingleDay:
 class TestNudgeIntegration:
     def test_no_policy_means_no_nudge_events(self):
         g = cycle_graph(4)
-        _, transcript = one_day(g, [2, 2, -2, -2])
+        _, _, transcript = one_day(g, [2, 2, -2, -2])
         assert not [e for e in transcript.events if e.kind == "nudge"]
 
     def test_nudges_target_only_extremes(self):
         g = cycle_graph(4)
-        _, transcript = one_day(g, [2, 0, -2, 1], nudge=NudgePolicy(kind="passive"))
+        _, _, transcript = one_day(g, [2, 0, -2, 1], nudge=NudgePolicy(kind="passive"))
         nudged = {e.agent for e in transcript.events if e.kind == "nudge"}
         assert nudged == {0, 2}
 
     def test_active_nudge_pulls_extreme_inward(self):
         g = NetworkGraph.from_edges(2, [(0, 1)])
         # exposure is filtered (gap 4), but the nudge still reaches both extremes
-        states, transcript = one_day(g, [2, -2], nudge=NudgePolicy(kind="active"))
-        assert [s.belief for s in states] == [1, -1]
+        beliefs, _, transcript = one_day(g, [2, -2], nudge=NudgePolicy(kind="active"))
+        assert beliefs == [1, -1]
         nudge_events = [e for e in transcript.events if e.kind == "nudge"]
         assert len(nudge_events) == 2
         # active nudges carry the opposing agent's opinion text
@@ -117,9 +134,8 @@ class TestNudgeIntegration:
 
     def test_passive_nudge_carries_no_agent_opinion(self):
         g = cycle_graph(4)
-        states = init_agent_states(make_population([2, 2, -2, -2]))
-        opinion_texts = {s.opinion_text for s in states}
-        _, transcript = one_day(g, [2, 2, -2, -2], nudge=NudgePolicy(kind="passive"))
+        opinion_texts = {stance_statement(b) for b in [2, 2, -2, -2]}
+        _, _, transcript = one_day(g, [2, 2, -2, -2], nudge=NudgePolicy(kind="passive"))
         for e in transcript.events:
             if e.kind == "nudge":
                 assert e.payload in NudgePolicy().passive_texts
@@ -179,8 +195,8 @@ class TestBackendDiscipline:
         g = NetworkGraph.from_edges(2, [(0, 1)])
         backend = FlakyBackend(failures=1)
         params = LlmParams(retries=2, max_in_flight=1)
-        states, transcript = one_day(g, [0, 2], backend=backend, params=params)
-        assert states[0].belief == 1  # recovered on retry
+        beliefs, _, transcript = one_day(g, [0, 2], backend=backend, params=params)
+        assert beliefs[0] == 1  # recovered on retry
         flagged = [e for e in transcript.events if e.kind == "reflection" and "parse_failed" in e.payload]
         assert flagged
 
@@ -188,15 +204,15 @@ class TestBackendDiscipline:
         g = NetworkGraph.from_edges(2, [(0, 1)])
         backend = FlakyBackend(failures=1, transport=True)
         params = LlmParams(retries=2, max_in_flight=1)
-        states, transcript = one_day(g, [0, 2], backend=backend, params=params)
-        assert states[0].belief == 1
+        beliefs, _, transcript = one_day(g, [0, 2], backend=backend, params=params)
+        assert beliefs[0] == 1
         assert any("transport_error" in e.payload for e in transcript.events)
 
     def test_exhausted_retries_keep_previous_belief(self):
         g = NetworkGraph.from_edges(2, [(0, 1)])
-        states, transcript = one_day(g, [0, 2], backend=GarbageBackend(),
-                                     params=LlmParams(retries=2, max_in_flight=1))
-        assert [s.belief for s in states] == [0, 2]
+        beliefs, _, transcript = one_day(g, [0, 2], backend=GarbageBackend(),
+                                         params=LlmParams(retries=2, max_in_flight=1))
+        assert beliefs == [0, 2]
         kept = [e for e in transcript.events if "kept_previous_belief" in e.payload]
         assert len(kept) == 2
 
@@ -208,9 +224,9 @@ class TestBackendDiscipline:
                 return "BELIEF: 7\nOPINION: way out"
 
         g = NetworkGraph.from_edges(2, [(0, 1)])
-        states, transcript = one_day(g, [0, 1], backend=OvershootBackend(),
-                                     params=LlmParams(max_in_flight=1))
-        assert all(s.belief == 2 for s in states)
+        beliefs, _, transcript = one_day(g, [0, 1], backend=OvershootBackend(),
+                                         params=LlmParams(max_in_flight=1))
+        assert all(b == 2 for b in beliefs)
         assert any("clamped" in e.payload for e in transcript.events if e.kind == "reflection")
 
 
@@ -240,9 +256,23 @@ class TestFullRuns:
         params = LlmParams(long_term_budget=120)
         result = run_llm(g, population, MockBackend(), params, NudgePolicy(),
                          days=6, rng=rng(4))
-        for s in result.states:
-            assert len(s.memory.long_term) <= 120
-            assert s.memory.short_term == []
+        for summary in result.long_term:
+            assert len(summary) <= 120
+
+    def test_day_two_prompts_hold_only_day_two_exposures(self):
+        n = 6
+        g = cycle_graph(n)
+        backend = RecordingBackend()
+        result = run_llm(g, make_population([0, 2] * 3), backend,
+                         LlmParams(exposure_mode="all_neighbors", cap=None, max_in_flight=1),
+                         NudgePolicy(), days=2, rng=rng())
+        beliefs, texts = result.belief_trajectory[1].tolist(), result.opinion_trajectory[1]
+        assert beliefs != [0, 2] * 3  # day 1 changed what the speakers broadcast
+        # serial calls: each day's n reflections, then its n compressions
+        day_two = backend.prompts[2 * n:3 * n]
+        for i, prompt in enumerate(day_two):
+            heard = sorted({(i - 1) % n, (i + 1) % n})
+            assert heard_lines(prompt) == [f"- Agent {j}: (stance {beliefs[j]:+d}) {texts[j]}" for j in heard]
 
     def test_trajectory_shape_and_day_zero(self):
         g = cycle_graph(5)
@@ -341,9 +371,9 @@ class TestDayPool:
     def test_compressions_run_concurrently(self):
         # the day ends only if each compression call meets the other in flight
         g = NetworkGraph.from_edges(2, [(0, 1)])
-        states, transcript = one_day(g, [0, 1], backend=BarrierBackend(2),
-                                     params=LlmParams(max_in_flight=2))
-        assert all(s.memory.long_term for s in states)
+        _, long_term, transcript = one_day(g, [0, 1], backend=BarrierBackend(2),
+                                           params=LlmParams(max_in_flight=2))
+        assert all(long_term)
         assert not [e for e in transcript.events if "summary_transport_error" in e.payload]
 
     @pytest.mark.parametrize("max_in_flight", [1, 2, 3])
@@ -370,14 +400,14 @@ class TestDayPool:
     def test_failed_compressions_match_serial_transcript(self):
         g = cycle_graph(9)
         beliefs = [(-1) ** i * (i % 3) for i in range(9)]
-        serial_states, serial = one_day(g, beliefs, backend=SummaryFailingBackend(),
-                                        params=LlmParams(max_in_flight=1))
-        pooled_states, pooled = one_day(g, beliefs, backend=SummaryFailingBackend(),
-                                        params=LlmParams(max_in_flight=3))
+        _, serial_long_term, serial = one_day(g, beliefs, backend=SummaryFailingBackend(),
+                                              params=LlmParams(max_in_flight=1))
+        _, pooled_long_term, pooled = one_day(g, beliefs, backend=SummaryFailingBackend(),
+                                              params=LlmParams(max_in_flight=3))
         assert pooled.to_jsonl() == serial.to_jsonl()
         failed = [e for e in serial.events if "summary_transport_error" in e.payload]
         assert failed  # the fallback ran
-        assert [s.memory.long_term for s in pooled_states] == [s.memory.long_term for s in serial_states]
+        assert pooled_long_term == serial_long_term
 
 
 class TestValidation:
@@ -386,8 +416,8 @@ class TestValidation:
                                  traits=(True,) * 5) for i in range(3))
         continuous = Population(personas=personas, beliefs=np.array([0.5, 1.1, -0.3]),
                                 topic=TOPIC, grid=False)
-        with pytest.raises(ParameterError):
-            init_agent_states(continuous)
+        with pytest.raises(ParameterError, match="grid"):
+            run_llm(cycle_graph(3), continuous, MockBackend(), LlmParams(), NudgePolicy(), days=1, rng=rng())
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):

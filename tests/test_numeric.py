@@ -60,30 +60,31 @@ class TestBcmDay:
 class TestFjDay:
     def test_full_anchoring_reproduces_anchors(self):
         anchors = [0.3, -1.7, 2.0]
-        p = FjParams(alpha=1.0, exposure_mode="all_neighbors").with_anchors(anchors)
-        new = fj_day(complete_graph(3), [0.0, 0.0, 0.0], p)
+        p = FjParams(alpha=1.0, exposure_mode="all_neighbors")
+        new = fj_day(complete_graph(3), [0.0, 0.0, 0.0], p, anchors)
         assert new.tolist() == anchors
 
     def test_pure_averaging_hand_case(self):
-        p = FjParams(alpha=0.0, exposure_mode="all_neighbors").with_anchors([-2.0, 0.0, 2.0])
-        new = fj_day(complete_graph(3), [-2.0, 0.0, 2.0], p)
+        p = FjParams(alpha=0.0, exposure_mode="all_neighbors")
+        new = fj_day(complete_graph(3), [-2.0, 0.0, 2.0], p, [-2.0, 0.0, 2.0])
         assert new.tolist() == [1.0, 0.0, -1.0]
 
     def test_uniform_fixed_point(self):
         # dyadic values make the convex combination exact
-        p = FjParams(alpha=0.5, exposure_mode="all_neighbors").with_anchors([0.75] * 4)
-        assert fj_day(cycle_graph(4), [0.75] * 4, p).tolist() == [0.75] * 4
-        p2 = FjParams(alpha=0.4, exposure_mode="all_neighbors").with_anchors([0.9] * 4)
-        assert fj_day(cycle_graph(4), [0.9] * 4, p2) == pytest.approx([0.9] * 4, abs=1e-12)
+        p = FjParams(alpha=0.5, exposure_mode="all_neighbors")
+        assert fj_day(cycle_graph(4), [0.75] * 4, p, [0.75] * 4).tolist() == [0.75] * 4
+        p2 = FjParams(alpha=0.4, exposure_mode="all_neighbors")
+        assert fj_day(cycle_graph(4), [0.9] * 4, p2, [0.9] * 4) == pytest.approx([0.9] * 4, abs=1e-12)
 
     def test_empty_exposure_keeps_previous_value(self):
         g = NetworkGraph.from_edges(3, [(0, 1)])  # node 2 isolated
-        p = FjParams(alpha=0.5, exposure_mode="all_neighbors").with_anchors([0.0, 0.0, 0.0])
-        assert fj_day(g, [1.0, 1.0, -1.5], p)[2] == -1.5
+        p = FjParams(alpha=0.5, exposure_mode="all_neighbors")
+        assert fj_day(g, [1.0, 1.0, -1.5], p, [0.0, 0.0, 0.0])[2] == -1.5
 
-    def test_requires_anchors(self):
-        with pytest.raises(ParameterError):
-            fj_day(TWO_NODES, [0.0, 1.0], FjParams(alpha=0.3))
+    def test_anchors_of_wrong_length_rejected(self):
+        for anchors in ([], [0.0], [0.0, 1.0, 2.0]):
+            with pytest.raises(ParameterError):
+                fj_day(TWO_NODES, [0.0, 1.0], FjParams(alpha=0.3), anchors)
 
 
 class TestRunNumeric:
@@ -209,11 +210,10 @@ def test_bcm_day_matches_loop_oracle(seed, exposure_mode, epsilon, threshold, mu
 @given(st.integers(0, 10_000), st.sampled_from(EXPOSURE_MODES), GATES, st.sampled_from([0.0, 0.3, 1.0]))
 def test_fj_day_matches_loop_oracle(seed, exposure_mode, threshold, alpha):
     g, beliefs = oracle_instance(seed)
-    p = FjParams(alpha=alpha, exposure_mode=exposure_mode,
-                 similarity_threshold=threshold).with_anchors(beliefs)
-    beliefs = np.roll(beliefs, 1)
+    p = FjParams(alpha=alpha, exposure_mode=exposure_mode, similarity_threshold=threshold)
+    anchors, beliefs = beliefs, np.roll(beliefs, 1)
     for _ in range(4):
-        expected = naive_fj_day(g, beliefs, p)
-        got = fj_day(g, beliefs, p)
+        expected = naive_fj_day(g, beliefs, p, anchors)
+        got = fj_day(g, beliefs, p, anchors)
         assert np.max(np.abs(got - expected)) <= 1e-12
         beliefs = got

@@ -1,7 +1,6 @@
 import pytest
 
 from echosim.errors import OpinionParseError
-from echosim.language import MemoryStore
 from echosim.population import Persona, persona_card
 from echosim.prompts import (
     SECTION_HEARD,
@@ -21,7 +20,7 @@ CURRENT = OpinionOutput(opinion_text="I lean in favor of this.", belief=1)
 
 class TestReflectionPrompt:
     def test_empty_memory_no_nudge(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, MemoryStore(), CURRENT)
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "", [], CURRENT)
         assert persona_card(PERSONA) in prompt
         assert TOPIC in prompt
         assert SECTION_HEARD not in prompt
@@ -29,23 +28,23 @@ class TestReflectionPrompt:
         assert "Stance value: +1" in prompt
 
     def test_short_term_items_appear_verbatim(self):
-        memory = MemoryStore(short_term=[(3, "(stance -1) first take"),
-                                         (7, "(stance +2) second take"),
-                                         (9, "(stance 0) third take")])
-        prompt = build_reflection_prompt(PERSONA, TOPIC, memory, CURRENT)
-        for _, text in memory.short_term:
+        heard = [(3, "(stance -1) first take"),
+                 (7, "(stance +2) second take"),
+                 (9, "(stance 0) third take")]
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "", heard, CURRENT)
+        for _, text in heard:
             assert text in prompt
         assert prompt.count(SECTION_HEARD) == 1
 
     def test_nudge_block_appears_exactly_once(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, MemoryStore(), CURRENT,
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "", [], CURRENT,
                                          nudge="Issues are rarely black and white.")
         assert prompt.count(SECTION_NOTE) == 1
         assert "Issues are rarely black and white." in prompt
 
     def test_deterministic(self):
-        a = build_reflection_prompt(PERSONA, TOPIC, MemoryStore(long_term="old notes"), CURRENT)
-        b = build_reflection_prompt(PERSONA, TOPIC, MemoryStore(long_term="old notes"), CURRENT)
+        a = build_reflection_prompt(PERSONA, TOPIC, "old notes", [], CURRENT)
+        b = build_reflection_prompt(PERSONA, TOPIC, "old notes", [], CURRENT)
         assert a == b
 
 

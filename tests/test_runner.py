@@ -1,6 +1,5 @@
 import json
 import platform
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,14 +159,12 @@ class TestCompare:
 
 
 class TestSweep:
-    def test_identical_seeds_have_zero_stddev(self, tmp_path):
+    def test_repeated_seed_rejected(self, tmp_path):
         cfg = config_from_dict(cfg_dict())
-        result = sweep(cfg, [3, 3], tmp_path)
-        text = result.aggregate_csv.read_text()
-        for line in text.strip().splitlines()[1:]:
-            name, mean, std, count = line.split(",")
-            if count != "0":
-                assert float(std) == 0.0
+        for seeds in ([3, 3], [1, 3, 2, 3]):
+            with pytest.raises(ParameterError, match="repeated: 3"):
+                sweep(cfg, seeds, tmp_path)
+        assert not list(tmp_path.iterdir())  # rejected before any run
 
     def test_seed_list_too_short_rejected(self, tmp_path):
         cfg = config_from_dict(cfg_dict())
@@ -220,8 +217,7 @@ class TestTrajectoryWriter:
         artifacts = run(cfg, tmp_path / "r")
         population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
-        params = replace(cfg.fj, exposure_mode="all_neighbors")
-        trajectory = run_numeric("fj", g, population.beliefs, params, cfg.days)
+        trajectory = run_numeric("fj", g, population.beliefs, cfg.fj, cfg.days)
         assert artifacts.trajectory_jsonl.read_text(encoding="utf-8") == json_dumps_trajectory(trajectory)
 
 
