@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import random
 import re
 import threading
 import time
@@ -112,10 +113,11 @@ class RemoteChatBackend:
 
     The API key is read from the environment (never from configuration
     files). Transient transport failures and 429/5xx responses are retried
-    with exponential backoff, or after the server's numeric ``Retry-After``
-    on a 429 or 503; anything else raises BackendError. Without an injected
-    session, each thread gets its own ``requests.Session``, so the language
-    engine's worker pool never shares one.
+    after exactly the server's numeric ``Retry-After`` on a 429 or 503, or
+    else after a "full jitter" backoff: a uniform draw from
+    [0, backoff_base * 2 ** (attempt - 1)] seconds. Anything else raises
+    BackendError. Without an injected session, each thread gets its own
+    ``requests.Session``, so the language engine's worker pool never shares one.
     """
 
     def __init__(
@@ -166,7 +168,10 @@ class RemoteChatBackend:
         retry_after = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1) if retry_after is None else retry_after)
+                if retry_after is None:
+                    time.sleep(random.uniform(0, self.backoff_base * 2 ** (attempt - 1)))
+                else:
+                    time.sleep(retry_after)
             retry_after = None
             try:
                 response = self._http().post(url, json=body, headers=headers, timeout=self.timeout)

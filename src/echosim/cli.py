@@ -2,11 +2,14 @@
 
 Subcommands: run, compare, sweep, validate-config, export-projection.
 Exit codes: 0 success, 2 config error, 3 backend/transport error, 4 I/O error.
+``--log-level`` sends the package's log records to stderr, never into a run
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -18,6 +21,19 @@ from .recommendation import EXPOSURE_MODES
 from .runner import compare, export_projection, run, sweep
 
 DEFAULT_SWEEP_SEEDS = 10
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
+def _configure_logging(level: str) -> None:
+    """Send the ``echosim`` package's records at ``level`` and above to stderr, through one handler."""
+    logger = logging.getLogger("echosim")
+    logger.setLevel(level)
+    for old in [h for h in logger.handlers if h.get_name() == "echosim-cli"]:
+        logger.removeHandler(old)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name("echosim-cli")
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
 
 
 def _overrides_from_args(args) -> dict:
@@ -109,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="echosim",
         description="Agent-based opinion dynamics and echo-chamber experiments on social graphs.",
     )
+    parser.add_argument("--log-level", dest="log_level", choices=LOG_LEVELS, default="WARNING",
+                        help="log records of this level and above go to stderr (default: WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one experiment and persist its artifacts")
@@ -143,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _configure_logging(args.log_level)
     try:
         return args.func(args)
     except (ConfigError, ParameterError) as exc:

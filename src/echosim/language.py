@@ -23,10 +23,11 @@ seed.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,8 +46,7 @@ from .prompts import (
 from .recommendation import DEFAULT_EXPOSURE_CAP, DEFAULT_SIMILARITY_THRESHOLD, check_exposure, exposure_set
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
     day: int
     agent: int
     kind: str
@@ -56,7 +56,13 @@ class TranscriptEvent:
 
 
 class Transcript:
-    """Append-only event log, serialized by (day, agent) for persistence."""
+    """Append-only event log, serialized by (day, agent) for persistence.
+
+    ``to_jsonl`` writes one line per event with one f-string: keys sorted,
+    ints as they are, ``None`` as ``null`` and strings through
+    ``json.encoder.encode_basestring_ascii``, which is exactly what
+    ``json.dumps(record, sort_keys=True)`` writes for the same record.
+    """
 
     def __init__(self):
         self._events: list = []
@@ -69,25 +75,16 @@ class Transcript:
         return tuple(self._events)
 
     def sorted_events(self) -> list:
-        return sorted(self._events, key=lambda e: (e.day, e.agent))
+        return sorted(self._events, key=itemgetter(0, 1))  # stable sort by (day, agent)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.sorted_events():
-            lines.append(
-                json.dumps(
-                    {
-                        "day": e.day,
-                        "agent": e.agent,
-                        "kind": e.kind,
-                        "payload": e.payload,
-                        "belief_before": e.belief_before,
-                        "belief_after": e.belief_after,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        enc = encode_basestring_ascii
+        return "".join(
+            f'{{"agent": {agent}, "belief_after": {"null" if after is None else after}, '
+            f'"belief_before": {"null" if before is None else before}, '
+            f'"day": {day}, "kind": {enc(kind)}, "payload": {enc(payload)}}}\n'
+            for day, agent, kind, payload, before, after in self.sorted_events()
+        )
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def llm_day(
         if heard:
             transcript.append(
                 TranscriptEvent(day=day, agent=i, kind="exposure",
-                                payload=",".join(str(j) for j in heard))
+                                payload=",".join(map(str, heard)))
             )
 
     # phase 2: nudges, one per flagged agent at most

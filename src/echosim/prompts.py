@@ -14,8 +14,7 @@ backend can act on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import OpinionParseError
 from .population import Persona, clamp_to_grid, persona_card
@@ -45,8 +44,7 @@ _BELIEF_RE = re.compile(r"BELIEF:\s*([+-]?\d+)")
 _OPINION_RE = re.compile(r"OPINION:\s*(.+)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class OpinionOutput:
+class OpinionOutput(NamedTuple):
     """An agent's stated opinion text plus its grid belief value."""
 
     opinion_text: str

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import platform
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -167,15 +168,18 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
 
 
 def trajectory_text(trajectory, texts=None) -> str:
-    """One JSON record per (day, agent), keys sorted. Numeric beliefs are finite
-    floats, whose ``repr`` is what ``json.dumps`` writes; grid rows also carry
-    ``texts[day][agent]`` and go through ``json.dumps``."""
+    """One JSON record per (day, agent), keys sorted, each written with one
+    f-string exactly as ``json.dumps(record, sort_keys=True)`` would. Numeric
+    beliefs are finite floats, whose ``repr`` is what ``json.dumps`` writes;
+    grid rows write the belief as an int and also carry ``texts[day][agent]``
+    as ``"opinion"``, escaped by ``json.encoder.encode_basestring_ascii``."""
     rows = np.asarray(trajectory)
     if texts is None:
         lines = [f'{{"agent": {a}, "belief": {b!r}, "day": {d}}}'
                  for d, row in enumerate(rows) for a, b in enumerate(row.tolist())]
     else:
-        lines = [json.dumps({"agent": a, "belief": int(b), "day": d, "opinion": texts[d][a]}, sort_keys=True)
+        enc = encode_basestring_ascii
+        lines = [f'{{"agent": {a}, "belief": {int(b)}, "day": {d}, "opinion": {enc(texts[d][a])}}}'
                  for d, row in enumerate(rows) for a, b in enumerate(row.tolist())]
     return "\n".join(lines) + "\n"
 

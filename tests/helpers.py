@@ -7,11 +7,26 @@ oracles update one agent at a time and average with ``np.mean``; the layout
 oracle sums forces one pair at a time.
 """
 
+import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from echosim.graphs import NetworkGraph
+
+# every code point, lone surrogates included, plus the characters JSON must escape
+AWKWARD_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                                 st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é€😀\ud800\udfff')))
+
+
+def json_dumps_transcript(events) -> str:
+    """``transcript.jsonl`` through ``json.dumps``: events by (day, agent),
+    ties in append order, one record per line with sorted keys."""
+    ordered = sorted(events, key=lambda e: (e.day, e.agent))
+    records = ({"day": e.day, "agent": e.agent, "kind": e.kind, "payload": e.payload,
+                "belief_before": e.belief_before, "belief_after": e.belief_after} for e in ordered)
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def edge_set(g: NetworkGraph) -> set:

@@ -216,11 +216,41 @@ def record_sleeps(monkeypatch):
     return sleeps
 
 
+def jitter_at_its_bound(monkeypatch):
+    """Make every jittered backoff sleep its upper bound, so sleeps are exact."""
+    monkeypatch.setattr("echosim.backends.random.uniform", lambda low, high: high)
+
+
+class TestBackoffJitter:
+    def test_each_backoff_lies_within_its_full_jitter_bound(self, monkeypatch):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        sleeps = record_sleeps(monkeypatch)
+        for _ in range(20):
+            session = FakeSession([FakeResponse(status_code=500)] * 5)
+            with pytest.raises(BackendError, match="gave up"):
+                remote(session, max_retries=4, backoff_base=0.5).complete("p", 10, 0.0)
+        assert len(sleeps) == 20 * 4
+        bounds = [0.5, 1.0, 2.0, 4.0] * 20
+        assert all(0.0 <= s <= bound for s, bound in zip(sleeps, bounds))
+        assert len(set(sleeps[::4])) > 1  # the first backoff is drawn anew on each call
+
+    def test_retry_after_is_honoured_exactly(self, monkeypatch):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        sleeps = record_sleeps(monkeypatch)
+        session = FakeSession([
+            FakeResponse(status_code=429, headers={"Retry-After": "2"}),
+            FakeResponse(payload=completion("fine")),
+        ])
+        assert remote(session, backoff_base=0.5).complete("p", 10, 0.0) == "fine"
+        assert sleeps == [2.0]
+
+
 class TestRetryAfter:
     @pytest.mark.parametrize("status", [429, 503])
     def test_numeric_header_replaces_backoff(self, monkeypatch, status):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         sleeps = record_sleeps(monkeypatch)
+        jitter_at_its_bound(monkeypatch)
         session = FakeSession([
             FakeResponse(status_code=status, headers={"Retry-After": "7"}),
             FakeResponse(status_code=500),
@@ -228,7 +258,7 @@ class TestRetryAfter:
         ])
         out = remote(session, max_retries=3, backoff_base=0.5).complete("p", 10, 0.0)
         assert out == "fine"
-        assert sleeps == [7.0, 1.0]  # the header, then the backoff of attempt 2
+        assert sleeps == [7.0, 1.0]  # the header, then the backoff bound of attempt 2
 
     @pytest.mark.parametrize("status, value", [
         (429, "Wed, 21 Oct 2026 07:28:00 GMT"),  # an HTTP date is not honoured
@@ -238,6 +268,7 @@ class TestRetryAfter:
     def test_other_headers_fall_back_to_backoff(self, monkeypatch, status, value):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         sleeps = record_sleeps(monkeypatch)
+        jitter_at_its_bound(monkeypatch)
         session = FakeSession([
             FakeResponse(status_code=status, headers={"Retry-After": value}),
             FakeResponse(payload=completion("fine")),

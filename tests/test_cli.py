@@ -1,4 +1,18 @@
+import logging
+
+import pytest
+
 from echosim.cli import main
+
+
+@pytest.fixture(autouse=True)
+def restore_package_logging():
+    """``main`` configures the ``echosim`` logger; put its level and handlers back."""
+    logger = logging.getLogger("echosim")
+    level, handlers = logger.level, list(logger.handlers)
+    yield
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -136,3 +150,37 @@ class TestExportProjectionCommand:
         target = tmp_path / "p.csv"
         assert main(["export-projection", str(tmp_path / "out"), "--out", str(target)]) == 0
         assert target.exists()
+
+
+class TestLogLevel:
+    def test_debug_enables_the_backend_logger_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE + "engine: llm\n")
+        assert main(["--log-level", "DEBUG", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        backends = logging.getLogger("echosim.backends")
+        assert backends.isEnabledFor(logging.DEBUG)
+        backends.debug("probe record")
+        assert "DEBUG echosim.backends: probe record" in capsys.readouterr().err
+        # criterion 10: logs never go into the run directory
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {
+            "metrics.csv", "trajectory.jsonl", "transcript.jsonl", "projection.csv",
+            "population.txt", "graph.txt", "config.yaml", "manifest.txt"}
+
+    def test_default_is_warning(self, tmp_path):
+        assert main(["validate-config", "--config", write_config(tmp_path, BASE)]) == 0
+        backends = logging.getLogger("echosim.backends")
+        assert not backends.isEnabledFor(logging.INFO)
+        assert backends.isEnabledFor(logging.WARNING)
+
+    def test_repeated_calls_keep_one_handler(self, tmp_path):
+        cfg = write_config(tmp_path, BASE)
+        for level in ("INFO", "ERROR"):
+            assert main(["--log-level", level, "validate-config", "--config", cfg]) == 0
+        logger = logging.getLogger("echosim")
+        assert logger.level == logging.ERROR
+        assert [h.get_name() for h in logger.handlers].count("echosim-cli") == 1
+
+    def test_unknown_level_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", "LOUD", "validate-config"])
+        assert exc.value.code == 2
+        assert "--log-level" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from echosim.backends import MockBackend
 from echosim.errors import BackendError, ParameterError
@@ -18,7 +20,7 @@ from echosim.language import (
 )
 from echosim.population import BELIEF_GRID, Persona, Population
 from echosim.prompts import SECTION_HEARD, SUMMARY_HEADER, stance_statement
-from helpers import cycle_graph
+from helpers import AWKWARD_TEXT, cycle_graph, json_dumps_transcript
 
 TOPIC = "Euthanasia should be legal."
 
@@ -438,3 +440,31 @@ def test_transcript_event_jsonl_one_line_per_event():
     lines = t.to_jsonl().strip().splitlines()
     assert len(lines) == 2
     assert '"agent": 1' in lines[0]  # sorted by (day, agent)
+
+
+BELIEF = st.one_of(st.none(), st.integers(-(2**70), 2**70))
+EVENTS = st.lists(st.builds(TranscriptEvent, day=st.integers(0, 3), agent=st.integers(0, 4),
+                            kind=AWKWARD_TEXT, payload=AWKWARD_TEXT,
+                            belief_before=BELIEF, belief_after=BELIEF))
+
+
+@settings(max_examples=200, deadline=None)
+@given(EVENTS)
+@example([TranscriptEvent(1, 0, "nudge", 'say "hi"\\ \ud83d\n\u00e9 😀', belief_before=-2),
+          TranscriptEvent(0, 0, "exposure", "1,2")])
+def test_to_jsonl_matches_json_dumps(events):
+    t = Transcript()
+    for e in events:
+        t.append(e)
+    assert t.to_jsonl() == json_dumps_transcript(events)
+
+
+def test_empty_transcript_writes_nothing():
+    assert Transcript().to_jsonl() == ""
+
+
+def test_events_are_immutable_records():
+    e = TranscriptEvent(day=1, agent=2, kind="exposure", payload="3")
+    assert (e.belief_before, e.belief_after) == (None, None)
+    with pytest.raises(AttributeError):
+        e.payload = "4"

@@ -3,15 +3,20 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import echosim.runner as runner_mod
+from echosim.backends import MockBackend
 from echosim.config import config_from_dict, config_hash, load_config_file
 from echosim.errors import BackendError, ParameterError
 from echosim.metrics import deltas
 from echosim.graphs import generate_graph
+from echosim.language import run_llm
 from echosim.numeric import run_numeric
 from echosim.population import init_population
 from echosim.runner import compare, component_rng, export_projection, run, sweep, trajectory_text
+from helpers import AWKWARD_TEXT, json_dumps_transcript
 
 
 def cfg_dict(**over):
@@ -219,6 +224,50 @@ class TestTrajectoryWriter:
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
         trajectory = run_numeric("fj", g, population.beliefs, cfg.fj, cfg.days)
         assert artifacts.trajectory_jsonl.read_text(encoding="utf-8") == json_dumps_trajectory(trajectory)
+
+
+def json_dumps_grid_trajectory(trajectory, texts) -> str:
+    records = (
+        {"day": day, "agent": agent, "belief": int(trajectory[day][agent]), "opinion": texts[day][agent]}
+        for day in range(len(trajectory))
+        for agent in range(len(trajectory[day]))
+    )
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+@st.composite
+def grid_runs(draw):
+    """(belief trajectory, opinion texts) of 1-4 agents over 1-3 days."""
+    days, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    beliefs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=days, max_size=days))
+    texts = draw(st.lists(st.lists(AWKWARD_TEXT, min_size=n, max_size=n), min_size=days, max_size=days))
+    return beliefs, texts
+
+
+class TestGridTrajectoryWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_runs(), st.sampled_from([int, float]))
+    def test_grid_rows_match_json_dumps(self, run_data, dtype):
+        beliefs, texts = run_data
+        trajectory = np.array(beliefs, dtype=dtype)  # run() passes the grid trajectory as floats
+        assert trajectory_text(trajectory, texts) == json_dumps_grid_trajectory(trajectory, texts)
+
+    def test_llm_run_files_match_json_dumps(self, tmp_path):
+        awkward_nudges = ['Say "both sides"\tplease', "back\\slash and a\nbreak",
+                          "naïve café, 100 € 😀", "\x01 control \u2028 line separator"]
+        cfg = config_from_dict(cfg_dict(engine="llm", n=12, days=4, graph={"kind": "scale_free"},
+                                        nudge={"kind": "passive", "extremity_threshold": 1,
+                                               "passive_texts": awkward_nudges}))
+        artifacts = run(cfg, tmp_path / "r")
+
+        population = init_population(cfg.n, cfg.topic, True, component_rng(cfg.seed, "population"))
+        g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
+        result = run_llm(g, population, MockBackend(), cfg.llm, cfg.nudge, cfg.days, component_rng(cfg.seed, "engine"))
+        events = result.transcript.events
+        assert {e.payload for e in events if e.kind == "nudge"} == set(awkward_nudges)
+        assert artifacts.transcript_jsonl.read_text(encoding="utf-8") == json_dumps_transcript(events)
+        assert artifacts.trajectory_jsonl.read_text(encoding="utf-8") == json_dumps_grid_trajectory(
+            result.belief_trajectory, result.opinion_trajectory)
 
 
 class TestExportProjection:
