@@ -34,7 +34,7 @@ def main():
           f"neighbor-corr {'undefined' if d_nci is None else f'{d_nci:+.3f}'}")
 
     print("\n=== replay from the persisted config ===")
-    persisted = config_from_dict(load_config_file(artifacts.config_yaml))
+    persisted = config_from_dict(load_config_file(artifacts.run_dir / "config.yaml"))
     replayed = run(persisted, OUT / "replayed")
     same = all(
         (artifacts.run_dir / p.name).read_bytes() == p.read_bytes()

@@ -111,9 +111,9 @@ def _file_keys(cls) -> list:
 def _check_keys(section: str, given, allowed) -> None:
     if not isinstance(given, dict):
         raise ConfigError(f"{section} must be a mapping, got {type(given).__name__}")
-    unknown = set(given) - set(allowed)
+    unknown = sorted(str(key) for key in set(given) - set(allowed))  # YAML keys may be ints
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}

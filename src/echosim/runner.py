@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .backends import MockBackend, RemoteChatBackend, TextBackend
-from .config import RunConfig, config_hash, config_to_yaml
+from .config import RunConfig, config_from_dict, config_hash, config_to_yaml, load_config_file
 from .errors import ParameterError
 from .graphs import NetworkGraph, generate_graph, is_connected, to_edge_list_text
 from .language import run_llm
@@ -44,14 +44,6 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
 @dataclass
 class RunArtifacts:
     run_dir: Path
-    metrics_csv: Path
-    trajectory_jsonl: Path
-    projection_csv: Path
-    population_txt: Path
-    graph_txt: Path
-    config_yaml: Path
-    manifest_txt: Path
-    transcript_jsonl: Optional[Path]
     snapshots: list
     deltas: tuple
 
@@ -85,8 +77,14 @@ def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backen
     return result.belief_trajectory.astype(float), result.opinion_trajectory, result.transcript
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write_files(out: Path, files: dict) -> None:
+    """Write each ``name: text`` under ``out`` as UTF-8 with ``\\n`` newlines;
+    a name whose text is None is removed, so no file of an earlier run survives."""
+    for name, text in files.items():
+        if text is None:
+            (out / name).unlink(missing_ok=True)
+        else:
+            (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 def run(config: RunConfig, out_dir) -> RunArtifacts:
@@ -106,65 +104,29 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     run_deltas = deltas(snapshots)
     positions = force_layout(g, component_rng(config.seed, "layout"))
 
-    metrics_csv = run_dir / "metrics.csv"
-    _write(metrics_csv, "\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
-
-    trajectory_jsonl = run_dir / "trajectory.jsonl"
-    _write(trajectory_jsonl, trajectory_text(trajectory, texts))
-
-    transcript_jsonl = run_dir / "transcript.jsonl"
-    if transcript is None:
-        transcript_jsonl.unlink(missing_ok=True)  # left by an earlier llm run
-        transcript_jsonl = None
-    else:
-        _write(transcript_jsonl, transcript.to_jsonl())
-
-    projection_csv = run_dir / "projection.csv"
-    _write(projection_csv, projection_text(trajectory[-1], positions))
-
-    population_txt = run_dir / "population.txt"
-    _write(population_txt, population_to_text(population))
-
-    graph_txt = run_dir / "graph.txt"
-    _write(graph_txt, to_edge_list_text(g))
-
-    config_yaml = run_dir / "config.yaml"
-    _write(config_yaml, config_to_yaml(config))
-
     reproducible = not (config.engine == "llm" and config.backend.kind == "remote")
-    backend_name = "none" if config.engine != "llm" else config.backend.kind
-    manifest_txt = run_dir / "manifest.txt"
-    _write(
-        manifest_txt,
-        "\n".join(
-            [
-                f"config_hash: {config_hash(config)}",
-                f"code_version: {__version__}",
-                f"python_version: {platform.python_version()}",
-                f"numpy_version: {np.__version__}",
-                f"engine: {config.engine}",
-                f"backend: {backend_name}",
-                f"graph_kind: {config.graph.kind}",
-                f"graph_connected: {str(is_connected(g)).lower()}",
-                f"reproducible: {str(reproducible).lower()}",
-            ]
-        )
-        + "\n",
-    )
-
-    return RunArtifacts(
-        run_dir=run_dir,
-        metrics_csv=metrics_csv,
-        trajectory_jsonl=trajectory_jsonl,
-        projection_csv=projection_csv,
-        population_txt=population_txt,
-        graph_txt=graph_txt,
-        config_yaml=config_yaml,
-        manifest_txt=manifest_txt,
-        transcript_jsonl=transcript_jsonl,
-        snapshots=snapshots,
-        deltas=run_deltas,
-    )
+    _write_files(run_dir, {
+        "metrics.csv": "\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n",
+        "trajectory.jsonl": trajectory_text(trajectory, texts),
+        # a numeric run removes the transcript an earlier llm run left here
+        "transcript.jsonl": None if transcript is None else transcript.to_jsonl(),
+        "projection.csv": projection_text(trajectory[-1], positions),
+        "population.txt": population_to_text(population),
+        "graph.txt": to_edge_list_text(g),
+        "config.yaml": config_to_yaml(config),
+        "manifest.txt": "\n".join([
+            f"config_hash: {config_hash(config)}",
+            f"code_version: {__version__}",
+            f"python_version: {platform.python_version()}",
+            f"numpy_version: {np.__version__}",
+            f"engine: {config.engine}",
+            f"backend: {config.backend.kind if config.engine == 'llm' else 'none'}",
+            f"graph_kind: {config.graph.kind}",
+            f"graph_connected: {str(is_connected(g)).lower()}",
+            f"reproducible: {str(reproducible).lower()}",
+        ]) + "\n",
+    })
+    return RunArtifacts(run_dir=run_dir, snapshots=snapshots, deltas=run_deltas)
 
 
 def trajectory_text(trajectory, texts=None) -> str:
@@ -231,21 +193,17 @@ def compare(configs: Sequence[RunConfig], out_dir) -> ComparisonResult:
 
     table = {name: [col[k] for col in columns] for k, name in enumerate(DELTA_ROWS)}
 
-    csv_lines = ["metric," + ",".join(labels)]
-    for name in DELTA_ROWS:
-        csv_lines.append(name + "," + ",".join("" if v is None else repr(v) for v in table[name]))
-    csv_path = out / "comparison.csv"
-    _write(csv_path, "\n".join(csv_lines) + "\n")
-
     width = max(len(name) for name in DELTA_ROWS)
     col_width = max(12, max(len(lb) for lb in labels) + 2)
+    csv_lines = ["metric," + ",".join(labels)]
     text_lines = [" " * width + "".join(lb.rjust(col_width) for lb in labels)]
     for name in DELTA_ROWS:
+        csv_lines.append(name + "," + ",".join("" if v is None else repr(v) for v in table[name]))
         text_lines.append(name.ljust(width) + "".join(_fmt(v).rjust(col_width) for v in table[name]))
-    text_path = out / "comparison.txt"
-    _write(text_path, "\n".join(text_lines) + "\n")
-
-    return ComparisonResult(labels=labels, table=table, csv_path=csv_path, text_path=text_path)
+    _write_files(out, {"comparison.csv": "\n".join(csv_lines) + "\n",
+                       "comparison.txt": "\n".join(text_lines) + "\n"})
+    return ComparisonResult(labels=labels, table=table, csv_path=out / "comparison.csv",
+                            text_path=out / "comparison.txt")
 
 
 # --- seed sweeps -------------------------------------------------------------
@@ -270,15 +228,16 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ParameterError(f"sweep seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
+    for s in seeds:  # a bad seed is a config error, not a failure of its run
+        replace(config, seed=s).validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     per_seed: dict = {}
     failures: dict = {}
     for s in seeds:
-        cfg = replace(config, seed=s)
         try:
-            artifacts = run(cfg, out / f"seed_{s}")
+            artifacts = run(replace(config, seed=s), out / f"seed_{s}")
         except Exception as exc:  # keep sweeping; report at the end
             failures[s] = f"{type(exc).__name__}: {exc}"
             continue
@@ -292,19 +251,12 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
             csv_lines.append(f"{name},{float(arr.mean())!r},{float(arr.std())!r},{len(values)}")
         else:
             csv_lines.append(f"{name},,,0")
-    aggregate_csv = out / "aggregate.csv"
-    _write(aggregate_csv, "\n".join(csv_lines) + "\n")
-
-    if failures:
-        report = [f"seed {s}: {msg}" for s, msg in sorted(failures.items())]
-        _write(out / "failures.txt", "\n".join(report) + "\n")
-
-    return SweepResult(
-        seeds=seeds,
-        per_seed_deltas=per_seed,
-        failures=failures,
-        aggregate_csv=aggregate_csv,
-    )
+    report = [f"seed {s}: {msg}" for s, msg in sorted(failures.items())]
+    _write_files(out, {"aggregate.csv": "\n".join(csv_lines) + "\n",
+                       # a clean sweep removes the report an earlier sweep left here
+                       "failures.txt": "\n".join(report) + "\n" if report else None})
+    return SweepResult(seeds=seeds, per_seed_deltas=per_seed, failures=failures,
+                       aggregate_csv=out / "aggregate.csv")
 
 
 # --- projection re-export ----------------------------------------------------
@@ -313,8 +265,6 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
 def export_projection(run_dir, out_path=None) -> str:
     """Rebuild the projection CSV for a completed run from its persisted
     config and trajectory; writes to ``out_path`` when given."""
-    from .config import config_from_dict, load_config_file
-
     run_dir = Path(run_dir)
     cfg = config_from_dict(load_config_file(run_dir / "config.yaml"))
     g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
@@ -331,5 +281,6 @@ def export_projection(run_dir, out_path=None) -> str:
             final[record["agent"]] = float(record["belief"])
     text = projection_text(final, positions)
     if out_path is not None:
-        _write(Path(out_path), text)
+        out_path = Path(out_path)
+        _write_files(out_path.parent, {out_path.name: text})
     return text

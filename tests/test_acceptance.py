@@ -177,9 +177,10 @@ def test_criterion_06_language_engine_structural_run(tmp_path):
                          "projection.csv", "population.txt", "graph.txt",
                          "config.yaml", "manifest.txt")
         )
-        snapshot_rows = len(first.metrics_csv.read_text().strip().splitlines()) - 1
+        snapshot_rows = len((first.run_dir / "metrics.csv").read_text().strip().splitlines()) - 1
         # every belief of every snapshot day, as the run persisted it
-        beliefs = [json.loads(line)["belief"] for line in first.trajectory_jsonl.read_text().splitlines()]
+        trajectory_lines = (first.run_dir / "trajectory.jsonl").read_text().splitlines()
+        beliefs = [json.loads(line)["belief"] for line in trajectory_lines]
         grid_ok = (len(beliefs) == len(first.snapshots) * LLM_CONFIG["n"]
                    and all(belief in BELIEF_GRID for belief in beliefs))
 
@@ -276,7 +277,7 @@ def test_criterion_10_provenance(tmp_path, monkeypatch):
                             ("llm-mock", {"engine": "llm", "nudge": {"kind": "passive"}})):
         cfg = config_from_dict({**LLM_CONFIG, "days": 5, **overrides})
         first = run(cfg, tmp_path / name / "original")
-        replayed_cfg = config_from_dict(load_config_file(first.config_yaml))
+        replayed_cfg = config_from_dict(load_config_file(first.run_dir / "config.yaml"))
         second = run(replayed_cfg, tmp_path / name / "replayed")
         files = [p.name for p in first.run_dir.iterdir()]
         outcomes.append(all(
@@ -292,7 +293,7 @@ def test_criterion_10_provenance(tmp_path, monkeypatch):
     remote_cfg = config_from_dict({**LLM_CONFIG, "days": 1, "n": 10,
                                    "backend": {"kind": "remote", "api_key_env": "ECHOSIM_ACCEPT_KEY"}})
     remote_run = run(remote_cfg, tmp_path / "remote")
-    marked = "reproducible: false" in remote_run.manifest_txt.read_text()
+    marked = "reproducible: false" in (remote_run.run_dir / "manifest.txt").read_text()
 
     ok = all(outcomes) and marked
     assert report(10, "provenance and replay", ok,

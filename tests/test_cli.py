@@ -89,6 +89,11 @@ class TestValidateConfig:
         cfg = write_config(tmp_path, "mystery: 1\n")
         assert main(["validate-config", "--config", cfg]) == 2
 
+    def test_keys_that_are_not_strings(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bcm: {1: 2, x: 3}\n")
+        assert main(["validate-config", "--config", cfg]) == 2
+        assert "config error: unknown key(s) in bcm: 1, x" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_compare_three_structures(self, tmp_path, capsys):
@@ -132,6 +137,12 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, BASE)
         assert main(["sweep", "--config", cfg, "--seeds", "3,3", "--out", str(tmp_path / "sw")]) == 2
         assert "repeated: 3" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        assert main(["sweep", "--config", cfg, "--seeds=-1,2", "--out", str(tmp_path / "sw")]) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
 

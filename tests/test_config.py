@@ -98,6 +98,8 @@ def test_invalid_values_raise_config_error():
         ({"backend": {"timeout": "x"}}, "backend.timeout must be a number, got str"),
         ({"graph": {"kind": "torus"}}, "unknown graph kind 'torus'"),
         ({"engine": "llm", "llm": {"similarity_threshold": -1.0}}, "similarity threshold must be >= 0"),
+        ({1: 2}, "unknown key(s) in config: 1"),  # YAML reads `1: 2` with an int key
+        ({"bcm": {1: 2, "x": 3}}, "unknown key(s) in bcm: 1, x"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(bad)

@@ -1,15 +1,17 @@
 import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import echosim
 import echosim.runner as runner_mod
 from echosim.backends import MockBackend
 from echosim.config import config_from_dict, config_hash, load_config_file
-from echosim.errors import BackendError, ParameterError
+from echosim.errors import BackendError, ConfigError, ParameterError
 from echosim.metrics import deltas
 from echosim.graphs import generate_graph
 from echosim.language import run_llm
@@ -35,9 +37,9 @@ class TestRun:
         names = {p.name for p in artifacts.run_dir.iterdir()}
         assert names == {"metrics.csv", "trajectory.jsonl", "projection.csv",
                          "population.txt", "graph.txt", "config.yaml", "manifest.txt"}
-        rows = artifacts.metrics_csv.read_text().strip().splitlines()
+        rows = (artifacts.run_dir / "metrics.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 6  # header + days 0..5
-        assert artifacts.transcript_jsonl is None
+        assert not (artifacts.run_dir / "transcript.jsonl").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a = run(config_from_dict(cfg_dict()), tmp_path / "a")
@@ -46,25 +48,23 @@ class TestRun:
 
     def test_llm_mock_run_has_transcript_and_grid_trajectory(self, tmp_path):
         artifacts = run(config_from_dict(cfg_dict(engine="llm")), tmp_path / "r")
-        assert artifacts.transcript_jsonl is not None
-        assert artifacts.transcript_jsonl.exists()
-        for line in artifacts.trajectory_jsonl.read_text().splitlines():
+        assert (artifacts.run_dir / "transcript.jsonl").exists()
+        for line in (artifacts.run_dir / "trajectory.jsonl").read_text().splitlines():
             record = json.loads(line)
             assert record["belief"] in (-2, -1, 0, 1, 2)
             assert isinstance(record["opinion"], str) and record["opinion"]
 
     def test_run_from_persisted_config_reproduces_bytes(self, tmp_path):
         first = run(config_from_dict(cfg_dict(engine="llm", nudge={"kind": "active"})), tmp_path / "one")
-        persisted = config_from_dict(load_config_file(first.config_yaml))
+        persisted = config_from_dict(load_config_file(first.run_dir / "config.yaml"))
         second = run(persisted, tmp_path / "two")
         assert read_all(first.run_dir) == read_all(second.run_dir)
 
     def test_manifest_contents(self, tmp_path):
         cfg = config_from_dict(cfg_dict())
         artifacts = run(cfg, tmp_path / "r")
-        manifest = dict(
-            line.split(": ", 1) for line in artifacts.manifest_txt.read_text().strip().splitlines()
-        )
+        manifest_lines = (artifacts.run_dir / "manifest.txt").read_text().strip().splitlines()
+        manifest = dict(line.split(": ", 1) for line in manifest_lines)
         assert manifest["config_hash"] == config_hash(cfg)
         assert manifest["engine"] == "bcm"
         assert manifest["backend"] == "none"
@@ -72,6 +72,12 @@ class TestRun:
         assert manifest["graph_connected"] in ("true", "false")
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
+
+    def test_code_version_matches_pyproject(self):
+        # manifest.txt's code_version tells layout revisions apart, so the package states one version
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        assert pyproject["project"]["version"] == echosim.__version__
 
     def test_remote_without_key_fails_fast(self, tmp_path, monkeypatch):
         monkeypatch.delenv("ECHOSIM_MISSING_KEY", raising=False)
@@ -92,15 +98,16 @@ class TestRun:
                                         backend={"kind": "remote",
                                                  "api_key_env": "ECHOSIM_FAKE_KEY"}))
         artifacts = run(cfg, tmp_path / "r")
-        assert "reproducible: false" in artifacts.manifest_txt.read_text()
-        assert "backend: remote" in artifacts.manifest_txt.read_text()
+        manifest = (artifacts.run_dir / "manifest.txt").read_text()
+        assert "reproducible: false" in manifest
+        assert "backend: remote" in manifest
 
     def test_rerun_leaves_only_its_own_artifacts(self, tmp_path):
         run(config_from_dict(cfg_dict(engine="llm")), tmp_path / "r")
         assert (tmp_path / "r" / "transcript.jsonl").exists()
         numeric = run(config_from_dict(cfg_dict(engine="bcm")), tmp_path / "r")
         fresh = run(config_from_dict(cfg_dict(engine="bcm")), tmp_path / "fresh")
-        assert numeric.transcript_jsonl is None
+        assert not (numeric.run_dir / "transcript.jsonl").exists()
         assert read_all(numeric.run_dir) == read_all(fresh.run_dir)
 
     def test_mock_runs_never_start_a_pool(self, tmp_path, monkeypatch):
@@ -110,7 +117,7 @@ class TestRun:
         monkeypatch.setattr("echosim.language.ThreadPoolExecutor", no_pool)
         cfg = config_from_dict(cfg_dict(engine="llm", llm={"max_in_flight": 4}))
         artifacts = run(cfg, tmp_path / "r")
-        assert "max_in_flight: 4" in artifacts.config_yaml.read_text()
+        assert "max_in_flight: 4" in (artifacts.run_dir / "config.yaml").read_text()
 
     def test_deltas_match_snapshots(self, tmp_path):
         artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
@@ -178,7 +185,8 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(cfg, [1], tmp_path)
 
-    def test_failures_are_isolated_and_reported(self, tmp_path, monkeypatch):
+    @staticmethod
+    def sabotage_seed_5(monkeypatch):
         real_run = runner_mod.run
 
         def sabotage(config, out_dir):
@@ -187,10 +195,27 @@ class TestSweep:
             return real_run(config, out_dir)
 
         monkeypatch.setattr(runner_mod, "run", sabotage)
+
+    def test_failures_are_isolated_and_reported(self, tmp_path, monkeypatch):
+        self.sabotage_seed_5(monkeypatch)
         result = sweep(config_from_dict(cfg_dict()), [4, 5, 6], tmp_path)
         assert set(result.per_seed_deltas) == {4, 6}
         assert 5 in result.failures
         assert "seed 5" in (tmp_path / "failures.txt").read_text()
+
+    def test_clean_sweep_removes_an_earlier_failure_report(self, tmp_path, monkeypatch):
+        self.sabotage_seed_5(monkeypatch)
+        sweep(config_from_dict(cfg_dict()), [4, 5], tmp_path)
+        assert (tmp_path / "failures.txt").exists()
+        monkeypatch.undo()
+        result = sweep(config_from_dict(cfg_dict()), [4, 6], tmp_path)
+        assert not result.failures
+        assert not (tmp_path / "failures.txt").exists()
+
+    def test_bad_seed_rejected_before_any_run(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            sweep(config_from_dict(cfg_dict()), [1, -1], tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_aggregate_means(self, tmp_path):
         cfg = config_from_dict(cfg_dict())
@@ -223,7 +248,8 @@ class TestTrajectoryWriter:
         population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
         trajectory = run_numeric("fj", g, population.beliefs, cfg.fj, cfg.days)
-        assert artifacts.trajectory_jsonl.read_text(encoding="utf-8") == json_dumps_trajectory(trajectory)
+        written = (artifacts.run_dir / "trajectory.jsonl").read_text(encoding="utf-8")
+        assert written == json_dumps_trajectory(trajectory)
 
 
 def json_dumps_grid_trajectory(trajectory, texts) -> str:
@@ -265,8 +291,9 @@ class TestGridTrajectoryWriter:
         result = run_llm(g, population, MockBackend(), cfg.llm, cfg.nudge, cfg.days, component_rng(cfg.seed, "engine"))
         events = result.transcript.events
         assert {e.payload for e in events if e.kind == "nudge"} == set(awkward_nudges)
-        assert artifacts.transcript_jsonl.read_text(encoding="utf-8") == json_dumps_transcript(events)
-        assert artifacts.trajectory_jsonl.read_text(encoding="utf-8") == json_dumps_grid_trajectory(
+        run_dir = artifacts.run_dir
+        assert (run_dir / "transcript.jsonl").read_text(encoding="utf-8") == json_dumps_transcript(events)
+        assert (run_dir / "trajectory.jsonl").read_text(encoding="utf-8") == json_dumps_grid_trajectory(
             result.belief_trajectory, result.opinion_trajectory)
 
 
@@ -274,13 +301,13 @@ class TestExportProjection:
     def test_matches_run_projection(self, tmp_path):
         artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
         text = export_projection(artifacts.run_dir)
-        assert text == artifacts.projection_csv.read_text()
+        assert text == (artifacts.run_dir / "projection.csv").read_text()
 
     def test_writes_to_file(self, tmp_path):
         artifacts = run(config_from_dict(cfg_dict(engine="llm")), tmp_path / "r")
         out = tmp_path / "proj.csv"
         export_projection(artifacts.run_dir, out)
-        assert out.read_text() == artifacts.projection_csv.read_text()
+        assert out.read_text() == (artifacts.run_dir / "projection.csv").read_text()
 
 
 def test_component_rngs_are_independent_streams():
