@@ -16,9 +16,7 @@ import random
 import re
 import threading
 import time
-from typing import Optional, Protocol, runtime_checkable
-
-import requests
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from .errors import BackendError
 from .population import clamp_to_grid
@@ -30,6 +28,9 @@ from .prompts import (
     SUMMARY_HEADER,
     stance_statement,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -146,6 +147,7 @@ class RemoteChatBackend:
             return self._session
         session = getattr(self._local, "session", None)
         if session is None:
+            import requests
             session = self._local.session = requests.Session()
         return session
 
@@ -156,6 +158,7 @@ class RemoteChatBackend:
         return key
 
     def complete(self, prompt: str, max_length: int, temperature: float) -> str:
+        import requests  # here, not at the top: importing it takes longer than all of echosim
         url = f"{self.base_url}/chat/completions"
         body = {
             "model": self.model,

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError, ParameterError
+from .errors import INF, ConfigError, ParameterError, check_fields
 from .graphs import GraphSpec, default_graph_spec
 from .interventions import NudgePolicy
 from .language import LlmParams
 from .numeric import BcmParams, FjParams
 from .population import DEFAULT_TOPIC
+from .recommendation import EXPOSURE_MODES
 
 ENGINES = ("bcm", "fj", "llm")
 BACKEND_KINDS = ("mock", "remote")
@@ -31,28 +32,27 @@ BACKEND_KINDS = ("mock", "remote")
 
 @dataclass(frozen=True)
 class BackendSettings:
-    kind: str = "mock"
+    kind: str = field(default="mock", metadata={"choices": BACKEND_KINDS})
     base_url: str = "https://api.openai.com/v1"
     model: str = "gpt-4o-mini"
     api_key_env: str = "OPENAI_API_KEY"
-    timeout: float = 30.0
-    max_retries: int = 3
+    timeout: float = field(default=30.0, metadata={"range": ("(", 0, INF, ")")})
+    max_retries: int = field(default=3, metadata={"range": ("[", 0, INF, ")")})
 
     def validate(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend kind {self.kind!r}")
+        check_fields(self)
         if self.kind == "remote" and (not self.base_url or not self.model):
-            raise ConfigError("remote backend needs base_url and model")
+            raise ParameterError("base_url and model must be set for a remote backend")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    n: int = 50
-    days: int = 30
-    seed: int = 1
+    n: int = field(default=50, metadata={"range": ("[", 2, INF, ")")})
+    days: int = field(default=30, metadata={"range": ("[", 1, INF, ")")})
+    seed: int = field(default=1, metadata={"range": ("[", 0, INF, ")")})
     topic: str = DEFAULT_TOPIC
-    engine: str = "bcm"
-    exposure_mode: str = "recommended"
+    engine: str = field(default="bcm", metadata={"choices": ENGINES})
+    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
     graph: Optional[GraphSpec] = None
     bcm: BcmParams = BcmParams()
     fj: FjParams = FjParams()
@@ -68,27 +68,22 @@ class RunConfig:
             object.__setattr__(self, name, replace(getattr(self, name), exposure_mode=self.exposure_mode))
 
     def validate(self) -> None:
+        """Raise a ConfigError naming the key at fault. A section's messages
+        start with its field name, so the section's name goes in front."""
         try:
-            if self.n < 2:
-                raise ConfigError(f"n must be >= 2, got {self.n}")
-            if self.days < 1:
-                raise ConfigError(f"days must be >= 1, got {self.days}")
-            if self.seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {self.seed}")
-            if not self.topic:
-                raise ConfigError("topic must be non-empty")
-            if self.engine not in ENGINES:
-                raise ConfigError(f"unknown engine {self.engine!r}")
-            self.graph.validate()
-            if self.graph.n != self.n:
-                raise ConfigError(f"graph n={self.graph.n} disagrees with population n={self.n}")
-            self.bcm.validate()
-            self.fj.validate()
-            self.llm.validate()
-            self.nudge.validate()
-            self.backend.validate()
+            check_fields(self)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
+        # population.txt keeps the topic on one line, read back with str.splitlines
+        if self.topic.splitlines() != [self.topic]:
+            raise ConfigError(f"topic must be non-empty and one line, got {self.topic!r}")
+        if self.graph.n != self.n:
+            raise ConfigError(f"graph n={self.graph.n} disagrees with population n={self.n}")
+        for name in _SECTIONS:
+            try:
+                getattr(self, name).validate()
+            except ParameterError as exc:
+                raise ConfigError(f"{name}.{exc}") from exc
 
 
 def default_config() -> RunConfig:
@@ -156,11 +151,8 @@ def config_from_dict(data: dict) -> RunConfig:
         given = data.get(name, {})
         _check_keys(name, given, _file_keys(cls))
         _check_types(f"{name}.", given, cls)
-        try:
-            default = (default_graph_spec(given.get("kind", "small_world"), data.get("n", base.n))
-                       if cls is GraphSpec else getattr(base, name))
-        except ParameterError as exc:  # an unknown graph kind
-            raise ConfigError(str(exc)) from exc
+        default = (default_graph_spec(given.get("kind", "small_world"), data.get("n", base.n))
+                   if cls is GraphSpec else getattr(base, name))
         # YAML has no tuples: a list is read into its tuple field as a tuple
         sections[name] = replace(default, **{
             key: tuple(value) if isinstance(value, list) else value for key, value in given.items()

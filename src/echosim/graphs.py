@@ -9,22 +9,18 @@ no duplicate edges), and immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import INF, ParameterError, check_fields
 
-GRAPH_KINDS = ("small_world", "scale_free", "random")
-
-# Defaults chosen so all three structures have expected degree ~4 at n=50,
-# keeping cross-structure comparisons at matched density.
-DEFAULT_SMALL_WORLD_K = 4
-DEFAULT_SMALL_WORLD_P_REWIRE = 0.1
-DEFAULT_SCALE_FREE_M = 2
-DEFAULT_RANDOM_P_EDGE = 0.08
+# Each kind's parameters, with defaults chosen so all three structures have
+# expected degree ~4 at n=50, keeping cross-structure comparisons at matched density.
+_KIND_DEFAULTS = {"small_world": {"k": 4, "p_rewire": 0.1}, "scale_free": {"m": 2}, "random": {"p_edge": 0.08}}
+GRAPH_KINDS = tuple(_KIND_DEFAULTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,53 +98,32 @@ class GraphSpec:
     ``p_edge`` for random.
     """
 
-    kind: str
-    n: int
-    k: Optional[int] = None
-    p_rewire: Optional[float] = None
-    m: Optional[int] = None
-    p_edge: Optional[float] = None
+    kind: str = field(metadata={"choices": GRAPH_KINDS})
+    n: int = field(metadata={"range": ("[", 1, INF, ")")})
+    k: Optional[int] = field(default=None, metadata={"range": ("[", 2, INF, ")")})
+    p_rewire: Optional[float] = field(default=None, metadata={"range": ("[", 0, 1, "]")})
+    m: Optional[int] = field(default=None, metadata={"range": ("[", 1, INF, ")")})
+    p_edge: Optional[float] = field(default=None, metadata={"range": ("[", 0, 1, "]")})
 
     def validate(self) -> None:
-        if self.kind not in GRAPH_KINDS:
-            raise ParameterError(f"unknown graph kind {self.kind!r}")
-        if self.n < 1:
-            raise ParameterError(f"node count must be >= 1, got {self.n}")
-        required = {
-            "small_world": ("k", "p_rewire"),
-            "scale_free": ("m",),
-            "random": ("p_edge",),
-        }[self.kind]
+        check_fields(self)
+        required = _KIND_DEFAULTS[self.kind]
         for name in ("k", "p_rewire", "m", "p_edge"):
             value = getattr(self, name)
             if name in required and value is None:
-                raise ParameterError(f"{self.kind} graph requires parameter {name!r}")
+                raise ParameterError(f"{name} is required for kind {self.kind!r}")
             if name not in required and value is not None:
-                raise ParameterError(f"parameter {name!r} does not apply to kind {self.kind!r}")
-        if self.kind == "small_world":
-            if self.k % 2 != 0 or self.k < 2:
-                raise ParameterError(f"k must be even and >= 2, got {self.k}")
-            if self.k >= self.n:
-                raise ParameterError(f"k must be < n ({self.k} >= {self.n})")
-            if not 0.0 <= self.p_rewire <= 1.0:
-                raise ParameterError(f"p_rewire must be in [0, 1], got {self.p_rewire}")
-        elif self.kind == "scale_free":
-            if not 1 <= self.m < self.n:
-                raise ParameterError(f"m must satisfy 1 <= m < n, got m={self.m}, n={self.n}")
-        elif self.kind == "random":
-            if not 0.0 <= self.p_edge <= 1.0:
-                raise ParameterError(f"p_edge must be in [0, 1], got {self.p_edge}")
+                raise ParameterError(f"{name} does not apply to kind {self.kind!r}")
+        if self.kind == "small_world" and (self.k % 2 or self.k >= self.n):
+            raise ParameterError(f"k must be < n and even, got k={self.k}, n={self.n}")
+        if self.kind == "scale_free" and self.m >= self.n:
+            raise ParameterError(f"m must be < n, got m={self.m}, n={self.n}")
 
 
 def default_graph_spec(kind: str, n: int) -> GraphSpec:
-    """Spec for ``kind`` with the package's density-matched default parameters."""
-    if kind == "small_world":
-        return GraphSpec(kind=kind, n=n, k=DEFAULT_SMALL_WORLD_K, p_rewire=DEFAULT_SMALL_WORLD_P_REWIRE)
-    if kind == "scale_free":
-        return GraphSpec(kind=kind, n=n, m=DEFAULT_SCALE_FREE_M)
-    if kind == "random":
-        return GraphSpec(kind=kind, n=n, p_edge=DEFAULT_RANDOM_P_EDGE)
-    raise ParameterError(f"unknown graph kind {kind!r}")
+    """Spec for ``kind`` with the package's density-matched default parameters;
+    an unknown kind gets none, and ``validate()`` rejects it."""
+    return GraphSpec(kind=kind, n=n, **_KIND_DEFAULTS.get(kind, {}))
 
 
 def generate_graph(spec: GraphSpec, rng: np.random.Generator) -> NetworkGraph:

@@ -9,12 +9,12 @@ the extremity threshold, and apply to the language engine only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_fields
 from .graphs import NetworkGraph, hop_distances
 
 NUDGE_KINDS = ("none", "active", "passive")
@@ -30,17 +30,14 @@ ACTIVE_NUDGE_PREFIX = "An opposing perspective: "
 
 @dataclass(frozen=True)
 class NudgePolicy:
-    kind: str = "none"
-    extremity_threshold: int = 2
+    kind: str = field(default="none", metadata={"choices": NUDGE_KINDS})
+    extremity_threshold: int = field(default=2, metadata={"choices": (1, 2)})
     passive_texts: tuple[str, ...] = DEFAULT_PASSIVE_TEXTS
 
     def validate(self) -> None:
-        if self.kind not in NUDGE_KINDS:
-            raise ParameterError(f"unknown nudge kind {self.kind!r}")
-        if self.extremity_threshold not in (1, 2):
-            raise ParameterError(f"extremity threshold must be 1 or 2, got {self.extremity_threshold}")
+        check_fields(self)
         if self.kind == "passive" and not self.passive_texts:
-            raise ParameterError("passive nudges need at least one text")
+            raise ParameterError("passive_texts must be non-empty for passive nudges")
 
 
 def select_targets(beliefs, threshold: int) -> set:

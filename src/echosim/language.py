@@ -24,7 +24,7 @@ seed.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .backends import TextBackend
-from .errors import BackendError, OpinionParseError, ParameterError
+from .errors import INF, BackendError, OpinionParseError, ParameterError, check_fields
 from .graphs import NetworkGraph
 from .interventions import NudgePolicy, active_nudge_content, passive_nudge_feed, select_targets
 from .population import Population
@@ -43,7 +43,7 @@ from .prompts import (
     parse_opinion_output,
     stance_statement,
 )
-from .recommendation import DEFAULT_EXPOSURE_CAP, DEFAULT_SIMILARITY_THRESHOLD, check_exposure, exposure_set
+from .recommendation import DEFAULT_EXPOSURE_CAP, DEFAULT_SIMILARITY_THRESHOLD, EXPOSURE_MODES, exposure_set
 
 
 class TranscriptEvent(NamedTuple):
@@ -91,25 +91,18 @@ class Transcript:
 class LlmParams:
     """Knobs for the language engine."""
 
-    exposure_mode: str = "recommended"
-    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    cap: Optional[int] = DEFAULT_EXPOSURE_CAP
-    retries: int = 2
-    long_term_budget: int = 600
-    temperature: float = 0.7
-    max_length: int = 200
-    max_in_flight: int = 4
+    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
+    similarity_threshold: float = field(default=DEFAULT_SIMILARITY_THRESHOLD,
+                                        metadata={"range": ("[", 0, INF, ")")})
+    cap: Optional[int] = field(default=DEFAULT_EXPOSURE_CAP, metadata={"range": ("[", 1, INF, ")")})
+    retries: int = field(default=2, metadata={"range": ("[", 0, INF, ")")})
+    long_term_budget: int = field(default=600, metadata={"range": ("[", 1, INF, ")")})
+    temperature: float = field(default=0.7, metadata={"range": ("[", 0, 2, "]")})
+    max_length: int = field(default=200, metadata={"range": ("[", 1, INF, ")")})
+    max_in_flight: int = field(default=4, metadata={"range": ("[", 1, INF, ")")})
 
     def validate(self) -> None:
-        check_exposure(self.exposure_mode, self.similarity_threshold)
-        if self.cap is not None and self.cap < 1:
-            raise ParameterError(f"cap must be >= 1, got {self.cap}")
-        if self.retries < 0:
-            raise ParameterError(f"retries must be >= 0, got {self.retries}")
-        if self.long_term_budget < 1:
-            raise ParameterError(f"long-term budget must be >= 1, got {self.long_term_budget}")
-        if self.max_in_flight < 1:
-            raise ParameterError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        check_fields(self)
 
 
 def compress_long_term(backend: TextBackend, old_summary: str, day_items, budget: int) -> tuple:

@@ -8,13 +8,13 @@ clipping is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import INF, ParameterError, check_fields
 from .graphs import NetworkGraph, belief_vector
-from .recommendation import DEFAULT_SIMILARITY_THRESHOLD, check_exposure, exposure_mask
+from .recommendation import DEFAULT_SIMILARITY_THRESHOLD, EXPOSURE_MODES, exposure_mask
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
 
 NUMERIC_ENGINES = ("bcm", "fj")
@@ -25,17 +25,14 @@ class BcmParams:
     """Bounded confidence: an agent moves toward the mean of neighbors whose
     belief lies within ``epsilon`` of its own, at rate ``mu``."""
 
-    epsilon: float = 2.0
-    mu: float = 0.3
-    exposure_mode: str = "recommended"
-    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
+    epsilon: float = field(default=2.0, metadata={"range": ("[", 0, INF, ")")})
+    mu: float = field(default=0.3, metadata={"range": ("(", 0, 0.5, "]")})
+    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
+    similarity_threshold: float = field(default=DEFAULT_SIMILARITY_THRESHOLD,
+                                        metadata={"range": ("[", 0, INF, ")")})
 
     def validate(self) -> None:
-        if self.epsilon < 0:
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not 0 < self.mu <= 0.5:
-            raise ParameterError(f"mu must be in (0, 0.5], got {self.mu}")
-        check_exposure(self.exposure_mode, self.similarity_threshold)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -46,14 +43,13 @@ class FjParams:
     not a parameter: ``fj_day`` takes them, and ``run_numeric`` passes the
     initial beliefs."""
 
-    alpha: float = 0.3
-    exposure_mode: str = "recommended"
-    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
+    alpha: float = field(default=0.3, metadata={"range": ("[", 0, 1, "]")})
+    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
+    similarity_threshold: float = field(default=DEFAULT_SIMILARITY_THRESHOLD,
+                                        metadata={"range": ("[", 0, INF, ")")})
 
     def validate(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        check_exposure(self.exposure_mode, self.similarity_threshold)
+        check_fields(self)
 
 
 def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import platform
+import re
+import shutil
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -22,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .backends import MockBackend, RemoteChatBackend, TextBackend
-from .config import RunConfig, config_from_dict, config_hash, config_to_yaml, load_config_file
+from .config import ENGINES, RunConfig, config_from_dict, config_hash, config_to_yaml, load_config_file
 from .errors import ParameterError
-from .graphs import NetworkGraph, generate_graph, is_connected, to_edge_list_text
+from .graphs import GRAPH_KINDS, NetworkGraph, generate_graph, is_connected, to_edge_list_text
 from .language import run_llm
 from .layout import force_layout
 from .metrics import METRICS_CSV_HEADER, deltas, snapshot
@@ -85,6 +87,14 @@ def _write_files(out: Path, files: dict) -> None:
             (out / name).unlink(missing_ok=True)
         else:
             (out / name).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _remove_stale_runs(out: Path, pattern: str, kept) -> None:
+    """Remove each directory under ``out`` named by ``pattern`` that holds a
+    ``manifest.txt``, so a run wrote it, and that is not in ``kept``."""
+    for path in out.iterdir():
+        if path.name not in kept and re.fullmatch(pattern, path.name) and (path / "manifest.txt").is_file():
+            shutil.rmtree(path)
 
 
 def run(config: RunConfig, out_dir) -> RunArtifacts:
@@ -202,6 +212,7 @@ def compare(configs: Sequence[RunConfig], out_dir) -> ComparisonResult:
         text_lines.append(name.ljust(width) + "".join(_fmt(v).rjust(col_width) for v in table[name]))
     _write_files(out, {"comparison.csv": "\n".join(csv_lines) + "\n",
                        "comparison.txt": "\n".join(text_lines) + "\n"})
+    _remove_stale_runs(out, rf"({'|'.join(ENGINES)})-({'|'.join(GRAPH_KINDS)})(-\d+)?", labels)
     return ComparisonResult(labels=labels, table=table, csv_path=out / "comparison.csv",
                             text_path=out / "comparison.txt")
 
@@ -255,6 +266,7 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     _write_files(out, {"aggregate.csv": "\n".join(csv_lines) + "\n",
                        # a clean sweep removes the report an earlier sweep left here
                        "failures.txt": "\n".join(report) + "\n" if report else None})
+    _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in seeds})
     return SweepResult(seeds=seeds, per_seed_deltas=per_seed, failures=failures,
                        aggregate_csv=out / "aggregate.csv")
 

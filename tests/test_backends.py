@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
 
+import echosim
 from echosim.backends import (
     MOCK_DIGEST_ITEMS,
     MockBackend,
@@ -295,7 +300,7 @@ class TestSessions:
             created.append(session)
             return session
 
-        monkeypatch.setattr("echosim.backends.requests.Session", make_session)
+        monkeypatch.setattr("requests.Session", make_session)
         backend = RemoteChatBackend(base_url="https://api.example.test/v1", model="m",
                                     api_key_env="ECHOSIM_TEST_KEY")
         assert backend.name == "remote:m"
@@ -327,3 +332,10 @@ class TestSessions:
             t.join()
         backend.complete("p", 10, 0.0)
         assert len(session.calls) == 3
+
+
+def test_importing_echosim_leaves_requests_unloaded():
+    # only the remote backend needs requests, and its import costs more than the rest of echosim
+    code = "import sys, echosim; sys.exit('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(echosim.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

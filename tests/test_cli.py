@@ -95,6 +95,22 @@ class TestValidateConfig:
         assert "config error: unknown key(s) in bcm: 1, x" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text,message", [
+        ("bcm: {epsilon: .nan}", "bcm.epsilon must be >= 0, got nan"),
+        ("bcm: {epsilon: .inf}", "bcm.epsilon must be >= 0, got inf"),
+        ("bcm: {similarity_threshold: .nan}", "bcm.similarity_threshold must be >= 0, got nan"),
+        ("llm: {temperature: .nan}", "llm.temperature must be in [0, 2], got nan"),
+        ("llm: {temperature: -3.0}", "llm.temperature must be in [0, 2], got -3.0"),
+        ("llm: {max_length: -5}", "llm.max_length must be >= 1, got -5"),
+        ("backend: {timeout: -1.0}", "backend.timeout must be > 0, got -1.0"),
+        ("backend: {max_retries: -2}", "backend.max_retries must be >= 0, got -2"),
+        ('topic: "Cats\\u2028rule."', "topic must be non-empty and one line, got 'Cats\\u2028rule.'"),
+    ])
+    def test_values_outside_their_domain_exit_2(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text + "\n")
+        assert main(["validate-config", "--config", cfg]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+
 class TestCompareCommand:
     def test_compare_three_structures(self, tmp_path, capsys):
         paths = [

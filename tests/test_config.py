@@ -1,11 +1,13 @@
+import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 from echosim.config import (
+    BackendSettings,
     RunConfig,
     config_from_dict,
     config_hash,
@@ -15,7 +17,11 @@ from echosim.config import (
     load_config_file,
     resolve_config,
 )
-from echosim.errors import ConfigError
+from echosim.errors import ConfigError, ParameterError
+from echosim.graphs import GRAPH_KINDS, default_graph_spec
+from echosim.interventions import NudgePolicy
+from echosim.language import LlmParams
+from echosim.numeric import BcmParams, FjParams
 
 
 def test_defaults_are_valid():
@@ -79,13 +85,13 @@ def test_invalid_values_raise_config_error():
         ({"days": 0}, "days must be >= 1"),
         ({"seed": -3}, "seed must be >= 0"),
         ({"topic": ""}, "topic must be non-empty"),
-        ({"engine": "quantum"}, "unknown engine"),
-        ({"exposure_mode": "gossip"}, "unknown exposure mode"),
+        ({"engine": "quantum"}, "engine must be one of 'bcm', 'fj', 'llm', got 'quantum'"),
+        ({"exposure_mode": "gossip"}, "exposure_mode must be one of 'all_neighbors', 'recommended', got 'gossip'"),
         ({"bcm": {"mu": 0.9}}, "mu must be in"),
         ({"fj": {"alpha": 2.0}}, "alpha must be in"),
         ({"llm": {"cap": 0}}, "cap must be >= 1"),
-        ({"nudge": {"kind": "shove"}}, "unknown nudge kind"),
-        ({"backend": {"kind": "carrier-pigeon"}}, "unknown backend kind"),
+        ({"nudge": {"kind": "shove"}}, "nudge.kind must be one of 'none', 'active', 'passive', got 'shove'"),
+        ({"backend": {"kind": "carrier-pigeon"}}, "backend.kind must be one of 'mock', 'remote', got 'carrier-pigeon'"),
         ({"n": 10, "graph": {"kind": "small_world", "k": 10}}, "k must be < n"),
         ({"bcm": 3}, "bcm must be a mapping, got int"),
         ({"graph": 5}, "graph must be a mapping, got int"),
@@ -96,13 +102,59 @@ def test_invalid_values_raise_config_error():
         ({"llm": {"cap": 2.5}}, "llm.cap must be an integer, got float"),
         ({"topic": 3}, "topic must be a string, got int"),
         ({"backend": {"timeout": "x"}}, "backend.timeout must be a number, got str"),
-        ({"graph": {"kind": "torus"}}, "unknown graph kind 'torus'"),
-        ({"engine": "llm", "llm": {"similarity_threshold": -1.0}}, "similarity threshold must be >= 0"),
+        ({"graph": {"kind": "torus"}}, "graph.kind must be one of 'small_world', 'scale_free', 'random', got 'torus'"),
+        ({"engine": "llm", "llm": {"similarity_threshold": -1.0}}, "llm.similarity_threshold must be >= 0, got -1.0"),
+        # NaN passes every < test, so each of these once got through
+        ({"bcm": {"epsilon": math.nan}}, "bcm.epsilon must be >= 0, got nan"),
+        ({"bcm": {"epsilon": math.inf}}, "bcm.epsilon must be >= 0, got inf"),
+        ({"bcm": {"similarity_threshold": math.nan}}, "bcm.similarity_threshold must be >= 0, got nan"),
+        ({"llm": {"temperature": math.nan}}, "llm.temperature must be in [0, 2], got nan"),
+        ({"llm": {"temperature": -3.0}}, "llm.temperature must be in [0, 2], got -3.0"),
+        ({"llm": {"max_length": -5}}, "llm.max_length must be >= 1, got -5"),
+        ({"backend": {"timeout": -1.0}}, "backend.timeout must be > 0, got -1.0"),
+        ({"backend": {"timeout": math.nan}}, "backend.timeout must be > 0, got nan"),
+        ({"backend": {"max_retries": -2}}, "backend.max_retries must be >= 0, got -2"),
+        # population.txt is read back with str.splitlines, so the topic must be one line
+        ({"topic": "a\nb"}, "topic must be non-empty and one line"),
+        ({"topic": "a\rb"}, "topic must be non-empty and one line"),
+        ({"topic": "a\x85b"}, "topic must be non-empty and one line"),
+        ({"topic": "a\u2028b"}, "topic must be non-empty and one line"),
+        ({"topic": "ends with a newline\n"}, "topic must be non-empty and one line"),
         ({1: 2}, "unknown key(s) in config: 1"),  # YAML reads `1: 2` with an int key
         ({"bcm": {1: 2, "x": 3}}, "unknown key(s) in bcm: 1, x"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(bad)
+
+
+def declared_domains():
+    """(default instance, field) for every config field with a declared domain."""
+    instances = [RunConfig(), BcmParams(), FjParams(), LlmParams(), NudgePolicy(), BackendSettings()]
+    instances += [default_graph_spec(kind, 50) for kind in GRAPH_KINDS]  # each kind sets its own parameters
+    for obj in instances:
+        for f in fields(obj):
+            if f.metadata:
+                yield obj, f
+
+
+def test_validate_rejects_every_value_outside_a_declared_domain():
+    checked = set()
+    for obj, f in declared_domains():
+        bad = [math.nan, math.inf, -math.inf]
+        if "range" in f.metadata:
+            left, lo, hi, right = f.metadata["range"]
+            bad.append(math.nextafter(lo, -math.inf) if left == "[" else lo)
+            if hi != math.inf:
+                bad.append(math.nextafter(hi, math.inf) if right == "]" else hi)
+        else:
+            bad.append("unheard-of")
+        # a RunConfig reports a ConfigError, its sections a ParameterError; each names the field
+        error = ConfigError if isinstance(obj, RunConfig) else ParameterError
+        for value in bad:
+            with pytest.raises(error, match=f"^{f.name} must be "):
+                replace(obj, **{f.name: value}).validate()
+        checked.add((type(obj).__name__, f.name))
+    assert len(checked) == 31  # every numeric and choice field of the seven config dataclasses
 
 
 def test_value_types_follow_the_annotations():

@@ -106,8 +106,8 @@ def test_parameter_errors():
 
 def test_every_engine_checks_mode_and_threshold():
     for cls in (BcmParams, FjParams, LlmParams):
-        with pytest.raises(ParameterError, match="unknown exposure mode"):
+        with pytest.raises(ParameterError, match="exposure_mode must be one of 'all_neighbors', 'recommended'"):
             cls(exposure_mode="typo").validate()
-        with pytest.raises(ParameterError, match="similarity threshold must be >= 0"):
+        with pytest.raises(ParameterError, match="similarity_threshold must be >= 0, got -1.0"):
             cls(similarity_threshold=-1.0).validate()
         cls(exposure_mode="all_neighbors", similarity_threshold=0.0).validate()

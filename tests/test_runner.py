@@ -1,5 +1,6 @@
 import json
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 import echosim
 import echosim.runner as runner_mod
 from echosim.backends import MockBackend
-from echosim.config import config_from_dict, config_hash, load_config_file
+from echosim.config import ENGINES, config_from_dict, config_hash, load_config_file
 from echosim.errors import BackendError, ConfigError, ParameterError
 from echosim.metrics import deltas
-from echosim.graphs import generate_graph
+from echosim.graphs import GRAPH_KINDS, generate_graph
+from echosim.interventions import NUDGE_KINDS
 from echosim.language import run_llm
 from echosim.numeric import run_numeric
-from echosim.population import init_population
+from echosim.population import init_population, population_from_text
+from echosim.recommendation import EXPOSURE_MODES
 from echosim.runner import compare, component_rng, export_projection, run, sweep, trajectory_text
 from helpers import AWKWARD_TEXT, json_dumps_transcript
 
@@ -154,6 +157,15 @@ class TestCompare:
         result = compare(configs, tmp_path)
         assert len(set(result.labels)) == 2
 
+    def test_rerun_removes_the_runs_of_dropped_labels(self, tmp_path):
+        configs = [config_from_dict(cfg_dict(graph={"kind": kind})) for kind in ("small_world", "random")]
+        compare(configs, tmp_path)
+        assert (tmp_path / "bcm-random" / "manifest.txt").exists()
+        result = compare(configs[:1], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bcm-small_world", "comparison.csv",
+                                                              "comparison.txt"]
+        assert result.labels == ["bcm-small_world"]
+
     def test_structure_ordering_at_pinned_seed(self, tmp_path):
         # seed-matched columns: neighbor correlation rises more on the
         # small-world structure than on the random graph (seed 1 pinned;
@@ -211,6 +223,24 @@ class TestSweep:
         result = sweep(config_from_dict(cfg_dict()), [4, 6], tmp_path)
         assert not result.failures
         assert not (tmp_path / "failures.txt").exists()
+
+    def test_rerun_removes_the_runs_of_dropped_seeds(self, tmp_path):
+        sweep(config_from_dict(cfg_dict()), [1, 2, 3], tmp_path)
+        assert (tmp_path / "seed_3" / "manifest.txt").exists()
+        result = sweep(config_from_dict(cfg_dict()), [1, 2], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aggregate.csv", "seed_1", "seed_2"]
+        assert result.aggregate_csv.read_text().splitlines()[1].endswith(",2")
+
+    def test_rerun_keeps_directories_no_run_wrote(self, tmp_path):
+        # a directory is a run's only when it has a seed's or a label's name and holds a manifest.txt
+        mine = (("seed_9", "notes.txt"), ("bcm-random", "notes.txt"), ("results", "manifest.txt"))
+        for name, file in mine:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / file).write_text("mine")
+        sweep(config_from_dict(cfg_dict()), [1, 2], tmp_path)
+        compare([config_from_dict(cfg_dict())], tmp_path)
+        for name, file in mine:
+            assert (tmp_path / name / file).read_text() == "mine"
 
     def test_bad_seed_rejected_before_any_run(self, tmp_path):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
@@ -315,3 +345,46 @@ def test_component_rngs_are_independent_streams():
     b = component_rng(1, "population").random(4)
     assert not np.allclose(a, b)
     assert np.array_equal(component_rng(1, "graph").random(4), a)
+
+
+def section(required=None, **optional):
+    """Mappings that always hold the ``required`` keys and hold each optional key or not."""
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+# values inside each field's declared domain; line breaks in the topic and the
+# graph's cross-field rules (k even and < n, m < n, each kind's own parameters) still reject some
+CONFIGS = section(
+    {"n": st.integers(2, 12), "days": st.integers(1, 3), "engine": st.sampled_from(ENGINES),
+     "nudge": section({"kind": st.sampled_from(NUDGE_KINDS)}, extremity_threshold=st.sampled_from((1, 2)),
+                      passive_texts=st.lists(st.text(max_size=40), max_size=3))},
+    seed=st.integers(0, 2**32),
+    topic=st.text(max_size=40),
+    exposure_mode=st.sampled_from(EXPOSURE_MODES),
+    graph=section({"kind": st.sampled_from(GRAPH_KINDS)}, k=st.integers(2, 12), p_rewire=st.floats(0, 1),
+                  m=st.integers(1, 12), p_edge=st.floats(0, 1)),
+    bcm=section(epsilon=st.floats(0, 4), mu=st.floats(0, 0.5, exclude_min=True),
+                similarity_threshold=st.floats(0, 4)),
+    fj=section(alpha=st.floats(0, 1), similarity_threshold=st.floats(0, 4)),
+    llm=section(similarity_threshold=st.floats(0, 4), cap=st.none() | st.integers(1, 10),
+                retries=st.integers(0, 3), long_term_budget=st.integers(1, 700), temperature=st.floats(0, 2),
+                max_length=st.integers(1, 300), max_in_flight=st.integers(1, 4)),
+    backend=section(timeout=st.floats(0, 60, exclude_min=True), max_retries=st.integers(0, 5)),  # mock kind
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=CONFIGS)
+def test_every_accepted_config_runs_and_reads_back(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        run(cfg, tmp)
+        out = Path(tmp)
+        assert config_hash(config_from_dict(load_config_file(out / "config.yaml"))) == config_hash(cfg)
+        back = population_from_text((out / "population.txt").read_text(encoding="utf-8"))
+    made = init_population(cfg.n, cfg.topic, cfg.engine == "llm", component_rng(cfg.seed, "population"))
+    assert (back.personas, back.topic, back.grid) == (made.personas, made.topic, made.grid)
+    assert np.array_equal(back.beliefs, made.beliefs)
