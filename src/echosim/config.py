@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 import yaml
 
@@ -23,7 +23,7 @@ from .graphs import GraphSpec, default_graph_spec
 from .interventions import NudgePolicy
 from .language import LlmParams
 from .numeric import BcmParams, FjParams
-from .population import DEFAULT_TOPIC
+from .population import DEFAULT_TOPIC, check_topic
 from .recommendation import EXPOSURE_MODES
 
 ENGINES = ("bcm", "fj", "llm")
@@ -72,11 +72,9 @@ class RunConfig:
         start with its field name, so the section's name goes in front."""
         try:
             check_fields(self)
+            check_topic(self.topic)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        # population.txt keeps the topic on one line, read back with str.splitlines
-        if self.topic.splitlines() != [self.topic]:
-            raise ConfigError(f"topic must be non-empty and one line, got {self.topic!r}")
         if self.graph.n != self.n:
             raise ConfigError(f"graph n={self.graph.n} disagrees with population n={self.n}")
         for name in _SECTIONS:
@@ -111,46 +109,17 @@ def _check_keys(section: str, given, allowed) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _check_value(key: str, value, hint) -> None:
-    """Raise a ConfigError naming ``key`` unless ``value`` has the annotated
-    type ``hint``. Nothing is converted, so ``2`` stays ``2`` in a float field."""
-    if get_origin(hint) is Union:  # Optional[X]
-        if value is None:
-            return
-        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
-    if get_origin(hint) is tuple:  # tuple[X, ...], a list in YAML
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {type(value).__name__}")
-        for i, item in enumerate(value):
-            _check_value(f"{key}[{i}]", item, get_args(hint)[0])
-        return
-    # bool is a subclass of int, so true/false must be ruled out of the numbers by hand
-    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
-        raise ConfigError(f"{key} must be {_TYPE_NAMES[hint]}, got {type(value).__name__}")
-
-
-def _check_types(prefix: str, given: dict, cls) -> None:
-    hints = get_type_hints(cls)
-    for key, value in given.items():
-        _check_value(prefix + key, value, hints[key])
-
-
 def config_from_dict(data: dict) -> RunConfig:
     """Build and validate a RunConfig from a plain (YAML-shaped) dict."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
     _check_keys("config", data, [f.name for f in fields(RunConfig)])
     top = {key: value for key, value in data.items() if key not in _SECTIONS}
-    _check_types("", top, RunConfig)
     base = RunConfig()
     sections = {}
     for name, cls in _SECTIONS.items():
         given = data.get(name, {})
         _check_keys(name, given, _file_keys(cls))
-        _check_types(f"{name}.", given, cls)
         default = (default_graph_spec(given.get("kind", "small_world"), data.get("n", base.n))
                    if cls is GraphSpec else getattr(base, name))
         # YAML has no tuples: a list is read into its tuple field as a tuple

@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the one check of declared
-field domains that every config dataclass's ``validate()`` runs."""
+field types and domains that every config dataclass's ``validate()`` runs."""
 
 import math
 from dataclasses import fields
+from functools import cache
+from typing import Union, get_args, get_origin, get_type_hints
 
 INF = math.inf
 
@@ -23,14 +25,42 @@ class OpinionParseError(ValueError):
     """Backend output did not contain a usable belief/opinion pair."""
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+# the day functions validate their parameters every day
+_type_hints = cache(get_type_hints)
+
+
+def _check_value(key: str, value, hint) -> None:
+    """Raise a ParameterError naming ``key`` unless ``value`` has the annotated
+    type ``hint``. Nothing is converted, so ``2`` stays ``2`` in a float field."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is tuple:  # tuple[X, ...], a list in YAML
+        if not isinstance(value, (list, tuple)):
+            raise ParameterError(f"{key} must be a list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            _check_value(f"{key}[{i}]", item, get_args(hint)[0])
+        return
+    # bool is a subclass of int, so true/false must be ruled out of the numbers by hand
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        name = _TYPE_NAMES.get(hint) or f"a {hint.__name__}"
+        raise ParameterError(f"{key} must be {name}, got {type(value).__name__}")
+
+
 def check_fields(obj) -> None:
     """Raise a ParameterError naming the first field of dataclass ``obj`` whose
-    value is outside the domain in its metadata: ``choices``, a tuple of the
-    allowed values, or ``range``, an interval written ``("(", 0, 0.5, "]")``
-    with ``INF`` for no upper bound. NaN and +-inf lie in no range. ``None``
-    (an unset Optional field) is not checked."""
+    value does not have its annotated type, or is outside the domain in its
+    metadata: ``choices``, a tuple of the allowed values, or ``range``, an
+    interval written ``("(", 0, 0.5, "]")`` with ``INF`` for no upper bound.
+    NaN and +-inf lie in no range. ``None`` in an Optional field (unset) has
+    no domain to check."""
+    hints = _type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
+        _check_value(f.name, value, hints[f.name])
         if value is None or not f.metadata:
             continue
         if "choices" in f.metadata:

@@ -17,8 +17,10 @@ All exposures read start-of-day state, so the day is synchronous. A
 compression call reads only what phase 1 heard, so phase 4's calls share
 the day's pool of ``max_in_flight`` workers with phase 3's: the n
 reflections, then the n compressions, all applied at the day barrier in
-agent order. With the mock backend, entire runs are bit-reproducible per
-seed.
+agent order. The day's transcript events are appended at that barrier too,
+agent by agent, each agent's in the order they happened (exposure, nudge,
+reflection, update, summary failure), so a day that raises appends none.
+With the mock backend, entire runs are bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class LlmParams:
     long_term_budget: int = field(default=600, metadata={"range": ("[", 1, INF, ")")})
     temperature: float = field(default=0.7, metadata={"range": ("[", 0, 2, "]")})
     max_length: int = field(default=200, metadata={"range": ("[", 1, INF, ")")})
-    max_in_flight: int = field(default=4, metadata={"range": ("[", 1, INF, ")")})
+    max_in_flight: int = field(default=4, metadata={"range": ("[", 1, 64, "]")})
 
     def validate(self) -> None:
         check_fields(self)
@@ -156,7 +158,8 @@ def llm_day(
     transcript: Transcript,
 ) -> tuple:
     """One synchronous day: new end-of-day (beliefs, texts, long_term) lists from
-    the start-of-day ones, which are left as they are; events go to ``transcript``."""
+    the start-of-day ones, which are left as they are; the day's events go to
+    ``transcript`` in (day, agent) order, once every backend call has returned."""
     params.validate()
     nudge_policy.validate()
     n = g.n
@@ -164,45 +167,26 @@ def llm_day(
     broadcasts = [f"(stance {b:+d}) {text}" for b, text in zip(beliefs, texts)]
 
     # phase 1: exposure against start-of-day beliefs; the heard items are short-term memory
-    heard_items = []
-    for i in range(n):
-        heard = exposure_set(
-            g, start_beliefs, i, params.exposure_mode,
-            cap=params.cap, rng=rng, threshold=params.similarity_threshold,
-        )
-        heard_items.append([(j, broadcasts[j]) for j in heard])
-        if heard:
-            transcript.append(
-                TranscriptEvent(day=day, agent=i, kind="exposure",
-                                payload=",".join(map(str, heard)))
-            )
+    heard = [
+        exposure_set(g, start_beliefs, i, params.exposure_mode,
+                     cap=params.cap, rng=rng, threshold=params.similarity_threshold)
+        for i in range(n)
+    ]
+    heard_items = [[(j, broadcasts[j]) for j in agents] for agents in heard]
 
     # phase 2: nudges, one per flagged agent at most
     nudges: dict = {}
     if nudge_policy.kind != "none":
         for target in sorted(select_targets(start_beliefs, nudge_policy.extremity_threshold)):
-            if nudge_policy.kind == "active":
-                content = active_nudge_content(target, start_beliefs, texts, g)
-            else:
-                content = next(passive_feed)
-            if content is None:
-                continue
-            nudges[target] = content
-            transcript.append(
-                TranscriptEvent(day=day, agent=target, kind="nudge", payload=content,
-                                belief_before=beliefs[target])
-            )
+            content = (active_nudge_content(target, start_beliefs, texts, g)
+                       if nudge_policy.kind == "active" else next(passive_feed))
+            if content is not None:
+                nudges[target] = content
 
     # phase 3: reflection; one backend call per agent, retried on bad parses
     prompts = [
-        build_reflection_prompt(
-            population.personas[i],
-            population.topic,
-            long_term[i],
-            heard_items[i],
-            OpinionOutput(opinion_text=texts[i], belief=beliefs[i]),
-            nudges.get(i),
-        )
+        build_reflection_prompt(population.personas[i], population.topic, long_term[i], heard_items[i],
+                                OpinionOutput(opinion_text=texts[i], belief=beliefs[i]), nudges.get(i))
         for i in range(n)
     ]
 
@@ -219,33 +203,27 @@ def llm_day(
     else:
         results = [call(k) for k in range(2 * n)]
 
-    # apply results at the day barrier, in agent order
+    # the day barrier: apply results and log each agent's events in the order they happened
     new_beliefs, new_texts = list(beliefs), list(texts)
-    for i, (parsed, flags) in enumerate(results[:n]):
+    for i, ((parsed, flags), (_, summary_failed)) in enumerate(zip(results[:n], results[n:])):
         before = beliefs[i]
-        transcript.append(
-            TranscriptEvent(day=day, agent=i, kind="reflection",
-                            payload=";".join(flags) if flags else "ok",
-                            belief_before=before,
-                            belief_after=parsed.belief if parsed else before)
-        )
-        if parsed is None:
-            continue
-        new_texts[i] = parsed.opinion_text
-        if parsed.belief != before:
-            new_beliefs[i] = parsed.belief
-            transcript.append(
-                TranscriptEvent(day=day, agent=i, kind="update", payload=parsed.opinion_text,
-                                belief_before=before, belief_after=parsed.belief)
-            )
-
+        after = parsed.belief if parsed else before
+        if heard[i]:
+            transcript.append(TranscriptEvent(day, i, "exposure", ",".join(map(str, heard[i]))))
+        if i in nudges:
+            transcript.append(TranscriptEvent(day, i, "nudge", nudges[i], belief_before=before))
+        transcript.append(TranscriptEvent(day, i, "reflection", ";".join(flags) if flags else "ok",
+                                          belief_before=before, belief_after=after))
+        if parsed:
+            new_texts[i] = parsed.opinion_text
+            if after != before:
+                new_beliefs[i] = after
+                transcript.append(TranscriptEvent(day, i, "update", parsed.opinion_text,
+                                                  belief_before=before, belief_after=after))
+        if summary_failed:
+            transcript.append(TranscriptEvent(day, i, "reflection",
+                                              "summary_transport_error;used_truncation_fallback"))
     # phase 4: the summaries replace long-term memory
-    for i, (_, failed) in enumerate(results[n:]):
-        if failed:
-            transcript.append(
-                TranscriptEvent(day=day, agent=i, kind="reflection",
-                                payload="summary_transport_error;used_truncation_fallback")
-            )
     return new_beliefs, new_texts, [summary for summary, _ in results[n:]]
 
 

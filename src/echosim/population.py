@@ -91,14 +91,19 @@ class Population:
         return len(self.personas)
 
 
+def check_topic(topic: str) -> None:
+    """population.txt keeps the topic on one line, read back with str.splitlines."""
+    if not isinstance(topic, str) or topic.splitlines() != [topic]:
+        raise ParameterError(f"topic must be non-empty and one line, got {topic!r}")
+
+
 def init_population(n: int, topic: str, grid: bool, rng: np.random.Generator) -> Population:
     """Create ``n`` agents: uniform ages in [18, 64], fair-coin trait
     polarities, uniform education and gender, and initial beliefs uniform on
     [-2, 2] (continuous) or on the integer grid when ``grid`` is set."""
     if n < 2:
         raise ParameterError(f"population needs at least 2 agents, got {n}")
-    if not topic:
-        raise ParameterError("topic must be non-empty")
+    check_topic(topic)
 
     genders = rng.integers(0, len(GENDERS), size=n)
     ages = rng.integers(AGE_MIN, AGE_MAX + 1, size=n)

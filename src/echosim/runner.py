@@ -266,7 +266,8 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     _write_files(out, {"aggregate.csv": "\n".join(csv_lines) + "\n",
                        # a clean sweep removes the report an earlier sweep left here
                        "failures.txt": "\n".join(report) + "\n" if report else None})
-    _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in seeds})
+    # a failed seed's directory may hold an earlier sweep's run, which would read as this one's
+    _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in per_seed})
     return SweepResult(seeds=seeds, per_seed_deltas=per_seed, failures=failures,
                        aggregate_csv=out / "aggregate.csv")
 

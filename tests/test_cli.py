@@ -111,6 +111,14 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", cfg]) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
 
+    def test_max_in_flight_is_bounded(self, tmp_path, capsys):
+        # a remote backend would start one pool thread per call up to this bound
+        cfg = write_config(tmp_path, "llm: {max_in_flight: 100000}\n")
+        assert main(["validate-config", "--config", cfg]) == 2
+        assert "config error: llm.max_in_flight must be in [1, 64], got 100000\n" in capsys.readouterr().err
+        assert main(["validate-config", "--config", write_config(tmp_path, "llm: {max_in_flight: 64}\n")]) == 0
+
+
 class TestCompareCommand:
     def test_compare_three_structures(self, tmp_path, capsys):
         paths = [

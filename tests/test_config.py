@@ -146,6 +146,9 @@ def test_validate_rejects_every_value_outside_a_declared_domain():
             bad.append(math.nextafter(lo, -math.inf) if left == "[" else lo)
             if hi != math.inf:
                 bad.append(math.nextafter(hi, math.inf) if right == "]" else hi)
+            # a float in an int field fails its type check, so the ints just outside test the range
+            bad += [lo - 1] if left == "[" else []
+            bad += [hi + 1] if right == "]" else []
         else:
             bad.append("unheard-of")
         # a RunConfig reports a ConfigError, its sections a ParameterError; each names the field
@@ -155,6 +158,28 @@ def test_validate_rejects_every_value_outside_a_declared_domain():
                 replace(obj, **{f.name: value}).validate()
         checked.add((type(obj).__name__, f.name))
     assert len(checked) == 31  # every numeric and choice field of the seven config dataclasses
+
+
+def test_validate_checks_the_annotated_types():
+    for obj, error, message in (
+        (RunConfig(days=2.5, n=10), ConfigError, "days must be an integer, got float"),
+        (LlmParams(cap=2.5), ParameterError, "cap must be an integer, got float"),
+        (NudgePolicy(extremity_threshold=True), ParameterError, "extremity_threshold must be an integer, got bool"),
+        (NudgePolicy(kind="passive", passive_texts=("a", 3)), ParameterError,
+         "passive_texts[1] must be a string, got int"),
+        (BcmParams(mu="x"), ParameterError, "mu must be a number, got str"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            obj.validate()
+
+
+def test_max_in_flight_has_an_upper_bound():
+    # the day's pool starts up to max_in_flight threads; validating starts none
+    with pytest.raises(ConfigError, match=re.escape("llm.max_in_flight must be in [1, 64], got 100000")):
+        config_from_dict({"llm": {"max_in_flight": 100000}})
+    with pytest.raises(ParameterError, match=re.escape("max_in_flight must be in [1, 64], got 65")):
+        LlmParams(max_in_flight=65).validate()
+    assert config_from_dict({"llm": {"max_in_flight": 64}}).llm.max_in_flight == 64
 
 
 def test_value_types_follow_the_annotations():

@@ -1,6 +1,7 @@
 import re
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from echosim.backends import MockBackend
 from echosim.errors import BackendError, ParameterError
 from echosim.graphs import NetworkGraph
-from echosim.interventions import NudgePolicy
+from echosim.interventions import NUDGE_KINDS, NudgePolicy
 from echosim.language import (
     LlmParams,
     Transcript,
@@ -410,6 +411,75 @@ class TestDayPool:
         failed = [e for e in serial.events if "summary_transport_error" in e.payload]
         assert failed  # the fallback ran
         assert pooled_long_term == serial_long_term
+
+
+class MixedFailureBackend:
+    """The same fate for the same prompt: a quarter of all calls fail in
+    transport, a quarter of the reflections get an unparseable reply, and the
+    rest get the mock's reply."""
+
+    name = "mixed-failure"
+
+    def __init__(self):
+        self.inner = MockBackend()
+
+    def complete(self, prompt, max_length, temperature):
+        fate = zlib.crc32(prompt.encode("utf-8")) % 4
+        if fate == 0:
+            raise BackendError("wire down")
+        if fate == 1 and SUMMARY_HEADER not in prompt:
+            return "static noise, nothing usable"
+        return self.inner.complete(prompt, max_length, temperature)
+
+
+class ExplodingBackend:
+    """The mock, except that the fifth call raises an error that is not a BackendError."""
+
+    name = "exploding"
+
+    def __init__(self):
+        self.inner = MockBackend()
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, max_length, temperature):
+        with self._lock:
+            self.calls += 1
+            if self.calls == 5:
+                raise RuntimeError("backend bug")
+        return self.inner.complete(prompt, max_length, temperature)
+
+
+class TestTranscriptOrder:
+    """Each day's events are appended at the day barrier, in the order the file stores them."""
+
+    @pytest.mark.parametrize("kind", NUDGE_KINDS)
+    def test_events_are_appended_in_file_order(self, kind):
+        population = make_population([(0, 2, 0, -2)[i % 4] for i in range(12)])
+        transcript = run_llm(cycle_graph(12), population, MixedFailureBackend(), LlmParams(max_in_flight=3),
+                             NudgePolicy(kind=kind), days=4, rng=rng(5)).transcript
+        assert list(transcript.events) == transcript.sorted_events()
+        kinds = {e.kind for e in transcript.events}
+        assert kinds == {"exposure", "reflection", "update"} | ({"nudge"} if kind != "none" else set())
+        payloads = ";".join(e.payload for e in transcript.events)
+        for flag in ("parse_failed", "transport_error", "summary_transport_error"):
+            assert flag in payloads
+
+    def test_a_day_that_raises_appends_no_events(self):
+        g = cycle_graph(12)
+        beliefs = [i % 5 - 2 for i in range(12)]
+        population = make_population(beliefs)
+        texts, long_term = [stance_statement(b) for b in beliefs], [""] * g.n
+        transcript = Transcript()
+        day_rng = rng(3)
+        state = llm_day(g, population, beliefs, texts, long_term, MockBackend(), LlmParams(),
+                        NudgePolicy(kind="active"), None, day_rng, day=1, transcript=transcript)
+        before = transcript.events
+        assert {e.kind for e in before} >= {"exposure", "nudge"}
+        with pytest.raises(RuntimeError, match="backend bug"):
+            llm_day(g, population, *state, ExplodingBackend(), LlmParams(max_in_flight=2),
+                    NudgePolicy(kind="active"), None, day_rng, day=2, transcript=transcript)
+        assert transcript.events == before
 
 
 class TestValidation:

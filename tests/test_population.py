@@ -95,3 +95,12 @@ def test_rejects_bad_arguments():
                 traits=(True,) * 5)
     with pytest.raises(ParameterError):
         population_from_text("garbage")
+
+
+def test_every_topic_init_population_accepts_reads_back():
+    # population.txt holds the topic on one line, so a multi-line topic is refused up front
+    for topic in ("a\nb", "a\rb", "a\u2028b", "ends with a newline\n", "", None):
+        with pytest.raises(ParameterError, match="topic must be non-empty and one line"):
+            init_population(3, topic, False, rng())
+    pop = init_population(3, "Cats rule, \"dogs\" drool.", False, rng())
+    assert population_from_text(population_to_text(pop)).topic == pop.topic

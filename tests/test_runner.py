@@ -242,6 +242,25 @@ class TestSweep:
         for name, file in mine:
             assert (tmp_path / name / file).read_text() == "mine"
 
+    def test_rerun_removes_the_old_run_of_a_seed_that_fails(self, tmp_path, monkeypatch):
+        sweep(config_from_dict(cfg_dict()), [4, 5], tmp_path)
+        assert (tmp_path / "seed_5" / "manifest.txt").exists()
+        (tmp_path / "seed_6").mkdir()  # a failed run's own leftovers hold no manifest.txt
+        (tmp_path / "seed_6" / "partial.txt").write_text("partial")
+        real_run = runner_mod.run
+
+        def sabotage(config, out_dir):
+            if config.seed in (5, 6):
+                raise RuntimeError(f"seed {config.seed} exploded")
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr(runner_mod, "run", sabotage)
+        result = sweep(config_from_dict(cfg_dict()), [4, 5, 6], tmp_path)
+        assert sorted(result.failures) == [5, 6]
+        assert not (tmp_path / "seed_5").exists()
+        assert (tmp_path / "seed_6" / "partial.txt").read_text() == "partial"
+        assert (tmp_path / "seed_4" / "manifest.txt").exists()
+
     def test_bad_seed_rejected_before_any_run(self, tmp_path):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             sweep(config_from_dict(cfg_dict()), [1, -1], tmp_path)
