@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
@@ -60,10 +61,11 @@ class TranscriptEvent(NamedTuple):
 class Transcript:
     """Append-only event log, serialized by (day, agent) for persistence.
 
-    ``to_jsonl`` writes one line per event with one f-string: keys sorted,
-    ints as they are, ``None`` as ``null`` and strings through
-    ``json.encoder.encode_basestring_ascii``, which is exactly what
-    ``json.dumps(record, sort_keys=True)`` writes for the same record.
+    ``jsonl_chunks`` yields one day's lines at a time, one line per event
+    written with one f-string: keys sorted, ints as they are, ``None`` as
+    ``null`` and strings through ``json.encoder.encode_basestring_ascii``,
+    which is exactly what ``json.dumps(record, sort_keys=True)`` writes for
+    the same record. ``to_jsonl`` joins the chunks.
     """
 
     def __init__(self):
@@ -79,14 +81,18 @@ class Transcript:
     def sorted_events(self) -> list:
         return sorted(self._events, key=itemgetter(0, 1))  # stable sort by (day, agent)
 
-    def to_jsonl(self) -> str:
+    def jsonl_chunks(self) -> Iterator[str]:
         enc = encode_basestring_ascii
-        return "".join(
-            f'{{"agent": {agent}, "belief_after": {"null" if after is None else after}, '
-            f'"belief_before": {"null" if before is None else before}, '
-            f'"day": {day}, "kind": {enc(kind)}, "payload": {enc(payload)}}}\n'
-            for day, agent, kind, payload, before, after in self.sorted_events()
-        )
+        for _, day_events in groupby(self.sorted_events(), key=itemgetter(0)):
+            yield "".join([
+                f'{{"agent": {agent}, "belief_after": {"null" if after is None else after}, '
+                f'"belief_before": {"null" if before is None else before}, '
+                f'"day": {day}, "kind": {enc(kind)}, "payload": {enc(payload)}}}\n'
+                for day, agent, kind, payload, before, after in day_events
+            ])
+
+    def to_jsonl(self) -> str:
+        return "".join(self.jsonl_chunks())
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,22 @@ projection export (final beliefs plus layout coordinates), the resolved
 config, a population record, and a manifest with the config hash and the
 code, Python and numpy versions. Mock and numeric runs are bit-reproducible
 from the persisted config; remote-backend runs are excluded from that
-guarantee and marked in the manifest.
+guarantee and marked in the manifest. Each file is written under a temporary
+name and renamed into place, the trajectory and transcript one day at a time,
+and the manifest last, so a directory with a manifest holds one complete run.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import re
 import shutil
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,13 +83,22 @@ def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backen
 
 
 def _write_files(out: Path, files: dict) -> None:
-    """Write each ``name: text`` under ``out`` as UTF-8 with ``\\n`` newlines;
-    a name whose text is None is removed, so no file of an earlier run survives."""
+    """Write each ``name: text`` under ``out`` as UTF-8 with ``\\n`` newlines, where
+    a text is a ``str`` or an iterable of ``str`` chunks. Each file is written to
+    ``.<name>.tmp`` and renamed into place, so a failed write leaves no partial
+    file; a name whose text is None is removed, so no file of an earlier run survives."""
     for name, text in files.items():
         if text is None:
             (out / name).unlink(missing_ok=True)
-        else:
-            (out / name).write_text(text, encoding="utf-8", newline="\n")
+            continue
+        tmp = out / f".{name}.tmp"
+        try:
+            with tmp.open("w", encoding="utf-8", newline="\n") as f:
+                f.writelines([text] if isinstance(text, str) else text)
+            os.replace(tmp, out / name)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _remove_stale_runs(out: Path, pattern: str, kept) -> None:
@@ -115,11 +127,13 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     positions = force_layout(g, component_rng(config.seed, "layout"))
 
     reproducible = not (config.engine == "llm" and config.backend.kind == "remote")
+    # the manifest, written last, marks a complete run: none stands while the files change
+    (run_dir / "manifest.txt").unlink(missing_ok=True)
     _write_files(run_dir, {
         "metrics.csv": "\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n",
-        "trajectory.jsonl": trajectory_text(trajectory, texts),
+        "trajectory.jsonl": trajectory_chunks(trajectory, texts),
         # a numeric run removes the transcript an earlier llm run left here
-        "transcript.jsonl": None if transcript is None else transcript.to_jsonl(),
+        "transcript.jsonl": None if transcript is None else transcript.jsonl_chunks(),
         "projection.csv": projection_text(trajectory[-1], positions),
         "population.txt": population_to_text(population),
         "graph.txt": to_edge_list_text(g),
@@ -139,21 +153,21 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     return RunArtifacts(run_dir=run_dir, snapshots=snapshots, deltas=run_deltas)
 
 
-def trajectory_text(trajectory, texts=None) -> str:
-    """One JSON record per (day, agent), keys sorted, each written with one
-    f-string exactly as ``json.dumps(record, sort_keys=True)`` would. Numeric
-    beliefs are finite floats, whose ``repr`` is what ``json.dumps`` writes;
-    grid rows write the belief as an int and also carry ``texts[day][agent]``
-    as ``"opinion"``, escaped by ``json.encoder.encode_basestring_ascii``."""
-    rows = np.asarray(trajectory)
-    if texts is None:
-        lines = [f'{{"agent": {a}, "belief": {b!r}, "day": {d}}}'
-                 for d, row in enumerate(rows) for a, b in enumerate(row.tolist())]
-    else:
-        enc = encode_basestring_ascii
-        lines = [f'{{"agent": {a}, "belief": {int(b)}, "day": {d}, "opinion": {enc(texts[d][a])}}}'
-                 for d, row in enumerate(rows) for a, b in enumerate(row.tolist())]
-    return "\n".join(lines) + "\n"
+def trajectory_chunks(trajectory, texts=None) -> Iterator[str]:
+    """Yield the JSON lines of one day at a time: one record per agent, keys
+    sorted, each written with one f-string exactly as
+    ``json.dumps(record, sort_keys=True)`` would. Numeric beliefs are finite
+    floats, whose ``repr`` is what ``json.dumps`` writes; grid rows write the
+    belief as an int and also carry ``texts[day][agent]`` as ``"opinion"``,
+    escaped by ``json.encoder.encode_basestring_ascii``."""
+    enc = encode_basestring_ascii
+    for d, row in enumerate(np.asarray(trajectory)):
+        if texts is None:
+            yield "".join([f'{{"agent": {a}, "belief": {b!r}, "day": {d}}}\n'
+                           for a, b in enumerate(row.tolist())])
+        else:
+            yield "".join([f'{{"agent": {a}, "belief": {int(b)}, "day": {d}, "opinion": {enc(texts[d][a])}}}\n'
+                           for a, b in enumerate(row.tolist())])
 
 
 def projection_text(final_beliefs, positions) -> str:
@@ -285,13 +299,14 @@ def export_projection(run_dir, out_path=None) -> str:
 
     final = np.zeros(cfg.n, dtype=float)
     last_day = -1
-    for line in (run_dir / "trajectory.jsonl").read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if record["day"] >= last_day:
-            last_day = record["day"]
-            final[record["agent"]] = float(record["belief"])
+    with (run_dir / "trajectory.jsonl").open(encoding="utf-8") as lines:
+        for line in lines:
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            if record["day"] >= last_day:
+                last_day = record["day"]
+                final[record["agent"]] = float(record["belief"])
     text = projection_text(final, positions)
     if out_path is not None:
         out_path = Path(out_path)

@@ -529,6 +529,20 @@ def test_to_jsonl_matches_json_dumps(events):
     assert t.to_jsonl() == json_dumps_transcript(events)
 
 
+@settings(max_examples=100, deadline=None)
+@given(EVENTS)
+def test_each_jsonl_chunk_holds_one_day(events):
+    t = Transcript()
+    for e in events:
+        t.append(e)
+    chunks = list(t.jsonl_chunks())
+    assert "".join(chunks) == t.to_jsonl()
+    days = sorted({e.day for e in events})
+    assert len(chunks) == len(days)
+    for day, chunk in zip(days, chunks):
+        assert chunk == json_dumps_transcript([e for e in events if e.day == day])
+
+
 def test_empty_transcript_writes_nothing():
     assert Transcript().to_jsonl() == ""
 

@@ -1,6 +1,7 @@
 import json
 import platform
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from echosim.language import run_llm
 from echosim.numeric import run_numeric
 from echosim.population import init_population, population_from_text
 from echosim.recommendation import EXPOSURE_MODES
-from echosim.runner import compare, component_rng, export_projection, run, sweep, trajectory_text
+from echosim.runner import compare, component_rng, export_projection, run, sweep, trajectory_chunks
 from helpers import AWKWARD_TEXT, json_dumps_transcript
 
 
@@ -130,6 +131,64 @@ class TestRun:
         a = run(config_from_dict(cfg_dict(graph={"kind": "small_world"})), tmp_path / "a")
         b = run(config_from_dict(cfg_dict(graph={"kind": "random"})), tmp_path / "b")
         assert (a.run_dir / "population.txt").read_bytes() == (b.run_dir / "population.txt").read_bytes()
+
+
+LLM_ARTIFACTS = {"metrics.csv", "trajectory.jsonl", "transcript.jsonl", "projection.csv",
+                 "population.txt", "graph.txt", "config.yaml", "manifest.txt"}
+
+
+class TestWrites:
+    """Each file is written under a temporary name and renamed into place; the manifest comes last."""
+
+    def test_a_write_that_fails_midway_leaves_no_manifest(self, tmp_path):
+        d = tmp_path / "d"
+        run(config_from_dict(cfg_dict(n=20, days=2, seed=1)), d)
+        (d / "projection.csv").unlink()
+        (d / "projection.csv").mkdir()  # so the rerun's projection.csv cannot be written
+        with pytest.raises(OSError):
+            run(config_from_dict(cfg_dict(n=20, days=3, seed=2)), d)
+        assert len((d / "metrics.csv").read_text().splitlines()) == 1 + 4  # the rerun's earlier files
+        assert not (d / "manifest.txt").exists()
+        assert not list(d.glob(".*.tmp"))
+
+    def test_a_failing_stream_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        d = tmp_path / "d"
+        run(config_from_dict(cfg_dict(engine="llm", seed=1)), d)
+        earlier = (d / "trajectory.jsonl").read_bytes()
+
+        def failing_chunks(trajectory, texts=None):
+            chunks = trajectory_chunks(trajectory, texts)
+            yield next(chunks)
+            yield next(chunks)
+            assert (d / ".trajectory.jsonl.tmp").is_file()
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(runner_mod, "trajectory_chunks", failing_chunks)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run(config_from_dict(cfg_dict(engine="llm", seed=2)), d)
+        assert not list(d.glob(".*.tmp"))
+        assert (d / "trajectory.jsonl").read_bytes() == earlier
+        assert not (d / "manifest.txt").exists()
+
+        monkeypatch.undo()
+        run(config_from_dict(cfg_dict(engine="llm", seed=2)), d)
+        assert {p.name for p in d.iterdir()} == LLM_ARTIFACTS
+
+    def test_peak_memory_does_not_grow_with_days(self, tmp_path):
+        """At fixed n only the run's own arrays grow with ``days``: 180 more
+        days of 300 beliefs are 0.41 MiB. Building the whole trajectory text
+        before writing it added about 11 MiB to the 200-day peak."""
+        def peak(days):
+            cfg = config_from_dict(cfg_dict(engine="fj", n=300, days=days, exposure_mode="all_neighbors"))
+            tracemalloc.start()
+            try:
+                run(cfg, tmp_path / f"days_{days}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-time allocations (imports, caches) stay out of the comparison
+        assert peak(200) <= peak(20) + 2**20
 
 
 class TestCompare:
@@ -289,7 +348,7 @@ class TestTrajectoryWriter:
         awkward = [[0.1 + 0.2, -0.0, 1e16, 5e-324, -1.5e-7, 2.0], [-2.0, 1 / 3, 0.0, 1e-5, -1e22, 123.456]]
         random_rows = np.random.default_rng(3).uniform(-2, 2, size=(4, 6))
         for trajectory in (np.array(awkward), random_rows):
-            assert trajectory_text(trajectory) == json_dumps_trajectory(trajectory)
+            assert "".join(trajectory_chunks(trajectory)) == json_dumps_trajectory(trajectory)
 
     def test_written_file_matches_json_dumps_of_the_run(self, tmp_path):
         cfg = config_from_dict(cfg_dict(engine="fj", n=12, days=8, exposure_mode="all_neighbors"))
@@ -325,7 +384,7 @@ class TestGridTrajectoryWriter:
     def test_grid_rows_match_json_dumps(self, run_data, dtype):
         beliefs, texts = run_data
         trajectory = np.array(beliefs, dtype=dtype)  # run() passes the grid trajectory as floats
-        assert trajectory_text(trajectory, texts) == json_dumps_grid_trajectory(trajectory, texts)
+        assert "".join(trajectory_chunks(trajectory, texts)) == json_dumps_grid_trajectory(trajectory, texts)
 
     def test_llm_run_files_match_json_dumps(self, tmp_path):
         awkward_nudges = ['Say "both sides"\tplease', "back\\slash and a\nbreak",
