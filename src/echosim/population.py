@@ -9,6 +9,7 @@ of initial beliefs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,16 @@ class Persona:
             for name, positive in zip(TRAIT_NAMES, self.traits)
         )
 
+    @cached_property
+    def card(self) -> str:
+        """The persona card, rendered on first use and then kept with the persona,
+        so a run renders each card once however many prompts carry it."""
+        adjectives = ", ".join(self.trait_adjectives())
+        return (
+            f"Agent {self.index}. Gender: {self.gender}. Age: {self.age}. Education: {self.education}.\n"
+            f"Personality: {adjectives}."
+        )
+
 
 @dataclass(frozen=True)
 class Population:
@@ -129,11 +140,7 @@ def init_population(n: int, topic: str, grid: bool, rng: np.random.Generator) ->
 
 def persona_card(p: Persona) -> str:
     """Deterministic text block rendering a persona for prompts and logs."""
-    adjectives = ", ".join(p.trait_adjectives())
-    return (
-        f"Agent {p.index}. Gender: {p.gender}. Age: {p.age}. Education: {p.education}.\n"
-        f"Personality: {adjectives}."
-    )
+    return p.card
 
 
 def population_to_text(pop: Population) -> str:

@@ -14,10 +14,12 @@ and the manifest last, so a directory with a manifest holds one complete run.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import platform
 import re
 import shutil
+from collections import deque
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -122,7 +124,14 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     g = generate_graph(config.graph, component_rng(config.seed, "graph"))
 
     trajectory, texts, transcript = _simulate(config, g, population, backend)
-    snapshots = [snapshot(day, g, trajectory[day]) for day in range(config.days + 1)]
+    bits = trajectory.view(np.int64)
+    snapshots = [snapshot(0, g, trajectory[0])]
+    for day in range(1, config.days + 1):
+        # a settled day repeats the previous day's beliefs bit for bit, and so its metrics
+        if np.array_equal(bits[day], bits[day - 1]):
+            snapshots.append(replace(snapshots[-1], day=day))
+        else:
+            snapshots.append(snapshot(day, g, trajectory[day]))
     run_deltas = deltas(snapshots)
     positions = force_layout(g, component_rng(config.seed, "layout"))
 
@@ -155,19 +164,31 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
 
 def trajectory_chunks(trajectory, texts=None) -> Iterator[str]:
     """Yield the JSON lines of one day at a time: one record per agent, keys
-    sorted, each written with one f-string exactly as
-    ``json.dumps(record, sort_keys=True)`` would. Numeric beliefs are finite
-    floats, whose ``repr`` is what ``json.dumps`` writes; grid rows write the
-    belief as an int and also carry ``texts[day][agent]`` as ``"opinion"``,
-    escaped by ``json.encoder.encode_basestring_ascii``."""
-    enc = encode_basestring_ascii
-    for d, row in enumerate(np.asarray(trajectory)):
-        if texts is None:
-            yield "".join([f'{{"agent": {a}, "belief": {b!r}, "day": {d}}}\n'
-                           for a, b in enumerate(row.tolist())])
-        else:
+    sorted, exactly as ``json.dumps(record, sort_keys=True)`` would write them.
+    Numeric beliefs are written as floats, by ``repr``, which is what
+    ``json.dumps`` writes for a finite float. Each agent's record prefix is
+    rendered once, and after day 0 only the beliefs whose float bits changed
+    since the previous day are rendered again, so a settled day costs one join.
+    Grid rows write the belief as an int and also carry ``texts[day][agent]``
+    as ``"opinion"``, escaped by ``json.encoder.encode_basestring_ascii``."""
+    if texts is not None:
+        enc = encode_basestring_ascii
+        for d, row in enumerate(np.asarray(trajectory)):
             yield "".join([f'{{"agent": {a}, "belief": {int(b)}, "day": {d}, "opinion": {enc(texts[d][a])}}}\n'
                            for a, b in enumerate(row.tolist())])
+        return
+    values = np.ascontiguousarray(trajectory, dtype=float)
+    # bits, not ==: -0.0 == 0.0, but their reprs differ
+    bits = values.view(np.int64)
+    prefixes = [f'{{"agent": {a}, "belief": ' for a in range(values.shape[1])]
+    strs = list(map(repr, values[0].tolist()))
+    for d in range(len(values)):
+        if d:
+            changed = np.flatnonzero(bits[d] != bits[d - 1])
+            for a, b in zip(changed.tolist(), values[d, changed].tolist()):
+                strs[a] = repr(b)
+        sep = f', "day": {d}}}\n'
+        yield sep.join(map(operator.add, prefixes, strs)) + sep
 
 
 def projection_text(final_beliefs, positions) -> str:
@@ -297,16 +318,18 @@ def export_projection(run_dir, out_path=None) -> str:
     g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
     positions = force_layout(g, component_rng(cfg.seed, "layout"))
 
-    final = np.zeros(cfg.n, dtype=float)
-    last_day = -1
+    # the final day is the file's last n lines; parse only those
     with (run_dir / "trajectory.jsonl").open(encoding="utf-8") as lines:
-        for line in lines:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if record["day"] >= last_day:
-                last_day = record["day"]
-                final[record["agent"]] = float(record["belief"])
+        tail = deque(lines, maxlen=cfg.n)
+    try:
+        records = [json.loads(line) for line in tail]
+        final_day = {(r["day"], r["agent"]): float(r["belief"]) for r in records}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParameterError(f"{run_dir / 'trajectory.jsonl'}: malformed record: {exc}") from exc
+    if final_day.keys() != {(cfg.days, a) for a in range(cfg.n)}:
+        raise ParameterError(f"{run_dir / 'trajectory.jsonl'}: its last {cfg.n} lines are not "
+                             f"one record per agent 0..{cfg.n - 1} of day {cfg.days}")
+    final = [final_day[cfg.days, a] for a in range(cfg.n)]
     text = projection_text(final, positions)
     if out_path is not None:
         out_path = Path(out_path)

@@ -64,6 +64,11 @@ def test_persona_card_contents():
     assert persona_card(p) == card  # byte-identical on repeat
 
 
+def test_persona_card_is_rendered_once_per_persona():
+    p = init_population(3, TOPIC, True, rng(2)).personas[1]
+    assert persona_card(p) is persona_card(p)
+
+
 def test_persona_card_negative_polarity_adjective():
     p = Persona(index=0, gender="male", age=30, education="bachelor",
                 traits=(False, True, True, True, True))

@@ -14,7 +14,7 @@ import echosim.runner as runner_mod
 from echosim.backends import MockBackend
 from echosim.config import ENGINES, config_from_dict, config_hash, load_config_file
 from echosim.errors import BackendError, ConfigError, ParameterError
-from echosim.metrics import deltas
+from echosim.metrics import deltas, snapshot
 from echosim.graphs import GRAPH_KINDS, generate_graph
 from echosim.interventions import NUDGE_KINDS
 from echosim.language import run_llm
@@ -343,12 +343,38 @@ def json_dumps_trajectory(trajectory) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
+BELIEF_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def settling_trajectories(draw, values):
+    """Rows of 1-5 beliefs over 1-7 days. After day 0 each day repeats the day
+    before, or copies, negates (so 0.0 turns into -0.0) or redraws each of its cells."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(values, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            rows.append(rows[-1])
+            continue
+        steps = draw(st.lists(st.sampled_from(["copy", "negate", "redraw"]), min_size=n, max_size=n))
+        rows.append([b if step == "copy" else -b if step == "negate" else draw(values)
+                     for b, step in zip(rows[-1], steps)])
+    return rows
+
+
 class TestTrajectoryWriter:
     def test_numeric_rows_match_json_dumps(self):
         awkward = [[0.1 + 0.2, -0.0, 1e16, 5e-324, -1.5e-7, 2.0], [-2.0, 1 / 3, 0.0, 1e-5, -1e22, 123.456]]
         random_rows = np.random.default_rng(3).uniform(-2, 2, size=(4, 6))
         for trajectory in (np.array(awkward), random_rows):
             assert "".join(trajectory_chunks(trajectory)) == json_dumps_trajectory(trajectory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(settling_trajectories(BELIEF_FLOATS).map(lambda rows: np.array(rows, dtype=float)),
+                     settling_trajectories(st.integers(-2, 2)).map(lambda rows: np.array(rows, dtype=np.int64))))
+    def test_rows_rendered_from_the_previous_day_match_json_dumps(self, trajectory):
+        assert "".join(trajectory_chunks(trajectory)) == json_dumps_trajectory(trajectory)
 
     def test_written_file_matches_json_dumps_of_the_run(self, tmp_path):
         cfg = config_from_dict(cfg_dict(engine="fj", n=12, days=8, exposure_mode="all_neighbors"))
@@ -405,11 +431,51 @@ class TestGridTrajectoryWriter:
             result.belief_trajectory, result.opinion_trajectory)
 
 
+class TestSettledDays:
+    @pytest.mark.parametrize("over", [
+        # FJ reaches its fixed point bit for bit from day 55
+        dict(engine="fj", n=12, days=80, exposure_mode="all_neighbors"),
+        # bounded confidence on a complete graph reaches consensus, where nci is None
+        dict(engine="bcm", n=10, days=80, exposure_mode="all_neighbors", bcm={"epsilon": 4.0, "mu": 0.5},
+             graph={"kind": "random", "p_edge": 1.0}),
+    ])
+    def test_metrics_rows_equal_a_fresh_snapshot_of_every_day(self, tmp_path, over):
+        cfg = config_from_dict(cfg_dict(**over))
+        artifacts = run(cfg, tmp_path / "r")
+        population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
+        g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
+        trajectory = run_numeric(cfg.engine, g, population.beliefs, getattr(cfg, cfg.engine), cfg.days)
+        bits = trajectory.view(np.int64)
+        repeated = [day for day in range(1, cfg.days + 1) if np.array_equal(bits[day], bits[day - 1])]
+        assert len(repeated) >= 20
+        fresh = [snapshot(day, g, trajectory[day]) for day in range(cfg.days + 1)]
+        if cfg.engine == "bcm":
+            assert {fresh[day].nci for day in repeated} == {None}
+        assert artifacts.snapshots == fresh
+        written = (artifacts.run_dir / "metrics.csv").read_text().splitlines()[1:]
+        assert written == [s.csv_row() for s in fresh]
+
+
 class TestExportProjection:
     def test_matches_run_projection(self, tmp_path):
         artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
         text = export_projection(artifacts.run_dir)
         assert text == (artifacts.run_dir / "projection.csv").read_text()
+
+    @pytest.mark.parametrize("last_line, message", [
+        (None, "one record per agent"),  # the final day's last agent is gone, so days mix
+        ('{"agent": 8, "belief": 0.5, "day": 5}\n', "one record per agent"),
+        ('{"agent": 9, "belief": 0.5}\n', "malformed record"),
+    ], ids=["last line dropped", "agent 8 named twice", "no day"])
+    def test_a_final_day_that_lacks_an_agent_is_rejected(self, tmp_path, last_line, message):
+        artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
+        path = artifacts.run_dir / "trajectory.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[-1].startswith('{"agent": 9, ') and lines[-1].endswith(' "day": 5}\n')
+        lines[-1:] = [] if last_line is None else [last_line]
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParameterError, match=message):
+            export_projection(artifacts.run_dir)
 
     def test_writes_to_file(self, tmp_path):
         artifacts = run(config_from_dict(cfg_dict(engine="llm")), tmp_path / "r")
