@@ -5,8 +5,8 @@ The public names are the ones imported below."""
 
 __version__ = "0.2.0"
 
-from .backends import BackendError, MockBackend, RemoteChatBackend, mock_backend_rule
-from .config import BackendSettings, RunConfig, config_from_dict, default_config, resolve_config
+from .backends import BackendError, BackendSettings, MockBackend, RemoteChatBackend, mock_backend_rule
+from .config import RunConfig, config_from_dict, default_config, resolve_config
 from .errors import ConfigError, OpinionParseError, ParameterError
 from .graphs import (
     GraphSpec,
@@ -29,5 +29,5 @@ from .metrics import MetricsSnapshot, deltas, global_disagreement, nci, polariza
 from .numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric
 from .population import Persona, Population, init_population, persona_card
 from .prompts import OpinionOutput, build_reflection_prompt, parse_opinion_output
-from .recommendation import exposure_set
+from .recommendation import ExposureRule, exposure_set
 from .runner import compare, component_rng, run, sweep

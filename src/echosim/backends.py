@@ -5,6 +5,8 @@ temperature) -> str`` method that never mutates simulation state. The mock
 backend is a pure function of the prompt string, which makes full language
 runs deterministic and testable offline; the remote backend talks to an
 HTTPS chat-completion endpoint with timeout, retry, and backoff.
+``BackendSettings``, a run config's ``backend`` section, is declared here
+beside the remote backend that reads it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import random
 import re
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
-from .errors import BackendError
+from .errors import INF, BackendError, ParameterError, check_fields
 from .population import clamp_to_grid
 from .prompts import (
     SECTION_EXCHANGES,
@@ -40,6 +43,23 @@ _EXCHANGE_LINE_RE = re.compile(r"^- (Agent \d+): (.*)$", re.MULTILINE)
 _BUDGET_RE = re.compile(r"at most (\d+) characters")
 
 MOCK_DIGEST_ITEMS = 3  # the mock summarizer keeps the newest k exchanges
+
+BACKEND_KINDS = ("mock", "remote")
+
+
+@dataclass(frozen=True)
+class BackendSettings:
+    kind: str = field(default="mock", metadata={"choices": BACKEND_KINDS})
+    base_url: str = "https://api.openai.com/v1"
+    model: str = "gpt-4o-mini"
+    api_key_env: str = "OPENAI_API_KEY"
+    timeout: float = field(default=30.0, metadata={"range": ("(", 0, INF, ")")})
+    max_retries: int = field(default=3, metadata={"range": ("[", 0, INF, ")")})
+
+    def validate(self) -> None:
+        check_fields(self)
+        if self.kind == "remote" and (not self.base_url or not self.model):
+            raise ParameterError("base_url and model must be set for a remote backend")
 
 
 @runtime_checkable
@@ -110,36 +130,26 @@ class MockBackend:
 
 
 class RemoteChatBackend:
-    """Chat-completion client over HTTPS.
+    """Chat-completion client over HTTPS, at the endpoint, model, timeout and
+    retry count of ``settings``.
 
-    The API key is read from the environment (never from configuration
-    files). Transient transport failures and 429/5xx responses are retried
-    after exactly the server's numeric ``Retry-After`` on a 429 or 503, or
-    else after a "full jitter" backoff: a uniform draw from
+    The API key is read from the environment variable that
+    ``settings.api_key_env`` names, never from configuration files.
+    Transient transport failures and 429/5xx responses are retried after
+    exactly the server's numeric ``Retry-After`` on a 429 or 503, or else
+    after a "full jitter" backoff: a uniform draw from
     [0, backoff_base * 2 ** (attempt - 1)] seconds. Anything else raises
     BackendError. Without an injected session, each thread gets its own
     ``requests.Session``, so the language engine's worker pool never shares one.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key_env: str = "OPENAI_API_KEY",
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff_base: float = 0.5,
-        session: Optional[requests.Session] = None,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.max_retries = max_retries
+    def __init__(self, settings: BackendSettings, backoff_base: float = 0.5,
+                 session: Optional[requests.Session] = None):
+        self._settings = settings
         self.backoff_base = backoff_base
         self._session = session
         self._local = threading.local()
-        self.name = f"remote:{model}"
+        self.name = f"remote:{settings.model}"
 
     def _http(self) -> requests.Session:
         """The injected session, else this thread's own."""
@@ -152,16 +162,17 @@ class RemoteChatBackend:
         return session
 
     def _api_key(self) -> str:
-        key = os.environ.get(self.api_key_env, "")
+        key = os.environ.get(self._settings.api_key_env, "")
         if not key:
-            raise BackendError(f"environment variable {self.api_key_env} is not set")
+            raise BackendError(f"environment variable {self._settings.api_key_env} is not set")
         return key
 
     def complete(self, prompt: str, max_length: int, temperature: float) -> str:
         import requests  # here, not at the top: importing it takes longer than all of echosim
-        url = f"{self.base_url}/chat/completions"
+        settings = self._settings
+        url = f"{settings.base_url.rstrip('/')}/chat/completions"
         body = {
-            "model": self.model,
+            "model": settings.model,
             "messages": [{"role": "user", "content": prompt}],
             "max_tokens": max_length,
             "temperature": temperature,
@@ -169,7 +180,7 @@ class RemoteChatBackend:
         headers = {"Authorization": f"Bearer {self._api_key()}"}
         last_error = "no attempt made"
         retry_after = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(settings.max_retries + 1):
             if attempt:
                 if retry_after is None:
                     time.sleep(random.uniform(0, self.backoff_base * 2 ** (attempt - 1)))
@@ -177,7 +188,7 @@ class RemoteChatBackend:
                     time.sleep(retry_after)
             retry_after = None
             try:
-                response = self._http().post(url, json=body, headers=headers, timeout=self.timeout)
+                response = self._http().post(url, json=body, headers=headers, timeout=settings.timeout)
             except requests.RequestException as exc:
                 last_error = str(exc)
                 logger.debug("request to %s failed (attempt %d): %s", url, attempt, exc)
@@ -199,7 +210,7 @@ class RemoteChatBackend:
                 return response.json()["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
-        raise BackendError(f"gave up after {self.max_retries + 1} attempts: {last_error}")
+        raise BackendError(f"gave up after {settings.max_retries + 1} attempts: {last_error}")
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:

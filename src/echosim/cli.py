@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: run, compare, sweep, validate-config, export-projection.
-Exit codes: 0 success, 2 config error, 3 backend/transport error, 4 I/O error.
+Exit codes: 0 success, 2 config error (or, for export-projection, a run
+directory it cannot use), 3 backend/transport error, 4 I/O error.
 ``--log-level`` sends the package's log records to stderr, never into a run
 directory.
 """
@@ -13,7 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import BACKEND_KINDS, ENGINES, config_to_yaml, load_config_file, resolve_config
+from .backends import BACKEND_KINDS
+from .config import ENGINES, config_to_yaml, load_config_file, resolve_config
 from .errors import BackendError, ConfigError, ParameterError
 from .graphs import GRAPH_KINDS
 from .interventions import NUDGE_KINDS
@@ -112,7 +114,11 @@ def cmd_validate_config(args) -> int:
 
 
 def cmd_export_projection(args) -> int:
-    text = export_projection(Path(args.run_dir), args.out)
+    try:
+        text = export_projection(Path(args.run_dir), args.out)
+    except (ConfigError, ParameterError) as exc:  # the run directory's own config or trajectory
+        print(f"run directory error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         print(f"projection written to {args.out}")
     else:

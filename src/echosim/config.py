@@ -6,6 +6,11 @@ serialized into every run directory; its hash changes iff any semantic
 field changes. The output directory is not part of the config, so a
 persisted config reproduces identical artifact bytes anywhere. API keys
 are only ever read from the environment, never from config files.
+
+Each config section is declared beside the code that reads it: the graph
+spec in ``graphs``, the engines' parameters in ``numeric`` and
+``language`` (their shared exposure rule in ``recommendation``), the nudge
+policy in ``interventions`` and ``BackendSettings`` in ``backends``.
 """
 
 from __future__ import annotations
@@ -18,31 +23,16 @@ from typing import Optional
 
 import yaml
 
+from .backends import BackendSettings
 from .errors import INF, ConfigError, ParameterError, check_fields
 from .graphs import GraphSpec, default_graph_spec
 from .interventions import NudgePolicy
 from .language import LlmParams
-from .numeric import BcmParams, FjParams
+from .numeric import NUMERIC_ENGINES, BcmParams, FjParams
 from .population import DEFAULT_TOPIC, check_topic
 from .recommendation import EXPOSURE_MODES
 
-ENGINES = ("bcm", "fj", "llm")
-BACKEND_KINDS = ("mock", "remote")
-
-
-@dataclass(frozen=True)
-class BackendSettings:
-    kind: str = field(default="mock", metadata={"choices": BACKEND_KINDS})
-    base_url: str = "https://api.openai.com/v1"
-    model: str = "gpt-4o-mini"
-    api_key_env: str = "OPENAI_API_KEY"
-    timeout: float = field(default=30.0, metadata={"range": ("(", 0, INF, ")")})
-    max_retries: int = field(default=3, metadata={"range": ("[", 0, INF, ")")})
-
-    def validate(self) -> None:
-        check_fields(self)
-        if self.kind == "remote" and (not self.base_url or not self.model):
-            raise ParameterError("base_url and model must be set for a remote backend")
+ENGINES = NUMERIC_ENGINES + ("llm",)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .backends import TextBackend
-from .errors import INF, BackendError, OpinionParseError, ParameterError, check_fields
+from .errors import INF, BackendError, OpinionParseError, ParameterError
 from .graphs import NetworkGraph
 from .interventions import NudgePolicy, active_nudge_content, passive_nudge_feed, select_targets
 from .population import Population
@@ -46,7 +46,7 @@ from .prompts import (
     parse_opinion_output,
     stance_statement,
 )
-from .recommendation import DEFAULT_EXPOSURE_CAP, DEFAULT_SIMILARITY_THRESHOLD, EXPOSURE_MODES, exposure_set
+from .recommendation import DEFAULT_EXPOSURE_CAP, ExposureRule, exposure_set
 
 
 class TranscriptEvent(NamedTuple):
@@ -96,21 +96,15 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class LlmParams:
+class LlmParams(ExposureRule):
     """Knobs for the language engine."""
 
-    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
-    similarity_threshold: float = field(default=DEFAULT_SIMILARITY_THRESHOLD,
-                                        metadata={"range": ("[", 0, INF, ")")})
     cap: Optional[int] = field(default=DEFAULT_EXPOSURE_CAP, metadata={"range": ("[", 1, INF, ")")})
     retries: int = field(default=2, metadata={"range": ("[", 0, INF, ")")})
     long_term_budget: int = field(default=600, metadata={"range": ("[", 1, INF, ")")})
     temperature: float = field(default=0.7, metadata={"range": ("[", 0, 2, "]")})
     max_length: int = field(default=200, metadata={"range": ("[", 1, INF, ")")})
     max_in_flight: int = field(default=4, metadata={"range": ("[", 1, 64, "]")})
-
-    def validate(self) -> None:
-        check_fields(self)
 
 
 def compress_long_term(backend: TextBackend, old_summary: str, day_items, budget: int) -> tuple:

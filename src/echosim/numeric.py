@@ -12,31 +12,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import INF, ParameterError, check_fields
+from .errors import INF, ParameterError
 from .graphs import NetworkGraph, belief_vector
-from .recommendation import DEFAULT_SIMILARITY_THRESHOLD, EXPOSURE_MODES, exposure_mask
+from .recommendation import ExposureRule, exposure_mask
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
 
 NUMERIC_ENGINES = ("bcm", "fj")
 
 
 @dataclass(frozen=True)
-class BcmParams:
+class BcmParams(ExposureRule):
     """Bounded confidence: an agent moves toward the mean of neighbors whose
     belief lies within ``epsilon`` of its own, at rate ``mu``."""
 
     epsilon: float = field(default=2.0, metadata={"range": ("[", 0, INF, ")")})
     mu: float = field(default=0.3, metadata={"range": ("(", 0, 0.5, "]")})
-    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
-    similarity_threshold: float = field(default=DEFAULT_SIMILARITY_THRESHOLD,
-                                        metadata={"range": ("[", 0, INF, ")")})
-
-    def validate(self) -> None:
-        check_fields(self)
 
 
 @dataclass(frozen=True)
-class FjParams:
+class FjParams(ExposureRule):
     """Anchored averaging: each agent blends its immutable anchor belief
     (weight ``alpha``) with the mean of its exposure set (weight 1 - alpha).
     ``alpha = 1`` reproduces the anchors exactly. The anchors are run state,
@@ -44,12 +38,6 @@ class FjParams:
     initial beliefs."""
 
     alpha: float = field(default=0.3, metadata={"range": ("[", 0, 1, "]")})
-    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
-    similarity_threshold: float = field(default=DEFAULT_SIMILARITY_THRESHOLD,
-                                        metadata={"range": ("[", 0, INF, ")")})
-
-    def validate(self) -> None:
-        check_fields(self)
 
 
 def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:

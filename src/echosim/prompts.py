@@ -17,7 +17,7 @@ import re
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import OpinionParseError
-from .population import Persona, clamp_to_grid, persona_card
+from .population import BELIEF_GRID, Persona, clamp_to_grid, persona_card
 
 REFLECTION_HEADER = "You are a participant in a long-running online discussion. Stay in character."
 SUMMARY_HEADER = "You keep private discussion notes for one participant."
@@ -129,7 +129,7 @@ def parse_opinion_output(raw: str) -> OpinionOutput:
     if belief_match is None:
         raise OpinionParseError(f"no BELIEF line in reply: {raw[:80]!r}")
     value = int(belief_match.group(1))
-    clamped = not -2 <= value <= 2
+    clamped = not BELIEF_GRID[0] <= value <= BELIEF_GRID[-1]
     belief = clamp_to_grid(value)
 
     opinion_match = _OPINION_RE.search(raw)

@@ -8,17 +8,30 @@ distances along the graph's CSR rows.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import INF, ParameterError, check_fields
 from .graphs import NetworkGraph, belief_vector
 
 EXPOSURE_MODES = ("all_neighbors", "recommended")
 
 DEFAULT_SIMILARITY_THRESHOLD = 2.0
 DEFAULT_EXPOSURE_CAP = 8  # language engine only; numeric engines are uncapped
+
+
+@dataclass(frozen=True)
+class ExposureRule:
+    """The two settings of the rule every engine's parameters inherit."""
+
+    exposure_mode: str = field(default="recommended", metadata={"choices": EXPOSURE_MODES})
+    similarity_threshold: float = field(default=DEFAULT_SIMILARITY_THRESHOLD,
+                                        metadata={"range": ("[", 0, INF, ")")})
+
+    def validate(self) -> None:
+        check_fields(self)
 
 
 def check_exposure(mode: str, threshold: float) -> None:

@@ -58,13 +58,7 @@ class RunArtifacts:
 def _build_backend(config: RunConfig) -> TextBackend:
     if config.backend.kind == "mock":
         return MockBackend()
-    backend = RemoteChatBackend(
-        base_url=config.backend.base_url,
-        model=config.backend.model,
-        api_key_env=config.backend.api_key_env,
-        timeout=config.backend.timeout,
-        max_retries=config.backend.max_retries,
-    )
+    backend = RemoteChatBackend(config.backend)
     backend._api_key()  # fail fast on missing credentials, before any work
     return backend
 

@@ -11,6 +11,7 @@ import requests
 import echosim
 from echosim.backends import (
     MOCK_DIGEST_ITEMS,
+    BackendSettings,
     MockBackend,
     RemoteChatBackend,
     mock_backend_rule,
@@ -158,11 +159,10 @@ def completion(content):
     return {"choices": [{"message": {"content": content}}]}
 
 
-def remote(session, **kwargs):
-    defaults = dict(base_url="https://api.example.test/v1", model="test-model",
-                    api_key_env="ECHOSIM_TEST_KEY", backoff_base=0.0)
-    defaults.update(kwargs)
-    return RemoteChatBackend(session=session, **defaults)
+def remote(session, backoff_base=0.0, **kwargs):
+    settings = BackendSettings(kind="remote", base_url="https://api.example.test/v1", model="test-model",
+                               api_key_env="ECHOSIM_TEST_KEY", **kwargs)
+    return RemoteChatBackend(settings, backoff_base=backoff_base, session=session)
 
 
 class TestRemoteBackend:
@@ -301,8 +301,8 @@ class TestSessions:
             return session
 
         monkeypatch.setattr("requests.Session", make_session)
-        backend = RemoteChatBackend(base_url="https://api.example.test/v1", model="m",
-                                    api_key_env="ECHOSIM_TEST_KEY")
+        backend = RemoteChatBackend(BackendSettings(kind="remote", base_url="https://api.example.test/v1",
+                                                    model="m", api_key_env="ECHOSIM_TEST_KEY"))
         assert backend.name == "remote:m"
         assert created == []  # sessions are made on first use
         barrier = threading.Barrier(2, timeout=5)

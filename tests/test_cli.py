@@ -186,6 +186,17 @@ class TestExportProjectionCommand:
         assert main(["export-projection", str(tmp_path / "out"), "--out", str(target)]) == 0
         assert target.exists()
 
+    def test_truncated_trajectory_is_a_run_directory_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        path = tmp_path / "out" / "trajectory.jsonl"
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]), encoding="utf-8")
+        assert main(["export-projection", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"run directory error: {path}: its last 10 lines are not "
+                       "one record per agent 0..9 of day 3\n")
+
 
 class TestLogLevel:
     def test_debug_enables_the_backend_logger_on_stderr(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from dataclasses import fields, replace
@@ -275,3 +276,35 @@ def test_readme_full_config_matches_the_schema():
     for key, value in expected.items():
         if isinstance(value, dict):
             assert documented[key].keys() == value.keys(), key
+
+
+# sha256 of config_to_yaml(cfg), then config_hash(cfg), both computed with the
+# code as it was before the engines' parameters inherited one ExposureRule and
+# BackendSettings moved to backends.py: a refactor of the config dataclasses
+# must leave every persisted config.yaml and every config hash as they were
+GOLDEN_CONFIGS = {
+    "bcm-default": ({}, "dbe851c67137b61902e53df6955d632b3f5007aa20ed59dab539c0d237c34daa",
+                    "ca4d16b5447af4ae1d06e352c4b8f9db1b1eb5f8d637182a3f5b1ea59ed57ec5"),
+    "fj": ({"engine": "fj", "n": 30, "days": 12, "seed": 7, "exposure_mode": "all_neighbors",
+            "graph": {"kind": "random", "p_edge": 0.2}, "fj": {"alpha": 0.45, "similarity_threshold": 1.5}},
+           "08fcd91fde764d99e5260323026b9f69c8a2ad26eeaea0aaebf3b774392d0985",
+           "d5255c2780a7e8215655690a31ad03a520100fabc2f9c2083bb779b367e1457c"),
+    "llm-passive": ({"engine": "llm", "n": 20, "days": 5, "topic": "Cats are better than dogs.",
+                     "llm": {"cap": 5, "similarity_threshold": 1.0, "max_in_flight": 2},
+                     "nudge": {"kind": "passive", "extremity_threshold": 1, "passive_texts": ["Stay curious."]}},
+                    "f95138764e69506e9d1752d85bd52f81768dba927aa1bb57d59fe0d92e2ed611",
+                    "3838397204a47b652e956d3dd6349fbac41c5714d9d8d308f2d23de1bb79a646"),
+    "llm-remote": ({"engine": "llm", "graph": {"kind": "scale_free"},
+                    "backend": {"kind": "remote", "base_url": "https://api.example.test/v1", "model": "m",
+                                "api_key_env": "ECHOSIM_TEST_KEY", "timeout": 5.0, "max_retries": 1}},
+                   "5d43049b73de3afd3ccfd8625d131c27cfeffa14d103b527dac376067b70c25d",
+                   "20da850b95ddc8659ee5bc8d5db2fa7e22cceeb9e42be18b44cf575d042f48b7"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_persisted_config_bytes_and_hash_are_pinned(name):
+    data, yaml_sha, expected_hash = GOLDEN_CONFIGS[name]
+    cfg = config_from_dict(data)
+    assert hashlib.sha256(config_to_yaml(cfg).encode("utf-8")).hexdigest() == yaml_sha
+    assert config_hash(cfg) == expected_hash

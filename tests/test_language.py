@@ -433,12 +433,14 @@ class MixedFailureBackend:
 
 
 class ExplodingBackend:
-    """The mock, except that the fifth call raises an error that is not a BackendError."""
+    """The mock, except that the fifth call raises an error that is not a
+    BackendError; every other call first waits ``delay`` seconds."""
 
     name = "exploding"
 
-    def __init__(self):
+    def __init__(self, delay=0.0):
         self.inner = MockBackend()
+        self.delay = delay
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -447,6 +449,7 @@ class ExplodingBackend:
             self.calls += 1
             if self.calls == 5:
                 raise RuntimeError("backend bug")
+        time.sleep(self.delay)
         return self.inner.complete(prompt, max_length, temperature)
 
 
@@ -480,6 +483,18 @@ class TestTranscriptOrder:
             llm_day(g, population, *state, ExplodingBackend(), LlmParams(max_in_flight=2),
                     NudgePolicy(kind="active"), None, day_rng, day=2, transcript=transcript)
         assert transcript.events == before
+
+    def test_a_day_that_raises_stops_queuing_backend_calls(self):
+        # the pool's map cancels the calls that have not started once one raises;
+        # a backend that answers instantly may still finish all 2n before that
+        g = cycle_graph(12)
+        beliefs = [i % 5 - 2 for i in range(12)]
+        backend = ExplodingBackend(delay=0.01)
+        with pytest.raises(RuntimeError, match="backend bug"):
+            llm_day(g, make_population(beliefs), beliefs, [stance_statement(b) for b in beliefs], [""] * g.n,
+                    backend, LlmParams(max_in_flight=2), NudgePolicy(), None, rng(3), day=1,
+                    transcript=Transcript())
+        assert 5 <= backend.calls < 2 * g.n
 
 
 class TestValidation:
