@@ -43,7 +43,7 @@ def main():
 
     print("\n=== transcript excerpt ===")
     shown = 0
-    for event in result.transcript.sorted_events():
+    for event in result.transcript.events:
         if event.agent != agent:
             continue
         extra = ""

@@ -19,7 +19,8 @@ the day's pool of ``max_in_flight`` workers with phase 3's: the n
 reflections, then the n compressions, all applied at the day barrier in
 agent order. The day's transcript events are appended at that barrier too,
 agent by agent, each agent's in the order they happened (exposure, nudge,
-reflection, update, summary failure), so a day that raises appends none.
+reflection, update, summary failure), so a day that raises appends none,
+and handed with the day's texts to ``run_llm``'s ``on_day`` hook, if any.
 With the mock backend, entire runs are bit-reproducible per seed.
 """
 
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,15 +57,23 @@ class TranscriptEvent(NamedTuple):
     belief_after: Optional[int] = None
 
 
-class Transcript:
-    """Append-only event log, serialized by (day, agent) for persistence.
+def events_jsonl(events) -> str:
+    """The ``transcript.jsonl`` lines of ``events`` in the order given, each as
+    ``json.dumps(record, sort_keys=True)`` writes it: one f-string with ``None``
+    as ``null`` and strings through ``json.encoder.encode_basestring_ascii``."""
+    enc = encode_basestring_ascii
+    return "".join([
+        f'{{"agent": {agent}, "belief_after": {"null" if after is None else after}, '
+        f'"belief_before": {"null" if before is None else before}, '
+        f'"day": {day}, "kind": {enc(kind)}, "payload": {enc(payload)}}}\n'
+        for day, agent, kind, payload, before, after in events
+    ])
 
-    ``jsonl_chunks`` yields one day's lines at a time, one line per event
-    written with one f-string: keys sorted, ints as they are, ``None`` as
-    ``null`` and strings through ``json.encoder.encode_basestring_ascii``,
-    which is exactly what ``json.dumps(record, sort_keys=True)`` writes for
-    the same record. ``to_jsonl`` joins the chunks.
-    """
+
+class Transcript:
+    """Append-only event log in file order: ``run_llm`` appends each day's
+    events at its barrier, so they run by (day, agent), and ``to_jsonl``
+    writes them as they stand."""
 
     def __init__(self):
         self._events: list = []
@@ -78,21 +85,8 @@ class Transcript:
     def events(self) -> tuple:
         return tuple(self._events)
 
-    def sorted_events(self) -> list:
-        return sorted(self._events, key=itemgetter(0, 1))  # stable sort by (day, agent)
-
-    def jsonl_chunks(self) -> Iterator[str]:
-        enc = encode_basestring_ascii
-        for _, day_events in groupby(self.sorted_events(), key=itemgetter(0)):
-            yield "".join([
-                f'{{"agent": {agent}, "belief_after": {"null" if after is None else after}, '
-                f'"belief_before": {"null" if before is None else before}, '
-                f'"day": {day}, "kind": {enc(kind)}, "payload": {enc(payload)}}}\n'
-                for day, agent, kind, payload, before, after in day_events
-            ])
-
     def to_jsonl(self) -> str:
-        return "".join(self.jsonl_chunks())
+        return events_jsonl(self._events)
 
 
 @dataclass(frozen=True)
@@ -155,11 +149,11 @@ def llm_day(
     passive_feed: Optional[Iterator],
     rng: np.random.Generator,
     day: int,
-    transcript: Transcript,
+    transcript,
 ) -> tuple:
     """One synchronous day: new end-of-day (beliefs, texts, long_term) lists from
     the start-of-day ones, which are left as they are; the day's events go to
-    ``transcript`` in (day, agent) order, once every backend call has returned."""
+    ``transcript.append`` in (day, agent) order, once every backend call has returned."""
     params.validate()
     nudge_policy.validate()
     n = g.n
@@ -229,10 +223,10 @@ def llm_day(
 
 @dataclass
 class LlmRunResult:
-    belief_trajectory: np.ndarray  # (days + 1, n) integer grid values
-    opinion_trajectory: list       # per day, per agent opinion text
-    transcript: Transcript
-    long_term: list                # per agent long-term summary after the last day
+    belief_trajectory: np.ndarray         # (days + 1, n) integer grid values
+    opinion_trajectory: Optional[list]    # per day, per agent opinion text; None with an on_day hook
+    transcript: Optional[Transcript]      # None with an on_day hook
+    long_term: list                       # per agent long-term summary after the last day
 
 
 def run_llm(
@@ -243,9 +237,12 @@ def run_llm(
     nudge_policy: NudgePolicy,
     days: int,
     rng: np.random.Generator,
+    on_day: Optional[Callable] = None,
 ) -> LlmRunResult:
     """Full language-engine run over ``days`` synchronous days, from the
-    population's grid beliefs with their stance statements and no memory."""
+    population's grid beliefs with their stance statements and no memory. As each
+    day ends, from day 0 on, ``on_day(day, beliefs, texts, events)`` gets its lists,
+    and the run keeps only the belief trajectory; without a hook they are collected."""
     if days < 1:
         raise ParameterError(f"days must be >= 1, got {days}")
     params.validate()
@@ -255,17 +252,24 @@ def run_llm(
     beliefs = [int(b) for b in population.beliefs]
     texts = [stance_statement(b) for b in beliefs]
     long_term = [""] * g.n
-    transcript = Transcript()
     feed = passive_nudge_feed(rng, nudge_policy.passive_texts) if nudge_policy.kind == "passive" else None
+    opinion_trajectory, transcript = None, None
+    if on_day is None:
+        opinion_trajectory, transcript = [], Transcript()
+
+        def on_day(day, beliefs, texts, events):
+            opinion_trajectory.append(texts)
+            transcript._events.extend(events)
 
     trajectory = np.empty((days + 1, g.n), dtype=int)
     trajectory[0] = beliefs
-    opinion_trajectory = [texts]
+    on_day(0, beliefs, texts, [])
     for day in range(1, days + 1):
+        events: list = []
         beliefs, texts, long_term = llm_day(g, population, beliefs, texts, long_term, backend, params,
-                                            nudge_policy, feed, rng, day, transcript)
+                                            nudge_policy, feed, rng, day, events)
         trajectory[day] = beliefs
-        opinion_trajectory.append(texts)
+        on_day(day, beliefs, texts, events)
     return LlmRunResult(
         belief_trajectory=trajectory,
         opinion_trajectory=opinion_trajectory,

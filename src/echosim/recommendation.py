@@ -34,14 +34,6 @@ class ExposureRule:
         check_fields(self)
 
 
-def check_exposure(mode: str, threshold: float) -> None:
-    """Raise ParameterError unless ``mode`` is an exposure mode and ``threshold >= 0``."""
-    if mode not in EXPOSURE_MODES:
-        raise ParameterError(f"unknown exposure mode {mode!r}")
-    if threshold < 0:
-        raise ParameterError(f"similarity threshold must be >= 0, got {threshold}")
-
-
 def exposure_mask(mode: str, threshold: float, distance: np.ndarray) -> np.ndarray:
     """Which neighbors at belief distances ``distance`` an agent hears: every
     one under "all_neighbors", those within ``threshold`` under "recommended"."""
@@ -65,9 +57,14 @@ def exposure_set(
     ``mode="recommended"`` keeps the neighbors ``j`` with
     ``|beliefs[i] - beliefs[j]| <= threshold``. When the result exceeds
     ``cap`` a uniform random subset of size ``cap`` is drawn from the
-    supplied ``rng`` (ascending order is restored afterwards).
+    supplied ``rng`` (ascending order is restored afterwards). A ``mode`` or
+    ``threshold`` that ``ExposureRule`` rejects raises its ParameterError.
     """
-    check_exposure(mode, threshold)
+    # ExposureRule's checks as scalar comparisons: this runs n times a day
+    if mode not in EXPOSURE_MODES:
+        raise ParameterError(f"exposure_mode must be one of {', '.join(map(repr, EXPOSURE_MODES))}, got {mode!r}")
+    if not 0 <= threshold < INF:  # NaN fails both comparisons
+        raise ParameterError(f"similarity_threshold must be >= 0, got {threshold!r}")
     if not 0 <= i < g.n:
         raise ParameterError(f"agent index {i} out of range for n={g.n}")
     values = belief_vector(g, beliefs)

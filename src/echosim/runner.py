@@ -7,8 +7,9 @@ config, a population record, and a manifest with the config hash and the
 code, Python and numpy versions. Mock and numeric runs are bit-reproducible
 from the persisted config; remote-backend runs are excluded from that
 guarantee and marked in the manifest. Each file is written under a temporary
-name and renamed into place, the trajectory and transcript one day at a time,
-and the manifest last, so a directory with a manifest holds one complete run.
+name, the trajectory and transcript one day at a time as the engine runs, and
+renamed into place after the days, the manifest last, so a directory with a
+manifest holds one complete run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import platform
 import re
 import shutil
 from collections import deque
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -32,7 +34,7 @@ from .backends import MockBackend, RemoteChatBackend, TextBackend
 from .config import ENGINES, RunConfig, config_from_dict, config_hash, config_to_yaml, load_config_file
 from .errors import ParameterError
 from .graphs import GRAPH_KINDS, NetworkGraph, generate_graph, is_connected, to_edge_list_text
-from .language import run_llm
+from .language import events_jsonl, run_llm
 from .layout import force_layout
 from .metrics import METRICS_CSV_HEADER, deltas, snapshot
 from .numeric import run_numeric
@@ -63,38 +65,57 @@ def _build_backend(config: RunConfig) -> TextBackend:
     return backend
 
 
-def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend]):
-    """(belief trajectory, opinion texts per day or None, transcript or None)."""
+def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend],
+              files: dict) -> np.ndarray:
+    """The belief trajectory as floats; each day's lines go to the handles in ``files``."""
     params = getattr(config, config.engine)
     if config.engine != "llm":
-        return run_numeric(config.engine, g, population.beliefs, params, config.days), None, None
+        trajectory = run_numeric(config.engine, g, population.beliefs, params, config.days)
+        files["trajectory.jsonl"].writelines(trajectory_chunks(trajectory))
+        return trajectory
     if config.backend.kind == "mock":
         # the mock is CPU-bound under the GIL, so a pool only adds overhead
         params = replace(params, max_in_flight=1)
+
+    def write_day(day, beliefs, texts, events):
+        files["trajectory.jsonl"].write(grid_day_lines(day, beliefs, texts))
+        files["transcript.jsonl"].write(events_jsonl(events))
+
     result = run_llm(
         g, population, backend, params, config.nudge,
-        days=config.days, rng=component_rng(config.seed, "engine"),
+        days=config.days, rng=component_rng(config.seed, "engine"), on_day=write_day,
     )
-    return result.belief_trajectory.astype(float), result.opinion_trajectory, result.transcript
+    return result.belief_trajectory.astype(float)
+
+
+@contextmanager
+def _staged(out: Path, names) -> Iterator[dict]:
+    """Yield a UTF-8 text handle with ``\\n`` newlines on ``out/.<name>.tmp`` per name.
+    On a clean exit each is closed and renamed to ``out/<name>``, in order; on any
+    error every one is unlinked, so no partial file stands under a real name."""
+    tmps = {name: out / f".{name}.tmp" for name in names}
+    try:
+        with ExitStack() as stack:
+            yield {name: stack.enter_context(tmp.open("w", encoding="utf-8", newline="\n"))
+                   for name, tmp in tmps.items()}
+        for name, tmp in tmps.items():
+            os.replace(tmp, out / name)
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_files(out: Path, files: dict) -> None:
-    """Write each ``name: text`` under ``out`` as UTF-8 with ``\\n`` newlines, where
-    a text is a ``str`` or an iterable of ``str`` chunks. Each file is written to
-    ``.<name>.tmp`` and renamed into place, so a failed write leaves no partial
-    file; a name whose text is None is removed, so no file of an earlier run survives."""
-    for name, text in files.items():
-        if text is None:
-            (out / name).unlink(missing_ok=True)
-            continue
-        tmp = out / f".{name}.tmp"
-        try:
-            with tmp.open("w", encoding="utf-8", newline="\n") as f:
-                f.writelines([text] if isinstance(text, str) else text)
-            os.replace(tmp, out / name)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+    """Write each ``name: text`` under ``out`` through ``_staged``, where a text
+    is a ``str`` or an iterable of ``str`` chunks; a name whose text is None is
+    removed, so no file of an earlier run survives."""
+    texts = {name: text for name, text in files.items() if text is not None}
+    for name in files.keys() - texts.keys():
+        (out / name).unlink(missing_ok=True)
+    with _staged(out, texts) as handles:
+        for name, text in texts.items():
+            handles[name].writelines([text] if isinstance(text, str) else text)
 
 
 def _remove_stale_runs(out: Path, pattern: str, kept) -> None:
@@ -108,16 +129,19 @@ def _remove_stale_runs(out: Path, pattern: str, kept) -> None:
 def run(config: RunConfig, out_dir) -> RunArtifacts:
     """Execute one experiment and persist all artifacts under ``out_dir``."""
     config.validate()
-    backend = _build_backend(config) if config.engine == "llm" else None  # before any work
+    llm = config.engine == "llm"
+    backend = _build_backend(config) if llm else None  # before any work
 
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    grid = config.engine == "llm"
-    population = init_population(config.n, config.topic, grid, component_rng(config.seed, "population"))
+    population = init_population(config.n, config.topic, llm, component_rng(config.seed, "population"))
     g = generate_graph(config.graph, component_rng(config.seed, "graph"))
 
-    trajectory, texts, transcript = _simulate(config, g, population, backend)
+    with _staged(run_dir, ("trajectory.jsonl", "transcript.jsonl") if llm else ("trajectory.jsonl",)) as files:
+        trajectory = _simulate(config, g, population, backend, files)
+        # the manifest, written last, marks a complete run: none stands while the files change
+        (run_dir / "manifest.txt").unlink(missing_ok=True)
     bits = trajectory.view(np.int64)
     snapshots = [snapshot(0, g, trajectory[0])]
     for day in range(1, config.days + 1):
@@ -129,14 +153,11 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     run_deltas = deltas(snapshots)
     positions = force_layout(g, component_rng(config.seed, "layout"))
 
-    reproducible = not (config.engine == "llm" and config.backend.kind == "remote")
-    # the manifest, written last, marks a complete run: none stands while the files change
-    (run_dir / "manifest.txt").unlink(missing_ok=True)
+    reproducible = not (llm and config.backend.kind == "remote")
     _write_files(run_dir, {
         "metrics.csv": "\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n",
-        "trajectory.jsonl": trajectory_chunks(trajectory, texts),
         # a numeric run removes the transcript an earlier llm run left here
-        "transcript.jsonl": None if transcript is None else transcript.jsonl_chunks(),
+        **({} if llm else {"transcript.jsonl": None}),
         "projection.csv": projection_text(trajectory[-1], positions),
         "population.txt": population_to_text(population),
         "graph.txt": to_edge_list_text(g),
@@ -147,7 +168,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             f"python_version: {platform.python_version()}",
             f"numpy_version: {np.__version__}",
             f"engine: {config.engine}",
-            f"backend: {config.backend.kind if config.engine == 'llm' else 'none'}",
+            f"backend: {config.backend.kind if llm else 'none'}",
             f"graph_kind: {config.graph.kind}",
             f"graph_connected: {str(is_connected(g)).lower()}",
             f"reproducible: {str(reproducible).lower()}",
@@ -156,21 +177,13 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     return RunArtifacts(run_dir=run_dir, snapshots=snapshots, deltas=run_deltas)
 
 
-def trajectory_chunks(trajectory, texts=None) -> Iterator[str]:
+def trajectory_chunks(trajectory) -> Iterator[str]:
     """Yield the JSON lines of one day at a time: one record per agent, keys
     sorted, exactly as ``json.dumps(record, sort_keys=True)`` would write them.
-    Numeric beliefs are written as floats, by ``repr``, which is what
-    ``json.dumps`` writes for a finite float. Each agent's record prefix is
-    rendered once, and after day 0 only the beliefs whose float bits changed
-    since the previous day are rendered again, so a settled day costs one join.
-    Grid rows write the belief as an int and also carry ``texts[day][agent]``
-    as ``"opinion"``, escaped by ``json.encoder.encode_basestring_ascii``."""
-    if texts is not None:
-        enc = encode_basestring_ascii
-        for d, row in enumerate(np.asarray(trajectory)):
-            yield "".join([f'{{"agent": {a}, "belief": {int(b)}, "day": {d}, "opinion": {enc(texts[d][a])}}}\n'
-                           for a, b in enumerate(row.tolist())])
-        return
+    Beliefs are written as floats, by ``repr``, which is what ``json.dumps``
+    writes for a finite float. Each agent's record prefix is rendered once,
+    and after day 0 only the beliefs whose float bits changed since the
+    previous day are rendered again, so a settled day costs one join."""
     values = np.ascontiguousarray(trajectory, dtype=float)
     # bits, not ==: -0.0 == 0.0, but their reprs differ
     bits = values.view(np.int64)
@@ -183,6 +196,13 @@ def trajectory_chunks(trajectory, texts=None) -> Iterator[str]:
                 strs[a] = repr(b)
         sep = f', "day": {d}}}\n'
         yield sep.join(map(operator.add, prefixes, strs)) + sep
+
+
+def grid_day_lines(day: int, beliefs, texts) -> str:
+    """One llm day's JSON lines, as ``json.dumps(record, sort_keys=True)`` writes them:
+    the belief as an int, the text as ``"opinion"`` through ``encode_basestring_ascii``."""
+    return "".join([f'{{"agent": {a}, "belief": {int(b)}, "day": {day}, "opinion": {encode_basestring_ascii(text)}}}\n'
+                    for a, (b, text) in enumerate(zip(beliefs, texts))])
 
 
 def projection_text(final_beliefs, positions) -> str:

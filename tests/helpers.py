@@ -21,11 +21,10 @@ AWKWARD_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
 
 
 def json_dumps_transcript(events) -> str:
-    """``transcript.jsonl`` through ``json.dumps``: events by (day, agent),
-    ties in append order, one record per line with sorted keys."""
-    ordered = sorted(events, key=lambda e: (e.day, e.agent))
+    """``transcript.jsonl`` through ``json.dumps``: the events in the order
+    given, one record per line with sorted keys."""
     records = ({"day": e.day, "agent": e.agent, "kind": e.kind, "payload": e.payload,
-                "belief_before": e.belief_before, "belief_after": e.belief_after} for e in ordered)
+                "belief_before": e.belief_before, "belief_after": e.belief_after} for e in events)
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from echosim.errors import ParameterError
 from echosim.graphs import NetworkGraph
 from echosim.language import LlmParams
 from echosim.numeric import BcmParams, FjParams
-from echosim.recommendation import exposure_set
+from echosim.recommendation import ExposureRule, exposure_set
 from helpers import cycle_graph, random_instance, star_graph
 
 
@@ -111,3 +113,28 @@ def test_every_engine_checks_mode_and_threshold():
         with pytest.raises(ParameterError, match="similarity_threshold must be >= 0, got -1.0"):
             cls(similarity_threshold=-1.0).validate()
         cls(exposure_mode="all_neighbors", similarity_threshold=0.0).validate()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0])
+def test_exposure_set_rejects_a_threshold_the_rule_rejects(threshold):
+    g = cycle_graph(4)
+    with pytest.raises(ParameterError) as exposure_error:
+        exposure_set(g, [0.0] * 4, 0, "recommended", threshold=threshold)
+    with pytest.raises(ParameterError) as rule_error:
+        ExposureRule(similarity_threshold=threshold).validate()
+    assert str(exposure_error.value) == str(rule_error.value) == f"similarity_threshold must be >= 0, got {threshold!r}"
+
+
+@pytest.mark.parametrize("threshold", [0, 0.0, 2.0])
+def test_exposure_set_accepts_a_threshold_the_rule_accepts(threshold):
+    ExposureRule(similarity_threshold=threshold).validate()
+    assert exposure_set(cycle_graph(4), [0.0, 0.0, 2.0, 1.0], 0, "recommended", threshold=threshold) == (
+        [1] if threshold < 1 else [1, 3])
+
+
+def test_exposure_set_rejects_a_mode_in_the_rule_s_words():
+    with pytest.raises(ParameterError) as exposure_error:
+        exposure_set(cycle_graph(4), [0.0] * 4, 0, "everything")
+    with pytest.raises(ParameterError) as rule_error:
+        ExposureRule(exposure_mode="everything").validate()
+    assert str(exposure_error.value) == str(rule_error.value)

@@ -21,7 +21,7 @@ from echosim.language import run_llm
 from echosim.numeric import run_numeric
 from echosim.population import init_population, population_from_text
 from echosim.recommendation import EXPOSURE_MODES
-from echosim.runner import compare, component_rng, export_projection, run, sweep, trajectory_chunks
+from echosim.runner import compare, component_rng, export_projection, grid_day_lines, run, sweep, trajectory_chunks
 from helpers import AWKWARD_TEXT, json_dumps_transcript
 
 
@@ -154,25 +154,49 @@ class TestWrites:
     def test_a_failing_stream_leaves_no_partial_file(self, tmp_path, monkeypatch):
         d = tmp_path / "d"
         run(config_from_dict(cfg_dict(engine="llm", seed=1)), d)
-        earlier = (d / "trajectory.jsonl").read_bytes()
+        earlier = read_all(d)
 
-        def failing_chunks(trajectory, texts=None):
-            chunks = trajectory_chunks(trajectory, texts)
-            yield next(chunks)
-            yield next(chunks)
-            assert (d / ".trajectory.jsonl.tmp").is_file()
-            raise RuntimeError("disk gone")
+        def failing_lines(day, beliefs, texts):
+            if day == 2:  # days 0 and 1 went to the temporary files already
+                assert (d / ".trajectory.jsonl.tmp").is_file() and (d / ".transcript.jsonl.tmp").is_file()
+                raise RuntimeError("disk gone")
+            return grid_day_lines(day, beliefs, texts)
 
-        monkeypatch.setattr(runner_mod, "trajectory_chunks", failing_chunks)
+        monkeypatch.setattr(runner_mod, "grid_day_lines", failing_lines)
         with pytest.raises(RuntimeError, match="disk gone"):
             run(config_from_dict(cfg_dict(engine="llm", seed=2)), d)
         assert not list(d.glob(".*.tmp"))
-        assert (d / "trajectory.jsonl").read_bytes() == earlier
-        assert not (d / "manifest.txt").exists()
+        # the stream broke during the days, so the earlier run stands whole, manifest included
+        assert read_all(d) == earlier
 
         monkeypatch.undo()
         run(config_from_dict(cfg_dict(engine="llm", seed=2)), d)
         assert {p.name for p in d.iterdir()} == LLM_ARTIFACTS
+
+    @pytest.mark.parametrize("failing_day", [1, 3])
+    def test_a_backend_that_raises_on_a_day_leaves_the_earlier_run_whole(self, tmp_path, monkeypatch, failing_day):
+        d = tmp_path / "d"
+        run(config_from_dict(cfg_dict(engine="llm", seed=1)), d)
+        earlier = read_all(d)
+        cfg = config_from_dict(cfg_dict(engine="llm", seed=2))
+
+        class FailingBackend(MockBackend):
+            """The mock, until the first call of ``failing_day``: run() makes a
+            mock's 2n calls a day serially."""
+
+            calls = 0
+
+            def complete(self, prompt, max_length, temperature):
+                self.calls += 1
+                if self.calls > 2 * cfg.n * (failing_day - 1):
+                    raise RuntimeError("model gone")
+                return super().complete(prompt, max_length, temperature)
+
+        monkeypatch.setattr(runner_mod, "_build_backend", lambda config: FailingBackend())
+        with pytest.raises(RuntimeError, match="model gone"):
+            run(cfg, d)
+        assert not list(d.glob(".*.tmp"))
+        assert read_all(d) == earlier
 
     def test_peak_memory_does_not_grow_with_days(self, tmp_path):
         """At fixed n only the run's own arrays grow with ``days``: 180 more
@@ -189,6 +213,23 @@ class TestWrites:
 
         peak(1)  # one-time allocations (imports, caches) stay out of the comparison
         assert peak(200) <= peak(20) + 2**20
+
+    def test_peak_memory_of_an_llm_run_does_not_grow_with_days(self, tmp_path):
+        """An llm run writes each day's trajectory and transcript lines as the
+        day ends, so at fixed n only the belief trajectories grow with ``days``:
+        50 more days of 30 agents are 24 KiB. Holding every day's texts and
+        events until the end added about 700 KiB here, 0.47 KiB per agent-day."""
+        def peak(days):
+            cfg = config_from_dict(cfg_dict(engine="llm", n=30, days=days))
+            tracemalloc.start()
+            try:
+                run(cfg, tmp_path / f"days_{days}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-time allocations (imports, caches) stay out of the comparison
+        assert peak(60) <= peak(10) + 2**17
 
 
 class TestCompare:
@@ -410,7 +451,8 @@ class TestGridTrajectoryWriter:
     def test_grid_rows_match_json_dumps(self, run_data, dtype):
         beliefs, texts = run_data
         trajectory = np.array(beliefs, dtype=dtype)  # run() passes the grid trajectory as floats
-        assert "".join(trajectory_chunks(trajectory, texts)) == json_dumps_grid_trajectory(trajectory, texts)
+        written = "".join(grid_day_lines(day, row, texts[day]) for day, row in enumerate(trajectory))
+        assert written == json_dumps_grid_trajectory(trajectory, texts)
 
     def test_llm_run_files_match_json_dumps(self, tmp_path):
         awkward_nudges = ['Say "both sides"\tplease', "back\\slash and a\nbreak",
