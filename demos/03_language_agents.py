@@ -17,7 +17,6 @@ from echosim import (
     default_graph_spec,
     generate_graph,
     init_population,
-    persona_card,
     run_llm,
 )
 
@@ -36,7 +35,7 @@ def main():
 
     print("=== one agent, close up ===")
     agent = 12
-    print(persona_card(population.personas[agent]))
+    print(population.personas[agent].card)
     print(f"\nstance by day: {result.belief_trajectory[:, agent].tolist()}")
     print(f"final statement: {result.opinion_trajectory[-1][agent]}")
     print(f"memory summary:  {result.long_term[agent][:120] or '(empty)'}")

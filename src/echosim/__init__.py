@@ -6,7 +6,7 @@ The public names are the ones imported below."""
 __version__ = "0.2.0"
 
 from .backends import BackendError, BackendSettings, MockBackend, RemoteChatBackend, mock_backend_rule
-from .config import RunConfig, config_from_dict, default_config, resolve_config
+from .config import RunConfig, config_from_dict, resolve_config
 from .errors import ConfigError, OpinionParseError, ParameterError
 from .graphs import (
     GraphSpec,
@@ -27,7 +27,7 @@ from .language import LlmParams, LlmRunResult, Transcript, compress_long_term, l
 from .layout import force_layout
 from .metrics import MetricsSnapshot, deltas, global_disagreement, nci, polarization, snapshot
 from .numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric
-from .population import Persona, Population, init_population, persona_card
+from .population import Persona, Population, init_population
 from .prompts import OpinionOutput, build_reflection_prompt, parse_opinion_output
 from .recommendation import ExposureRule, exposure_set
 from .runner import compare, component_rng, run, sweep

@@ -19,7 +19,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from .errors import INF, BackendError, ParameterError, check_fields
 from .population import clamp_to_grid
@@ -62,7 +62,6 @@ class BackendSettings:
             raise ParameterError("base_url and model must be set for a remote backend")
 
 
-@runtime_checkable
 class TextBackend(Protocol):
     name: str
 

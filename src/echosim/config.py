@@ -1,7 +1,8 @@
 """Experiment configuration: defaults, YAML loading, validation, hashing.
 
-A run is fully described by one RunConfig. Precedence when resolving is
-CLI overrides > config file > package defaults. The resolved config is
+A run is fully described by one RunConfig; ``RunConfig()`` holds the package
+defaults. Precedence when resolving is CLI overrides > config file > package
+defaults, merged one section key at a time. The resolved config is
 serialized into every run directory; its hash changes iff any semantic
 field changes. The output directory is not part of the config, so a
 persisted config reproduces identical artifact bytes anywhere. API keys
@@ -72,10 +73,6 @@ class RunConfig:
                 getattr(self, name).validate()
             except ParameterError as exc:
                 raise ConfigError(f"{name}.{exc}") from exc
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
 
 
 # --- dict <-> config -------------------------------------------------------
@@ -160,25 +157,15 @@ def load_config_file(path) -> dict:
     return data
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            # switching graph kind discards the old kind's parameters
-            if key == "graph" and value.get("kind") not in (None, merged[key].get("kind")):
-                merged[key] = dict(value)
-            else:
-                merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
 def resolve_config(file_data: Optional[dict] = None, overrides: Optional[dict] = None) -> RunConfig:
-    """defaults < config file < overrides, then validate."""
-    data: dict = {}
-    if file_data:
-        data = _deep_merge(data, file_data)
-    if overrides:
-        data = _deep_merge(data, overrides)
+    """defaults < config file < overrides, then validate. An override section is
+    merged into the file's section key by key, except that a new graph kind
+    drops the old kind's parameters."""
+    data = dict(file_data or {})
+    for key, value in (overrides or {}).items():
+        old = data.get(key)
+        if (isinstance(value, dict) and isinstance(old, dict)
+                and not (key == "graph" and value.get("kind") not in (None, old.get("kind")))):
+            value = {**old, **value}
+        data[key] = value
     return config_from_dict(data)

@@ -50,24 +50,22 @@ def active_nudge_content(
 ) -> Optional[str]:
     """Opinion of the most opposed agent, framed as an opposing perspective.
 
-    The whole population is searched for the agent with belief of opposite
-    sign and maximal absolute difference; ties break toward the candidate
-    nearest to the target in the graph, then toward the lowest index.
-    Returns None when no agent holds an opposite-sign belief.
+    On the integer grid, the agents most opposed to a positive target hold the
+    population's lowest belief, and those most opposed to a negative one its
+    highest, if that belief has the opposite sign. Ties break toward the
+    candidate nearest to the target in the graph, then toward the lowest
+    index. Returns None when no agent holds an opposite-sign belief.
     """
+    beliefs = np.asarray(beliefs, dtype=float)
     own = beliefs[target]
-    if own == 0:
+    far = beliefs.min() if own > 0 else beliefs.max()
+    if not far * own < 0:  # also a neutral target
         return None
-    opposed = [j for j in range(len(beliefs)) if beliefs[j] * own < 0]
-    if not opposed:
-        return None
-    best_gap = max(abs(own - beliefs[j]) for j in opposed)
-    tied = [j for j in opposed if abs(own - beliefs[j]) == best_gap]
+    tied = np.flatnonzero(beliefs == far).tolist()
     if len(tied) > 1:
         dist = hop_distances(g, target)
         tied.sort(key=lambda j: (dist[j] if dist[j] is not None else float("inf"), j))
-    chosen = tied[0]
-    return f'{ACTIVE_NUDGE_PREFIX}"{opinion_texts[chosen]}"'
+    return f'{ACTIVE_NUDGE_PREFIX}"{opinion_texts[tied[0]]}"'
 
 
 def passive_nudge_feed(rng: np.random.Generator, texts: Sequence[str] = DEFAULT_PASSIVE_TEXTS) -> Iterator[str]:

@@ -3,7 +3,7 @@
 Beliefs live on the scale -2 (strong opposition) to +2 (strong support).
 Numeric engines use the continuous interval; the language engine uses the
 integer grid {-2, -1, 0, 1, 2}. Persona attributes are drawn independently
-of initial beliefs.
+of initial beliefs. Prompts and logs show a persona by its ``card``.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ class Persona:
 
     @cached_property
     def card(self) -> str:
-        """The persona card, rendered on first use and then kept with the persona,
-        so a run renders each card once however many prompts carry it."""
+        """The deterministic text block that renders this persona in prompts and
+        logs. It is rendered on first use and then kept with the persona, so a run
+        renders each card once however many prompts carry it."""
         adjectives = ", ".join(self.trait_adjectives())
         return (
             f"Agent {self.index}. Gender: {self.gender}. Age: {self.age}. Education: {self.education}.\n"
@@ -96,10 +97,6 @@ class Population:
             raise ParameterError(
                 f"{len(self.personas)} personas but {len(self.beliefs)} beliefs"
             )
-
-    @property
-    def n(self) -> int:
-        return len(self.personas)
 
 
 def check_topic(topic: str) -> None:
@@ -136,11 +133,6 @@ def init_population(n: int, topic: str, grid: bool, rng: np.random.Generator) ->
         for i in range(n)
     )
     return Population(personas=personas, beliefs=beliefs, topic=topic, grid=grid)
-
-
-def persona_card(p: Persona) -> str:
-    """Deterministic text block rendering a persona for prompts and logs."""
-    return p.card
 
 
 def population_to_text(pop: Population) -> str:

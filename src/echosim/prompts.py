@@ -17,7 +17,7 @@ import re
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import OpinionParseError
-from .population import BELIEF_GRID, Persona, clamp_to_grid, persona_card
+from .population import BELIEF_GRID, Persona, clamp_to_grid
 
 REFLECTION_HEADER = "You are a participant in a long-running online discussion. Stay in character."
 SUMMARY_HEADER = "You keep private discussion notes for one participant."
@@ -71,7 +71,7 @@ def build_reflection_prompt(
         REFLECTION_HEADER,
         "",
         SECTION_PROFILE,
-        persona_card(persona),
+        persona.card,
         "",
         SECTION_TOPIC,
         topic,

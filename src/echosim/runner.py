@@ -65,6 +65,13 @@ def _build_backend(config: RunConfig) -> TextBackend:
     return backend
 
 
+def _preflight(config: RunConfig) -> Optional[TextBackend]:
+    """Validate ``config`` and build its backend (None for a numeric engine),
+    so a bad config or a missing API key fails before any work."""
+    config.validate()
+    return _build_backend(config) if config.engine == "llm" else None
+
+
 def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend],
               files: dict) -> np.ndarray:
     """The belief trajectory as floats; each day's lines go to the handles in ``files``."""
@@ -128,9 +135,8 @@ def _remove_stale_runs(out: Path, pattern: str, kept) -> None:
 
 def run(config: RunConfig, out_dir) -> RunArtifacts:
     """Execute one experiment and persist all artifacts under ``out_dir``."""
-    config.validate()
+    backend = _preflight(config)
     llm = config.engine == "llm"
-    backend = _build_backend(config) if llm else None  # before any work
 
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -237,9 +243,13 @@ def compare(configs: Sequence[RunConfig], out_dir) -> ComparisonResult:
     for cfg in configs[1:]:
         if (cfg.n, cfg.topic, cfg.seed) != (head.n, head.topic, head.seed):
             raise ParameterError("compare configs must share n, topic, and seed")
+    for cfg in configs:
+        _preflight(cfg)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a compare that fails leaves no table, not an earlier call's
+    _write_files(out, {"comparison.csv": None, "comparison.txt": None})
     labels = []
     columns = []
     for cfg in configs:
@@ -288,8 +298,8 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ParameterError(f"sweep seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
-    for s in seeds:  # a bad seed is a config error, not a failure of its run
-        replace(config, seed=s).validate()
+    for s in seeds:  # a bad seed or backend is an error of the sweep, not a failure of its run
+        _preflight(replace(config, seed=s))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's own code paths: plain Python
 loops, manual Pearson, full O(n^2) scans of an edge set that ``edge_set``
 reads row by row from the CSR arrays. The numeric-engine
 oracles update one agent at a time and average with ``np.mean``; the layout
-oracle sums forces one pair at a time.
+oracle sums forces one pair at a time. ``naive_active_nudge_content`` and
+``naive_deep_merge`` keep earlier, more general bodies of the package's nudge
+search and config merge.
 """
 
 import json
@@ -14,6 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from echosim.graphs import NetworkGraph
+from echosim.interventions import ACTIVE_NUDGE_PREFIX
 
 # every code point, lone surrogates included, plus the characters JSON must escape
 AWKWARD_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
@@ -237,3 +240,37 @@ def random_instance(rng, max_n=12):
     ]
     beliefs = rng.uniform(-2, 2, size=n)
     return NetworkGraph.from_edges(n, edges), beliefs
+
+
+def naive_active_nudge_content(target, beliefs, opinion_texts, g: NetworkGraph):
+    """The opinion of the opposite-sign agent with the largest absolute belief
+    difference from the target, found by three scans: list the opposed agents,
+    find the best gap, keep the agents at it. Ties go to the nearest in hops,
+    then the lowest index; unreachable agents come last."""
+    own = beliefs[target]
+    if own == 0:
+        return None
+    opposed = [j for j in range(len(beliefs)) if beliefs[j] * own < 0]
+    if not opposed:
+        return None
+    best_gap = max(abs(own - beliefs[j]) for j in opposed)
+    tied = [j for j in opposed if abs(own - beliefs[j]) == best_gap]
+    if len(tied) > 1:
+        dist = naive_hop_distances(g, target)
+        tied.sort(key=lambda j: (dist[j] if dist[j] is not None else float("inf"), j))
+    return f'{ACTIVE_NUDGE_PREFIX}"{opinion_texts[tied[0]]}"'
+
+
+def naive_deep_merge(base: dict, override: dict) -> dict:
+    """``override`` merged into ``base`` at every depth, except that a graph
+    section with a new ``kind`` replaces the old one whole."""
+    merged = dict(base)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            if key == "graph" and value.get("kind") not in (None, merged[key].get("kind")):
+                merged[key] = dict(value)
+            else:
+                merged[key] = naive_deep_merge(merged[key], value)
+        else:
+            merged[key] = value
+    return merged

@@ -22,6 +22,8 @@ def write_config(tmp_path, text, name="config.yaml"):
 
 
 BASE = "n: 10\ndays: 3\nseed: 1\n"
+# an llm config whose API key variable is unset in every test that uses it
+REMOTE_LLM = "engine: llm\nbackend:\n  kind: remote\n  api_key_env: ECHOSIM_NO_KEY\n"
 
 
 class TestRunCommand:
@@ -50,7 +52,7 @@ class TestRunCommand:
         monkeypatch.delenv("ECHOSIM_NO_KEY", raising=False)
         cfg = write_config(
             tmp_path,
-            BASE + "engine: llm\nbackend:\n  kind: remote\n  api_key_env: ECHOSIM_NO_KEY\n",
+            BASE + REMOTE_LLM,
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
@@ -144,6 +146,14 @@ class TestCompareCommand:
         b = write_config(tmp_path, "n: 12\ndays: 3\nseed: 1\n", name="b.yaml")
         assert main(["compare", "--config", a, "--config", b, "--out", str(tmp_path / "cmp")]) == 2
 
+    def test_backend_error_exit_3_before_any_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("ECHOSIM_NO_KEY", raising=False)
+        a = write_config(tmp_path, BASE, name="a.yaml")
+        b = write_config(tmp_path, BASE + REMOTE_LLM, name="b.yaml")
+        assert main(["compare", "--config", a, "--config", b, "--out", str(tmp_path / "cmp")]) == 3
+        assert "ECHOSIM_NO_KEY" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestSweepCommand:
     def test_sweep_with_seed_list(self, tmp_path, capsys):
@@ -167,6 +177,13 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, BASE)
         assert main(["sweep", "--config", cfg, "--seeds=-1,2", "--out", str(tmp_path / "sw")]) == 2
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_backend_error_exit_3_before_any_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("ECHOSIM_NO_KEY", raising=False)
+        cfg = write_config(tmp_path, BASE + REMOTE_LLM)
+        assert main(["sweep", "--config", cfg, "--seeds", "1,2,3", "--out", str(tmp_path / "sw")]) == 3
+        assert "ECHOSIM_NO_KEY" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
 

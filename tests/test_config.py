@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -6,27 +7,31 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosim.config import (
+    ENGINES,
     BackendSettings,
     RunConfig,
     config_from_dict,
     config_hash,
     config_to_dict,
     config_to_yaml,
-    default_config,
     load_config_file,
     resolve_config,
 )
 from echosim.errors import ConfigError, ParameterError
 from echosim.graphs import GRAPH_KINDS, default_graph_spec
-from echosim.interventions import NudgePolicy
+from echosim.interventions import NUDGE_KINDS, NudgePolicy
 from echosim.language import LlmParams
 from echosim.numeric import BcmParams, FjParams
+from echosim.recommendation import EXPOSURE_MODES
+from helpers import naive_deep_merge
 
 
 def test_defaults_are_valid():
-    cfg = default_config()
+    cfg = RunConfig()
     cfg.validate()
     assert cfg.n == 50 and cfg.days == 30
     assert cfg.graph.kind == "small_world" and cfg.graph.n == 50
@@ -41,8 +46,8 @@ def test_yaml_round_trip_is_lossless():
 
 
 def test_hash_changes_iff_config_changes():
-    base = default_config()
-    assert config_hash(base) == config_hash(default_config())
+    base = RunConfig()
+    assert config_hash(base) == config_hash(RunConfig())
     variants = [
         config_from_dict({"seed": 2}),
         config_from_dict({"days": 29}),
@@ -224,8 +229,43 @@ def test_graph_kind_override_discards_stale_parameters():
     assert cfg.graph.k is None
 
 
+# a few valid values per key, so that random file and override dicts often
+# resolve and often switch the graph kind
+_TOP_VALUES = {"n": st.sampled_from([10, 20]), "days": st.integers(1, 5), "seed": st.integers(0, 9),
+               "engine": st.sampled_from(ENGINES), "exposure_mode": st.sampled_from(EXPOSURE_MODES)}
+_SECTION_VALUES = {
+    "graph": {"kind": st.sampled_from(GRAPH_KINDS), "k": st.sampled_from([2, 4]),
+              "p_rewire": st.sampled_from([0.0, 0.3]), "m": st.sampled_from([1, 2]),
+              "p_edge": st.sampled_from([0.1, 0.5])},
+    "bcm": {"epsilon": st.sampled_from([0.5, 2.0]), "mu": st.sampled_from([0.1, 0.5])},
+    "nudge": {"kind": st.sampled_from(NUDGE_KINDS), "extremity_threshold": st.sampled_from([1, 2])},
+    "llm": {"cap": st.sampled_from([None, 3]), "retries": st.integers(0, 2)},
+}
+CONFIG_DICTS = st.fixed_dictionaries({}, optional={
+    **_TOP_VALUES,
+    **{name: st.fixed_dictionaries({}, optional=keys) for name, keys in _SECTION_VALUES.items()},
+})
+
+
+def _resolved_or_error(resolve):
+    try:
+        return resolve()
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIG_DICTS, CONFIG_DICTS)
+def test_resolve_config_matches_the_deep_merge_oracle(file_data, overrides):
+    merged = naive_deep_merge(naive_deep_merge({}, file_data), overrides)
+    expected = _resolved_or_error(lambda: config_from_dict(merged))
+    before = copy.deepcopy((file_data, overrides))
+    assert _resolved_or_error(lambda: resolve_config(file_data, overrides)) == expected
+    assert (file_data, overrides) == before
+
+
 def test_anchor_and_exposure_fields_stay_out_of_the_dict():
-    d = config_to_dict(default_config())
+    d = config_to_dict(RunConfig())
     assert "anchors" not in d["fj"]
     assert "exposure_mode" not in d["bcm"]
     assert "exposure_mode" not in d["llm"]
@@ -236,7 +276,7 @@ def test_every_engine_section_carries_the_top_level_exposure_mode():
     for mode in ("all_neighbors", "recommended"):
         cfg = config_from_dict({"exposure_mode": mode})
         assert (cfg.bcm.exposure_mode, cfg.fj.exposure_mode, cfg.llm.exposure_mode) == (mode, mode, mode)
-    cfg = replace(default_config(), exposure_mode="all_neighbors")
+    cfg = replace(RunConfig(), exposure_mode="all_neighbors")
     assert (cfg.bcm.exposure_mode, cfg.fj.exposure_mode, cfg.llm.exposure_mode) == ("all_neighbors",) * 3
 
 
@@ -260,7 +300,7 @@ def test_load_config_file(tmp_path):
 
 
 def test_graph_population_size_mismatch_detected():
-    cfg = replace(default_config(), n=10)  # graph still has n=50
+    cfg = replace(RunConfig(), n=10)  # graph still has n=50
     with pytest.raises(ConfigError, match="disagrees"):
         cfg.validate()
     assert isinstance(cfg, RunConfig)
@@ -271,7 +311,7 @@ def test_readme_full_config_matches_the_schema():
     block = re.search(r"A full config file.*?```yaml\n(.*?)```", readme, re.DOTALL).group(1)
     documented = yaml.safe_load(block)
     config_from_dict(documented)
-    expected = config_to_dict(default_config())
+    expected = config_to_dict(RunConfig())
     assert documented.keys() == expected.keys()
     for key, value in expected.items():
         if isinstance(value, dict):

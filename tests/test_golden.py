@@ -1,10 +1,11 @@
-"""Golden digests of the host-independent artifacts of small mock ``llm`` runs.
+"""Golden digests of the host-independent artifacts of small runs.
 
-Each pin is the sha256 of one file of one run: every graph kind with every
-nudge kind, n=30, 4 days. ``trajectory.jsonl`` and ``transcript.jsonl`` hold
-the whole language path (exposure, nudges, prompts, the mock's replies,
-parsing, memory), so a change anywhere on it shows here, not only in a
-within-version replay. ``metrics.csv`` and ``projection.csv`` are left out:
+Each pin is the sha256 of one file of one run: a mock ``llm`` run for every
+graph kind with every nudge kind, n=30, 4 days, and a ``bcm`` and an ``fj``
+run on every graph kind, n=30, 6 days. An llm run's ``trajectory.jsonl`` and
+``transcript.jsonl`` hold the whole language path (exposure, nudges, prompts,
+the mock's replies, parsing, memory), so a change anywhere on it shows here,
+not only in a within-version replay. ``metrics.csv`` and ``projection.csv`` are left out:
 their last bits still depend on the host CPU (BLAS in ``nci``, the fused
 complex product of the mesh layout). ``manifest.txt`` names the Python and
 numpy versions.
@@ -20,6 +21,7 @@ import pytest
 from echosim.config import config_from_dict
 from echosim.graphs import GRAPH_KINDS
 from echosim.interventions import NUDGE_KINDS
+from echosim.numeric import NUMERIC_ENGINES
 from echosim.runner import run
 
 PINNED_FILES = ("trajectory.jsonl", "transcript.jsonl", "population.txt", "graph.txt", "config.yaml")
@@ -90,12 +92,64 @@ GOLDEN = {
     },
 }
 
+# Computed at 0.2.0 before the deletions of config._deep_merge and of the
+# nudge search's three scans, so these pins show that both kept the bytes.
+NUMERIC_PINNED_FILES = ("trajectory.jsonl", "population.txt", "graph.txt", "config.yaml")
+
+GOLDEN_NUMERIC = {
+    ("bcm", "small_world"): {
+        "trajectory.jsonl": "3e63e6768ebd155988b7067eab6a6eda493eebf359c3d4ff600f939c58db0e43",
+        "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
+        "graph.txt": "58b8ed8fb6e5fc5baa30393fc7a73d34d91573a3c1e89a00a217f6b9981147fa",
+        "config.yaml": "e95a47e28d38fac0e7e2ea6bbc4ca742cfb89ea43c69ad403912bf433f8798b5",
+    },
+    ("bcm", "scale_free"): {
+        "trajectory.jsonl": "8a4cf1fc15fbe8a1fa632e21e316e79cc5238d90ba08ae44f84398e13a8fd90d",
+        "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
+        "graph.txt": "f646791da3015dd4f93759ac4743294201856af03862038834fadd55735fcff5",
+        "config.yaml": "06d883dfdac3419c330b979b6936c596ae94ba2edd19181ce98c82137e298e20",
+    },
+    ("bcm", "random"): {
+        "trajectory.jsonl": "56f9e2822a261143a62559249c5de4f39cb369b31db8c05a2230f40e6f623cc4",
+        "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
+        "graph.txt": "24f04cc313c1627b08b6c8df2f74f5a1c8f93b5d0115d573f28bff5cd57c4799",
+        "config.yaml": "1943519008450936c2b7145c84088edf802412f81effe038ae9dfcfb7a27439f",
+    },
+    ("fj", "small_world"): {
+        "trajectory.jsonl": "f839e298c223a4ebfe53d2cdaa0c88b1a3f67f750ffb6084ed3f2c070f65364e",
+        "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
+        "graph.txt": "58b8ed8fb6e5fc5baa30393fc7a73d34d91573a3c1e89a00a217f6b9981147fa",
+        "config.yaml": "6662e53c9359386d6be3837373d2cf2bbe126a9405f2c0fd74e38b21c71c2398",
+    },
+    ("fj", "scale_free"): {
+        "trajectory.jsonl": "64f62a8fd67a41cfa900b9827f0c07c82d2f7d7e8046a513b06b1f82bd55c366",
+        "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
+        "graph.txt": "f646791da3015dd4f93759ac4743294201856af03862038834fadd55735fcff5",
+        "config.yaml": "444e6c65baf7b75c9ab68b550854575c35b2f3639499b8329cf1796f20b7d4c4",
+    },
+    ("fj", "random"): {
+        "trajectory.jsonl": "4d76a2ee8f4a357e510ada8af18c0cf9f451b0afdd8381254431fd1eb08f6154",
+        "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
+        "graph.txt": "24f04cc313c1627b08b6c8df2f74f5a1c8f93b5d0115d573f28bff5cd57c4799",
+        "config.yaml": "2683fd8104ca394ea464d9bcd7c5dd3d658a35e5c6c2475e6ac56d5d24c2c705",
+    },
+}
+
+
+def _digests(run_dir, names) -> dict:
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
+
 
 @pytest.mark.parametrize("graph_kind", GRAPH_KINDS)
 @pytest.mark.parametrize("nudge_kind", NUDGE_KINDS)
 def test_llm_artifacts_match_their_pins(tmp_path, graph_kind, nudge_kind):
     cfg = config_from_dict({"engine": "llm", "n": 30, "days": 4, "seed": 11,
                             "graph": {"kind": graph_kind}, "nudge": {"kind": nudge_kind}})
-    run_dir = run(cfg, tmp_path).run_dir
-    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in PINNED_FILES}
-    assert digests == GOLDEN[graph_kind, nudge_kind]
+    assert _digests(run(cfg, tmp_path).run_dir, PINNED_FILES) == GOLDEN[graph_kind, nudge_kind]
+
+
+@pytest.mark.parametrize("graph_kind", GRAPH_KINDS)
+@pytest.mark.parametrize("engine", NUMERIC_ENGINES)
+def test_numeric_artifacts_match_their_pins(tmp_path, engine, graph_kind):
+    cfg = config_from_dict({"engine": engine, "n": 30, "days": 6, "seed": 11, "graph": {"kind": graph_kind}})
+    assert _digests(run(cfg, tmp_path).run_dir, NUMERIC_PINNED_FILES) == GOLDEN_NUMERIC[engine, graph_kind]

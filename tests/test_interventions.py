@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosim.errors import ParameterError
 from echosim.graphs import NetworkGraph
@@ -11,7 +13,22 @@ from echosim.interventions import (
     passive_nudge_feed,
     select_targets,
 )
-from helpers import path_graph
+from helpers import naive_active_nudge_content, path_graph
+
+# belief value sets for the nudge oracle test: all neutral, one sign only, two
+# values (many ties) and the whole grid
+GRID_VALUE_SETS = [(0,), (0, 1, 2), (-2, -1, 0), (-2, 2), (-2, -1, 0, 1, 2)]
+
+
+@st.composite
+def grid_instances(draw):
+    """(graph, grid beliefs); at most n edges, so the graph is often disconnected."""
+    n = draw(st.integers(2, 12))
+    values = draw(st.sampled_from(GRID_VALUE_SETS))
+    beliefs = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=n, unique=True))
+    return NetworkGraph.from_edges(n, edges), np.array(beliefs, dtype=float)
 
 
 class TestSelectTargets:
@@ -58,6 +75,15 @@ class TestActiveNudge:
         g = NetworkGraph.from_edges(4, [(0, 1), (0, 2)])  # node 3 disconnected
         content = active_nudge_content(0, [2.0, 0.5, -2.0, -2.0], ["a", "b", "reach", "island"], g)
         assert '"reach"' in content
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_instances())
+    def test_matches_the_three_scan_oracle_on_grid_beliefs(self, instance):
+        g, beliefs = instance
+        texts = [f"t{i}" for i in range(g.n)]
+        for target in range(g.n):
+            expected = naive_active_nudge_content(target, beliefs.tolist(), texts, g)
+            assert active_nudge_content(target, beliefs, texts, g) == expected
 
 
 class TestPassiveNudge:

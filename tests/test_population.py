@@ -10,7 +10,6 @@ from echosim.population import (
     TRAIT_NAMES,
     Persona,
     init_population,
-    persona_card,
     population_from_text,
     population_to_text,
 )
@@ -57,22 +56,22 @@ def test_trait_polarity_is_roughly_fair():
 def test_persona_card_contents():
     p = Persona(index=12, gender="female", age=40, education="master",
                 traits=(True, True, True, True, True))
-    card = persona_card(p)
+    card = p.card
     assert "Agent 12" in card
     for name in TRAIT_NAMES:
         assert TRAIT_ADJECTIVES[name][0] in card
-    assert persona_card(p) == card  # byte-identical on repeat
+    assert p.card == card  # byte-identical on repeat
 
 
 def test_persona_card_is_rendered_once_per_persona():
     p = init_population(3, TOPIC, True, rng(2)).personas[1]
-    assert persona_card(p) is persona_card(p)
+    assert p.card is p.card
 
 
 def test_persona_card_negative_polarity_adjective():
     p = Persona(index=0, gender="male", age=30, education="bachelor",
                 traits=(False, True, True, True, True))
-    assert TRAIT_ADJECTIVES["openness"][1] in persona_card(p)  # "conventional"
+    assert TRAIT_ADJECTIVES["openness"][1] in p.card  # "conventional"
 
 
 def test_serialization_round_trip_continuous():

@@ -1,7 +1,7 @@
 import pytest
 
 from echosim.errors import OpinionParseError
-from echosim.population import Persona, persona_card
+from echosim.population import Persona
 from echosim.prompts import (
     SECTION_HEARD,
     SECTION_NOTE,
@@ -21,7 +21,7 @@ CURRENT = OpinionOutput(opinion_text="I lean in favor of this.", belief=1)
 class TestReflectionPrompt:
     def test_empty_memory_no_nudge(self):
         prompt = build_reflection_prompt(PERSONA, TOPIC, "", [], CURRENT)
-        assert persona_card(PERSONA) in prompt
+        assert PERSONA.card in prompt
         assert TOPIC in prompt
         assert SECTION_HEARD not in prompt
         assert SECTION_NOTE not in prompt

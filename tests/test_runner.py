@@ -266,6 +266,22 @@ class TestCompare:
                                                               "comparison.txt"]
         assert result.labels == ["bcm-small_world"]
 
+    def test_a_failed_compare_leaves_no_table(self, tmp_path, monkeypatch):
+        bcm, fj, llm = (config_from_dict(cfg_dict(engine=e)) for e in ("bcm", "fj", "llm"))
+        compare([bcm, fj], tmp_path)
+        real_run = runner_mod.run
+
+        def sabotage(config, out_dir):
+            if config.engine == "llm":
+                raise RuntimeError("llm exploded")
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr(runner_mod, "run", sabotage)
+        with pytest.raises(RuntimeError, match="llm exploded"):
+            compare([fj, llm], tmp_path)
+        assert not (tmp_path / "comparison.csv").exists()
+        assert not (tmp_path / "comparison.txt").exists()
+
     def test_structure_ordering_at_pinned_seed(self, tmp_path):
         # seed-matched columns: neighbor correlation rises more on the
         # small-world structure than on the random graph (seed 1 pinned;
