@@ -7,9 +7,12 @@ config, a population record, and a manifest with the config hash and the
 code, Python and numpy versions. Mock and numeric runs are bit-reproducible
 from the persisted config; remote-backend runs are excluded from that
 guarantee and marked in the manifest. Each file is written under a temporary
-name, the trajectory and transcript one day at a time as the engine runs, and
-renamed into place after the days, the manifest last, so a directory with a
-manifest holds one complete run.
+name, the trajectory and transcript one day at a time, and renamed into place
+after the days, the manifest last, so a directory with a manifest holds one
+complete run. An llm run writes each day as the engine runs. A numeric run's
+trajectory is written by a forked child while the metrics and the layout run,
+or inline with the same bytes where forking is not safe (no ``os.fork``, or
+other threads alive); ``run()`` always reaps the child.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import os
 import platform
 import re
 import shutil
+import threading
 from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -74,12 +78,11 @@ def _preflight(config: RunConfig) -> Optional[TextBackend]:
 
 def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend],
               files: dict) -> np.ndarray:
-    """The belief trajectory as floats; each day's lines go to the handles in ``files``."""
+    """The belief trajectory as floats. An llm run writes each day's lines to the
+    handles in ``files``; a numeric run's lines are left to ``_written_apart``."""
     params = getattr(config, config.engine)
     if config.engine != "llm":
-        trajectory = run_numeric(config.engine, g, population.beliefs, params, config.days)
-        files["trajectory.jsonl"].writelines(trajectory_chunks(trajectory))
-        return trajectory
+        return run_numeric(config.engine, g, population.beliefs, params, config.days)
     if config.backend.kind == "mock":
         # the mock is CPU-bound under the GIL, so a pool only adds overhead
         params = replace(params, max_in_flight=1)
@@ -99,7 +102,9 @@ def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backen
 def _staged(out: Path, names) -> Iterator[dict]:
     """Yield a UTF-8 text handle with ``\\n`` newlines on ``out/.<name>.tmp`` per name.
     On a clean exit each is closed and renamed to ``out/<name>``, in order; on any
-    error every one is unlinked, so no partial file stands under a real name."""
+    error every one is unlinked, so no partial file stands under a real name. A writer
+    process the block forks onto a handle is reaped, and killed first on an error,
+    before the block ends, so none writes a file this renames or unlinks."""
     tmps = {name: out / f".{name}.tmp" for name in names}
     try:
         with ExitStack() as stack:
@@ -111,6 +116,44 @@ def _staged(out: Path, names) -> Iterator[dict]:
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _written_apart(handle, trajectory) -> Iterator[None]:
+    """Write ``trajectory_chunks(trajectory)`` to ``handle`` from a forked child while
+    the block runs, then reap it: a failed child raises OSError naming its exception,
+    and a block that raises kills and reaps it first. Inline, with the same bytes,
+    where forking is unsafe: no ``os.fork``, or other threads, which may hold a lock."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        handle.writelines(trajectory_chunks(trajectory))
+        yield
+        return
+    handle.flush()  # else the child would write the parent's buffered text again
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as report, open(write_end, "wb", buffering=0) as sink:
+        pid = os.fork()
+        if pid == 0:  # the child writes this one handle and leaves by os._exit: no atexit, no other flush
+            status = 1
+            try:
+                handle.writelines(trajectory_chunks(trajectory))
+                handle.flush()
+                status = 0
+            except BaseException as exc:
+                sink.write(f"{type(exc).__name__}: {exc}".encode())
+            finally:
+                os._exit(status)
+        sink.close()  # the report ends when the child's copy closes, at its exit
+        try:
+            yield
+            error = report.read().decode(errors="replace")
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system
+            os.waitpid(pid, 0)
+            raise
+    if status:
+        reason = error or (f"killed by signal {-status}" if status < 0 else f"exit status {status}")
+        raise OSError(f"trajectory writer process failed: {reason}")
 
 
 def _write_files(out: Path, files: dict) -> None:
@@ -146,18 +189,20 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
 
     with _staged(run_dir, ("trajectory.jsonl", "transcript.jsonl") if llm else ("trajectory.jsonl",)) as files:
         trajectory = _simulate(config, g, population, backend, files)
+        # a numeric run's trajectory text is rendered by a child while the metrics and the layout run
+        with nullcontext() if llm else _written_apart(files["trajectory.jsonl"], trajectory):
+            bits = trajectory.view(np.int64)
+            snapshots = [snapshot(0, g, trajectory[0])]
+            for day in range(1, config.days + 1):
+                # a settled day repeats the previous day's beliefs bit for bit, and so its metrics
+                if np.array_equal(bits[day], bits[day - 1]):
+                    snapshots.append(replace(snapshots[-1], day=day))
+                else:
+                    snapshots.append(snapshot(day, g, trajectory[day]))
+            run_deltas = deltas(snapshots)
+            positions = force_layout(g, component_rng(config.seed, "layout"))
         # the manifest, written last, marks a complete run: none stands while the files change
         (run_dir / "manifest.txt").unlink(missing_ok=True)
-    bits = trajectory.view(np.int64)
-    snapshots = [snapshot(0, g, trajectory[0])]
-    for day in range(1, config.days + 1):
-        # a settled day repeats the previous day's beliefs bit for bit, and so its metrics
-        if np.array_equal(bits[day], bits[day - 1]):
-            snapshots.append(replace(snapshots[-1], day=day))
-        else:
-            snapshots.append(snapshot(day, g, trajectory[day]))
-    run_deltas = deltas(snapshots)
-    positions = force_layout(g, component_rng(config.seed, "layout"))
 
     reproducible = not (llm and config.backend.kind == "remote")
     _write_files(run_dir, {
@@ -246,19 +291,25 @@ def compare(configs: Sequence[RunConfig], out_dir) -> ComparisonResult:
     for cfg in configs:
         _preflight(cfg)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # a compare that fails leaves no table, not an earlier call's
-    _write_files(out, {"comparison.csv": None, "comparison.txt": None})
     labels = []
-    columns = []
     for cfg in configs:
         label = f"{cfg.engine}-{cfg.graph.kind}"
-        if label in labels:
-            label = f"{label}-{len(labels)}"
-        labels.append(label)
-        artifacts = run(cfg, out / label)
-        columns.append(artifacts.deltas)
+        labels.append(f"{label}-{len(labels)}" if label in labels else label)
+    label_pattern = rf"({'|'.join(ENGINES)})-({'|'.join(GRAPH_KINDS)})(-\d+)?"
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    # a compare that fails leaves no table and no run of an earlier call, only its own runs
+    _write_files(out, {"comparison.csv": None, "comparison.txt": None})
+    _remove_stale_runs(out, label_pattern, labels)
+    columns = []
+    try:
+        for cfg, label in zip(configs, labels):
+            columns.append(run(cfg, out / label).deltas)
+    except BaseException:
+        # the failed column's directory, and those of the columns after it, hold an earlier call's runs
+        _remove_stale_runs(out, label_pattern, labels[:len(columns)])
+        raise
 
     table = {name: [col[k] for col in columns] for k, name in enumerate(DELTA_ROWS)}
 
@@ -271,7 +322,6 @@ def compare(configs: Sequence[RunConfig], out_dir) -> ComparisonResult:
         text_lines.append(name.ljust(width) + "".join(_fmt(v).rjust(col_width) for v in table[name]))
     _write_files(out, {"comparison.csv": "\n".join(csv_lines) + "\n",
                        "comparison.txt": "\n".join(text_lines) + "\n"})
-    _remove_stale_runs(out, rf"({'|'.join(ENGINES)})-({'|'.join(GRAPH_KINDS)})(-\d+)?", labels)
     return ComparisonResult(labels=labels, table=table, csv_path=out / "comparison.csv",
                             text_path=out / "comparison.txt")
 

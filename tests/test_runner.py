@@ -1,7 +1,10 @@
 import json
+import os
 import platform
 import tempfile
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import echosim
 import echosim.runner as runner_mod
 from echosim.backends import MockBackend
+from echosim.cli import main
 from echosim.config import ENGINES, config_from_dict, config_hash, load_config_file
 from echosim.errors import BackendError, ConfigError, ParameterError
 from echosim.metrics import deltas, snapshot
@@ -282,6 +286,23 @@ class TestCompare:
         assert not (tmp_path / "comparison.csv").exists()
         assert not (tmp_path / "comparison.txt").exists()
 
+    def test_a_failed_compare_leaves_only_its_own_runs(self, tmp_path, monkeypatch):
+        bcm, fj, llm = (config_from_dict(cfg_dict(engine=e)) for e in ("bcm", "fj", "llm"))
+        compare([bcm, fj, llm], tmp_path)
+        real_run = runner_mod.run
+
+        def sabotage(config, out_dir):
+            if config.engine == "llm":
+                raise RuntimeError("llm exploded")
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr(runner_mod, "run", sabotage)
+        with pytest.raises(RuntimeError, match="llm exploded"):
+            compare([fj, llm, bcm], tmp_path)
+        # bcm's column never ran and llm's failed: their directories held the first call's runs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fj-small_world"]
+        assert (tmp_path / "fj-small_world" / "manifest.txt").exists()
+
     def test_structure_ordering_at_pinned_seed(self, tmp_path):
         # seed-matched columns: neighbor correlation rises more on the
         # small-world structure than on the random graph (seed 1 pinned;
@@ -389,6 +410,97 @@ class TestSweep:
         line = result.aggregate_csv.read_text().strip().splitlines()[1]
         assert line.startswith("delta_polarization,")
         assert float(line.split(",")[1]) == pytest.approx(np.mean(pols))
+
+
+@contextmanager
+def another_thread():
+    """Keep one more thread alive, so ``run()`` may not fork its trajectory writer."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriterProcess:
+    """A numeric run's trajectory.jsonl is written by a forked child while the
+    metrics and the layout run, or inline where forking is not safe."""
+
+    @staticmethod
+    def count_forks(monkeypatch) -> list:
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @pytest.mark.parametrize("over", [
+        *(dict(engine=engine, n=40, days=6, graph={"kind": kind}) for engine in ("bcm", "fj") for kind in GRAPH_KINDS),
+        # past its fixed point from day 55, so most days repeat the day before
+        dict(engine="fj", n=12, days=80, exposure_mode="all_neighbors"),
+    ])
+    def test_forked_and_inline_writers_give_the_same_bytes(self, tmp_path, monkeypatch, over):
+        forks = self.count_forks(monkeypatch)
+        cfg = config_from_dict(cfg_dict(**over))
+        forked = run(cfg, tmp_path / "forked")
+        assert len(forks) == 1
+        assert_no_child_process()
+        with another_thread():
+            inline = run(cfg, tmp_path / "inline")
+        assert len(forks) == 1
+        assert read_all(forked.run_dir) == read_all(inline.run_dir)
+        assert forked.snapshots == inline.snapshots
+
+    def test_a_failing_writer_process_is_an_io_error(self, tmp_path, monkeypatch):
+        d = tmp_path / "d"
+        run(config_from_dict(cfg_dict(engine="fj", seed=1)), d)
+        earlier = read_all(d)
+
+        def failing_chunks(trajectory):
+            raise RuntimeError("renderer gone")
+
+        # the forked child inherits the patched name
+        monkeypatch.setattr(runner_mod, "trajectory_chunks", failing_chunks)
+        with pytest.raises(OSError, match="trajectory writer process failed: RuntimeError: renderer gone"):
+            run(config_from_dict(cfg_dict(engine="fj", seed=2)), d)
+        assert_no_child_process()
+        assert not list(d.glob(".*.tmp"))
+        assert read_all(d) == earlier
+        assert main(["run", "--engine", "fj", "--n", "10", "--days", "5", "--seed", "2", "--out", str(d)]) == 4
+        assert_no_child_process()
+        assert read_all(d) == earlier
+
+    def test_a_parent_that_fails_after_the_fork_kills_and_reaps_the_writer(self, tmp_path, monkeypatch):
+        d = tmp_path / "d"
+        run(config_from_dict(cfg_dict(engine="bcm", seed=1)), d)
+        earlier = read_all(d)
+        forks = self.count_forks(monkeypatch)
+
+        def failing_layout(g, rng):
+            raise RuntimeError("layout gone")
+
+        monkeypatch.setattr(runner_mod, "force_layout", failing_layout)
+        with pytest.raises(RuntimeError, match="layout gone"):
+            run(config_from_dict(cfg_dict(engine="bcm", seed=2)), d)
+        assert len(forks) == 1
+        assert_no_child_process()
+        assert not list(d.glob(".*.tmp"))
+        assert read_all(d) == earlier
 
 
 def json_dumps_trajectory(trajectory) -> str:
