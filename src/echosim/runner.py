@@ -7,12 +7,13 @@ config, a population record, and a manifest with the config hash and the
 code, Python and numpy versions. Mock and numeric runs are bit-reproducible
 from the persisted config; remote-backend runs are excluded from that
 guarantee and marked in the manifest. Each file is written under a temporary
-name, the trajectory and transcript one day at a time, and renamed into place
-after the days, the manifest last, so a directory with a manifest holds one
-complete run. An llm run writes each day as the engine runs. A numeric run's
-trajectory is written by a forked child while the metrics and the layout run,
-or inline with the same bytes where forking is not safe (no ``os.fork``, or
-other threads alive); ``run()`` always reaps the child.
+name, the trajectory and transcript one day at a time, and none is renamed into
+place until all are written, the manifest last: a run that fails before then
+leaves the directory as it was, and one with a manifest holds one whole run. An
+llm run writes each day as the engine runs. A numeric run's trajectory is
+written by a forked child while the metrics and the layout run, or inline with
+the same bytes where forking is not safe (no ``os.fork``, or other threads
+alive); ``run()`` always reaps the child.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from . import __version__
 from .backends import MockBackend, RemoteChatBackend, TextBackend
 from .config import ENGINES, RunConfig, config_from_dict, config_hash, config_to_yaml, load_config_file
 from .errors import ParameterError
-from .graphs import GRAPH_KINDS, NetworkGraph, generate_graph, is_connected, to_edge_list_text
+from .graphs import GRAPH_KINDS, generate_graph, is_connected, to_edge_list_text
 from .language import events_jsonl, run_llm
 from .layout import force_layout
 from .metrics import METRICS_CSV_HEADER, deltas, snapshot
 from .numeric import run_numeric
-from .population import Population, init_population, population_to_text
+from .population import init_population, population_to_text
 
 # fixed per-component rng streams so e.g. populations match across structures
 _STREAMS = {"graph": 0, "population": 1, "engine": 2, "layout": 3}
@@ -76,35 +77,14 @@ def _preflight(config: RunConfig) -> Optional[TextBackend]:
     return _build_backend(config) if config.engine == "llm" else None
 
 
-def _simulate(config: RunConfig, g: NetworkGraph, population: Population, backend: Optional[TextBackend],
-              files: dict) -> np.ndarray:
-    """The belief trajectory as floats. An llm run writes each day's lines to the
-    handles in ``files``; a numeric run's lines are left to ``_written_apart``."""
-    params = getattr(config, config.engine)
-    if config.engine != "llm":
-        return run_numeric(config.engine, g, population.beliefs, params, config.days)
-    if config.backend.kind == "mock":
-        # the mock is CPU-bound under the GIL, so a pool only adds overhead
-        params = replace(params, max_in_flight=1)
-
-    def write_day(day, beliefs, texts, events):
-        files["trajectory.jsonl"].write(grid_day_lines(day, beliefs, texts))
-        files["transcript.jsonl"].write(events_jsonl(events))
-
-    result = run_llm(
-        g, population, backend, params, config.nudge,
-        days=config.days, rng=component_rng(config.seed, "engine"), on_day=write_day,
-    )
-    return result.belief_trajectory.astype(float)
-
-
 @contextmanager
 def _staged(out: Path, names) -> Iterator[dict]:
     """Yield a UTF-8 text handle with ``\\n`` newlines on ``out/.<name>.tmp`` per name.
     On a clean exit each is closed and renamed to ``out/<name>``, in order; on any
-    error every one is unlinked, so no partial file stands under a real name. A writer
-    process the block forks onto a handle is reaped, and killed first on an error,
-    before the block ends, so none writes a file this renames or unlinks."""
+    error every one is unlinked, so no partial file stands under a real name, and a
+    block that raises renames none. A writer process the block forks onto a handle
+    is reaped, and killed first on an error, before the block ends, so none writes
+    a file this renames or unlinks."""
     tmps = {name: out / f".{name}.tmp" for name in names}
     try:
         with ExitStack() as stack:
@@ -157,15 +137,14 @@ def _written_apart(handle, trajectory) -> Iterator[None]:
 
 
 def _write_files(out: Path, files: dict) -> None:
-    """Write each ``name: text`` under ``out`` through ``_staged``, where a text
-    is a ``str`` or an iterable of ``str`` chunks; a name whose text is None is
-    removed, so no file of an earlier run survives."""
+    """Write each ``name: text`` under ``out`` through ``_staged``; a name whose
+    text is None is removed, so no file of an earlier run survives."""
     texts = {name: text for name, text in files.items() if text is not None}
     for name in files.keys() - texts.keys():
         (out / name).unlink(missing_ok=True)
     with _staged(out, texts) as handles:
         for name, text in texts.items():
-            handles[name].writelines([text] if isinstance(text, str) else text)
+            handles[name].write(text)
 
 
 def _remove_stale_runs(out: Path, pattern: str, kept) -> None:
@@ -180,6 +159,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     """Execute one experiment and persist all artifacts under ``out_dir``."""
     backend = _preflight(config)
     llm = config.engine == "llm"
+    params = getattr(config, config.engine)
 
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -187,8 +167,22 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     population = init_population(config.n, config.topic, llm, component_rng(config.seed, "population"))
     g = generate_graph(config.graph, component_rng(config.seed, "graph"))
 
-    with _staged(run_dir, ("trajectory.jsonl", "transcript.jsonl") if llm else ("trajectory.jsonl",)) as files:
-        trajectory = _simulate(config, g, population, backend, files)
+    streamed = ("trajectory.jsonl", "transcript.jsonl") if llm else ("trajectory.jsonl",)
+    with _staged(run_dir, streamed + ("metrics.csv", "projection.csv", "population.txt", "graph.txt",
+                                      "config.yaml", "manifest.txt")) as files:
+        if llm:
+            def write_day(day, beliefs, texts, events):
+                files["trajectory.jsonl"].write(grid_day_lines(day, beliefs, texts))
+                files["transcript.jsonl"].write(events_jsonl(events))
+            if config.backend.kind == "mock":
+                # the mock is CPU-bound under the GIL, so a pool only adds overhead
+                params = replace(params, max_in_flight=1)
+            trajectory = run_llm(
+                g, population, backend, params, config.nudge,
+                days=config.days, rng=component_rng(config.seed, "engine"), on_day=write_day,
+            ).belief_trajectory.astype(float)
+        else:
+            trajectory = run_numeric(config.engine, g, population.beliefs, params, config.days)
         # a numeric run's trajectory text is rendered by a child while the metrics and the layout run
         with nullcontext() if llm else _written_apart(files["trajectory.jsonl"], trajectory):
             bits = trajectory.view(np.int64)
@@ -201,19 +195,14 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
                     snapshots.append(snapshot(day, g, trajectory[day]))
             run_deltas = deltas(snapshots)
             positions = force_layout(g, component_rng(config.seed, "layout"))
-        # the manifest, written last, marks a complete run: none stands while the files change
-        (run_dir / "manifest.txt").unlink(missing_ok=True)
 
-    reproducible = not (llm and config.backend.kind == "remote")
-    _write_files(run_dir, {
-        "metrics.csv": "\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n",
-        # a numeric run removes the transcript an earlier llm run left here
-        **({} if llm else {"transcript.jsonl": None}),
-        "projection.csv": projection_text(trajectory[-1], positions),
-        "population.txt": population_to_text(population),
-        "graph.txt": to_edge_list_text(g),
-        "config.yaml": config_to_yaml(config),
-        "manifest.txt": "\n".join([
+        # written after the fork, so the child inherits no buffered text but the trajectory's
+        files["metrics.csv"].write("\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
+        files["projection.csv"].write(projection_text(trajectory[-1], positions))
+        files["population.txt"].write(population_to_text(population))
+        files["graph.txt"].write(to_edge_list_text(g))
+        files["config.yaml"].write(config_to_yaml(config))
+        files["manifest.txt"].write("\n".join([
             f"config_hash: {config_hash(config)}",
             f"code_version: {__version__}",
             f"python_version: {platform.python_version()}",
@@ -222,9 +211,12 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             f"backend: {config.backend.kind if llm else 'none'}",
             f"graph_kind: {config.graph.kind}",
             f"graph_connected: {str(is_connected(g)).lower()}",
-            f"reproducible: {str(reproducible).lower()}",
-        ]) + "\n",
-    })
+            f"reproducible: {str(not (llm and config.backend.kind == 'remote')).lower()}",
+        ]) + "\n")
+        # the manifest, renamed last, marks a complete run: none stands while the files change
+        (run_dir / "manifest.txt").unlink(missing_ok=True)
+        if not llm:  # a numeric run removes the transcript an earlier llm run left here
+            (run_dir / "transcript.jsonl").unlink(missing_ok=True)
     return RunArtifacts(run_dir=run_dir, snapshots=snapshots, deltas=run_deltas)
 
 
@@ -344,6 +336,10 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     """
     if len(seeds) < 2:
         raise ParameterError(f"sweep needs at least 2 seeds, got {len(seeds)}")
+    # a float or a bool would be truncated to a seed the caller did not name
+    non_int = [s for s in seeds if isinstance(s, bool) or not isinstance(s, (int, np.integer))]
+    if non_int:
+        raise ParameterError(f"sweep seeds must be integers, got {', '.join(map(repr, non_int))}")
     seeds = [int(s) for s in seeds]
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
@@ -352,16 +348,21 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
         _preflight(replace(config, seed=s))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # an interrupted sweep leaves no table and no run of an earlier call, only its own runs
+    _write_files(out, {"aggregate.csv": None, "failures.txt": None})
+    _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in seeds})
 
     per_seed: dict = {}
     failures: dict = {}
-    for s in seeds:
-        try:
-            artifacts = run(replace(config, seed=s), out / f"seed_{s}")
-        except Exception as exc:  # keep sweeping; report at the end
-            failures[s] = f"{type(exc).__name__}: {exc}"
-            continue
-        per_seed[s] = artifacts.deltas
+    try:
+        for s in seeds:
+            try:
+                per_seed[s] = run(replace(config, seed=s), out / f"seed_{s}").deltas
+            except Exception as exc:  # keep sweeping; report at the end
+                failures[s] = f"{type(exc).__name__}: {exc}"
+    finally:
+        # a seed that failed, or that an interrupt kept the sweep from, may hold an earlier sweep's run
+        _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in per_seed})
 
     csv_lines = ["metric,mean,stddev,count"]
     for k, name in enumerate(DELTA_ROWS):
@@ -373,10 +374,7 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
             csv_lines.append(f"{name},,,0")
     report = [f"seed {s}: {msg}" for s, msg in sorted(failures.items())]
     _write_files(out, {"aggregate.csv": "\n".join(csv_lines) + "\n",
-                       # a clean sweep removes the report an earlier sweep left here
                        "failures.txt": "\n".join(report) + "\n" if report else None})
-    # a failed seed's directory may hold an earlier sweep's run, which would read as this one's
-    _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in per_seed})
     return SweepResult(seeds=seeds, per_seed_deltas=per_seed, failures=failures,
                        aggregate_csv=out / "aggregate.csv")
 

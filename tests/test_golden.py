@@ -10,6 +10,10 @@ their last bits still depend on the host CPU (BLAS in ``nci``, the fused
 complex product of the mesh layout). ``manifest.txt`` names the Python and
 numpy versions.
 
+The pins were made with numpy 2.4.6, the version ``.github/constraints.txt``
+pins for CI. numpy does not promise the same random streams or rounding
+across releases, so a numpy bump is its own change that re-pins.
+
 A pin changes only when the artifact bytes change on purpose: that needs a
 ``__version__`` bump and a CHANGES.md line saying which files changed and why.
 """

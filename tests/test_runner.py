@@ -202,6 +202,23 @@ class TestWrites:
         assert not list(d.glob(".*.tmp"))
         assert read_all(d) == earlier
 
+    @pytest.mark.parametrize("engine", ["bcm", "fj", "llm"])
+    def test_a_run_that_fails_after_the_days_leaves_the_earlier_run_whole(self, tmp_path, monkeypatch, engine):
+        d = tmp_path / "d"
+        run(config_from_dict(cfg_dict(engine="llm", seed=1)), d)  # so a numeric rerun has a transcript to remove
+        earlier = read_all(d)
+
+        def failing_edge_list(g):
+            # the days, the trajectory writer, the metrics and the layout have all run by now
+            raise RuntimeError("edge list gone")
+
+        monkeypatch.setattr(runner_mod, "to_edge_list_text", failing_edge_list)
+        with pytest.raises(RuntimeError, match="edge list gone"):
+            run(config_from_dict(cfg_dict(engine=engine, seed=2)), d)
+        assert_no_child_process()
+        assert not list(d.glob(".*.tmp"))
+        assert read_all(d) == earlier
+
     def test_peak_memory_does_not_grow_with_days(self, tmp_path):
         """At fixed n only the run's own arrays grow with ``days``: 180 more
         days of 300 beliefs are 0.41 MiB. Building the whole trajectory text
@@ -397,6 +414,34 @@ class TestSweep:
         assert not (tmp_path / "seed_5").exists()
         assert (tmp_path / "seed_6" / "partial.txt").read_text() == "partial"
         assert (tmp_path / "seed_4" / "manifest.txt").exists()
+
+    def test_an_interrupted_sweep_leaves_only_its_own_runs(self, tmp_path, monkeypatch):
+        sweep(config_from_dict(cfg_dict()), [1, 2, 5], tmp_path)
+        real_run = runner_mod.run
+
+        def interrupt_seed_4(config, out_dir):
+            if config.seed == 4:
+                raise KeyboardInterrupt
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr(runner_mod, "run", interrupt_seed_4)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(config_from_dict(cfg_dict()), [3, 4, 5], tmp_path)
+        # seeds 1 and 2 are not in the call, and it never reached seed 5: all three hold the first call's runs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seed_3"]
+        assert (tmp_path / "seed_3" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("seeds, named", [([1.7, 2.2], "1.7, 2.2"), ([True, 2], "True"), ([1, 2.0], "2.0"),
+                                              ([1, "2"], "'2'")])
+    def test_non_integer_seeds_rejected_before_any_run(self, tmp_path, seeds, named):
+        with pytest.raises(ParameterError, match=f"sweep seeds must be integers, got {named}$"):
+            sweep(config_from_dict(cfg_dict()), seeds, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_numpy_integer_seeds_accepted(self, tmp_path):
+        result = sweep(config_from_dict(cfg_dict()), np.array([1, 2]), tmp_path)
+        assert result.seeds == [1, 2] and all(type(s) is int for s in result.seeds)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aggregate.csv", "seed_1", "seed_2"]
 
     def test_bad_seed_rejected_before_any_run(self, tmp_path):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
