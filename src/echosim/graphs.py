@@ -22,6 +22,10 @@ from .errors import INF, ParameterError, check_fields
 _KIND_DEFAULTS = {"small_world": {"k": 4, "p_rewire": 0.1}, "scale_free": {"m": 2}, "random": {"p_edge": 0.08}}
 GRAPH_KINDS = tuple(_KIND_DEFAULTS)
 
+# Most pairs of ``generate_random`` drawn by one ``rng.random`` call (a row's
+# pairs at least): the draws stay small, and the stream is the one of a draw per row.
+_PAIRS_PER_DRAW = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
@@ -228,10 +232,16 @@ def generate_random(n: int, p_edge: float, rng: np.random.Generator) -> NetworkG
     """G(n, p): each of the n(n-1)/2 pairs is included independently with probability ``p_edge``."""
     GraphSpec(kind="random", n=n, p_edge=p_edge).validate()
 
-    # one draw per pair in (i, j) order, a row at a time, so memory stays O(n + m)
-    cols = [np.flatnonzero(rng.random(n - 1 - i) < p_edge) + (i + 1) for i in range(n)]
-    rows = np.repeat(np.arange(n), [c.size for c in cols])
-    return NetworkGraph.from_edges(n, np.column_stack([rows, np.concatenate(cols)]))
+    # one draw per pair in (i, j) order, a block of rows at a time, so memory stays O(n + m)
+    block, edges = max(1, _PAIRS_PER_DRAW // n), []
+    for start in range(0, n, block):
+        i = np.arange(start, min(start + block, n))
+        lengths = n - 1 - i
+        hit = np.flatnonzero(rng.random(lengths.sum()) < p_edge)  # numbers of the block's pairs drawn
+        row = np.repeat(i, lengths)[hit]
+        first = np.cumsum(lengths) - lengths  # number of each row's pair (row, row + 1)
+        edges.append(np.column_stack([row, row + 1 + hit - first[row - start]]))
+    return NetworkGraph.from_edges(n, np.concatenate(edges))
 
 
 def clustering_coefficient(g: NetworkGraph) -> float:

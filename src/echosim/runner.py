@@ -185,14 +185,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             trajectory = run_numeric(config.engine, g, population.beliefs, params, config.days)
         # a numeric run's trajectory text is rendered by a child while the metrics and the layout run
         with nullcontext() if llm else _written_apart(files["trajectory.jsonl"], trajectory):
-            bits = trajectory.view(np.int64)
-            snapshots = [snapshot(0, g, trajectory[0])]
-            for day in range(1, config.days + 1):
-                # a settled day repeats the previous day's beliefs bit for bit, and so its metrics
-                if np.array_equal(bits[day], bits[day - 1]):
-                    snapshots.append(replace(snapshots[-1], day=day))
-                else:
-                    snapshots.append(snapshot(day, g, trajectory[day]))
+            snapshots = snapshot(range(config.days + 1), g, trajectory)
             run_deltas = deltas(snapshots)
             positions = force_layout(g, component_rng(config.seed, "layout"))
 

@@ -6,7 +6,7 @@ reads row by row from the CSR arrays. The numeric-engine
 oracles update one agent at a time and average with ``np.mean``; the layout
 oracle sums forces one pair at a time. ``naive_active_nudge_content`` and
 ``naive_deep_merge`` keep earlier, more general bodies of the package's nudge
-search and config merge.
+search and config merge, and ``row_at_a_time_random`` that of ``generate_random``.
 """
 
 import json
@@ -157,6 +157,13 @@ def naive_generate_random(n: int, p_edge: float, rng) -> NetworkGraph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mask = rng.random(len(pairs)) < p_edge
     return NetworkGraph.from_edges(n, [pair for pair, hit in zip(pairs, mask) if hit])
+
+
+def row_at_a_time_random(n: int, p_edge: float, rng) -> NetworkGraph:
+    """The earlier body of ``generate_random``: one ``rng.random`` call per row."""
+    cols = [np.flatnonzero(rng.random(n - 1 - i) < p_edge) + (i + 1) for i in range(n)]
+    rows = np.repeat(np.arange(n), [c.size for c in cols])
+    return NetworkGraph.from_edges(n, np.column_stack([rows, np.concatenate(cols)]))
 
 
 def naive_generate_scale_free(n: int, m: int, rng) -> NetworkGraph:

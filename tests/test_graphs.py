@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echosim import graphs
 from echosim.errors import ParameterError
 from echosim.graphs import (
     GraphSpec,
@@ -29,6 +31,7 @@ from helpers import (
     naive_hop_distances,
     path_graph,
     random_instance,
+    row_at_a_time_random,
     star_graph,
 )
 
@@ -159,6 +162,17 @@ class TestRandom:
                 assert to_edge_list_text(generate_random(n, p_edge, fast)) == to_edge_list_text(
                     naive_generate_random(n, p_edge, slow))
                 assert fast.random() == slow.random()  # same number of draws
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 120), p_edge=st.floats(0, 1), seed=st.integers(0, 2**32 - 1),
+           pairs_per_draw=st.integers(1, 400))
+    def test_block_draws_match_row_draws(self, n, p_edge, seed, pairs_per_draw):
+        fast, slow = rng(seed), rng(seed)
+        with mock.patch.object(graphs, "_PAIRS_PER_DRAW", pairs_per_draw):
+            g = generate_random(n, p_edge, fast)
+        oracle = row_at_a_time_random(n, p_edge, slow)
+        assert np.array_equal(g.indptr, oracle.indptr) and np.array_equal(g.indices, oracle.indices)
+        assert fast.random() == slow.random()  # the same stream, to the last draw
 
     def test_memory_is_linear(self):
         # the pair list alone holds n(n-1)/2 = 5e7 tuples at n=10000

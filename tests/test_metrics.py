@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from echosim import metrics
 from echosim.errors import ParameterError
 from echosim.graphs import NetworkGraph, generate_small_world
 from echosim.metrics import (
@@ -169,3 +174,36 @@ class TestSnapshotsAndDeltas:
     def test_delta_needs_two_snapshots(self):
         with pytest.raises(ParameterError):
             deltas([MetricsSnapshot(0, 0.0, 0.0, None)])
+
+
+class TestBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), days=st.integers(1, 12), chunk_entries=st.integers(1, 300))
+    def test_every_row_is_bit_equal_to_the_one_day_call(self, seed, days, chunk_entries):
+        rng = np.random.default_rng(seed)
+        g, _ = random_instance(rng, max_n=30)
+        beliefs = rng.uniform(-2, 2, size=(days, g.n)) * 10.0 ** rng.integers(-6, 6, size=(days, 1))
+        for day in range(1, days):
+            if rng.random() < 0.3:  # a settled day
+                beliefs[day] = beliefs[day - 1]
+            elif rng.random() < 0.2:  # a consensus
+                beliefs[day] = beliefs[day, 0]
+        with mock.patch.object(metrics, "_CHUNK_ENTRIES", chunk_entries):
+            batch = snapshot(range(days), g, beliefs)
+        # csv_row writes each value by repr, so equal rows are equal bits
+        assert [s.csv_row() for s in batch] == [snapshot(day, g, beliefs[day]).csv_row() for day in range(days)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g, beliefs", [
+        # a consensus, then a day whose own beliefs vary but every neighbor mean is 0
+        (cycle_graph(4), [[0.5] * 4, [1.0, 0.0, -1.0, 0.0]]),
+        (NetworkGraph.from_edges(3, []), [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]),  # no node has a neighbor
+    ], ids=["constant vectors", "all isolated"])
+    def test_undefined_days_give_none_without_a_warning(self, g, beliefs):
+        assert [s.nci for s in snapshot([3, 4], g, np.array(beliefs))] == [None, None]
+
+    def test_days_and_beliefs_must_agree(self):
+        with pytest.raises(ParameterError, match="2 days of 4 nodes"):
+            snapshot([0, 1], cycle_graph(4), np.zeros((3, 4)))
+        with pytest.raises(ParameterError):
+            global_disagreement(cycle_graph(4), [0.0] * 5)
