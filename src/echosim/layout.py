@@ -3,8 +3,9 @@
 Produces 2-D coordinates so external tools can render the colored-cluster
 projection of final beliefs. Same graph and rng seed give bit-identical
 coordinates, on any x86-64 host for one numpy version: no step goes through
-BLAS, and every product of the mesh path rounds once, with or without the
-fused multiply-adds numpy's CPU dispatch may pick. No rendering happens here.
+BLAS, and every product of the particle-mesh repulsion rounds once, with or
+without the fused multiply-adds numpy's CPU dispatch may pick. No rendering
+happens here.
 """
 
 from __future__ import annotations
@@ -15,26 +16,14 @@ from .graphs import NetworkGraph
 
 LAYOUT_ITERATIONS = 60
 
-# Pair elements per row block of the all-pairs repulsion: memory grows as
-# O(n * block) rather than O(n^2), and the four float64 block buffers
-# (256 KiB each) stay in a 2 MiB L2 cache. At n=300 that ran the repulsion
-# about 20% faster than blocks of 2**16 elements, which ran the layout about
-# 25% faster than blocks of 2**20. Each row's sum is the same in any block.
-_BLOCK_ELEMENTS = 1 << 15
 
-# Largest n whose repulsion is summed exactly over all pairs; above it the
-# particle-mesh field is used. On a 2-vCPU VM the mesh was as fast from about
-# n=200 and faster above; 300 keeps runs up to that size on exact coordinates.
-_MESH_CROSSOVER = 300
-
-
-def force_layout(g: NetworkGraph, rng: np.random.Generator, iterations: int = LAYOUT_ITERATIONS) -> np.ndarray:
+def force_layout(g: NetworkGraph, rng: np.random.Generator) -> np.ndarray:
     """Spring-embedder coordinates in roughly the unit square, shape (n, 2).
 
-    Fruchterman-Reingold: every pair repels with force k^2/d, every edge pulls
-    with d^2/k, and each step is capped by a linearly cooling temperature.
-    Up to ``_MESH_CROSSOVER`` nodes the repulsion is exact; above it, it is
-    the particle-mesh approximation of the same field.
+    Fruchterman-Reingold over ``LAYOUT_ITERATIONS`` steps: every pair repels
+    with force k^2/d, every edge pulls with d^2/k, and each step is capped by
+    a linearly cooling temperature. The repulsion is the particle-mesh
+    approximation of the all-pairs field, at every n.
     """
     n = g.n
     pos = rng.random((n, 2))
@@ -44,11 +33,11 @@ def force_layout(g: NetworkGraph, rng: np.random.Generator, iterations: int = LA
     src, dst = g.upper()
     ends = np.concatenate([src, dst])
     x, y = pos.T.copy()
-    repulsion = _exact_repulsion(n, k) if n <= _MESH_CROSSOVER else _mesh_repulsion(n, k)
+    repulsion = _mesh_repulsion(n, k)
     temperature = 0.1
-    cooling = temperature / (iterations + 1)
+    cooling = temperature / (LAYOUT_ITERATIONS + 1)
 
-    for _ in range(iterations):
+    for _ in range(LAYOUT_ITERATIONS):
         disp_x, disp_y = repulsion(x, y)
 
         ex, ey = x[src] - x[dst], y[src] - y[dst]
@@ -64,35 +53,6 @@ def force_layout(g: NetworkGraph, rng: np.random.Generator, iterations: int = LA
         y = y + disp_y / lengths * step
         temperature -= cooling
     return np.column_stack([x, y])
-
-
-def _exact_repulsion(n: int, k: float):
-    """Repulsion ``(x, y) -> (disp_x, disp_y)`` summed exactly over all pairs,
-    over blocks of rows and one plane at a time, in buffers allocated once."""
-    block = min(n, max(1, _BLOCK_ELEMENTS // n))
-    # four arrays, not one: a freed 1 MiB array raised malloc's mmap threshold, and so later runs' peak RSS
-    buffers = [np.empty((block, n)) for _ in range(4)]
-
-    def repulsion(x, y):
-        disp_x, disp_y = np.empty(n), np.empty(n)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            dx, dy, w, tile = (buffer[: stop - start] for buffer in buffers)
-            # numpy subtracts contiguous tiles about four times as fast as a broadcast operand
-            for d, v in ((dx, x), (dy, y)):
-                d[...] = v[start:stop, None]
-                tile[...] = v
-                np.subtract(d, tile, out=d)
-            np.multiply(dx, dx, out=w)
-            w += np.multiply(dy, dy, out=tile)
-            np.maximum(w, 1e-18, out=w)  # squared form of the 1e-9 distance floor
-            np.divide(k * k, w, out=w)
-            w[np.arange(stop - start), np.arange(start, stop)] = 0.0  # no self-repulsion
-            disp_x[start:stop] = np.einsum("ij,ij->i", w, dx)
-            disp_y[start:stop] = np.einsum("ij,ij->i", w, dy)
-        return disp_x, disp_y
-
-    return repulsion
 
 
 def _mesh_repulsion(n: int, k: float):

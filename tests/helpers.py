@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own code paths: plain Python
 loops, manual Pearson, full O(n^2) scans of an edge set that ``edge_set``
 reads row by row from the CSR arrays. The numeric-engine
 oracles update one agent at a time and average with ``np.mean``; the layout
-oracle sums forces one pair at a time. ``naive_active_nudge_content`` and
+oracle sums forces one pair at a time, and ``exact_repulsion`` is the dense
+all-pairs field the particle mesh approximates. ``naive_active_nudge_content`` and
 ``naive_deep_merge`` keep earlier, more general bodies of the package's nudge
 search and config merge, and ``row_at_a_time_random`` that of ``generate_random``.
 """
@@ -149,6 +150,18 @@ def naive_force_layout(g: NetworkGraph, rng, iterations):
         pos = new
         temperature -= cooling
     return pos
+
+
+def exact_repulsion(x, y, k):
+    """The exact all-pairs repulsion ``(disp_x, disp_y)`` at points ``(x, y)``:
+    each point is pushed by k^2/d along its offset from every other point,
+    over dense n x n arrays of offsets."""
+    dx, dy = x[:, None] - x, y[:, None] - y
+    w = dx * dx
+    w += dy * dy
+    np.divide(k * k, np.maximum(w, 1e-18, out=w), out=w)  # the squared form of a 1e-9 distance floor
+    np.fill_diagonal(w, 0.0)  # no self-repulsion
+    return np.einsum("ij,ij->i", w, dx), np.einsum("ij,ij->i", w, dy)
 
 
 def naive_generate_random(n: int, p_edge: float, rng) -> NetworkGraph:
