@@ -4,8 +4,9 @@ Produces 2-D coordinates so external tools can render the colored-cluster
 projection of final beliefs. Same graph and rng seed give bit-identical
 coordinates, on any x86-64 host for one numpy version: no step goes through
 BLAS, and every product of the particle-mesh repulsion rounds once, with or
-without the fused multiply-adds numpy's CPU dispatch may pick. No rendering
-happens here.
+without the fused multiply-adds numpy's CPU dispatch may pick, in double
+precision or, for the spectra of its inverse transforms, in single. No
+rendering happens here.
 """
 
 from __future__ import annotations
@@ -59,11 +60,14 @@ def _mesh_repulsion(n: int, k: float):
     """Particle-mesh repulsion ``(x, y) -> (disp_x, disp_y)`` (Hockney & Eastwood).
 
     Each call spreads the points over a G x G grid spanning their bounding
-    square with cloud-in-cell weights, convolves that density with the kernel
-    r/|r|^2 through a zero-padded 2G x 2G FFT (so there are no periodic
-    images), and reads the field back at each point with the same weights,
-    which also cancels each point's force on itself. The kernel's transform is
-    taken once, in grid units; a grid spacing h scales it by k^2/h.
+    square with cloud-in-cell weights, in one ``np.bincount`` over the (4, n)
+    corner indices; convolves that density with the kernel r/|r|^2 through a
+    zero-padded 2G x 2G FFT (so there are no periodic images); and reads the
+    field back at each point with the same weights, in one weighted gather per
+    component, which also cancels each point's force on itself. The forward
+    transform runs in double precision and the two inverse ones in single:
+    their spectra are complex64. The kernel's transform is taken once, in grid
+    units; a grid spacing h scales it by k^2/h.
     """
     size = 16  # the grid side G: the smallest power of two >= 2 sqrt(n), and at least 16
     while size * size < 4 * n:
@@ -76,7 +80,10 @@ def _mesh_repulsion(n: int, k: float):
     # offset -G never reaches the G rows read back; zeroed, it leaves each kernel exactly odd, so its
     # transform is i times a real array and each product below rounds once, with or without FMA
     kernel_x[size], kernel_y[:, size] = 0.0, 0.0
-    kernel_x, kernel_y = (1j * np.fft.rfft2(kernel).imag for kernel in (kernel_x, kernel_y))
+    kernel_x, kernel_y = ((1j * np.fft.rfft2(kernel).imag).astype(np.complex64) for kernel in (kernel_x, kernel_y))
+    corner_offsets = np.array([[0], [size], [1], [size + 1]])
+    # the zero padding, kept from call to call: np.fft pads with a fresh copy on each transform
+    spread, padded = np.zeros((size, 2 * size)), np.zeros((2 * size, size + 1), complex)
 
     def repulsion(x, y):
         lo_x, lo_y = x.min(), y.min()
@@ -85,11 +92,15 @@ def _mesh_repulsion(n: int, k: float):
         ix = np.minimum(gx.astype(np.int64), size - 2)
         iy = np.minimum(gy.astype(np.int64), size - 2)
         tx, ty = gx - ix, gy - iy
-        cell = ix * size + iy
-        corners = ((cell, (1 - tx) * (1 - ty)), (cell + size, tx * (1 - ty)),
-                   (cell + 1, (1 - tx) * ty), (cell + size + 1, tx * ty))
-        grid = sum(np.bincount(index, weights=weight, minlength=size * size) for index, weight in corners)
-        density_hat = np.fft.rfft2(grid.reshape(size, size), s=(2 * size, 2 * size))  # zero-padded
+        sx, sy = 1 - tx, 1 - ty
+        index = ix * size + iy + corner_offsets  # (4, n): each point's cell, then its +x, +y and +xy corners
+        weight = np.stack([sx * sy, tx * sy, sx * ty, tx * ty])
+        grid = np.bincount(index.ravel(), weights=weight.ravel(), minlength=size * size)
+        # rfft2 of the zero-padded grid, in double precision (a single-precision one is slower);
+        # the inverse transforms run in single precision
+        spread[:, :size] = grid.reshape(size, size)
+        padded[:size] = np.fft.rfft(spread, axis=1)
+        density_hat = np.fft.fft(padded, axis=0).astype(np.complex64)
         scale = k * k / h
         disp = []
         for kernel in (kernel_x, kernel_y):
@@ -97,7 +108,7 @@ def _mesh_repulsion(n: int, k: float):
             # the same values, with a third less work
             field = np.fft.irfft(np.fft.ifft(density_hat * kernel, axis=0)[:size], n=2 * size, axis=1)
             field = field[:, :size].ravel()
-            disp.append(scale * sum(weight * field[index] for index, weight in corners))
+            disp.append(scale * (weight * field[index]).sum(axis=0))
         return disp
 
     return repulsion

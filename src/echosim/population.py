@@ -122,15 +122,11 @@ def init_population(n: int, topic: str, grid: bool, rng: np.random.Generator) ->
     else:
         beliefs = rng.uniform(BELIEF_MIN, BELIEF_MAX, size=n)
 
+    # through Python ints and bools: indexing the arrays one scalar at a time costs twice as much
+    columns = zip(genders.tolist(), ages.tolist(), educations.tolist(), trait_flags.tolist())
     personas = tuple(
-        Persona(
-            index=i,
-            gender=GENDERS[genders[i]],
-            age=int(ages[i]),
-            education=EDUCATION_LEVELS[educations[i]],
-            traits=tuple(bool(f) for f in trait_flags[i]),
-        )
-        for i in range(n)
+        Persona(index=i, gender=GENDERS[gender], age=age, education=EDUCATION_LEVELS[education], traits=tuple(flags))
+        for i, (gender, age, education, flags) in enumerate(columns)
     )
     return Population(personas=personas, beliefs=beliefs, topic=topic, grid=grid)
 

@@ -10,10 +10,11 @@ guarantee and marked in the manifest. Each file is written under a temporary
 name, the trajectory and transcript one day at a time, and none is renamed into
 place until all are written, the manifest last: a run that fails before then
 leaves the directory as it was, and one with a manifest holds one whole run. An
-llm run writes each day as the engine runs. A numeric run's trajectory is
-written by a forked child while the metrics and the layout run, or inline with
-the same bytes where forking is not safe (no ``os.fork``, or other threads
-alive); ``run()`` always reaps the child.
+llm run writes each day as the engine runs. The files that need neither the
+metrics nor the layout (``population.txt``, ``graph.txt``, ``config.yaml`` and a
+numeric run's trajectory) are written by a forked child while those run, or
+inline with the same bytes where forking is not safe (no ``os.fork``, or other
+threads alive); ``run()`` always reaps the child.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import shutil
 import threading
 from collections import deque
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -99,24 +100,28 @@ def _staged(out: Path, names) -> Iterator[dict]:
 
 
 @contextmanager
-def _written_apart(handle, trajectory) -> Iterator[None]:
-    """Write ``trajectory_chunks(trajectory)`` to ``handle`` from a forked child while
-    the block runs, then reap it: a failed child raises OSError naming its exception,
-    and a block that raises kills and reaps it first. Inline, with the same bytes,
-    where forking is unsafe: no ``os.fork``, or other threads, which may hold a lock."""
+def _written_apart(pairs) -> Iterator[None]:
+    """For each ``(handle, render)`` pair, write the text chunks ``render()`` yields to
+    ``handle`` from one forked child while the block runs, then reap it: a failed child
+    raises OSError naming its exception, and a block that raises kills and reaps it
+    first. Inline, with the same bytes, where forking is unsafe: no ``os.fork``, or
+    other threads, which may hold a lock."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        handle.writelines(trajectory_chunks(trajectory))
+        for handle, render in pairs:
+            handle.writelines(render())
         yield
         return
-    handle.flush()  # else the child would write the parent's buffered text again
+    for handle, _ in pairs:
+        handle.flush()  # else the child would write the parent's buffered text again
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as report, open(write_end, "wb", buffering=0) as sink:
         pid = os.fork()
-        if pid == 0:  # the child writes this one handle and leaves by os._exit: no atexit, no other flush
+        if pid == 0:  # the child writes these handles and leaves by os._exit: no atexit, no other flush
             status = 1
             try:
-                handle.writelines(trajectory_chunks(trajectory))
-                handle.flush()
+                for handle, render in pairs:
+                    handle.writelines(render())
+                    handle.flush()
                 status = 0
             except BaseException as exc:
                 sink.write(f"{type(exc).__name__}: {exc}".encode())
@@ -133,7 +138,7 @@ def _written_apart(handle, trajectory) -> Iterator[None]:
             raise
     if status:
         reason = error or (f"killed by signal {-status}" if status < 0 else f"exit status {status}")
-        raise OSError(f"trajectory writer process failed: {reason}")
+        raise OSError(f"writer process failed: {reason}")
 
 
 def _write_files(out: Path, files: dict) -> None:
@@ -183,18 +188,20 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             ).belief_trajectory.astype(float)
         else:
             trajectory = run_numeric(config.engine, g, population.beliefs, params, config.days)
-        # a numeric run's trajectory text is rendered by a child while the metrics and the layout run
-        with nullcontext() if llm else _written_apart(files["trajectory.jsonl"], trajectory):
+        # the files that need neither the metrics nor the layout are rendered by a child while those run
+        apart = [(files["population.txt"], lambda: [population_to_text(population)]),
+                 (files["graph.txt"], lambda: [to_edge_list_text(g)]),
+                 (files["config.yaml"], lambda: [config_to_yaml(config)])]
+        if not llm:  # an llm run wrote its trajectory day by day
+            apart.append((files["trajectory.jsonl"], lambda: trajectory_chunks(trajectory)))
+        with _written_apart(apart):
             snapshots = snapshot(range(config.days + 1), g, trajectory)
             run_deltas = deltas(snapshots)
             positions = force_layout(g, component_rng(config.seed, "layout"))
 
-        # written after the fork, so the child inherits no buffered text but the trajectory's
+        # written after the fork, so the child inherits no buffered text of these files
         files["metrics.csv"].write("\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
         files["projection.csv"].write(projection_text(trajectory[-1], positions))
-        files["population.txt"].write(population_to_text(population))
-        files["graph.txt"].write(to_edge_list_text(g))
-        files["config.yaml"].write(config_to_yaml(config))
         files["manifest.txt"].write("\n".join([
             f"config_hash: {config_hash(config)}",
             f"code_version: {__version__}",

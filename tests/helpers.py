@@ -5,7 +5,8 @@ loops, manual Pearson, full O(n^2) scans of an edge set that ``edge_set``
 reads row by row from the CSR arrays. The numeric-engine
 oracles update one agent at a time and average with ``np.mean``; the layout
 oracle sums forces one pair at a time, and ``exact_repulsion`` is the dense
-all-pairs field the particle mesh approximates. ``naive_active_nudge_content`` and
+all-pairs field the particle mesh approximates; ``float64_mesh_repulsion`` is
+that mesh in double precision throughout. ``naive_active_nudge_content`` and
 ``naive_deep_merge`` keep earlier, more general bodies of the package's nudge
 search and config merge, and ``row_at_a_time_random`` that of ``generate_random``.
 """
@@ -162,6 +163,46 @@ def exact_repulsion(x, y, k):
     np.divide(k * k, np.maximum(w, 1e-18, out=w), out=w)  # the squared form of a 1e-9 distance floor
     np.fill_diagonal(w, 0.0)  # no self-repulsion
     return np.einsum("ij,ij->i", w, dx), np.einsum("ij,ij->i", w, dy)
+
+
+def float64_mesh_repulsion(n: int, k: float):
+    """The particle-mesh repulsion of versions 0.3.0 and 0.4.0, all in double
+    precision: four ``np.bincount`` calls spread the points, and four weighted
+    gathers per component read the field back. ``layout._mesh_repulsion`` keeps
+    the grid, kernel and weights, and takes its inverse transforms in single
+    precision."""
+    size = 16
+    while size * size < 4 * n:
+        size *= 2
+    offsets = np.fft.fftfreq(2 * size, 1.0 / (2 * size))
+    ax, ay = offsets[:, None], offsets[None, :]
+    r2 = ax * ax + ay * ay
+    r2[0, 0] = 1.0
+    kernel_x, kernel_y = ax / r2, ay / r2
+    kernel_x[size], kernel_y[:, size] = 0.0, 0.0
+    kernel_x, kernel_y = (1j * np.fft.rfft2(kernel).imag for kernel in (kernel_x, kernel_y))
+
+    def repulsion(x, y):
+        lo_x, lo_y = x.min(), y.min()
+        h = max(x.max() - lo_x, y.max() - lo_y, 1e-9) / (size - 1)
+        gx, gy = (x - lo_x) / h, (y - lo_y) / h
+        ix = np.minimum(gx.astype(np.int64), size - 2)
+        iy = np.minimum(gy.astype(np.int64), size - 2)
+        tx, ty = gx - ix, gy - iy
+        cell = ix * size + iy
+        corners = ((cell, (1 - tx) * (1 - ty)), (cell + size, tx * (1 - ty)),
+                   (cell + 1, (1 - tx) * ty), (cell + size + 1, tx * ty))
+        grid = sum(np.bincount(index, weights=weight, minlength=size * size) for index, weight in corners)
+        density_hat = np.fft.rfft2(grid.reshape(size, size), s=(2 * size, 2 * size))
+        scale = k * k / h
+        disp = []
+        for kernel in (kernel_x, kernel_y):
+            field = np.fft.irfft(np.fft.ifft(density_hat * kernel, axis=0)[:size], n=2 * size, axis=1)
+            field = field[:, :size].ravel()
+            disp.append(scale * sum(weight * field[index] for index, weight in corners))
+        return disp
+
+    return repulsion
 
 
 def naive_generate_random(n: int, p_edge: float, rng) -> NetworkGraph:

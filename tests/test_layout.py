@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from echosim import layout
 from echosim.graphs import NetworkGraph, generate_random, generate_scale_free, generate_small_world
 from echosim.layout import force_layout
-from helpers import exact_repulsion, naive_force_layout, path_graph, star_graph
+from helpers import exact_repulsion, float64_mesh_repulsion, naive_force_layout, path_graph, star_graph
 
 
 @st.composite
@@ -95,6 +95,23 @@ def test_mesh_field_matches_exact_field():
         assert np.median(rms) < rms_bound, n
 
 
+def test_single_precision_mesh_matches_the_double_precision_mesh():
+    # the inverse transforms run in complex64; against the same mesh in float64
+    # throughout, the largest error over the largest field component, on uniform
+    # random points, was at most 1.8e-7, 2.1e-7 and 2.7e-7 at n = 50, 300, 2000
+    # (seeds 1-30); the bounds are 3x those
+    for n, bound in ((50, 5e-7), (300, 6e-7), (2000, 8e-7)):
+        k = float(np.sqrt(1.0 / n))
+        for seed in range(1, 6):
+            rng = np.random.default_rng(seed)
+            x, y = rng.random(n), rng.random(n)
+            expected = float64_mesh_repulsion(n, k)(x, y)
+            got = layout._mesh_repulsion(n, k)(x, y)
+            for component, reference in zip(got, expected):
+                assert component.dtype == np.float64
+                assert np.max(np.abs(component - reference)) < bound * np.max(np.abs(reference)), (n, seed)
+
+
 def test_mesh_field_has_no_self_force():
     # a lone pair: each point's field is the other's repulsion, equal and opposite
     (ex, ey), (mx, my) = _exact_and_mesh_fields(2, 3)
@@ -140,8 +157,9 @@ def test_mesh_layout_quality_matches_exact():
 
 
 def test_mesh_layout_memory_is_bounded_at_large_n():
-    # one iteration at n=20000 (measured 48 MiB: the 1024 x 1024 padded grid and
-    # its transforms); the dense all-pairs form would need 3.2 GB per n x n array
+    # one iteration at n=20000 (measured 46.5 MiB, 50.5 MiB at version 0.4.0: the
+    # 1024 x 1024 padded grid and its transforms); the dense all-pairs form would
+    # need 3.2 GB per n x n array
     g = path_graph(20000)
     with mock.patch.object(layout, "LAYOUT_ITERATIONS", 1):
         assert _peak_mb(lambda: force_layout(g, np.random.default_rng(1))) < 80

@@ -208,12 +208,12 @@ class TestWrites:
         run(config_from_dict(cfg_dict(engine="llm", seed=1)), d)  # so a numeric rerun has a transcript to remove
         earlier = read_all(d)
 
-        def failing_edge_list(g):
-            # the days, the trajectory writer, the metrics and the layout have all run by now
-            raise RuntimeError("edge list gone")
+        def failing_projection(final_beliefs, positions):
+            # the days, the writer process, the metrics and the layout have all run by now
+            raise RuntimeError("projection gone")
 
-        monkeypatch.setattr(runner_mod, "to_edge_list_text", failing_edge_list)
-        with pytest.raises(RuntimeError, match="edge list gone"):
+        monkeypatch.setattr(runner_mod, "projection_text", failing_projection)
+        with pytest.raises(RuntimeError, match="projection gone"):
             run(config_from_dict(cfg_dict(engine=engine, seed=2)), d)
         assert_no_child_process()
         assert not list(d.glob(".*.tmp"))
@@ -459,7 +459,7 @@ class TestSweep:
 
 @contextmanager
 def another_thread():
-    """Keep one more thread alive, so ``run()`` may not fork its trajectory writer."""
+    """Keep one more thread alive, so ``run()`` may not fork its writer process."""
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -477,8 +477,9 @@ def assert_no_child_process():
 
 
 class TestWriterProcess:
-    """A numeric run's trajectory.jsonl is written by a forked child while the
-    metrics and the layout run, or inline where forking is not safe."""
+    """The files that need neither the metrics nor the layout (a numeric run's
+    trajectory.jsonl, population.txt, graph.txt and config.yaml) are written by a
+    forked child while those run, or inline where forking is not safe."""
 
     @staticmethod
     def count_forks(monkeypatch) -> list:
@@ -498,6 +499,8 @@ class TestWriterProcess:
         *(dict(engine=engine, n=40, days=6, graph={"kind": kind}) for engine in ("bcm", "fj") for kind in GRAPH_KINDS),
         # past its fixed point from day 55, so most days repeat the day before
         dict(engine="fj", n=12, days=80, exposure_mode="all_neighbors"),
+        # the child writes population.txt, graph.txt and config.yaml, the parent the day-by-day streams
+        dict(engine="llm", n=20, days=3, nudge={"kind": "active"}),
     ])
     def test_forked_and_inline_writers_give_the_same_bytes(self, tmp_path, monkeypatch, over):
         forks = self.count_forks(monkeypatch)
@@ -521,12 +524,35 @@ class TestWriterProcess:
 
         # the forked child inherits the patched name
         monkeypatch.setattr(runner_mod, "trajectory_chunks", failing_chunks)
-        with pytest.raises(OSError, match="trajectory writer process failed: RuntimeError: renderer gone"):
+        with pytest.raises(OSError, match="writer process failed: RuntimeError: renderer gone"):
             run(config_from_dict(cfg_dict(engine="fj", seed=2)), d)
         assert_no_child_process()
         assert not list(d.glob(".*.tmp"))
         assert read_all(d) == earlier
         assert main(["run", "--engine", "fj", "--n", "10", "--days", "5", "--seed", "2", "--out", str(d)]) == 4
+        assert_no_child_process()
+        assert read_all(d) == earlier
+
+    @pytest.mark.parametrize("engine", ["bcm", "llm"])
+    def test_a_failing_render_in_the_writer_process_is_an_io_error(self, tmp_path, monkeypatch, engine):
+        d = tmp_path / "d"
+        run(config_from_dict(cfg_dict(engine=engine, seed=1)), d)
+        earlier = read_all(d)
+        forks = self.count_forks(monkeypatch)
+
+        def failing_yaml(config):
+            raise RuntimeError("yaml gone")
+
+        # config.yaml needs neither the metrics nor the layout, so the forked child renders it
+        monkeypatch.setattr(runner_mod, "config_to_yaml", failing_yaml)
+        with pytest.raises(OSError, match="writer process failed: RuntimeError: yaml gone"):
+            run(config_from_dict(cfg_dict(engine=engine, seed=2)), d)
+        assert len(forks) == 1
+        assert_no_child_process()
+        assert not list(d.glob(".*.tmp"))
+        assert read_all(d) == earlier
+        assert main(["run", "--engine", engine, "--n", "10", "--days", "3", "--seed", "2", "--out", str(d)]) == 4
+        assert len(forks) == 2
         assert_no_child_process()
         assert read_all(d) == earlier
 
