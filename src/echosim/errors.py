@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one check of declared
-field types and domains that every config dataclass's ``validate()`` runs."""
+"""Exception types shared across the package, the one check of declared field
+types and domains that every config dataclass's ``validate()`` runs, and the
+check of a run's day count that both run functions make."""
 
 import math
+import numbers
 from dataclasses import fields
 from functools import cache
 from typing import Union, get_args, get_origin, get_type_hints
@@ -73,3 +75,10 @@ def check_fields(obj) -> None:
                 continue
             domain = f"{'>' if left == '(' else '>='} {lo}" if hi == INF else f"in {left}{lo}, {hi}{right}"
         raise ParameterError(f"{f.name} must be {domain}, got {value!r}")
+
+
+def check_days(days) -> None:
+    """Raise a ParameterError unless ``days``, a run's length, is an integer >= 1.
+    A bool is not one, and a float is not truncated."""
+    if isinstance(days, bool) or not isinstance(days, numbers.Integral) or days < 1:
+        raise ParameterError(f"days must be an integer >= 1, got {days!r}")

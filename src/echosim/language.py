@@ -34,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .backends import TextBackend
-from .errors import INF, BackendError, OpinionParseError, ParameterError
+from .errors import INF, BackendError, OpinionParseError, ParameterError, check_days
 from .graphs import NetworkGraph
 from .interventions import NudgePolicy, active_nudge_content, passive_nudge_feed, select_targets
 from .population import Population
@@ -243,8 +243,7 @@ def run_llm(
     population's grid beliefs with their stance statements and no memory. As each
     day ends, from day 0 on, ``on_day(day, beliefs, texts, events)`` gets its lists,
     and the run keeps only the belief trajectory; without a hook they are collected."""
-    if days < 1:
-        raise ParameterError(f"days must be >= 1, got {days}")
+    check_days(days)
     params.validate()
     nudge_policy.validate()
     if not population.grid:

@@ -3,7 +3,13 @@
 Both engines are synchronous: every agent's update for day t reads only the
 day t-1 belief vector, so agent processing order never affects the result.
 Updates are convex combinations of values already inside [-2, 2], so no
-clipping is needed.
+clipping is needed; ``run_numeric`` rejects initial beliefs outside it.
+
+A day is a pure function of the previous day's beliefs, the parameters and
+the fixed anchors. So a day that repeats, bit for bit, the day before it (a
+fixed point) or the day two before it (rounding can leave a few last bits
+alternating) starts a cycle every later day follows, and ``run_numeric``
+copies that cycle forward instead of computing it.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import INF, ParameterError
+from .errors import INF, ParameterError, check_days
 from .graphs import NetworkGraph, belief_vector
 from .recommendation import ExposureRule, exposure_mask
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
@@ -65,8 +71,11 @@ def fj_day(g: NetworkGraph, beliefs, p: FjParams, anchors) -> np.ndarray:
     old = belief_vector(g, beliefs)
     anchors = belief_vector(g, anchors)
     heard_values = old[g.indices]
-    keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
-    heard, mean_heard = g.row_means(heard_values, keep)
+    if p.exposure_mode == "all_neighbors":  # every entry is kept: the same sums, without a mask
+        heard, mean_heard = g.row_means(heard_values)
+    else:
+        keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
+        heard, mean_heard = g.row_means(heard_values, keep)
     new = old.copy()
     new[heard] = p.alpha * anchors[heard] + (1.0 - p.alpha) * mean_heard
     return new
@@ -75,17 +84,31 @@ def fj_day(g: NetworkGraph, beliefs, p: FjParams, anchors) -> np.ndarray:
 def run_numeric(engine: str, g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
     """Belief trajectory of shape (days + 1, n); row 0 is the initial vector.
 
-    ``engine`` is "bcm" or "fj"; the "fj" anchors are the initial beliefs.
+    ``engine`` is "bcm" (``params`` a BcmParams) or "fj" (an FjParams, with
+    the initial beliefs as anchors). The days run until one repeats, bit for
+    bit, the day before it or the day two before it; the rows of that one- or
+    two-day cycle then fill the rest of the trajectory.
     """
     if engine not in NUMERIC_ENGINES:
         raise ParameterError(f"unknown numeric engine {engine!r}")
-    if days < 1:
-        raise ParameterError(f"days must be >= 1, got {days}")
+    expected = BcmParams if engine == "bcm" else FjParams
+    if not isinstance(params, expected):
+        raise ParameterError(f"the {engine} engine needs {expected.__name__}, got {type(params).__name__}")
+    check_days(days)
     trajectory = np.empty((days + 1, g.n), dtype=float)
     trajectory[0] = belief_vector(g, initial_beliefs)
+    outside = np.flatnonzero(~(np.abs(trajectory[0]) <= 2.0))  # NaN fails the comparison
+    if outside.size:
+        raise ParameterError(f"initial beliefs must be finite and in [-2, 2], got "
+                             f"{float(trajectory[0, outside[0]])!r} for agent {outside[0]}")
+    bits = trajectory.view(np.int64)  # bits, not ==: a day that turns 0.0 into -0.0 is no repeat
     for t in range(1, days + 1):
         if engine == "bcm":
             trajectory[t] = bcm_day(g, trajectory[t - 1], params)
         else:
             trajectory[t] = fj_day(g, trajectory[t - 1], params, trajectory[0])
+        period = next((p for p in (1, 2) if p <= t and (bits[t] == bits[t - p]).all()), 0)
+        if period:  # the last ``period`` days repeat from here on
+            trajectory[t + 1:] = trajectory[t + 1 - period:t + 1][np.arange(days - t) % period]
+            break
     return trajectory

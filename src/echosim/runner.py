@@ -14,7 +14,9 @@ llm run writes each day as the engine runs. The files that need neither the
 metrics nor the layout (``population.txt``, ``graph.txt``, ``config.yaml`` and a
 numeric run's trajectory) are written by a forked child while those run, or
 inline with the same bytes where forking is not safe (no ``os.fork``, or other
-threads alive); ``run()`` always reaps the child.
+threads alive). The parent renders ``metrics.csv``, ``projection.csv`` and the
+manifest while the child may still be writing, and only then waits for it;
+``run()`` always reaps the child.
 """
 
 from __future__ import annotations
@@ -198,21 +200,21 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             snapshots = snapshot(range(config.days + 1), g, trajectory)
             run_deltas = deltas(snapshots)
             positions = force_layout(g, component_rng(config.seed, "layout"))
-
-        # written after the fork, so the child inherits no buffered text of these files
-        files["metrics.csv"].write("\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
-        files["projection.csv"].write(projection_text(trajectory[-1], positions))
-        files["manifest.txt"].write("\n".join([
-            f"config_hash: {config_hash(config)}",
-            f"code_version: {__version__}",
-            f"python_version: {platform.python_version()}",
-            f"numpy_version: {np.__version__}",
-            f"engine: {config.engine}",
-            f"backend: {config.backend.kind if llm else 'none'}",
-            f"graph_kind: {config.graph.kind}",
-            f"graph_connected: {str(is_connected(g)).lower()}",
-            f"reproducible: {str(not (llm and config.backend.kind == 'remote')).lower()}",
-        ]) + "\n")
+            # written after the fork, so the child inherits no buffered text of these files,
+            # and while it may still be writing
+            files["metrics.csv"].write("\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
+            files["projection.csv"].write(projection_text(trajectory[-1], positions))
+            files["manifest.txt"].write("\n".join([
+                f"config_hash: {config_hash(config)}",
+                f"code_version: {__version__}",
+                f"python_version: {platform.python_version()}",
+                f"numpy_version: {np.__version__}",
+                f"engine: {config.engine}",
+                f"backend: {config.backend.kind if llm else 'none'}",
+                f"graph_kind: {config.graph.kind}",
+                f"graph_connected: {str(is_connected(g)).lower()}",
+                f"reproducible: {str(not (llm and config.backend.kind == 'remote')).lower()}",
+            ]) + "\n")
         # the manifest, renamed last, marks a complete run: none stands while the files change
         (run_dir / "manifest.txt").unlink(missing_ok=True)
         if not llm:  # a numeric run removes the transcript an earlier llm run left here
@@ -224,21 +226,22 @@ def trajectory_chunks(trajectory) -> Iterator[str]:
     """Yield the JSON lines of one day at a time: one record per agent, keys
     sorted, exactly as ``json.dumps(record, sort_keys=True)`` would write them.
     Beliefs are written as floats, by ``repr``, which is what ``json.dumps``
-    writes for a finite float. Each agent's record prefix is rendered once,
-    and after day 0 only the beliefs whose float bits changed since the
-    previous day are rendered again, so a settled day costs one join."""
+    writes for a finite float. Each agent's record head, its prefix and its
+    belief, is kept across days, and after day 0 only the heads whose belief
+    bits changed since the previous day are rendered again, so a day costs one
+    join plus one concatenation per changed belief."""
     values = np.ascontiguousarray(trajectory, dtype=float)
     # bits, not ==: -0.0 == 0.0, but their reprs differ
     bits = values.view(np.int64)
     prefixes = [f'{{"agent": {a}, "belief": ' for a in range(values.shape[1])]
-    strs = list(map(repr, values[0].tolist()))
+    heads = list(map(operator.add, prefixes, map(repr, values[0].tolist())))
     for d in range(len(values)):
         if d:
             changed = np.flatnonzero(bits[d] != bits[d - 1])
             for a, b in zip(changed.tolist(), values[d, changed].tolist()):
-                strs[a] = repr(b)
+                heads[a] = prefixes[a] + repr(b)
         sep = f', "day": {d}}}\n'
-        yield sep.join(map(operator.add, prefixes, strs)) + sep
+        yield sep.join(heads) + sep
 
 
 def grid_day_lines(day: int, beliefs, texts) -> str:

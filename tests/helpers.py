@@ -8,7 +8,9 @@ oracle sums forces one pair at a time, and ``exact_repulsion`` is the dense
 all-pairs field the particle mesh approximates; ``float64_mesh_repulsion`` is
 that mesh in double precision throughout. ``naive_active_nudge_content`` and
 ``naive_deep_merge`` keep earlier, more general bodies of the package's nudge
-search and config merge, and ``row_at_a_time_random`` that of ``generate_random``.
+search and config merge, and ``row_at_a_time_random`` that of ``generate_random``;
+``full_loop_run_numeric`` and ``masked_fj_day`` keep those of ``run_numeric``,
+which computed every day, and of ``fj_day``, which masked under every mode.
 """
 
 import json
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 from echosim.graphs import NetworkGraph
 from echosim.interventions import ACTIVE_NUDGE_PREFIX
+from echosim.numeric import bcm_day, fj_day
+from echosim.recommendation import exposure_mask
 
 # every code point, lone surrogates included, plus the characters JSON must escape
 AWKWARD_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
@@ -111,6 +115,32 @@ def naive_fj_day(g: NetworkGraph, beliefs, p, anchors):
         sources = _naive_sources(g, edges, old, i, p.exposure_mode, p.similarity_threshold)
         if sources:
             new[i] = p.alpha * anchors[i] + (1.0 - p.alpha) * float(np.mean(old[sources]))
+    return new
+
+
+def full_loop_run_numeric(engine: str, g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
+    """The earlier body of ``run_numeric``: every one of the ``days`` days computed
+    by the module's day function, settled or not."""
+    trajectory = np.empty((days + 1, g.n), dtype=float)
+    trajectory[0] = initial_beliefs
+    for t in range(1, days + 1):
+        if engine == "bcm":
+            trajectory[t] = bcm_day(g, trajectory[t - 1], params)
+        else:
+            trajectory[t] = fj_day(g, trajectory[t - 1], params, trajectory[0])
+    return trajectory
+
+
+def masked_fj_day(g: NetworkGraph, beliefs, p, anchors) -> np.ndarray:
+    """The earlier body of ``fj_day``: the exposure mask is built from the belief
+    distances under every mode, all true under "all_neighbors"."""
+    old = np.asarray(beliefs, dtype=float)
+    anchors = np.asarray(anchors, dtype=float)
+    heard_values = old[g.indices]
+    keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
+    heard, mean_heard = g.row_means(heard_values, keep)
+    new = old.copy()
+    new[heard] = p.alpha * anchors[heard] + (1.0 - p.alpha) * mean_heard
     return new
 
 

@@ -533,6 +533,12 @@ class TestValidation:
             run_llm(cycle_graph(3), make_population([0, 1, 2]), MockBackend(),
                     LlmParams(), NudgePolicy(), days=0, rng=rng())
 
+    @pytest.mark.parametrize("days", [0, -1, 2.5, 1.0, True, "3"])
+    def test_days_must_be_an_integer_of_at_least_one(self, days):
+        with pytest.raises(ParameterError, match="days must be an integer >= 1"):
+            run_llm(cycle_graph(3), make_population([0, 1, 2]), MockBackend(),
+                    LlmParams(), NudgePolicy(), days=days, rng=rng())
+
 
 def test_transcript_event_jsonl_one_line_per_event():
     t = Transcript()

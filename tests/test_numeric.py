@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import echosim.numeric as numeric_mod
+from echosim.config import config_from_dict
 from echosim.errors import ParameterError
-from echosim.graphs import NetworkGraph, generate_small_world
+from echosim.graphs import GRAPH_KINDS, GraphSpec, NetworkGraph, generate_graph, generate_small_world
 from echosim.metrics import polarization
-from echosim.numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric
+from echosim.numeric import NUMERIC_ENGINES, BcmParams, FjParams, bcm_day, fj_day, run_numeric
+from echosim.population import init_population
 from echosim.recommendation import EXPOSURE_MODES
-from helpers import complete_graph, cycle_graph, edge_set, naive_bcm_day, naive_fj_day
+from echosim.runner import component_rng
+from helpers import (complete_graph, cycle_graph, edge_set, full_loop_run_numeric, masked_fj_day, naive_bcm_day,
+                     naive_fj_day)
 
 TWO_NODES = NetworkGraph.from_edges(2, [(0, 1)])
 
@@ -171,6 +176,115 @@ class TestRunNumeric:
         with pytest.raises(ParameterError):
             run_numeric("bcm", TWO_NODES, [0.0, 1.0], BcmParams(), 0)
 
+    @pytest.mark.parametrize("days", [0, -3, 2.5, 1.0, True, False, "3", None])
+    def test_days_must_be_an_integer_of_at_least_one(self, days):
+        with pytest.raises(ParameterError, match="days must be an integer >= 1"):
+            run_numeric("bcm", TWO_NODES, [0.0, 1.0], BcmParams(), days)
+
+    def test_numpy_integer_days_accepted(self):
+        assert run_numeric("fj", TWO_NODES, [0.0, 1.0], FjParams(), np.int64(3)).shape == (4, 2)
+
+    @pytest.mark.parametrize("engine, params", [("bcm", FjParams()), ("fj", BcmParams()), ("fj", None)])
+    def test_params_of_another_engine_rejected(self, engine, params):
+        with pytest.raises(ParameterError, match=f"the {engine} engine needs"):
+            run_numeric(engine, TWO_NODES, [0.0, 1.0], params, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 5.0, -2.0000000000000004])
+    def test_initial_beliefs_outside_the_belief_range_rejected(self, bad):
+        for engine, params in (("bcm", BcmParams()), ("fj", FjParams())):
+            with pytest.raises(ParameterError, match="initial beliefs must be finite and in"):
+                run_numeric(engine, TWO_NODES, [0.0, bad], params, 2)
+
+    def test_beliefs_at_the_ends_of_the_range_accepted(self):
+        p = BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors")
+        traj = run_numeric("bcm", TWO_NODES, [-2.0, 2.0], p, 1)
+        assert traj.tolist() == [[-2.0, 2.0], [0.0, 0.0]]
+
+
+@pytest.fixture
+def day_calls(monkeypatch):
+    """Counts of the calls ``run_numeric`` makes to the module's day functions, by name."""
+    calls = {"bcm_day": 0, "fj_day": 0}
+    for name in calls:
+        def counted(*args, _name=name, _day=getattr(numeric_mod, name)):
+            calls[_name] += 1
+            return _day(*args)
+        monkeypatch.setattr(numeric_mod, name, counted)
+    return calls
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFixedPointExit:
+    # seed 1 reaches its fixed point; at seed 5 a few beliefs end alternating between two values
+    @pytest.mark.parametrize("seed, period", [(1, 1), (5, 2)])
+    def test_fj_long_settles_within_a_hundred_days(self, day_calls, seed, period):
+        # the benchmark's fj-long run: FJ at alpha 0.3 on a 300-node small world for 200 days
+        cfg = config_from_dict({"engine": "fj", "exposure_mode": "all_neighbors", "graph": {"kind": "small_world"},
+                                "n": 300, "days": 200, "seed": seed})
+        g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
+        beliefs = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population")).beliefs
+        trajectory = run_numeric("fj", g, beliefs, cfg.fj, cfg.days)
+        assert 1 < day_calls["fj_day"] <= 100
+        assert day_calls["bcm_day"] == 0
+        expected = full_loop_run_numeric("fj", g, beliefs, cfg.fj, cfg.days)
+        assert same_bits(trajectory, expected)
+        assert same_bits(expected[-1], expected[-2]) == (period == 1)
+        assert same_bits(expected[-1], expected[-3])
+
+    @pytest.mark.parametrize("engine, params, graph, days, expected_calls", [
+        # anchors reproduced on day 1
+        ("fj", FjParams(alpha=1.0, exposure_mode="all_neighbors"), GraphSpec("small_world", 20, k=4, p_rewire=0.2),
+         50, 1),
+        # distinct beliefs on a ring: nobody is within a zero confidence bound
+        ("bcm", BcmParams(epsilon=0.0), GraphSpec("small_world", 20, k=2, p_rewire=0.0), 50, 1),
+        # nobody hears anybody
+        ("bcm", BcmParams(epsilon=4.0, mu=0.5), GraphSpec("random", 20, p_edge=0.0), 50, 1),
+        ("fj", FjParams(alpha=0.3), GraphSpec("random", 20, p_edge=0.0), 50, 1),
+        # settles mid-run
+        ("fj", FjParams(alpha=0.3, exposure_mode="all_neighbors"), GraphSpec("small_world", 20, k=4, p_rewire=0.2),
+         300, "mid-run"),
+        # never settles: every day is computed
+        ("fj", FjParams(alpha=0.3, exposure_mode="all_neighbors"), GraphSpec("small_world", 20, k=4, p_rewire=0.2),
+         20, 20),
+        ("bcm", BcmParams(epsilon=1.0, mu=0.3), GraphSpec("scale_free", 20, m=2), 15, 15),
+    ])
+    def test_day_functions_run_until_a_day_repeats(self, day_calls, engine, params, graph, days, expected_calls):
+        g = generate_graph(graph, np.random.default_rng(5))
+        beliefs = np.random.default_rng(6).uniform(-2, 2, g.n)
+        trajectory = run_numeric(engine, g, beliefs, params, days)
+        calls = day_calls[f"{engine}_day"]
+        if expected_calls == "mid-run":
+            assert 1 < calls < days
+        else:
+            assert calls == expected_calls
+        assert sum(day_calls.values()) == calls
+        assert same_bits(trajectory, full_loop_run_numeric(engine, g, beliefs, params, days))
+
+
+@st.composite
+def numeric_runs(draw):
+    """(engine, graph, initial beliefs, params, days) over both engines, both
+    exposure modes and all three graph kinds, edgeless random graphs included."""
+    engine, mode = draw(st.sampled_from(NUMERIC_ENGINES)), draw(st.sampled_from(EXPOSURE_MODES))
+    kind, n = draw(st.sampled_from(GRAPH_KINDS)), draw(st.integers(5, 30))
+    spec = {"small_world": GraphSpec(kind, n, k=draw(st.sampled_from([2, 4])), p_rewire=0.2),
+            "scale_free": GraphSpec(kind, n, m=draw(st.sampled_from([1, 2]))),
+            "random": GraphSpec(kind, n, p_edge=draw(st.sampled_from([0.0, 0.15, 0.5])))}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = generate_graph(spec, rng)
+    beliefs = rng.integers(-8, 9, size=n) / 4.0 if draw(st.booleans()) else rng.uniform(-2, 2, size=n)
+    threshold = draw(GATES)
+    if engine == "bcm":
+        params = BcmParams(epsilon=draw(GATES), mu=draw(st.sampled_from([0.1, 0.3, 0.5])),
+                           exposure_mode=mode, similarity_threshold=threshold)
+    else:
+        params = FjParams(alpha=draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])), exposure_mode=mode,
+                          similarity_threshold=threshold)
+    return engine, g, beliefs, params, draw(st.integers(1, 300))
+
 
 def oracle_instance(seed: int):
     """Random graph with a hub of degree >= 8, a few isolated nodes and a sparse
@@ -216,4 +330,33 @@ def test_fj_day_matches_loop_oracle(seed, exposure_mode, threshold, alpha):
         expected = naive_fj_day(g, beliefs, p, anchors)
         got = fj_day(g, beliefs, p, anchors)
         assert np.max(np.abs(got - expected)) <= 1e-12
+        beliefs = got
+
+
+@settings(max_examples=150, deadline=None)
+@given(numeric_runs())
+@example(("fj", complete_graph(6), np.linspace(-2, 2, 6), FjParams(alpha=1.0), 300))
+@example(("bcm", cycle_graph(6), np.linspace(-2, 2, 6), BcmParams(epsilon=0.0), 300))
+@example(("bcm", NetworkGraph.from_edges(6, []), np.linspace(-2, 2, 6), BcmParams(epsilon=4.0, mu=0.5), 300))
+@example(("fj", cycle_graph(6), np.linspace(-2, 2, 6), FjParams(alpha=0.3, exposure_mode="all_neighbors"), 1))
+def test_run_numeric_equals_the_full_loop_bit_for_bit(run_args):
+    engine, g, beliefs, params, days = run_args
+    assert same_bits(run_numeric(engine, g, beliefs, params, days),
+                     full_loop_run_numeric(engine, g, beliefs, params, days))
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 0.25, -1.5, 2.0, -2.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 0.3, 1.0]), st.data())
+def test_fj_day_without_a_mask_equals_the_masked_formula(seed, alpha, data):
+    g, beliefs = oracle_instance(seed)  # with isolated nodes
+    signed = data.draw(st.lists(SIGNED_ZEROS, min_size=g.n, max_size=g.n))
+    beliefs = np.where(np.arange(g.n) % 2 == 0, beliefs, signed)  # -0.0 among the beliefs and the anchors
+    anchors = np.array(data.draw(st.lists(SIGNED_ZEROS, min_size=g.n, max_size=g.n)))
+    p = FjParams(alpha=alpha, exposure_mode="all_neighbors")
+    for _ in range(4):
+        got = fj_day(g, beliefs, p, anchors)
+        assert same_bits(got, masked_fj_day(g, beliefs, p, anchors))
         beliefs = got
