@@ -42,7 +42,7 @@ def main():
 
     print("\n=== transcript excerpt ===")
     shown = 0
-    for event in result.transcript.events:
+    for event in result.transcript:
         if event.agent != agent:
             continue
         extra = ""
@@ -58,7 +58,7 @@ def main():
     for label, row in (("day 0", start), (f"day {DAYS}", end)):
         counts = {b: int(np.sum(row == b)) for b in (-2, -1, 0, 1, 2)}
         print(f"{label:>6}: stance histogram {counts}")
-    events = result.transcript.events
+    events = result.transcript
     print(f"events: {len(events)} total, "
           f"{sum(e.kind == 'nudge' for e in events)} nudges, "
           f"{sum(e.kind == 'update' for e in events)} stance updates")

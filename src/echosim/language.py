@@ -70,23 +70,12 @@ def events_jsonl(events) -> str:
     ])
 
 
-class Transcript:
-    """Append-only event log in file order: ``run_llm`` appends each day's
-    events at its barrier, so they run by (day, agent), and ``to_jsonl``
-    writes them as they stand."""
+class Transcript(list):
+    """A run's events in file order, a plain list: ``run_llm`` extends it with
+    each day's events at its barrier, so they run by (day, agent), and
+    ``to_jsonl`` writes them as they stand."""
 
-    def __init__(self):
-        self._events: list = []
-
-    def append(self, event: TranscriptEvent) -> None:
-        self._events.append(event)
-
-    @property
-    def events(self) -> tuple:
-        return tuple(self._events)
-
-    def to_jsonl(self) -> str:
-        return events_jsonl(self._events)
+    to_jsonl = events_jsonl
 
 
 @dataclass(frozen=True)
@@ -156,6 +145,8 @@ def llm_day(
     ``transcript.append`` in (day, agent) order, once every backend call has returned."""
     params.validate()
     nudge_policy.validate()
+    if nudge_policy.kind == "passive" and passive_feed is None:
+        raise ParameterError("a passive nudge policy needs a passive feed")
     n = g.n
     start_beliefs = np.array(beliefs, dtype=float)
     broadcasts = [f"(stance {b:+d}) {text}" for b, text in zip(beliefs, texts)]
@@ -258,7 +249,7 @@ def run_llm(
 
         def on_day(day, beliefs, texts, events):
             opinion_trajectory.append(texts)
-            transcript._events.extend(events)
+            transcript.extend(events)
 
     trajectory = np.empty((days + 1, g.n), dtype=int)
     trajectory[0] = beliefs

@@ -57,23 +57,22 @@ def snapshot(day, g: NetworkGraph, beliefs):
     """The metrics of one day's beliefs; or, given a sequence of k day numbers and
     a (k, n) array of their beliefs, the list of the k days' snapshots.
 
-    A day whose beliefs repeat the previous day's bit for bit repeats its metrics.
-    The others are computed a chunk of days at a time, and a one-day call is a
-    chunk of one: each day's sums are reduced on their own, so its bits do not
-    depend on the other days in its chunk.
+    Each distinct row of beliefs, bit for bit, is computed once and any day that
+    repeats it reuses its metrics: a fixed point, a two-day cycle, or a state seen
+    again later. The distinct rows are computed a chunk at a time, and a one-day
+    call is a chunk of one: each row's sums are reduced on their own, so its bits
+    do not depend on the other rows in its chunk.
     """
     if np.ndim(day) == 0:
         return snapshot([day], g, np.reshape(beliefs, (1, -1)))[0]
     values = np.ascontiguousarray(beliefs, dtype=float)
     if values.shape != (len(day), g.n):
         raise ParameterError(f"beliefs of shape {values.shape} are not {len(day)} days of {g.n} nodes")
-    bits = values.view(np.int64)
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    computed = np.flatnonzero(new)
+    # one opaque item per row, compared by its bytes: -0.0 and 0.0 stay apart
+    distinct, source = np.unique(values.view(np.dtype((np.void, 8 * g.n))).ravel(), return_inverse=True)
+    distinct = distinct.view(float).reshape(-1, g.n)
     step = max(1, _CHUNK_ENTRIES // max(g.indices.size, g.n))
-    chunks = [_day_metrics(g, values[computed[i:i + step]]) for i in range(0, computed.size, step)]
-    source = np.cumsum(new) - 1  # each day's row: that of the last computed day up to it
+    chunks = [_day_metrics(g, distinct[i:i + step]) for i in range(0, len(distinct), step)]
     pol, dis, r = (np.concatenate(parts)[source].tolist() for parts in zip(*chunks))
     return [MetricsSnapshot(d, p, q, None if math.isnan(v) else v) for d, p, q, v in zip(day, pol, dis, r)]
 

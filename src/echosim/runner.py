@@ -387,8 +387,17 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
 
 def export_projection(run_dir, out_path=None) -> str:
     """Rebuild the projection CSV for a completed run from its persisted
-    config and trajectory; writes to ``out_path`` when given."""
+    config and trajectory; writes to ``out_path`` when given. The graph and the
+    layout are generated again, so a run without a manifest of this code
+    version is rejected: another version may lay the graph out otherwise."""
     run_dir = Path(run_dir)
+    manifest = run_dir / "manifest.txt"
+    if not manifest.is_file():
+        raise ParameterError(f"{manifest}: missing, so {run_dir} holds no completed run")
+    fields = dict(line.partition(": ")[::2] for line in manifest.read_text(encoding="utf-8").splitlines())
+    if fields.get("code_version") != __version__:
+        raise ParameterError(f"{manifest}: code_version {fields.get('code_version')!r} is not {__version__!r}, "
+                             "whose graph and layout may differ")
     cfg = config_from_dict(load_config_file(run_dir / "config.yaml"))
     g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
     positions = force_layout(g, component_rng(cfg.seed, "layout"))

@@ -17,7 +17,7 @@ from echosim.backends import (
     mock_backend_rule,
     mock_summary_rule,
 )
-from echosim.errors import BackendError
+from echosim.errors import BackendError, ParameterError
 from echosim.language import compress_long_term
 from echosim.population import Persona
 from echosim.prompts import (
@@ -71,6 +71,10 @@ class TestMockRule:
     def test_pure_function_of_prompt(self):
         prompt = reflection_prompt(1, heard=[-2, 0, 2])
         assert mock_backend_rule(prompt) == mock_backend_rule(prompt)
+
+    def test_a_prompt_without_a_stance_value_is_rejected(self):
+        with pytest.raises(ValueError, match="lacks a current stance value"):
+            mock_backend_rule("== Your current view ==\nno number here")
 
 
 class TestMockSummary:
@@ -163,6 +167,13 @@ def remote(session, backoff_base=0.0, **kwargs):
     settings = BackendSettings(kind="remote", base_url="https://api.example.test/v1", model="test-model",
                                api_key_env="ECHOSIM_TEST_KEY", **kwargs)
     return RemoteChatBackend(settings, backoff_base=backoff_base, session=session)
+
+
+@pytest.mark.parametrize("unset", ["base_url", "model"])
+def test_a_remote_backend_needs_a_base_url_and_a_model(unset):
+    BackendSettings(kind="mock", **{unset: ""}).validate()  # a mock backend reads neither
+    with pytest.raises(ParameterError, match="base_url and model must be set for a remote backend"):
+        BackendSettings(kind="remote", **{unset: ""}).validate()
 
 
 class TestRemoteBackend:

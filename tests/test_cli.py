@@ -1,7 +1,9 @@
 import logging
 
 import pytest
+import yaml
 
+import echosim.runner as runner_mod
 from echosim.cli import main
 
 
@@ -86,6 +88,14 @@ class TestValidateConfig:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.count("config error: days must be an integer, got float") == 2
+
+    def test_kind_flags_override_the_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE + "graph:\n  kind: scale_free\n")
+        assert main(["validate-config", "--config", cfg, "--graph-kind", "random", "--nudge-kind", "passive",
+                     "--backend-kind", "remote"]) == 0
+        resolved = yaml.safe_load(capsys.readouterr().out.removesuffix("config is valid\n"))
+        kinds = {section: resolved[section]["kind"] for section in ("graph", "nudge", "backend")}
+        assert kinds == {"graph": "random", "nudge": "passive", "backend": "remote"}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "mystery: 1\n")
@@ -186,6 +196,22 @@ class TestSweepCommand:
         assert "ECHOSIM_NO_KEY" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
+    def test_default_seeds_and_the_failure_line(self, tmp_path, monkeypatch, capsys):
+        real_run = runner_mod.run
+
+        def sabotage(config, out_dir):
+            if config.seed == 5:
+                raise RuntimeError("seed 5 exploded")
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr(runner_mod, "run", sabotage)
+        cfg = write_config(tmp_path, BASE)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0  # 10 seeds from seed 1
+        assert sorted(p.name for p in (tmp_path / "sw").iterdir() if p.is_dir()) == sorted(
+            f"seed_{s}" for s in range(1, 11) if s != 5)
+        assert capsys.readouterr().err == "1 seed(s) failed; see failures.txt\n"
+        assert (tmp_path / "sw" / "failures.txt").read_text() == "seed 5: RuntimeError: seed 5 exploded\n"
+
 
 class TestExportProjectionCommand:
     def test_reexport_matches(self, tmp_path, capsys):
@@ -213,6 +239,16 @@ class TestExportProjectionCommand:
         err = capsys.readouterr().err
         assert err == (f"run directory error: {path}: its last 10 lines are not "
                        "one record per agent 0..9 of day 3\n")
+
+    def test_a_run_of_another_code_version_is_a_run_directory_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        manifest = tmp_path / "out" / "manifest.txt"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("code_version: ", "code_version: 0."),
+                            encoding="utf-8")
+        assert main(["export-projection", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"run directory error: {manifest}: code_version '0.")
 
 
 class TestLogLevel:

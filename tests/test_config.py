@@ -126,6 +126,7 @@ def test_invalid_values_raise_config_error():
         ({"topic": "a\x85b"}, "topic must be non-empty and one line"),
         ({"topic": "a\u2028b"}, "topic must be non-empty and one line"),
         ({"topic": "ends with a newline\n"}, "topic must be non-empty and one line"),
+        ([1, 2], "config root must be a mapping, got list"),
         ({1: 2}, "unknown key(s) in config: 1"),  # YAML reads `1: 2` with an int key
         ({"bcm": {1: 2, "x": 3}}, "unknown key(s) in bcm: 1, x"),
     ):

@@ -218,6 +218,13 @@ class TestMeasures:
         assert hop_distances(g2, 0)[2] is None
         assert not is_connected(g2)
 
+    def test_an_empty_graph_and_a_source_outside_the_graph_are_rejected(self):
+        with pytest.raises(ParameterError, match="node count must be >= 1, got 0"):
+            NetworkGraph.from_edges(0, [])
+        for source in (-1, 4):
+            with pytest.raises(ParameterError, match=f"source {source} out of range for n=4"):
+                hop_distances(path_graph(4), source)
+
 
 def pieces_instance(seed: int) -> NetworkGraph:
     """One or two ``random_instance`` graphs side by side with up to three

@@ -63,14 +63,14 @@ class TestSingleDay:
         g = NetworkGraph.from_edges(3, [(0, 1)])
         beliefs, _, transcript = one_day(g, [0, 1, 2])
         assert beliefs[2] == 2
-        events_for_2 = [e for e in transcript.events if e.agent == 2]
+        events_for_2 = [e for e in transcript if e.agent == 2]
         assert [e.kind for e in events_for_2] == ["reflection"]
 
     def test_antipodal_pair_filtered_out_stays_put(self):
         g = NetworkGraph.from_edges(2, [(0, 1)])
         beliefs, _, transcript = one_day(g, [-2, 2])
         assert beliefs == [-2, 2]
-        assert not [e for e in transcript.events if e.kind == "exposure"]
+        assert not [e for e in transcript if e.kind == "exposure"]
 
     def test_mean_attraction_moves_both_to_one(self):
         # agent 0: round(0.7*0 + 0.3*2) = 1; agent 1: round(0.7*2 + 0.3*0) = 1
@@ -106,9 +106,9 @@ class TestSingleDay:
         g = cycle_graph(6)
         beliefs, _, transcript = one_day(g, [0, 2, 0, 2, 0, 2])
         changed = {i for i, b in enumerate(beliefs) if b != [0, 2, 0, 2, 0, 2][i]}
-        update_agents = {e.agent for e in transcript.events if e.kind == "update"}
+        update_agents = {e.agent for e in transcript if e.kind == "update"}
         assert update_agents == changed
-        for e in transcript.events:
+        for e in transcript:
             if e.kind == "update":
                 assert e.belief_before != e.belief_after
 
@@ -117,12 +117,12 @@ class TestNudgeIntegration:
     def test_no_policy_means_no_nudge_events(self):
         g = cycle_graph(4)
         _, _, transcript = one_day(g, [2, 2, -2, -2])
-        assert not [e for e in transcript.events if e.kind == "nudge"]
+        assert not [e for e in transcript if e.kind == "nudge"]
 
     def test_nudges_target_only_extremes(self):
         g = cycle_graph(4)
         _, _, transcript = one_day(g, [2, 0, -2, 1], nudge=NudgePolicy(kind="passive"))
-        nudged = {e.agent for e in transcript.events if e.kind == "nudge"}
+        nudged = {e.agent for e in transcript if e.kind == "nudge"}
         assert nudged == {0, 2}
 
     def test_active_nudge_pulls_extreme_inward(self):
@@ -130,7 +130,7 @@ class TestNudgeIntegration:
         # exposure is filtered (gap 4), but the nudge still reaches both extremes
         beliefs, _, transcript = one_day(g, [2, -2], nudge=NudgePolicy(kind="active"))
         assert beliefs == [1, -1]
-        nudge_events = [e for e in transcript.events if e.kind == "nudge"]
+        nudge_events = [e for e in transcript if e.kind == "nudge"]
         assert len(nudge_events) == 2
         # active nudges carry the opposing agent's opinion text
         assert all("An opposing perspective" in e.payload for e in nudge_events)
@@ -139,7 +139,7 @@ class TestNudgeIntegration:
         g = cycle_graph(4)
         opinion_texts = {stance_statement(b) for b in [2, 2, -2, -2]}
         _, _, transcript = one_day(g, [2, 2, -2, -2], nudge=NudgePolicy(kind="passive"))
-        for e in transcript.events:
+        for e in transcript:
             if e.kind == "nudge":
                 assert e.payload in NudgePolicy().passive_texts
                 assert all(text not in e.payload for text in opinion_texts)
@@ -200,7 +200,7 @@ class TestBackendDiscipline:
         params = LlmParams(retries=2, max_in_flight=1)
         beliefs, _, transcript = one_day(g, [0, 2], backend=backend, params=params)
         assert beliefs[0] == 1  # recovered on retry
-        flagged = [e for e in transcript.events if e.kind == "reflection" and "parse_failed" in e.payload]
+        flagged = [e for e in transcript if e.kind == "reflection" and "parse_failed" in e.payload]
         assert flagged
 
     def test_transport_retry_then_success(self):
@@ -209,14 +209,14 @@ class TestBackendDiscipline:
         params = LlmParams(retries=2, max_in_flight=1)
         beliefs, _, transcript = one_day(g, [0, 2], backend=backend, params=params)
         assert beliefs[0] == 1
-        assert any("transport_error" in e.payload for e in transcript.events)
+        assert any("transport_error" in e.payload for e in transcript)
 
     def test_exhausted_retries_keep_previous_belief(self):
         g = NetworkGraph.from_edges(2, [(0, 1)])
         beliefs, _, transcript = one_day(g, [0, 2], backend=GarbageBackend(),
                                          params=LlmParams(retries=2, max_in_flight=1))
         assert beliefs == [0, 2]
-        kept = [e for e in transcript.events if "kept_previous_belief" in e.payload]
+        kept = [e for e in transcript if "kept_previous_belief" in e.payload]
         assert len(kept) == 2
 
     def test_clamped_reply_is_flagged(self):
@@ -230,7 +230,7 @@ class TestBackendDiscipline:
         beliefs, _, transcript = one_day(g, [0, 1], backend=OvershootBackend(),
                                          params=LlmParams(max_in_flight=1))
         assert all(b == 2 for b in beliefs)
-        assert any("clamped" in e.payload for e in transcript.events if e.kind == "reflection")
+        assert any("clamped" in e.payload for e in transcript if e.kind == "reflection")
 
 
 class TestFullRuns:
@@ -291,7 +291,7 @@ class TestFullRuns:
         population = make_population([0, 2, 0, 2, 0, 2])
         result = run_llm(g, population, MockBackend(), LlmParams(), NudgePolicy(kind="active"),
                          days=3, rng=rng(5))
-        keys = [(e.day, e.agent) for e in result.transcript.events]
+        keys = [(e.day, e.agent) for e in result.transcript]
         assert keys == sorted(keys)  # appended by (day, agent), the order the file stores
 
     def test_on_day_hook_gets_what_a_collecting_run_returns(self):
@@ -304,7 +304,7 @@ class TestFullRuns:
         assert [day for day, _, _, _ in seen] == [0, 1, 2, 3, 4]
         assert [beliefs for _, beliefs, _, _ in seen] == collected.belief_trajectory.tolist()
         assert [texts for _, _, texts, _ in seen] == collected.opinion_trajectory
-        assert [e for _, _, _, events in seen for e in events] == list(collected.transcript.events)
+        assert [e for _, _, _, events in seen for e in events] == collected.transcript
         assert np.array_equal(hooked.belief_trajectory, collected.belief_trajectory)
         assert hooked.long_term == collected.long_term
         assert (hooked.opinion_trajectory, hooked.transcript) == (None, None)
@@ -392,7 +392,7 @@ class TestDayPool:
         _, long_term, transcript = one_day(g, [0, 1], backend=BarrierBackend(2),
                                            params=LlmParams(max_in_flight=2))
         assert all(long_term)
-        assert not [e for e in transcript.events if "summary_transport_error" in e.payload]
+        assert not [e for e in transcript if "summary_transport_error" in e.payload]
 
     @pytest.mark.parametrize("max_in_flight", [1, 2, 3])
     def test_calls_in_flight_never_exceed_the_bound(self, max_in_flight):
@@ -423,7 +423,7 @@ class TestDayPool:
         _, pooled_long_term, pooled = one_day(g, beliefs, backend=SummaryFailingBackend(),
                                               params=LlmParams(max_in_flight=3))
         assert pooled.to_jsonl() == serial.to_jsonl()
-        failed = [e for e in serial.events if "summary_transport_error" in e.payload]
+        failed = [e for e in serial if "summary_transport_error" in e.payload]
         assert failed  # the fallback ran
         assert pooled_long_term == serial_long_term
 
@@ -476,11 +476,11 @@ class TestTranscriptOrder:
         population = make_population([(0, 2, 0, -2)[i % 4] for i in range(12)])
         transcript = run_llm(cycle_graph(12), population, MixedFailureBackend(), LlmParams(max_in_flight=3),
                              NudgePolicy(kind=kind), days=4, rng=rng(5)).transcript
-        keys = [(e.day, e.agent) for e in transcript.events]
+        keys = [(e.day, e.agent) for e in transcript]
         assert keys == sorted(keys)
-        kinds = {e.kind for e in transcript.events}
+        kinds = {e.kind for e in transcript}
         assert kinds == {"exposure", "reflection", "update"} | ({"nudge"} if kind != "none" else set())
-        payloads = ";".join(e.payload for e in transcript.events)
+        payloads = ";".join(e.payload for e in transcript)
         for flag in ("parse_failed", "transport_error", "summary_transport_error"):
             assert flag in payloads
 
@@ -493,12 +493,12 @@ class TestTranscriptOrder:
         day_rng = rng(3)
         state = llm_day(g, population, beliefs, texts, long_term, MockBackend(), LlmParams(),
                         NudgePolicy(kind="active"), None, day_rng, day=1, transcript=transcript)
-        before = transcript.events
+        before = list(transcript)
         assert {e.kind for e in before} >= {"exposure", "nudge"}
         with pytest.raises(RuntimeError, match="backend bug"):
             llm_day(g, population, *state, ExplodingBackend(), LlmParams(max_in_flight=2),
                     NudgePolicy(kind="active"), None, day_rng, day=2, transcript=transcript)
-        assert transcript.events == before
+        assert transcript == before
 
     def test_a_day_that_raises_stops_queuing_backend_calls(self):
         # the pool's map cancels the calls that have not started once one raises;
@@ -521,6 +521,13 @@ class TestValidation:
                                 topic=TOPIC, grid=False)
         with pytest.raises(ParameterError, match="grid"):
             run_llm(cycle_graph(3), continuous, MockBackend(), LlmParams(), NudgePolicy(), days=1, rng=rng())
+
+    def test_a_passive_policy_needs_a_feed(self):
+        beliefs = [2, -2, 0, 1]
+        with pytest.raises(ParameterError, match="passive feed"):
+            llm_day(cycle_graph(4), make_population(beliefs), beliefs, [stance_statement(b) for b in beliefs],
+                    [""] * 4, MockBackend(), LlmParams(), NudgePolicy(kind="passive"), None, rng(),
+                    day=1, transcript=Transcript())
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echosim import metrics
@@ -192,6 +192,27 @@ class TestBatch:
             batch = snapshot(range(days), g, beliefs)
         # csv_row writes each value by repr, so equal rows are equal bits
         assert [s.csv_row() for s in batch] == [snapshot(day, g, beliefs[day]).csv_row() for day in range(days)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pattern=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+           chunk_entries=st.integers(1, 300))
+    @example(seed=1, pattern=[0, 1, 1, 1], chunk_entries=300)  # a fixed point
+    @example(seed=2, pattern=[0, 1, 2, 1, 2, 1, 2], chunk_entries=300)  # a two-day cycle
+    @example(seed=3, pattern=[0, 1, 2, 0, 3, 1], chunk_entries=1)  # states that come back after other days
+    @example(seed=4, pattern=[2, 3, 2, 3], chunk_entries=300)  # rows that differ only by -0.0 and 0.0
+    def test_each_distinct_row_is_computed_once(self, seed, pattern, chunk_entries):
+        rng = np.random.default_rng(seed)
+        g, _ = random_instance(rng, max_n=30)
+        states = rng.uniform(-2, 2, size=(4, g.n))
+        states[2, ::2] = 0.0
+        states[3] = states[2]
+        states[3, ::2] = -0.0  # equal to row 2 under ==, but not bit for bit
+        beliefs = states[pattern]
+        with mock.patch.object(metrics, "_CHUNK_ENTRIES", chunk_entries), \
+                mock.patch.object(metrics, "_day_metrics", wraps=metrics._day_metrics) as day_metrics:
+            batch = snapshot(range(len(pattern)), g, beliefs)
+        assert sum(len(call.args[1]) for call in day_metrics.call_args_list) == len(set(pattern))
+        assert [s.csv_row() for s in batch] == [snapshot(day, g, row).csv_row() for day, row in enumerate(beliefs)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("g, beliefs", [

@@ -9,6 +9,7 @@ from echosim.population import (
     TRAIT_ADJECTIVES,
     TRAIT_NAMES,
     Persona,
+    Population,
     init_population,
     population_from_text,
     population_to_text,
@@ -97,8 +98,18 @@ def test_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         Persona(index=0, gender="female", age=17, education="master",
                 traits=(True,) * 5)
+    for over, message in (({"traits": (True,) * 4}, "expected 5 trait entries, got 4"),
+                          ({"gender": "robot"}, "unknown gender 'robot'"),
+                          ({"education": "none"}, "unknown education level 'none'")):
+        with pytest.raises(ParameterError, match=message):
+            Persona(**{"index": 0, "gender": "female", "age": 30, "education": "master", "traits": (True,) * 5,
+                       **over})
+    with pytest.raises(ParameterError, match="3 personas but 2 beliefs"):
+        Population(personas=init_population(3, TOPIC, False, rng()).personas, beliefs=np.zeros(2),
+                   topic=TOPIC, grid=False)
     with pytest.raises(ParameterError):
         population_from_text("garbage")
+
 
 
 def test_every_topic_init_population_accepts_reads_back():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echosim
+import echosim.metrics as metrics_mod
 import echosim.runner as runner_mod
 from echosim.backends import MockBackend
 from echosim.cli import main
@@ -268,6 +269,11 @@ class TestCompare:
         result = compare(configs, tmp_path)
         assert result.table["delta_polarization"][0] != result.table["delta_polarization"][1]
 
+    def test_no_config_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="compare needs at least one config"):
+            compare([], tmp_path)
+        assert not list(tmp_path.iterdir())
+
     def test_mismatched_seed_rejected(self, tmp_path):
         configs = [config_from_dict(cfg_dict(seed=1)), config_from_dict(cfg_dict(seed=2))]
         with pytest.raises(ParameterError, match="share"):
@@ -368,6 +374,12 @@ class TestSweep:
         assert set(result.per_seed_deltas) == {4, 6}
         assert 5 in result.failures
         assert "seed 5" in (tmp_path / "failures.txt").read_text()
+
+    def test_an_nci_delta_undefined_for_every_seed_has_an_empty_row(self, tmp_path):
+        # no edges, so no node has a neighbor and nci is undefined on every day
+        result = sweep(config_from_dict(cfg_dict(graph={"kind": "random", "p_edge": 0.0})), [1, 2], tmp_path)
+        assert [d[2] for d in result.per_seed_deltas.values()] == [None, None]
+        assert result.aggregate_csv.read_text().splitlines()[-1] == "delta_nci,,,0"
 
     def test_clean_sweep_removes_an_earlier_failure_report(self, tmp_path, monkeypatch):
         self.sabotage_seed_5(monkeypatch)
@@ -664,7 +676,7 @@ class TestGridTrajectoryWriter:
         population = init_population(cfg.n, cfg.topic, True, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
         result = run_llm(g, population, MockBackend(), cfg.llm, cfg.nudge, cfg.days, component_rng(cfg.seed, "engine"))
-        events = result.transcript.events
+        events = result.transcript
         assert {e.payload for e in events if e.kind == "nudge"} == set(awkward_nudges)
         run_dir = artifacts.run_dir
         assert (run_dir / "transcript.jsonl").read_text(encoding="utf-8") == json_dumps_transcript(events)
@@ -696,6 +708,23 @@ class TestSettledDays:
         written = (artifacts.run_dir / "metrics.csv").read_text().splitlines()[1:]
         assert written == [s.csv_row() for s in fresh]
 
+    @pytest.mark.parametrize("seed, distinct", [(5, 96), (41, 94)])
+    def test_a_run_computes_each_distinct_day_once(self, tmp_path, monkeypatch, seed, distinct):
+        # a 200-day fj run on a small world: a fixed point, or a two-day cycle in the last bits
+        cfg = config_from_dict(dict(n=300, days=200, seed=seed, engine="fj", exposure_mode="all_neighbors",
+                                    graph={"kind": "small_world"}))
+        rows = []
+        day_metrics = metrics_mod._day_metrics
+
+        def counted(g, x):
+            rows.append(len(x))
+            return day_metrics(g, x)
+
+        monkeypatch.setattr(metrics_mod, "_day_metrics", counted)
+        artifacts = run(cfg, tmp_path / "r")
+        assert len(artifacts.snapshots) == 201
+        assert sum(rows) == distinct
+
 
 class TestExportProjection:
     def test_matches_run_projection(self, tmp_path):
@@ -716,6 +745,22 @@ class TestExportProjection:
         lines[-1:] = [] if last_line is None else [last_line]
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ParameterError, match=message):
+            export_projection(artifacts.run_dir)
+
+    def test_a_run_of_another_code_version_is_rejected(self, tmp_path):
+        artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
+        manifest = artifacts.run_dir / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        assert f"code_version: {echosim.__version__}\n" in text
+        manifest.write_text(text.replace(f"code_version: {echosim.__version__}", "code_version: 0.4.0"),
+                            encoding="utf-8")
+        with pytest.raises(ParameterError, match="code_version '0.4.0' is not"):
+            export_projection(artifacts.run_dir)
+
+    def test_a_run_without_a_manifest_is_rejected(self, tmp_path):
+        artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
+        (artifacts.run_dir / "manifest.txt").unlink()
+        with pytest.raises(ParameterError, match="manifest.txt: missing"):
             export_projection(artifacts.run_dir)
 
     def test_writes_to_file(self, tmp_path):
