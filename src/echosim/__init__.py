@@ -3,7 +3,7 @@ echo chambers, and nudge-based mitigation on social graphs.
 
 The public names are the ones imported below."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .backends import BackendError, BackendSettings, MockBackend, RemoteChatBackend, mock_backend_rule
 from .config import RunConfig, config_from_dict, resolve_config

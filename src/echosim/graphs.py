@@ -22,10 +22,6 @@ from .errors import INF, ParameterError, check_fields
 _KIND_DEFAULTS = {"small_world": {"k": 4, "p_rewire": 0.1}, "scale_free": {"m": 2}, "random": {"p_edge": 0.08}}
 GRAPH_KINDS = tuple(_KIND_DEFAULTS)
 
-# Most pairs of ``generate_random`` drawn by one ``rng.random`` call (a row's
-# pairs at least): the draws stay small, and the stream is the one of a draw per row.
-_PAIRS_PER_DRAW = 1 << 16
-
 
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
@@ -184,64 +180,42 @@ def generate_scale_free(n: int, m: int, rng: np.random.Generator) -> NetworkGrap
     node attaches to ``m`` distinct existing nodes with probability
     proportional to their current degree.
 
-    Each draw is the one ``rng.random()`` that ``rng.choice(v, p=degree / total)``
-    would take, mapped to the first node whose degree prefix sum exceeds
-    ``u * total`` by a search of a Fenwick tree over the integer degrees, so a
-    draw costs O(log n) rather than O(n).
+    ``ends`` lists every edge end so far, so each node appears in it as often
+    as its degree, and a draw is one uniform pick from it (Batagelj and
+    Brandes, Phys. Rev. E 71, 036113, 2005): O(1) per draw. A repeat within
+    one new node's ``m`` draws is drawn again.
     """
     GraphSpec(kind="scale_free", n=n, m=m).validate()
 
     core = m + 1
     edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
-    tree = [0] * (n + 1)  # 1-based: tree[i] sums the degrees of nodes i - (i & -i) .. i - 1
-
-    def add_degree(node: int, amount: int) -> None:
-        i = node + 1
-        while i <= n:
-            tree[i] += amount
-            i += i & -i
-
-    for node in range(core):
-        add_degree(node, m)  # complete core
-    total = core * m
-    top = 1 << (n.bit_length() - 1)
-
+    ends = list(range(core)) * m
     for v in range(core, n):
         chosen: set = set()
         while len(chosen) < m:
-            # descend the tree: ``node`` ends as the count of leading nodes whose
-            # degrees sum to <= u * total, which is the index of the first node whose
-            # prefix sum exceeds it; subtracting integers from the float target is exact
-            rest, node, step = rng.random() * total, 0, top
-            while step:
-                if node + step <= n and tree[node + step] <= rest:
-                    node += step
-                    rest -= tree[node]
-                step >>= 1
-            chosen.add(node)
-        for c in chosen:
-            edges.append((c, v))
-            add_degree(c, 1)
-        add_degree(v, m)
-        total += 2 * m
-
+            chosen.add(ends[int(rng.random() * len(ends))])
+        targets = sorted(chosen)  # not set order, so ``ends`` depends on the draws alone
+        edges.extend((c, v) for c in targets)
+        ends.extend(targets)
+        ends.extend([v] * m)
     return NetworkGraph.from_edges(n, edges)
 
 
 def generate_random(n: int, p_edge: float, rng: np.random.Generator) -> NetworkGraph:
-    """G(n, p): each of the n(n-1)/2 pairs is included independently with probability ``p_edge``."""
+    """G(n, p): each of the n(n-1)/2 pairs is included independently with probability ``p_edge``.
+
+    The edge count is drawn from Binomial(n(n-1)/2, p_edge) and the edges as a
+    uniform subset of the pairs of that size, which is the same distribution:
+    O(n + m) time and memory while the subset stays a small share of the pairs.
+    """
     GraphSpec(kind="random", n=n, p_edge=p_edge).validate()
 
-    # one draw per pair in (i, j) order, a block of rows at a time, so memory stays O(n + m)
-    block, edges = max(1, _PAIRS_PER_DRAW // n), []
-    for start in range(0, n, block):
-        i = np.arange(start, min(start + block, n))
-        lengths = n - 1 - i
-        hit = np.flatnonzero(rng.random(lengths.sum()) < p_edge)  # numbers of the block's pairs drawn
-        row = np.repeat(i, lengths)[hit]
-        first = np.cumsum(lengths) - lengths  # number of each row's pair (row, row + 1)
-        edges.append(np.column_stack([row, row + 1 + hit - first[row - start]]))
-    return NetworkGraph.from_edges(n, np.concatenate(edges))
+    pairs = n * (n - 1) // 2  # numbered in (i, j) order
+    chosen = rng.choice(pairs, size=rng.binomial(pairs, p_edge), replace=False, shuffle=False)
+    i = np.arange(n)
+    first = i * (2 * n - 1 - i) // 2  # number of each row's pair (i, i + 1)
+    row = np.searchsorted(first, chosen, side="right") - 1
+    return NetworkGraph.from_edges(n, np.column_stack([row, row + 1 + chosen - first[row]]))
 
 
 def clustering_coefficient(g: NetworkGraph) -> float:
@@ -312,12 +286,20 @@ def to_edge_list_text(g: NetworkGraph) -> str:
 
 
 def from_edge_list_text(text: str) -> NetworkGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Graph from ``to_edge_list_text``'s form; blank lines are skipped. A line
+    that is not the node count (the first) or an ``i j`` pair (the rest) is a
+    ``ParameterError`` naming its line number."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParameterError("empty edge-list text")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        a, b = ln.split()
-        edges.append((int(a), int(b)))
+    rows = []
+    for number, ln in lines:
+        try:
+            row = [int(field) for field in ln.split()]
+        except ValueError:
+            row = []
+        if len(row) != (2 if rows else 1):
+            raise ParameterError(f"edge-list line {number} is not {'an i j pair' if rows else 'a node count'}: {ln!r}")
+        rows.append(row)
+    (n,), edges = rows[0], rows[1:]
     return NetworkGraph.from_edges(n, edges)

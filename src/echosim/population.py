@@ -143,25 +143,31 @@ def population_to_text(pop: Population) -> str:
 
 
 def population_from_text(text: str) -> Population:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("topic\t") or not lines[1].startswith("grid\t"):
+    """Population from ``population_to_text``'s form; blank lines are skipped. A
+    line that cannot be read is a ``ParameterError`` naming its line number."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(lines) < 3 or not lines[0][1].startswith("topic\t") or not lines[1][1].startswith("grid\t"):
         raise ParameterError("malformed population record")
-    topic = lines[0].split("\t", 1)[1]
-    grid = bool(int(lines[1].split("\t", 1)[1]))
+    topic = lines[0][1].split("\t", 1)[1]
     personas = []
     beliefs = []
-    for ln in lines[2:]:
-        index, gender, age, education, polarity, value = ln.split("\t")
-        personas.append(
-            Persona(
-                index=int(index),
-                gender=gender,
-                age=int(age),
-                education=education,
-                traits=tuple(ch == "+" for ch in polarity),
+    number, ln = lines[1]
+    try:
+        grid = bool(int(ln.split("\t", 1)[1]))
+        for number, ln in lines[2:]:
+            index, gender, age, education, polarity, value = ln.split("\t")
+            personas.append(
+                Persona(
+                    index=int(index),
+                    gender=gender,
+                    age=int(age),
+                    education=education,
+                    traits=tuple(ch == "+" for ch in polarity),
+                )
             )
-        )
-        beliefs.append(float(value))
+            beliefs.append(float(value))
+    except ValueError as exc:  # a ParameterError of Persona's checks too
+        raise ParameterError(f"malformed population record at line {number}: {ln!r} ({exc})") from None
     return Population(
         personas=tuple(personas),
         beliefs=np.array(beliefs, dtype=float),

@@ -8,9 +8,11 @@ oracle sums forces one pair at a time, and ``exact_repulsion`` is the dense
 all-pairs field the particle mesh approximates; ``float64_mesh_repulsion`` is
 that mesh in double precision throughout. ``naive_active_nudge_content`` and
 ``naive_deep_merge`` keep earlier, more general bodies of the package's nudge
-search and config merge, and ``row_at_a_time_random`` that of ``generate_random``;
-``full_loop_run_numeric`` and ``masked_fj_day`` keep those of ``run_numeric``,
-which computed every day, and of ``fj_day``, which masked under every mode.
+search and config merge; ``full_loop_run_numeric`` and ``masked_fj_day`` keep
+those of ``run_numeric``, which computed every day, and of ``fj_day``, which
+masked under every mode. ``naive_generate_scale_free`` draws each target by
+``rng.choice`` over the normalised degrees, the distribution that
+``generate_scale_free`` samples from its list of edge ends.
 """
 
 import json
@@ -233,21 +235,6 @@ def float64_mesh_repulsion(n: int, k: float):
         return disp
 
     return repulsion
-
-
-def naive_generate_random(n: int, p_edge: float, rng) -> NetworkGraph:
-    """G(n, p) from the full list of n(n-1)/2 pairs and one draw per pair, in
-    (i, j) order."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mask = rng.random(len(pairs)) < p_edge
-    return NetworkGraph.from_edges(n, [pair for pair, hit in zip(pairs, mask) if hit])
-
-
-def row_at_a_time_random(n: int, p_edge: float, rng) -> NetworkGraph:
-    """The earlier body of ``generate_random``: one ``rng.random`` call per row."""
-    cols = [np.flatnonzero(rng.random(n - 1 - i) < p_edge) + (i + 1) for i in range(n)]
-    rows = np.repeat(np.arange(n), [c.size for c in cols])
-    return NetworkGraph.from_edges(n, np.column_stack([rows, np.concatenate(cols)]))
 
 
 def naive_generate_scale_free(n: int, m: int, rng) -> NetworkGraph:

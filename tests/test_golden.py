@@ -100,57 +100,57 @@ GOLDEN = {
         "config.yaml": "89dabcaa962b16830973aaf8b287002c88a25ede83ab8487a6fa0a8ca950ddde",
     },
     ("llm", "scale_free", "none"): {
-        "trajectory.jsonl": "882743e174738dedca32857caa5837cf675768b0e140adc8b114d13b186c6912",
-        "transcript.jsonl": "7f7895a7c1534347c5af035550f35ee4586a4a67814f1f48783d9e426ff22400",
-        "metrics.csv": "e6dd0cda7f23f341283e9f828ce19ab0db16b6f1f5681c30acc13e8cfac4c82f",
-        "projection.csv": "858cd112da57cf73536015a30c698bcffe7d3487f09630629e43e5cdf7c6f62a",
+        "trajectory.jsonl": "58a77115599b48cd71a006fa1cb136c8d5ea4b2302f1f779410d82a92eecbca7",
+        "transcript.jsonl": "02b79022f29ace69cd0278f38f5c795841726e5561739f9365374b01143e174e",
+        "metrics.csv": "e295035cb858898c39ba2438306592f281277df60089a1fda5ca4ac9d0d4e519",
+        "projection.csv": "1f47b68657cb29c93bba93b5ed496fe0c7527e309380d13091c8633afaecd5f7",
         "population.txt": "cd8ecd74d8600358fb328dda00061a733685d9aca8fe4b0a996e38fcf74f1b50",
-        "graph.txt": "f646791da3015dd4f93759ac4743294201856af03862038834fadd55735fcff5",
+        "graph.txt": "b26b223eaea9570fb6f8fc95f9fbc50a5f7b9d6258269d5b66fb2bd7f335c0fb",
         "config.yaml": "6b489561e047d16755bf7fdba4b54e589db84a0f7f1bc86e69907b45350be6e4",
     },
     ("llm", "scale_free", "active"): {
-        "trajectory.jsonl": "b976dc3810b428afc1238a94b092143d35cc748a0ba8612038195b2b06399f34",
-        "transcript.jsonl": "e98c355e650c7c390026754b49382baf964744e1a8a81fb52d9c73862cade2e4",
-        "metrics.csv": "e1f557ed144561c3b9e01df890afe800f06cd2e1f9ee90d7b383fa27cbd7addb",
-        "projection.csv": "72c9898b767cd0af4e1d4553a5155a5c996db927169de075e6dd6438fdf3a53e",
+        "trajectory.jsonl": "5d086b20e485b844c6d1a0fb7cb63ab0066f1ab699743fa7f658c167bfab802d",
+        "transcript.jsonl": "5e3604e280b7e24af95908ebb917764e73619e04d276a11d4618db3ceb668ac3",
+        "metrics.csv": "0eaf44861eb364ad5d368cc108f919e0b092d28feb14993372e5712e50553e34",
+        "projection.csv": "34a74b5283f4479e0691ae5c6666e706a899ccf84166e9e84bff579609a0a83e",
         "population.txt": "cd8ecd74d8600358fb328dda00061a733685d9aca8fe4b0a996e38fcf74f1b50",
-        "graph.txt": "f646791da3015dd4f93759ac4743294201856af03862038834fadd55735fcff5",
+        "graph.txt": "b26b223eaea9570fb6f8fc95f9fbc50a5f7b9d6258269d5b66fb2bd7f335c0fb",
         "config.yaml": "c5fa0e1f7f2924ea01ae54d1fee70bcaf7abef095d4269c1492d37459c5b5be6",
     },
     ("llm", "scale_free", "passive"): {
-        "trajectory.jsonl": "b976dc3810b428afc1238a94b092143d35cc748a0ba8612038195b2b06399f34",
-        "transcript.jsonl": "82ecc9800b0aca32b329295c56371ab596fef546a9d08b1de046cb2069db06aa",
-        "metrics.csv": "e1f557ed144561c3b9e01df890afe800f06cd2e1f9ee90d7b383fa27cbd7addb",
-        "projection.csv": "72c9898b767cd0af4e1d4553a5155a5c996db927169de075e6dd6438fdf3a53e",
+        "trajectory.jsonl": "5d086b20e485b844c6d1a0fb7cb63ab0066f1ab699743fa7f658c167bfab802d",
+        "transcript.jsonl": "ed21fa1f494ed93513187a61da2b3f6cf209953167eac2e8479d2f236d04e59f",
+        "metrics.csv": "0eaf44861eb364ad5d368cc108f919e0b092d28feb14993372e5712e50553e34",
+        "projection.csv": "34a74b5283f4479e0691ae5c6666e706a899ccf84166e9e84bff579609a0a83e",
         "population.txt": "cd8ecd74d8600358fb328dda00061a733685d9aca8fe4b0a996e38fcf74f1b50",
-        "graph.txt": "f646791da3015dd4f93759ac4743294201856af03862038834fadd55735fcff5",
+        "graph.txt": "b26b223eaea9570fb6f8fc95f9fbc50a5f7b9d6258269d5b66fb2bd7f335c0fb",
         "config.yaml": "200732afa2f38fb5e18fc3f06e90dd3c209829af929f875d2649024bed7acc48",
     },
     ("llm", "random", "none"): {
-        "trajectory.jsonl": "762524ac963a301cf5aabee010ac075d96b9673643ad53b8856fb3da51ddce65",
-        "transcript.jsonl": "eea4ccbc93ab2b474d29cdfd9cd1740ed088b7ff79ba5cbc48bacf6ed5c67159",
-        "metrics.csv": "c5023c5c7be5f1ccfb0b7b2c446e64a97f7b4bc25826fce52758a94b557d954a",
-        "projection.csv": "880bd9602bab55ca03dc1edb5d574ec200cce2427b87b0ef769f9b62820cc1b8",
+        "trajectory.jsonl": "87738b5f86771acd67a17ab0b9baa785f6a0bd0b288bcc64ac5a6f4e06fe457e",
+        "transcript.jsonl": "a6acf500ab7e0e1dc6ef099b27c23a945031e9ec6ff67a48a3c24711c3cd8915",
+        "metrics.csv": "a954e7d5070fc010557e9a7602afbdab12afa24642d2f54314cee42aafe23a79",
+        "projection.csv": "f51ec6dcdef3780869129d7f17a8222a4c75c0d3f91f7db806f79f58b50ba106",
         "population.txt": "cd8ecd74d8600358fb328dda00061a733685d9aca8fe4b0a996e38fcf74f1b50",
-        "graph.txt": "24f04cc313c1627b08b6c8df2f74f5a1c8f93b5d0115d573f28bff5cd57c4799",
+        "graph.txt": "37935a057e16c827fc46f5a9264f836ccb8cc2c27902fa2754d46013565ff3e8",
         "config.yaml": "f5d087781c0e12eba4ef25c70a1e9118e29035de111c3ef431b3e8f18e54b262",
     },
     ("llm", "random", "active"): {
-        "trajectory.jsonl": "04df0d470c65ab35f5df0cf2d81908e1aedab29a9bbcb3897264b5b124f54962",
-        "transcript.jsonl": "c27fc498ace054bdaaaa946eeb9084092daef519f74dd27f60509e8d252d5508",
-        "metrics.csv": "5065bab324d7e22baac16046ee44d3121ba255590a2fa079539eb1657cddd942",
-        "projection.csv": "d023db28f675c305d8181ff7329d03c9899b13e9478ab08df4d00e8acc5be768",
+        "trajectory.jsonl": "22ea415793f44d526edac5a8dc6286c21c62406cd583a37d3c224b8d4f3b5bc6",
+        "transcript.jsonl": "ca386f67c591296a7d1414008b709e430d5ae8fbbcf6a10155e56c85d943022a",
+        "metrics.csv": "0c2bb409f9eba9e0a7d27257bfc2055b4142d897ea427a0a2a01ea6b0ffc6663",
+        "projection.csv": "ce1fbe83b0aea2558bbdd6563ffc6f3d249e245bc092034794036580bcd5b78c",
         "population.txt": "cd8ecd74d8600358fb328dda00061a733685d9aca8fe4b0a996e38fcf74f1b50",
-        "graph.txt": "24f04cc313c1627b08b6c8df2f74f5a1c8f93b5d0115d573f28bff5cd57c4799",
+        "graph.txt": "37935a057e16c827fc46f5a9264f836ccb8cc2c27902fa2754d46013565ff3e8",
         "config.yaml": "37b2df4f4818f4f9146c18b3fe416f7428155264e7d586b44d2d1ff5d1221958",
     },
     ("llm", "random", "passive"): {
-        "trajectory.jsonl": "04df0d470c65ab35f5df0cf2d81908e1aedab29a9bbcb3897264b5b124f54962",
-        "transcript.jsonl": "a5e960358de8fd14f69acfc1bb59b4921f43998545830c430f72e760fa6ef396",
-        "metrics.csv": "5065bab324d7e22baac16046ee44d3121ba255590a2fa079539eb1657cddd942",
-        "projection.csv": "d023db28f675c305d8181ff7329d03c9899b13e9478ab08df4d00e8acc5be768",
+        "trajectory.jsonl": "22ea415793f44d526edac5a8dc6286c21c62406cd583a37d3c224b8d4f3b5bc6",
+        "transcript.jsonl": "c610e008e60ae123a37a7a230b203525fa121202b5ab6c59810442437ac71fc1",
+        "metrics.csv": "0c2bb409f9eba9e0a7d27257bfc2055b4142d897ea427a0a2a01ea6b0ffc6663",
+        "projection.csv": "ce1fbe83b0aea2558bbdd6563ffc6f3d249e245bc092034794036580bcd5b78c",
         "population.txt": "cd8ecd74d8600358fb328dda00061a733685d9aca8fe4b0a996e38fcf74f1b50",
-        "graph.txt": "24f04cc313c1627b08b6c8df2f74f5a1c8f93b5d0115d573f28bff5cd57c4799",
+        "graph.txt": "37935a057e16c827fc46f5a9264f836ccb8cc2c27902fa2754d46013565ff3e8",
         "config.yaml": "a2febcd7348185b8f8a03f65f544d8f282c7a706c5b78a60472f6d1ee307ce9d",
     },
     ("bcm", "small_world"): {
@@ -162,19 +162,19 @@ GOLDEN = {
         "config.yaml": "e95a47e28d38fac0e7e2ea6bbc4ca742cfb89ea43c69ad403912bf433f8798b5",
     },
     ("bcm", "scale_free"): {
-        "trajectory.jsonl": "8a4cf1fc15fbe8a1fa632e21e316e79cc5238d90ba08ae44f84398e13a8fd90d",
-        "metrics.csv": "c6732957848e93fc37cf446c26165e6442dab33c8a1850ca5226699d75c9b163",
-        "projection.csv": "9ad0805b1bf2a8fad0e30da55c222f68bf05251b1840b6eb1b1369b44642969b",
+        "trajectory.jsonl": "46ca5ac1595e80757d7a50d5cbec1cc8145b379d6f5417d9e35d948ec72b079c",
+        "metrics.csv": "7f8260e98ccd89443b94f958e865149f2bebbad698f2b03ebddaecd1f7fab2de",
+        "projection.csv": "ba19555fe229545532b41e2efc148a78b9e41c2186e7a8623672d9069da40696",
         "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
-        "graph.txt": "f646791da3015dd4f93759ac4743294201856af03862038834fadd55735fcff5",
+        "graph.txt": "b26b223eaea9570fb6f8fc95f9fbc50a5f7b9d6258269d5b66fb2bd7f335c0fb",
         "config.yaml": "06d883dfdac3419c330b979b6936c596ae94ba2edd19181ce98c82137e298e20",
     },
     ("bcm", "random"): {
-        "trajectory.jsonl": "56f9e2822a261143a62559249c5de4f39cb369b31db8c05a2230f40e6f623cc4",
-        "metrics.csv": "2c953c9230a2e61165c049e75464468749d63c27c28d3e9e04ae579bcfe84e50",
-        "projection.csv": "dcb87e1dae4c1897f31128770f114db2fa54b7af6ac78292f448ba03471a92a7",
+        "trajectory.jsonl": "dab5938d29474a5b8d4de2290bd9f0fbe2eefd492aedd8581ff9193533dd03e1",
+        "metrics.csv": "dfac33c6cf9cb43a0462f7fb4fb558383293e0977a64d0976b0ba20ed85460fb",
+        "projection.csv": "ac6e2ddc53ad62359996e0955e749a1455f0f6f53324ae91442c58ea0dc41e90",
         "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
-        "graph.txt": "24f04cc313c1627b08b6c8df2f74f5a1c8f93b5d0115d573f28bff5cd57c4799",
+        "graph.txt": "37935a057e16c827fc46f5a9264f836ccb8cc2c27902fa2754d46013565ff3e8",
         "config.yaml": "1943519008450936c2b7145c84088edf802412f81effe038ae9dfcfb7a27439f",
     },
     ("fj", "small_world"): {
@@ -186,27 +186,27 @@ GOLDEN = {
         "config.yaml": "6662e53c9359386d6be3837373d2cf2bbe126a9405f2c0fd74e38b21c71c2398",
     },
     ("fj", "scale_free"): {
-        "trajectory.jsonl": "64f62a8fd67a41cfa900b9827f0c07c82d2f7d7e8046a513b06b1f82bd55c366",
-        "metrics.csv": "90f8c3625fa47cabf184456864d7bb8706d581326315fe1c896a8426c10f3ca6",
-        "projection.csv": "87cc8126af2efd3fc81caf930d09dbc86d95c49d5fb741b0a9234f95176a0b1b",
+        "trajectory.jsonl": "c7fd6b170364a12e54665d3fdbdc5df86d430d89ac3c44ca6029f5bf12fbead5",
+        "metrics.csv": "188153d1b6429f14531e90438667864f342ee8894fef8f5026a100e03b54d5bb",
+        "projection.csv": "786ac5b499d03765a51d78be803713758e0a3635e2645b4c0c532a98984e58d8",
         "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
-        "graph.txt": "f646791da3015dd4f93759ac4743294201856af03862038834fadd55735fcff5",
+        "graph.txt": "b26b223eaea9570fb6f8fc95f9fbc50a5f7b9d6258269d5b66fb2bd7f335c0fb",
         "config.yaml": "444e6c65baf7b75c9ab68b550854575c35b2f3639499b8329cf1796f20b7d4c4",
     },
     ("fj", "random"): {
-        "trajectory.jsonl": "4d76a2ee8f4a357e510ada8af18c0cf9f451b0afdd8381254431fd1eb08f6154",
-        "metrics.csv": "ac78434efee10d0439db2dc9d67765d183af76121c918a36e503e953ea31eec4",
-        "projection.csv": "99c10194ab7da8b8ab1960c35f1f87ec274f560664e2fca1b57d11882a16636a",
+        "trajectory.jsonl": "960b13a1eb265d936eedb8f74a6dddbd88ce766e4be2c3a079badd7251a5daf9",
+        "metrics.csv": "fd3fd7d0fd1e46c666792e1bef4bd586a69c4a8350adea3446e69546c0ef6a86",
+        "projection.csv": "b25028285d6badf731e822b59851d17764b22287fc2b5bad227d6b4d87891092",
         "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
-        "graph.txt": "24f04cc313c1627b08b6c8df2f74f5a1c8f93b5d0115d573f28bff5cd57c4799",
+        "graph.txt": "37935a057e16c827fc46f5a9264f836ccb8cc2c27902fa2754d46013565ff3e8",
         "config.yaml": "2683fd8104ca394ea464d9bcd7c5dd3d658a35e5c6c2475e6ac56d5d24c2c705",
     },
     ("bcm", "random", 400): {
-        "trajectory.jsonl": "85df4cb75bd9cc719524fbebef67158478fe98de80299dc629e65a43dcec3455",
-        "metrics.csv": "c1759b773643c4e7f43e14c9160a1dfa9b226a68a7d123517dd14c79d624c16c",
-        "projection.csv": "5c1f9f9e2d6a693a343e64d135bc7ded84200db2ed5e732d8fe6339d257370d8",
+        "trajectory.jsonl": "265ce8ff89e05b6ff328e392c7cf94167061f713b2a6a79cce5696ac2d4f481c",
+        "metrics.csv": "8c044b840952b88dd3c049c844d6b8a8b959c63ec8447e9d646e3bc11002b9f7",
+        "projection.csv": "45416c43619a30ce937dbf6bf4a8da48fc94972c1845607cdc9b15b346a260d8",
         "population.txt": "8c63e7d394c9f2de52592a8f555086fbc081278ce0b2b0af83e3e4202b219da6",
-        "graph.txt": "ebb853f3ba6b64f0e356b9850ce5ecb114e2e4a8e14d4081a0d1a5583c37ce02",
+        "graph.txt": "46eb5c87855312e918d3220a8f0107e536135500c1ebac17b0a65426544347f5",
         "config.yaml": "c6b86dc0a8f0943ad4399bc262534870a6130654318e9bc540e250854d81d6f6",
     },
 }

@@ -1,12 +1,12 @@
 import tracemalloc
-from unittest import mock
+from functools import cache
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echosim import graphs
 from echosim.errors import ParameterError
 from echosim.graphs import (
     GraphSpec,
@@ -26,20 +26,42 @@ from echosim.graphs import (
 from helpers import (
     cycle_graph,
     naive_clustering,
-    naive_generate_random,
     naive_generate_scale_free,
     naive_hop_distances,
     path_graph,
     random_instance,
-    row_at_a_time_random,
     star_graph,
 )
 
 RING_CLUSTERING_K4 = 0.5  # closed form 3(k-2)/(4(k-1)) at k=4
 
+# upper 0.999 quantiles of chi-square, by degrees of freedom (scipy.stats.chi2.ppf(0.999, df))
+CHI2_999 = {7: 24.32, 45: 80.08}
+
 
 def rng(seed=1):
     return np.random.default_rng(seed)
+
+
+@cache
+def gnp_sample() -> np.ndarray:
+    """(4000, 10, 10) adjacency matrices of ``generate_random(10, 0.3, rng(seed))``,
+    seeds 0..3999."""
+    adjacency = np.zeros((4000, 10, 10), dtype=np.int64)
+    for seed, a in enumerate(adjacency):
+        g = generate_random(10, 0.3, rng(seed))
+        a[g.rows, g.indices] = 1
+    adjacency.flags.writeable = False
+    return adjacency
+
+
+def pair_frequencies(generate, n: int, m: int, seeds) -> np.ndarray:
+    """How many of the graphs ``generate(n, m, rng(seed))`` hold each pair (i, j),
+    i < j, in ``np.triu_indices`` order."""
+    counts = np.zeros((n, n), dtype=np.int64)
+    for seed in seeds:
+        counts[generate(n, m, rng(seed)).upper()] += 1
+    return counts[np.triu_indices(n, 1)]
 
 
 def assert_valid(g: NetworkGraph):
@@ -122,16 +144,18 @@ class TestScaleFree:
         with pytest.raises(ParameterError):
             generate_scale_free(n, m, rng())
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("n,seeds", [(50, range(1, 21)), (300, range(1, 21)), (2000, range(1, 6))],
-                             ids=["n50", "n300", "n2000"])
-    def test_matches_choice_oracle(self, n, seeds, m):
-        # the Fenwick search must pick the node rng.choice would, from the same draw
-        for seed in seeds:
-            fast, slow = rng(seed), rng(seed)
-            assert to_edge_list_text(generate_scale_free(n, m, fast)) == to_edge_list_text(
-                naive_generate_scale_free(n, m, slow)), seed
-            assert fast.random() == slow.random()  # same number of draws
+    @pytest.mark.parametrize("n,m", [(7, 1), (8, 2)])
+    def test_pair_frequencies_match_choice_oracle(self, n, m):
+        # 2000 graphs from each, on disjoint seeds: how often each pair is an edge may differ
+        # by at most 4 standard errors of the difference, a bound a uniform attachment or a
+        # pick from stale degrees exceeds about twofold
+        graphs = 2000
+        fast = pair_frequencies(generate_scale_free, n, m, range(graphs))
+        slow = pair_frequencies(naive_generate_scale_free, n, m, range(graphs, 2 * graphs))
+        q = (fast + slow) / (2 * graphs)
+        varies = (q > 0) & (q < 1)  # the core's pairs are always edges
+        z = (fast - slow)[varies] / np.sqrt(2 * graphs * q[varies] * (1 - q[varies]))
+        assert np.abs(z).max() < 4
 
 
 class TestRandom:
@@ -154,25 +178,34 @@ class TestRandom:
         with pytest.raises(ParameterError):
             generate_random(10, 1.2, rng())
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 50, 600])
-    def test_matches_pair_list_oracle(self, n):
-        for p_edge in [0.0, 0.08, 1.0] + ([4 / (n - 1)] if n > 4 else []):
-            for seed in (1, 2, 3):
-                fast, slow = rng(seed), rng(seed)
-                assert to_edge_list_text(generate_random(n, p_edge, fast)) == to_edge_list_text(
-                    naive_generate_random(n, p_edge, slow))
-                assert fast.random() == slow.random()  # same number of draws
+    # G(10, 0.3) at seeds 0..3999: the edge count is Binomial(45, 0.3) and each
+    # pair an independent Bernoulli(0.3) trial
+    def test_edge_count_is_binomial(self):
+        counts = gnp_sample().sum(axis=(1, 2)) // 2
+        mean, variance = 45 * 0.3, 45 * 0.3 * 0.7  # 13.5 and 9.45
+        # 4 standard errors: sqrt(9.45 / 4000) = 0.049 for the mean and about
+        # 9.45 * sqrt(2 / 4000) = 0.21 for the variance
+        assert abs(counts.mean() - mean) < 4 * 0.049
+        assert abs(counts.var() - variance) < 4 * 0.21
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 120), p_edge=st.floats(0, 1), seed=st.integers(0, 2**32 - 1),
-           pairs_per_draw=st.integers(1, 400))
-    def test_block_draws_match_row_draws(self, n, p_edge, seed, pairs_per_draw):
-        fast, slow = rng(seed), rng(seed)
-        with mock.patch.object(graphs, "_PAIRS_PER_DRAW", pairs_per_draw):
-            g = generate_random(n, p_edge, fast)
-        oracle = row_at_a_time_random(n, p_edge, slow)
-        assert np.array_equal(g.indptr, oracle.indptr) and np.array_equal(g.indices, oracle.indices)
-        assert fast.random() == slow.random()  # the same stream, to the last draw
+    def test_degrees_are_binomial(self):
+        # one node per graph, node seed % 10, so the degrees are independent draws of Binomial(9, 0.3)
+        adjacency = gnp_sample()
+        graphs = len(adjacency)
+        degrees = adjacency[np.arange(graphs), np.arange(graphs) % 10].sum(axis=1)
+        observed = np.bincount(degrees, minlength=10)
+        expected = graphs * np.array([comb(9, k) * 0.3**k * 0.7 ** (9 - k) for k in range(10)])
+        # degrees 7..9 (expected 17.2 in all) pooled into one cell: 8 cells, 7 degrees of freedom
+        observed = np.append(observed[:7], observed[7:].sum())
+        expected = np.append(expected[:7], expected[7:].sum())
+        assert ((observed - expected) ** 2 / expected).sum() < CHI2_999[7]
+
+    def test_pairs_are_chosen_uniformly(self):
+        # each pair's count is Binomial(4000, 0.3), independent of the other pairs' counts
+        adjacency = gnp_sample()
+        chosen = adjacency.sum(axis=0)[np.triu_indices(10, 1)]
+        expected = len(adjacency) * 0.3
+        assert ((chosen - expected) ** 2).sum() / (expected * 0.7) < CHI2_999[45]
 
     def test_memory_is_linear(self):
         # the pair list alone holds n(n-1)/2 = 5e7 tuples at n=10000
@@ -185,6 +218,21 @@ class TestRandom:
             tracemalloc.stop()
         assert g.edge_count > 0
         assert peak_mb < 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 80), m=st.integers(1, 79), p_edge=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_generated_graphs_are_simple_with_exact_edge_counts(n, m, p_edge, seed):
+    assert_valid(generate_random(n, p_edge, rng(seed)))
+    assert generate_random(n, 0.0, rng(seed)).edge_count == 0
+    complete = generate_random(n, 1.0, rng(seed))
+    assert complete.edge_count == n * (n - 1) // 2
+    assert_valid(complete)
+    if n > 1:
+        m = 1 + (m - 1) % (n - 1)  # 1 <= m < n
+        g = generate_scale_free(n, m, rng(seed))
+        assert_valid(g)
+        assert g.edge_count == m * (m + 1) // 2 + (n - m - 1) * m
 
 
 class TestMeasures:
@@ -308,3 +356,15 @@ class TestEdgeListFormat:
             NetworkGraph.from_edges(3, [(0, 0)])
         with pytest.raises(ParameterError):
             NetworkGraph.from_edges(3, [(0, 5)])
+
+    @pytest.mark.parametrize("text,message", [
+        ("3\n0 1 2\n", "edge-list line 2 is not an i j pair: '0 1 2'"),
+        ("x\n0 1\n", "edge-list line 1 is not a node count: 'x'"),
+        ("3 1\n", "edge-list line 1 is not a node count: '3 1'"),
+        ("3\n0 1\n\n1\n", "edge-list line 4 is not an i j pair: '1'"),
+        ("3\n0 y\n", "edge-list line 2 is not an i j pair: '0 y'"),
+    ])
+    def test_a_malformed_line_is_named(self, text, message):
+        with pytest.raises(ParameterError) as raised:
+            from_edge_list_text(text)
+        assert str(raised.value) == message

@@ -111,6 +111,21 @@ def test_rejects_bad_arguments():
         population_from_text("garbage")
 
 
+@pytest.mark.parametrize("number,line", [
+    (3, "0\tfemale\t30\tmaster\t+++++\t0.1\textra"),
+    (4, "1\tfemale\t30\tmaster\t+++++"),
+    (3, "0\tfemale\tthirty\tmaster\t+++++\t0.1"),
+    (5, "2\tfemale\t30\tmaster\t+++++\tx"),
+    (4, "1\tfemale\t99\tmaster\t+++++\t0.1"),
+    (2, "grid\tyes"),
+])
+def test_a_malformed_line_is_named(number, line):
+    lines = population_to_text(init_population(3, TOPIC, False, rng())).splitlines()
+    lines[number - 1] = line
+    with pytest.raises(ParameterError, match=f"malformed population record at line {number}: "):
+        population_from_text("\n".join(lines))
+
+
 
 def test_every_topic_init_population_accepts_reads_back():
     # population.txt holds the topic on one line, so a multi-line topic is refused up front
