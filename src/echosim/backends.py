@@ -4,13 +4,14 @@ A backend is anything with a ``name`` and a ``complete(prompt, max_length,
 temperature) -> str`` method that never mutates simulation state. The mock
 backend is a pure function of the prompt string, which makes full language
 runs deterministic and testable offline; the remote backend talks to an
-HTTPS chat-completion endpoint with timeout, retry, and backoff.
+HTTP(S) chat-completion endpoint with timeout, retry, and backoff.
 ``BackendSettings``, a run config's ``backend`` section, is declared here
 beside the remote backend that reads it.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import os
@@ -18,8 +19,10 @@ import random
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import Optional, Protocol
+from urllib.parse import urlsplit
 
 from .errors import INF, BackendError, ParameterError, check_fields
 from .population import clamp_to_grid
@@ -31,9 +34,6 @@ from .prompts import (
     SUMMARY_HEADER,
     stance_statement,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,17 @@ class BackendSettings:
 
     def validate(self) -> None:
         check_fields(self)
-        if self.kind == "remote" and (not self.base_url or not self.model):
+        if self.kind != "remote":
+            return
+        if not self.base_url or not self.model:
             raise ParameterError("base_url and model must be set for a remote backend")
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # ValueError unless absent or a number in [0, 65535]
+        except ValueError:
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ParameterError(f"base_url must be an absolute http or https URL with a host, got {self.base_url!r}")
 
 
 class TextBackend(Protocol):
@@ -129,8 +138,8 @@ class MockBackend:
 
 
 class RemoteChatBackend:
-    """Chat-completion client over HTTPS, at the endpoint, model, timeout and
-    retry count of ``settings``.
+    """Chat-completion client over HTTP or HTTPS, at the endpoint, model,
+    timeout and retry count of ``settings``.
 
     The API key is read from the environment variable that
     ``settings.api_key_env`` names, never from configuration files.
@@ -138,27 +147,18 @@ class RemoteChatBackend:
     exactly the server's numeric ``Retry-After`` on a 429 or 503, or else
     after a "full jitter" backoff: a uniform draw from
     [0, backoff_base * 2 ** (attempt - 1)] seconds. Anything else raises
-    BackendError. Without an injected session, each thread gets its own
-    ``requests.Session``, so the language engine's worker pool never shares one.
+    BackendError. Each thread keeps its own ``http.client`` connection, so the
+    language engine's worker pool never shares one; a transport error closes
+    it, the next attempt reconnects, and it is closed when its thread ends.
+    HTTPS is verified against the system's CA store; proxy environment
+    variables are not read.
     """
 
-    def __init__(self, settings: BackendSettings, backoff_base: float = 0.5,
-                 session: Optional[requests.Session] = None):
+    def __init__(self, settings: BackendSettings, backoff_base: float = 0.5):
         self._settings = settings
         self.backoff_base = backoff_base
-        self._session = session
         self._local = threading.local()
         self.name = f"remote:{settings.model}"
-
-    def _http(self) -> requests.Session:
-        """The injected session, else this thread's own."""
-        if self._session is not None:
-            return self._session
-        session = getattr(self._local, "session", None)
-        if session is None:
-            import requests
-            session = self._local.session = requests.Session()
-        return session
 
     def _api_key(self) -> str:
         key = os.environ.get(self._settings.api_key_env, "")
@@ -167,16 +167,22 @@ class RemoteChatBackend:
         return key
 
     def complete(self, prompt: str, max_length: int, temperature: float) -> str:
-        import requests  # here, not at the top: importing it takes longer than all of echosim
+        import http.client  # here, not at the top: with ssl, it takes tens of milliseconds to import
         settings = self._settings
-        url = f"{settings.base_url.rstrip('/')}/chat/completions"
+        url = urlsplit(settings.base_url)
+        path = f"{url.path.rstrip('/')}/chat/completions"
         body = {
             "model": settings.model,
             "messages": [{"role": "user", "content": prompt}],
             "max_tokens": max_length,
             "temperature": temperature,
         }
-        headers = {"Authorization": f"Bearer {self._api_key()}"}
+        headers = {"Authorization": f"Bearer {self._api_key()}", "Content-Type": "application/json"}
+        connection = getattr(self._local, "connection", None)
+        if connection is None:  # this thread's first call; the socket opens with the first request
+            kind = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+            connection = self._local.connection = kind(url.hostname, url.port, timeout=settings.timeout)
+            weakref.finalize(threading.current_thread(), connection.close)
         last_error = "no attempt made"
         retry_after = None
         for attempt in range(settings.max_retries + 1):
@@ -187,26 +193,24 @@ class RemoteChatBackend:
                     time.sleep(retry_after)
             retry_after = None
             try:
-                response = self._http().post(url, json=body, headers=headers, timeout=settings.timeout)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-                logger.debug("request to %s failed (attempt %d): %s", url, attempt, exc)
+                connection.request("POST", path, json.dumps(body).encode(), headers)
+                response = connection.getresponse()
+                status, text = response.status, response.read().decode("utf-8", "replace")
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()  # the next request reconnects
+                last_error = str(exc) or type(exc).__name__
+                logger.debug("request to %s failed (attempt %d): %s", settings.base_url, attempt, last_error)
                 continue
-            logger.debug(
-                "request=%r response_status=%s response=%r (key redacted)",
-                body,
-                response.status_code,
-                response.text[:2000],
-            )
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = f"HTTP {response.status_code}"
-                if response.status_code in (429, 503):
-                    retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
+            logger.debug("request=%r response_status=%s response=%r (key redacted)", body, status, text[:2000])
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+                if status in (429, 503):
+                    retry_after = _retry_after_seconds(response.getheader("Retry-After"))
                 continue
-            if response.status_code != 200:
-                raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
+            if status != 200:
+                raise BackendError(f"HTTP {status}: {text[:200]}")
             try:
-                return response.json()["choices"][0]["message"]["content"]
+                return json.loads(text)["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
         raise BackendError(f"gave up after {settings.max_retries + 1} attempts: {last_error}")

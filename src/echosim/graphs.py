@@ -260,15 +260,21 @@ def hop_distances(g: NetworkGraph, source: int) -> list:
         raise ParameterError(f"source {source} out of range for n={g.n}")
     dist = np.full(g.n, -1)
     dist[source] = 0
-    frontier = dist == 0
+    slot = np.empty(g.n, dtype=np.intp)
+    frontier = np.array([source])
     hops = 0
-    while frontier.any():
+    while frontier.size:
         hops += 1
-        # the frontier's neighbors: the CSR entries of the frontier's rows
-        reached = np.zeros(g.n, dtype=bool)
-        reached[g.indices[np.flatnonzero(frontier[g.rows])]] = True
-        frontier = reached & (dist < 0)
-        dist[frontier] = hops
+        # the CSR entries of the frontier's rows only, so a whole search reads each entry once
+        starts, counts = g.indptr[frontier], g.indptr[frontier + 1] - g.indptr[frontier]
+        ends = np.cumsum(counts)
+        reached = g.indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
+        reached = reached[dist[reached] < 0]
+        dist[reached] = hops
+        # one copy of each node: the position whose write to ``slot`` stood
+        positions = np.arange(reached.size)
+        slot[reached] = positions
+        frontier = reached[slot[reached] == positions]
     return [None if d < 0 else d for d in dist.tolist()]
 
 

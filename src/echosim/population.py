@@ -144,7 +144,9 @@ def population_to_text(pop: Population) -> str:
 
 def population_from_text(text: str) -> Population:
     """Population from ``population_to_text``'s form; blank lines are skipped. A
-    line that cannot be read is a ``ParameterError`` naming its line number."""
+    line that cannot be read, a persona index that is not the record's position
+    from 0, a grid flag other than 0 or 1, and a grid belief off the integer grid
+    are each a ``ParameterError`` naming the line."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 3 or not lines[0][1].startswith("topic\t") or not lines[1][1].startswith("grid\t"):
         raise ParameterError("malformed population record")
@@ -153,12 +155,17 @@ def population_from_text(text: str) -> Population:
     beliefs = []
     number, ln = lines[1]
     try:
-        grid = bool(int(ln.split("\t", 1)[1]))
-        for number, ln in lines[2:]:
+        flag = ln.split("\t", 1)[1]
+        if flag not in ("0", "1"):
+            raise ValueError("the grid flag must be 0 or 1")
+        grid = flag == "1"
+        for position, (number, ln) in enumerate(lines[2:]):
             index, gender, age, education, polarity, value = ln.split("\t")
+            if int(index) != position:
+                raise ValueError(f"agent {position} has index {index}")
             personas.append(
                 Persona(
-                    index=int(index),
+                    index=position,
                     gender=gender,
                     age=int(age),
                     education=education,
@@ -166,6 +173,8 @@ def population_from_text(text: str) -> Population:
                 )
             )
             beliefs.append(float(value))
+            if grid and beliefs[-1] not in BELIEF_GRID:
+                raise ValueError(f"a grid belief must be an integer in [-2, 2], got {value}")
     except ValueError as exc:  # a ParameterError of Persona's checks too
         raise ParameterError(f"malformed population record at line {number}: {ln!r} ({exc})") from None
     return Population(

@@ -12,7 +12,9 @@ search and config merge; ``full_loop_run_numeric`` and ``masked_fj_day`` keep
 those of ``run_numeric``, which computed every day, and of ``fj_day``, which
 masked under every mode. ``naive_generate_scale_free`` draws each target by
 ``rng.choice`` over the normalised degrees, the distribution that
-``generate_scale_free`` samples from its list of edge ends.
+``generate_scale_free`` samples from its list of edge ends, and
+``frontier_mask_hop_distances`` keeps the body of ``hop_distances`` that
+masked every CSR entry on each hop.
 """
 
 import json
@@ -288,6 +290,22 @@ def naive_hop_distances(g: NetworkGraph, source: int):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def frontier_mask_hop_distances(g: NetworkGraph, source: int):
+    """The package's earlier breadth-first search: each hop masks all ``m``
+    CSR entries by the frontier, so a search costs O(hops * (n + m))."""
+    dist = np.full(g.n, -1)
+    dist[source] = 0
+    frontier = dist == 0
+    hops = 0
+    while frontier.any():
+        hops += 1
+        reached = np.zeros(g.n, dtype=bool)
+        reached[g.indices[np.flatnonzero(frontier[g.rows])]] = True
+        frontier = reached & (dist < 0)
+        dist[frontier] = hops
+    return [None if d < 0 else d for d in dist.tolist()]
 
 
 def cycle_graph(n: int) -> NetworkGraph:

@@ -1,12 +1,12 @@
-import json
 import os
+import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
-import requests
 
 import echosim
 from echosim.backends import (
@@ -17,6 +17,7 @@ from echosim.backends import (
     mock_backend_rule,
     mock_summary_rule,
 )
+from echosim.config import config_from_dict
 from echosim.errors import BackendError, ParameterError
 from echosim.language import compress_long_term
 from echosim.population import Persona
@@ -26,6 +27,8 @@ from echosim.prompts import (
     build_summary_prompt,
     parse_opinion_output,
 )
+from echosim.runner import run
+from loopback import DROP, MALFORMED, STALL, LoopbackServer
 
 PERSONA = Persona(index=0, gender="male", age=33, education="bachelor",
                   traits=(True,) * 5)
@@ -133,97 +136,82 @@ class TestCompression:
         assert len(out) <= 100
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or json.dumps(payload or {})
-        self.headers = headers or {}
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+PROMPT = reflection_prompt(1, heard=[2])
+ANSWER = mock_backend_rule(PROMPT)
 
 
-class FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+@pytest.fixture
+def server():
+    with LoopbackServer() as server:
+        yield server
 
 
-def completion(content):
-    return {"choices": [{"message": {"content": content}}]}
-
-
-def remote(session, backoff_base=0.0, **kwargs):
-    settings = BackendSettings(kind="remote", base_url="https://api.example.test/v1", model="test-model",
+def remote(server, backoff_base=0.0, scheme="http", **kwargs):
+    settings = BackendSettings(kind="remote", base_url=server.url(scheme), model="test-model",
                                api_key_env="ECHOSIM_TEST_KEY", **kwargs)
-    return RemoteChatBackend(settings, backoff_base=backoff_base, session=session)
+    return RemoteChatBackend(settings, backoff_base=backoff_base)
 
 
-@pytest.mark.parametrize("unset", ["base_url", "model"])
-def test_a_remote_backend_needs_a_base_url_and_a_model(unset):
-    BackendSettings(kind="mock", **{unset: ""}).validate()  # a mock backend reads neither
-    with pytest.raises(ParameterError, match="base_url and model must be set for a remote backend"):
-        BackendSettings(kind="remote", **{unset: ""}).validate()
+UNSET = "base_url and model must be set for a remote backend"
+NOT_HTTP = "base_url must be an absolute http or https URL with a host, got "
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("base_url", "", UNSET, id="base_url"),
+    pytest.param("model", "", UNSET, id="model"),
+    pytest.param("base_url", "api.example.test/v1", NOT_HTTP + "'api.example.test/v1'", id="no-scheme"),
+    pytest.param("base_url", "ftp://host/v1", NOT_HTTP + "'ftp://host/v1'", id="ftp"),
+    pytest.param("base_url", "http:///v1", NOT_HTTP + "'http:///v1'", id="no-host"),
+    pytest.param("base_url", "http://host:99999/v1", NOT_HTTP + "'http://host:99999/v1'", id="bad-port"),
+])
+def test_a_remote_backend_needs_a_base_url_and_a_model(field, value, message):
+    BackendSettings(kind="mock", **{field: value}).validate()  # a mock backend reads neither
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        BackendSettings(kind="remote", **{field: value}).validate()
 
 
 class TestRemoteBackend:
-    def test_success_path(self, monkeypatch):
+    def test_success_path(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "sk-test")
-        session = FakeSession([FakeResponse(payload=completion("BELIEF: 1\nOPINION: ok"))])
-        backend = remote(session)
-        out = backend.complete("prompt", 64, 0.7)
-        assert out == "BELIEF: 1\nOPINION: ok"
-        call = session.calls[0]
-        assert call["url"].endswith("/chat/completions")
-        assert call["json"]["model"] == "test-model"
-        assert call["json"]["max_tokens"] == 64
-        assert call["headers"]["Authorization"] == "Bearer sk-test"
+        out = remote(server).complete(PROMPT, 64, 0.7)
+        assert out == ANSWER
+        [request] = server.received
+        assert request["path"] == "/v1/chat/completions"
+        assert request["body"]["model"] == "test-model"
+        assert request["body"]["max_tokens"] == 64
+        assert request["headers"]["Authorization"] == "Bearer sk-test"
 
-    def test_retries_transient_failures_then_succeeds(self, monkeypatch):
+    def test_retries_transient_failures_then_succeeds(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
-        session = FakeSession([
-            requests.ConnectionError("boom"),
-            FakeResponse(status_code=503),
-            FakeResponse(payload=completion("fine")),
-        ])
-        assert remote(session, max_retries=3).complete("p", 10, 0.0) == "fine"
-        assert len(session.calls) == 3
+        server.script = [DROP, 503]
+        assert remote(server, max_retries=3).complete(PROMPT, 10, 0.0) == ANSWER
+        assert len(server.received) == 3
 
-    def test_gives_up_after_max_retries(self, monkeypatch):
+    def test_gives_up_after_max_retries(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
-        session = FakeSession([FakeResponse(status_code=500)] * 3)
-        with pytest.raises(BackendError, match="gave up"):
-            remote(session, max_retries=2).complete("p", 10, 0.0)
+        server.script = [500] * 3
+        with pytest.raises(BackendError, match="gave up after 3 attempts: HTTP 500"):
+            remote(server, max_retries=2).complete(PROMPT, 10, 0.0)
+        assert len(server.received) == 3
 
-    def test_client_error_is_immediate(self, monkeypatch):
+    def test_client_error_is_immediate(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
-        session = FakeSession([FakeResponse(status_code=401, text="denied")])
+        server.script = [401]
         with pytest.raises(BackendError, match="HTTP 401"):
-            remote(session).complete("p", 10, 0.0)
-        assert len(session.calls) == 1
+            remote(server).complete(PROMPT, 10, 0.0)
+        assert len(server.received) == 1
 
-    def test_malformed_body_is_an_error(self, monkeypatch):
+    def test_malformed_body_is_an_error(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
-        session = FakeSession([FakeResponse(payload={"unexpected": True})])
+        server.script = [MALFORMED]
         with pytest.raises(BackendError, match="malformed"):
-            remote(session).complete("p", 10, 0.0)
+            remote(server).complete(PROMPT, 10, 0.0)
 
-    def test_missing_key_fails_before_any_request(self, monkeypatch):
+    def test_missing_key_fails_before_any_request(self, monkeypatch, server):
         monkeypatch.delenv("ECHOSIM_TEST_KEY", raising=False)
-        session = FakeSession([])
         with pytest.raises(BackendError, match="ECHOSIM_TEST_KEY"):
-            remote(session).complete("p", 10, 0.0)
-        assert session.calls == []
+            remote(server).complete(PROMPT, 10, 0.0)
+        assert server.received == [] and server.connections == []
 
 
 def record_sleeps(monkeypatch):
@@ -238,42 +226,36 @@ def jitter_at_its_bound(monkeypatch):
 
 
 class TestBackoffJitter:
-    def test_each_backoff_lies_within_its_full_jitter_bound(self, monkeypatch):
+    def test_each_backoff_lies_within_its_full_jitter_bound(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         sleeps = record_sleeps(monkeypatch)
+        backend = remote(server, max_retries=4, backoff_base=0.5)
         for _ in range(20):
-            session = FakeSession([FakeResponse(status_code=500)] * 5)
+            server.script = [500] * 5
             with pytest.raises(BackendError, match="gave up"):
-                remote(session, max_retries=4, backoff_base=0.5).complete("p", 10, 0.0)
+                backend.complete(PROMPT, 10, 0.0)
         assert len(sleeps) == 20 * 4
         bounds = [0.5, 1.0, 2.0, 4.0] * 20
         assert all(0.0 <= s <= bound for s, bound in zip(sleeps, bounds))
         assert len(set(sleeps[::4])) > 1  # the first backoff is drawn anew on each call
 
-    def test_retry_after_is_honoured_exactly(self, monkeypatch):
+    def test_retry_after_is_honoured_exactly(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         sleeps = record_sleeps(monkeypatch)
-        session = FakeSession([
-            FakeResponse(status_code=429, headers={"Retry-After": "2"}),
-            FakeResponse(payload=completion("fine")),
-        ])
-        assert remote(session, backoff_base=0.5).complete("p", 10, 0.0) == "fine"
+        server.script = [(429, {"Retry-After": "2"})]
+        assert remote(server, backoff_base=0.5).complete(PROMPT, 10, 0.0) == ANSWER
         assert sleeps == [2.0]
 
 
 class TestRetryAfter:
     @pytest.mark.parametrize("status", [429, 503])
-    def test_numeric_header_replaces_backoff(self, monkeypatch, status):
+    def test_numeric_header_replaces_backoff(self, monkeypatch, server, status):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         sleeps = record_sleeps(monkeypatch)
         jitter_at_its_bound(monkeypatch)
-        session = FakeSession([
-            FakeResponse(status_code=status, headers={"Retry-After": "7"}),
-            FakeResponse(status_code=500),
-            FakeResponse(payload=completion("fine")),
-        ])
-        out = remote(session, max_retries=3, backoff_base=0.5).complete("p", 10, 0.0)
-        assert out == "fine"
+        server.script = [(status, {"Retry-After": "7"}), 500]
+        out = remote(server, max_retries=3, backoff_base=0.5).complete(PROMPT, 10, 0.0)
+        assert out == ANSWER
         assert sleeps == [7.0, 1.0]  # the header, then the backoff bound of attempt 2
 
     @pytest.mark.parametrize("status, value", [
@@ -281,72 +263,90 @@ class TestRetryAfter:
         (503, "-3"),
         (500, "7"),  # only 429 and 503 carry a usable Retry-After
     ])
-    def test_other_headers_fall_back_to_backoff(self, monkeypatch, status, value):
+    def test_other_headers_fall_back_to_backoff(self, monkeypatch, server, status, value):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         sleeps = record_sleeps(monkeypatch)
         jitter_at_its_bound(monkeypatch)
-        session = FakeSession([
-            FakeResponse(status_code=status, headers={"Retry-After": value}),
-            FakeResponse(payload=completion("fine")),
-        ])
-        assert remote(session, backoff_base=0.5).complete("p", 10, 0.0) == "fine"
+        server.script = [(status, {"Retry-After": value})]
+        assert remote(server, backoff_base=0.5).complete(PROMPT, 10, 0.0) == ANSWER
         assert sleeps == [0.5]
 
-    def test_no_sleep_after_the_last_attempt(self, monkeypatch):
+    def test_no_sleep_after_the_last_attempt(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         sleeps = record_sleeps(monkeypatch)
-        session = FakeSession([FakeResponse(status_code=429, headers={"Retry-After": "7"})] * 2)
+        server.script = [(429, {"Retry-After": "7"})] * 2
         with pytest.raises(BackendError, match="gave up"):
-            remote(session, max_retries=1).complete("p", 10, 0.0)
+            remote(server, max_retries=1).complete(PROMPT, 10, 0.0)
         assert sleeps == [7.0]
 
 
-class TestSessions:
-    def test_each_thread_gets_its_own_session(self, monkeypatch):
+class TestConnections:
+    def test_each_thread_gets_its_own_connection(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
-        created = []
-
-        def make_session():
-            session = FakeSession([FakeResponse(payload=completion("ok"))] * 2)
-            created.append(session)
-            return session
-
-        monkeypatch.setattr("requests.Session", make_session)
-        backend = RemoteChatBackend(BackendSettings(kind="remote", base_url="https://api.example.test/v1",
-                                                    model="m", api_key_env="ECHOSIM_TEST_KEY"))
-        assert backend.name == "remote:m"
-        assert created == []  # sessions are made on first use
+        backend = remote(server)
+        assert backend.name == "remote:test-model"
         barrier = threading.Barrier(2, timeout=5)
 
         def two_calls():
-            barrier.wait()  # both threads hold a session at the same time
-            backend.complete("p", 10, 0.0)
-            backend.complete("p", 10, 0.0)
+            barrier.wait()  # both threads hold a connection at the same time
+            backend.complete(PROMPT, 10, 0.0)
+            backend.complete(PROMPT, 10, 0.0)
 
         threads = [threading.Thread(target=two_calls) for _ in range(2)]
+        assert server.connections == []  # connections are opened on first use
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        backend.complete("p", 10, 0.0)
-        assert len(created) == 3
-        assert sorted(len(s.calls) for s in created) == [1, 2, 2]
+            t.join(timeout=10)
+            assert not t.is_alive()
+        backend.complete(PROMPT, 10, 0.0)
+        assert len(server.connections) == 3
+        calls = Counter(request["client"] for request in server.received)
+        assert sorted(calls.values()) == [1, 2, 2] and set(calls) == set(server.connections)
 
-    def test_injected_session_is_used_on_every_thread(self, monkeypatch):
+    def test_serial_calls_on_one_thread_reuse_one_connection(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
-        session = FakeSession([FakeResponse(payload=completion("ok"))] * 3)
-        backend = remote(session)
-        threads = [threading.Thread(target=backend.complete, args=("p", 10, 0.0)) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        backend.complete("p", 10, 0.0)
-        assert len(session.calls) == 3
+        backend = remote(server)
+        for _ in range(5):
+            assert backend.complete(PROMPT, 10, 0.0) == ANSWER
+        assert len(server.received) == 5 and len(server.connections) == 1
+
+    def test_after_a_dropped_connection_the_next_attempt_opens_a_new_one(self, monkeypatch, server):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        server.script = [DROP]
+        assert remote(server).complete(PROMPT, 10, 0.0) == ANSWER
+        assert len(server.connections) == 2
+        assert [request["client"] for request in server.received] == server.connections
+
+    def test_a_stall_past_the_timeout_is_a_transport_error_that_is_retried(self, monkeypatch, server):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        server.script = [STALL]
+        assert remote(server, timeout=0.2).complete(PROMPT, 10, 0.0) == ANSWER
+        assert len(server.received) == 2 and len(server.connections) == 2
+
+    def test_https_to_a_plain_http_server_is_a_transport_error(self, monkeypatch, server):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        with pytest.raises(BackendError, match="gave up after 2 attempts: .*SSL"):
+            remote(server, scheme="https", max_retries=1).complete(PROMPT, 10, 0.0)
+        assert server.received == [] and len(server.connections) == 2
 
 
-def test_importing_echosim_leaves_requests_unloaded():
-    # only the remote backend needs requests, and its import costs more than the rest of echosim
-    code = "import sys, echosim; sys.exit('requests' in sys.modules)"
+def test_a_remote_run_against_the_mock_rules_matches_a_mock_run(tmp_path, monkeypatch, server):
+    monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+    mock_config = {"n": 30, "days": 4, "seed": 3, "engine": "llm", "graph": {"kind": "scale_free"},
+                   "nudge": {"kind": "active"}, "llm": {"max_in_flight": 4}}
+    backend = {"kind": "remote", "base_url": server.url(), "api_key_env": "ECHOSIM_TEST_KEY"}
+    mock = run(config_from_dict(mock_config), tmp_path / "mock").run_dir
+    remote_run = run(config_from_dict({**mock_config, "backend": backend}), tmp_path / "remote").run_dir
+    for name in ("trajectory.jsonl", "transcript.jsonl", "metrics.csv", "projection.csv",
+                 "population.txt", "graph.txt"):
+        assert (remote_run / name).read_bytes() == (mock / name).read_bytes(), name
+    assert '"kind": "nudge"' in (mock / "transcript.jsonl").read_text()
+    assert len(server.received) > 30 * 4 and len(server.connections) > 1  # through the worker pool
+
+
+def test_importing_echosim_leaves_http_client_and_ssl_unloaded():
+    # only the remote backend needs them, and together they take tens of milliseconds to import
+    code = "import sys, echosim; sys.exit('http.client' in sys.modules or 'ssl' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(echosim.__file__).resolve().parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -130,6 +130,18 @@ class TestValidateConfig:
         assert "config error: llm.max_in_flight must be in [1, 64], got 100000\n" in capsys.readouterr().err
         assert main(["validate-config", "--config", write_config(tmp_path, "llm: {max_in_flight: 64}\n")]) == 0
 
+    def test_a_remote_base_url_without_a_scheme_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ECHOSIM_SOME_KEY", "k")  # so the URL is all that is wrong
+        cfg = write_config(tmp_path, BASE + "engine: llm\nbackend:\n  kind: remote\n"
+                                            "  base_url: api.example.test/v1\n  api_key_env: ECHOSIM_SOME_KEY\n")
+        out = str(tmp_path / "out")
+        for argv in (["validate-config"], ["run", "--out", out], ["sweep", "--seeds", "1,2", "--out", out],
+                     ["compare", "--out", out]):
+            assert main(argv + ["--config", cfg]) == 2
+            message = "config error: backend.base_url must be an absolute http or https URL with a host, got "
+            assert f"{message}'api.example.test/v1'\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompareCommand:
     def test_compare_three_structures(self, tmp_path, capsys):

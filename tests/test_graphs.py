@@ -25,6 +25,7 @@ from echosim.graphs import (
 )
 from helpers import (
     cycle_graph,
+    frontier_mask_hop_distances,
     naive_clustering,
     naive_generate_scale_free,
     naive_hop_distances,
@@ -304,6 +305,29 @@ def test_hop_distances_match_bfs_oracle(seed, source):
     source %= g.n
     assert hop_distances(g, source) == naive_hop_distances(g, source)
     assert is_connected(g) == (None not in naive_hop_distances(g, 0))
+
+
+def bfs_case(kind: str, n: int, seed: int) -> NetworkGraph:
+    r = rng(seed)
+    if kind == "ring lattice":
+        return generate_small_world(n, 4, 0.0, r)
+    if kind == "small world":
+        return generate_small_world(n, 4, 0.2, r)
+    if kind == "scale free":
+        return generate_scale_free(n, 2, r)
+    if kind == "random":  # about 1.5 neighbours each: pieces and isolated nodes
+        return generate_random(n, 1.5 / n, r)
+    if kind == "path":
+        return path_graph(n)
+    return NetworkGraph.from_edges(n, [(i, i + 1) for i in range(0, n - 1, 3)])  # pairs and isolated nodes
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["ring lattice", "small world", "scale free", "random", "path", "isolated"]),
+       st.integers(5, 80), st.integers(0, 10_000), st.integers(0, 10_000))
+def test_hop_distances_match_the_frontier_mask_search(kind, n, seed, source):
+    g = bfs_case(kind, n, seed)
+    assert hop_distances(g, source % n) == frontier_mask_hop_distances(g, source % n)
 
 
 class TestStructureProperties:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,26 @@ def test_a_malformed_line_is_named(number, line):
     lines[number - 1] = line
     with pytest.raises(ParameterError, match=f"malformed population record at line {number}: "):
         population_from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("grid,number,line,reason", [
+    (False, 3, "9\tfemale\t30\tmaster\t+++++\t0.1", "agent 0 has index 9"),
+    (False, 5, "1\tfemale\t30\tmaster\t+++++\t0.1", "agent 2 has index 1"),
+    (False, 2, "grid\t7", "the grid flag must be 0 or 1"),
+    (True, 4, "1\tfemale\t30\tmaster\t+++++\t3", "a grid belief must be an integer in [-2, 2], got 3"),
+    (True, 4, "1\tfemale\t30\tmaster\t+++++\t0.5", "a grid belief must be an integer in [-2, 2], got 0.5"),
+])
+def test_a_record_at_odds_with_its_position_or_the_grid_flag_is_named(grid, number, line, reason):
+    lines = population_to_text(init_population(3, TOPIC, grid, rng())).splitlines()
+    lines[number - 1] = line
+    with pytest.raises(ParameterError, match=re.escape(f"line {number}: {line!r} ({reason})")):
+        population_from_text("\n".join(lines))
+
+
+def test_a_grid_flag_over_continuous_beliefs_is_named():
+    text = population_to_text(init_population(3, TOPIC, False, rng())).replace("grid\t0", "grid\t1")
+    with pytest.raises(ParameterError, match="malformed population record at line 3: .*a grid belief must be"):
+        population_from_text(text)
 
 
 
