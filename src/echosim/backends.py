@@ -148,16 +148,20 @@ class RemoteChatBackend:
     after a "full jitter" backoff: a uniform draw from
     [0, backoff_base * 2 ** (attempt - 1)] seconds. Anything else raises
     BackendError. Each thread keeps its own ``http.client`` connection, so the
-    language engine's worker pool never shares one; a transport error closes
-    it, the next attempt reconnects, and it is closed when its thread ends.
-    HTTPS is verified against the system's CA store; proxy environment
-    variables are not read.
+    language engine's worker pool never shares one. A transport error closes
+    it and the next attempt reconnects; so does a kept-alive connection that
+    the server closed while it was idle, found by a zero-timeout ``select``
+    before each request. A connection is closed when its thread ends or the
+    backend is collected, whichever comes first. HTTPS is verified against
+    the system's CA store; proxy environment variables are not read.
     """
 
     def __init__(self, settings: BackendSettings, backoff_base: float = 0.5):
         self._settings = settings
         self.backoff_base = backoff_base
         self._local = threading.local()
+        self._closers = []  # each connection's thread finalizer; called early if the backend goes first
+        weakref.finalize(self, _call_each, self._closers)
         self.name = f"remote:{settings.model}"
 
     def _api_key(self) -> str:
@@ -168,6 +172,7 @@ class RemoteChatBackend:
 
     def complete(self, prompt: str, max_length: int, temperature: float) -> str:
         import http.client  # here, not at the top: with ssl, it takes tens of milliseconds to import
+        import select
         settings = self._settings
         url = urlsplit(settings.base_url)
         path = f"{url.path.rstrip('/')}/chat/completions"
@@ -182,7 +187,7 @@ class RemoteChatBackend:
         if connection is None:  # this thread's first call; the socket opens with the first request
             kind = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
             connection = self._local.connection = kind(url.hostname, url.port, timeout=settings.timeout)
-            weakref.finalize(threading.current_thread(), connection.close)
+            self._closers.append(weakref.finalize(threading.current_thread(), connection.close))
         last_error = "no attempt made"
         retry_after = None
         for attempt in range(settings.max_retries + 1):
@@ -192,6 +197,8 @@ class RemoteChatBackend:
                 else:
                     time.sleep(retry_after)
             retry_after = None
+            if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+                connection.close()  # idle, it reads only at the server's close (or stray bytes): reconnect
             try:
                 connection.request("POST", path, json.dumps(body).encode(), headers)
                 response = connection.getresponse()
@@ -214,6 +221,11 @@ class RemoteChatBackend:
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
         raise BackendError(f"gave up after {settings.max_retries + 1} attempts: {last_error}")
+
+
+def _call_each(closers: list) -> None:
+    for close in closers:
+        close()
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:

@@ -138,41 +138,28 @@ def generate_graph(spec: GraphSpec, rng: np.random.Generator) -> NetworkGraph:
 def generate_small_world(n: int, k: int, p_rewire: float, rng: np.random.Generator) -> NetworkGraph:
     """Ring lattice of even degree ``k`` with each edge rewired with probability ``p_rewire``.
 
-    Every ring edge is considered once; a rewired edge moves to a uniformly
-    chosen target that is neither the source nor already adjacent to it.
-    If no valid target is found within ``n`` attempts the original edge is
-    kept, so the edge count is always ``n * k / 2``.
+    Every ring edge is considered once, by source then step; a rewired edge moves to a
+    uniformly chosen target that is neither the source nor already adjacent to it. If no
+    valid target is found within ``n`` attempts the original edge is kept, so the edge
+    count is always ``n * k / 2``. The graph is held as one set of keys ``low * n + high``.
     """
     GraphSpec(kind="small_world", n=n, k=k, p_rewire=p_rewire).validate()
 
-    half = k // 2
-    adjacency = [set() for _ in range(n)]
-    for i in range(n):
-        for step in range(1, half + 1):
-            j = (i + step) % n
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-
-    for i in range(n):
-        for step in range(1, half + 1):
-            j = (i + step) % n
-            if rng.random() >= p_rewire:
-                continue
-            target = None
-            for _ in range(n):
-                candidate = int(rng.integers(0, n))
-                if candidate != i and candidate not in adjacency[i]:
-                    target = candidate
-                    break
-            if target is None:
-                continue  # dense neighborhood: keep the ring edge
-            adjacency[i].remove(j)
-            adjacency[j].remove(i)
-            adjacency[i].add(target)
-            adjacency[target].add(i)
-
-    edges = {(i, j) for i in range(n) for j in adjacency[i] if i < j}
-    return NetworkGraph.from_edges(n, edges)
+    sources = np.repeat(np.arange(n), k // 2)
+    ends = (sources + np.tile(np.arange(1, k // 2 + 1), n)) % n
+    ring = (np.minimum(sources, ends) * n + np.maximum(sources, ends)).tolist()
+    edges = set(ring)
+    for i, key in zip(sources.tolist(), ring):
+        if rng.random() >= p_rewire:
+            continue
+        for _ in range(n):  # no valid target in n draws keeps the ring edge
+            target = int(rng.integers(0, n))
+            new = min(i, target) * n + max(i, target)
+            if target != i and new not in edges:
+                edges.remove(key)
+                edges.add(new)
+                break
+    return NetworkGraph.from_edges(n, np.column_stack(np.divmod(np.fromiter(edges, np.int64, len(edges)), n)))
 
 
 def generate_scale_free(n: int, m: int, rng: np.random.Generator) -> NetworkGraph:

@@ -14,7 +14,8 @@ masked under every mode. ``naive_generate_scale_free`` draws each target by
 ``rng.choice`` over the normalised degrees, the distribution that
 ``generate_scale_free`` samples from its list of edge ends, and
 ``frontier_mask_hop_distances`` keeps the body of ``hop_distances`` that
-masked every CSR entry on each hop.
+masked every CSR entry on each hop. ``adjacency_sets_small_world`` keeps the
+body of ``generate_small_world`` that held a Python set of neighbors per node.
 """
 
 import json
@@ -256,6 +257,40 @@ def naive_generate_scale_free(n: int, m: int, rng) -> NetworkGraph:
             edges.add((min(c, v), max(c, v)))
             degree[c] += 1
             degree[v] += 1
+    return NetworkGraph.from_edges(n, edges)
+
+
+def adjacency_sets_small_world(n: int, k: int, p_rewire: float, rng) -> NetworkGraph:
+    """The package's earlier small-world generator: a ring lattice held as one
+    neighbor set per node, each ring edge rewired in turn, then a set of edge
+    tuples for ``NetworkGraph.from_edges``."""
+    half = k // 2
+    adjacency = [set() for _ in range(n)]
+    for i in range(n):
+        for step in range(1, half + 1):
+            j = (i + step) % n
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+
+    for i in range(n):
+        for step in range(1, half + 1):
+            j = (i + step) % n
+            if rng.random() >= p_rewire:
+                continue
+            target = None
+            for _ in range(n):
+                candidate = int(rng.integers(0, n))
+                if candidate != i and candidate not in adjacency[i]:
+                    target = candidate
+                    break
+            if target is None:
+                continue  # dense neighborhood: keep the ring edge
+            adjacency[i].remove(j)
+            adjacency[j].remove(i)
+            adjacency[i].add(target)
+            adjacency[target].add(i)
+
+    edges = {(i, j) for i in range(n) for j in adjacency[i] if i < j}
     return NetworkGraph.from_edges(n, edges)
 
 

@@ -9,11 +9,15 @@ prompt, so a remote run against it matches a mock run. A scripted reply is
 - an ``int`` status, or a ``(status, headers)`` pair, with an empty JSON body;
 - ``MALFORMED``: 200 with a JSON body that holds no completion;
 - ``DROP``: the connection closes without a reply;
-- ``STALL``: no reply until the server closes, past any client timeout.
+- ``STALL``: no reply until the server closes, past any client timeout;
+- ``CLOSE``: the default reply, after which the server closes the connection
+  without having sent ``Connection: close``, as an idle keep-alive timeout does.
 
 The server records each request's path, headers, JSON body and client
 address in ``received``, and each accepted connection's client address in
-``connections``. Leaving the ``with`` block closes every socket it opened and
+``connections``. ``closed`` counts the connections the server has shut once
+their handler returned, on the client's close or on a scripted one, and
+``wait_closed`` waits for that count. Leaving the ``with`` block closes every socket it opened and
 joins every thread it started.
 """
 
@@ -24,7 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from echosim.backends import MockBackend
 
-MALFORMED, DROP, STALL = "malformed", "drop", "stall"
+MALFORMED, DROP, STALL, CLOSE = "malformed", "drop", "stall", "close"
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -44,7 +48,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         status, headers, payload = 200, {}, {"unexpected": True}
-        if reply is None:
+        if reply in (None, CLOSE):
             content = MockBackend().complete(body["messages"][0]["content"], body["max_tokens"], body["temperature"])
             payload = {"choices": [{"message": {"content": content}}]}
         elif reply != MALFORMED:
@@ -58,6 +62,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        if reply == CLOSE:
+            self.close_connection = True
 
     def log_message(self, format, *args):  # keep the test output quiet
         pass
@@ -68,8 +74,9 @@ class LoopbackServer(ThreadingHTTPServer):
 
     def __init__(self):
         super().__init__(("127.0.0.1", 0), _ChatHandler)
-        self.script, self.received, self.connections = [], [], []
+        self.script, self.received, self.connections, self.closed = [], [], [], 0
         self.lock = threading.Lock()
+        self._changed = threading.Condition(self.lock)
         self.closing = threading.Event()
         self._sockets = []
         self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05})
@@ -82,6 +89,17 @@ class LoopbackServer(ThreadingHTTPServer):
             self.connections.append(client_address)
             self._sockets.append(request)
         super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._changed:
+            self.closed += 1
+            self._changed.notify_all()
+
+    def wait_closed(self, count: int, timeout: float = 5.0) -> bool:
+        """Whether ``closed`` reaches ``count`` within ``timeout`` seconds."""
+        with self._changed:
+            return self._changed.wait_for(lambda: self.closed >= count, timeout)
 
     def __enter__(self):
         self._thread.start()

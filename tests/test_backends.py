@@ -1,5 +1,7 @@
+import gc
 import os
 import re
+import select
 import subprocess
 import sys
 import threading
@@ -28,7 +30,7 @@ from echosim.prompts import (
     parse_opinion_output,
 )
 from echosim.runner import run
-from loopback import DROP, MALFORMED, STALL, LoopbackServer
+from loopback import CLOSE, DROP, MALFORMED, STALL, LoopbackServer
 
 PERSONA = Persona(index=0, gender="male", age=33, education="bachelor",
                   traits=(True,) * 5)
@@ -324,6 +326,25 @@ class TestConnections:
         assert remote(server, timeout=0.2).complete(PROMPT, 10, 0.0) == ANSWER
         assert len(server.received) == 2 and len(server.connections) == 2
 
+    def test_a_connection_the_server_closed_while_idle_is_reopened(self, monkeypatch, server):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        server.script = [CLOSE]
+        backend = remote(server, max_retries=0)
+        assert backend.complete(PROMPT, 10, 0.0) == ANSWER
+        assert server.wait_closed(1)
+        assert select.select([backend._local.connection.sock], [], [], 5)[0]  # the close has reached the client
+        assert backend.complete(PROMPT, 10, 0.0) == ANSWER  # no attempt is spent on the dead connection
+        assert len(server.received) == 2 and len(server.connections) == 2
+
+    def test_a_dropped_backend_closes_its_connections(self, monkeypatch, server):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        backends = [remote(server) for _ in range(3)]
+        for backend in backends:  # on this thread, which outlives every one of them
+            assert backend.complete(PROMPT, 10, 0.0) == ANSWER
+        del backends, backend
+        gc.collect()
+        assert len(server.connections) == 3 and server.wait_closed(3)
+
     def test_https_to_a_plain_http_server_is_a_transport_error(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         with pytest.raises(BackendError, match="gave up after 2 attempts: .*SSL"):
@@ -343,6 +364,15 @@ def test_a_remote_run_against_the_mock_rules_matches_a_mock_run(tmp_path, monkey
         assert (remote_run / name).read_bytes() == (mock / name).read_bytes(), name
     assert '"kind": "nudge"' in (mock / "transcript.jsonl").read_text()
     assert len(server.received) > 30 * 4 and len(server.connections) > 1  # through the worker pool
+
+
+def test_a_serial_remote_run_closes_its_connection_when_it_returns(tmp_path, monkeypatch, server):
+    monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+    config = {"n": 10, "days": 2, "seed": 3, "engine": "llm", "llm": {"max_in_flight": 1},
+              "backend": {"kind": "remote", "base_url": server.url(), "api_key_env": "ECHOSIM_TEST_KEY"}}
+    run(config_from_dict(config), tmp_path / "run")
+    assert len(server.connections) == 1  # every call on this thread, which outlives the run
+    assert server.wait_closed(1)
 
 
 def test_importing_echosim_leaves_http_client_and_ssl_unloaded():

@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echosim.errors import ParameterError
@@ -24,6 +24,7 @@ from echosim.graphs import (
     to_edge_list_text,
 )
 from helpers import (
+    adjacency_sets_small_world,
     cycle_graph,
     frontier_mask_hop_distances,
     naive_clustering,
@@ -109,6 +110,21 @@ class TestSmallWorld:
     def test_rejects_bad_parameters(self, n, k, p):
         with pytest.raises(ParameterError):
             generate_small_world(n, k, p, rng())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 80).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(range(2, n, 2)))),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), st.integers(0, 2**32 - 1))
+@example((5, 4), 1.0, 0)  # a complete lattice: every rewire draws n times and keeps its ring edge
+@example((6, 4), 1.0, 0)  # each node misses one other: some rewires find a target, some do not
+@example((80, 78), 0.5, 1)
+def test_small_world_matches_the_adjacency_sets_generator(n_k, p_rewire, seed):
+    n, k = n_k
+    ours, theirs = rng(seed), rng(seed)
+    g = generate_small_world(n, k, p_rewire, ours)
+    expected = adjacency_sets_small_world(n, k, p_rewire, theirs)
+    assert np.array_equal(g.indptr, expected.indptr) and np.array_equal(g.indices, expected.indices)
+    assert ours.bit_generator.state == theirs.bit_generator.state  # the same draws, in the same order
 
 
 class TestScaleFree:
