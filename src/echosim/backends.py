@@ -17,9 +17,9 @@ import math
 import os
 import random
 import re
-import threading
 import time
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 from urllib.parse import urlsplit
@@ -141,34 +141,31 @@ class RemoteChatBackend:
     """Chat-completion client over HTTP or HTTPS, at the endpoint, model,
     timeout and retry count of ``settings``.
 
-    The API key is read from the environment variable that
-    ``settings.api_key_env`` names, never from configuration files.
-    Transient transport failures and 429/5xx responses are retried after
+    The API key is read when the backend is built, from the environment
+    variable that ``settings.api_key_env`` names, never from configuration
+    files. Transient transport failures and 429/5xx responses are retried after
     exactly the server's numeric ``Retry-After`` on a 429 or 503, or else
     after a "full jitter" backoff: a uniform draw from
     [0, backoff_base * 2 ** (attempt - 1)] seconds. Anything else raises
-    BackendError. Each thread keeps its own ``http.client`` connection, so the
-    language engine's worker pool never shares one. A transport error closes
-    it and the next attempt reconnects; so does a kept-alive connection that
-    the server closed while it was idle, found by a zero-timeout ``select``
-    before each request. A connection is closed when its thread ends or the
-    backend is collected, whichever comes first. HTTPS is verified against
-    the system's CA store; proxy environment variables are not read.
+    BackendError. A call takes an idle ``http.client`` connection of the
+    backend's, or opens one when all are busy, and gives it back when it
+    returns, so no two calls share one. A transport error closes it and the
+    next attempt reconnects; so does a kept-alive connection that the server
+    closed while it was idle, found by a zero-timeout ``select`` before each
+    request. Idle connections are closed when the backend is collected. HTTPS
+    is verified against the system's CA store; proxy variables are not read.
     """
 
     def __init__(self, settings: BackendSettings, backoff_base: float = 0.5):
         self._settings = settings
         self.backoff_base = backoff_base
-        self._local = threading.local()
-        self._closers = []  # each connection's thread finalizer; called early if the backend goes first
-        weakref.finalize(self, _call_each, self._closers)
-        self.name = f"remote:{settings.model}"
-
-    def _api_key(self) -> str:
-        key = os.environ.get(self._settings.api_key_env, "")
+        key = os.environ.get(settings.api_key_env, "")
         if not key:
-            raise BackendError(f"environment variable {self._settings.api_key_env} is not set")
-        return key
+            raise BackendError(f"environment variable {settings.api_key_env} is not set")
+        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+        self._idle = deque()  # connections no call holds, the last given back on top
+        weakref.finalize(self, _close_all, self._idle)
+        self.name = f"remote:{settings.model}"
 
     def complete(self, prompt: str, max_length: int, temperature: float) -> str:
         import http.client  # here, not at the top: with ssl, it takes tens of milliseconds to import
@@ -182,50 +179,55 @@ class RemoteChatBackend:
             "max_tokens": max_length,
             "temperature": temperature,
         }
-        headers = {"Authorization": f"Bearer {self._api_key()}", "Content-Type": "application/json"}
-        connection = getattr(self._local, "connection", None)
-        if connection is None:  # this thread's first call; the socket opens with the first request
+        try:
+            connection = self._idle.pop()
+        except IndexError:  # every open connection is busy; the socket opens with the first request
             kind = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-            connection = self._local.connection = kind(url.hostname, url.port, timeout=settings.timeout)
-            self._closers.append(weakref.finalize(threading.current_thread(), connection.close))
-        last_error = "no attempt made"
-        retry_after = None
-        for attempt in range(settings.max_retries + 1):
-            if attempt:
-                if retry_after is None:
-                    time.sleep(random.uniform(0, self.backoff_base * 2 ** (attempt - 1)))
-                else:
-                    time.sleep(retry_after)
+            connection = kind(url.hostname, url.port, timeout=settings.timeout)
+        try:
+            last_error = "no attempt made"
             retry_after = None
-            if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
-                connection.close()  # idle, it reads only at the server's close (or stray bytes): reconnect
-            try:
-                connection.request("POST", path, json.dumps(body).encode(), headers)
-                response = connection.getresponse()
-                status, text = response.status, response.read().decode("utf-8", "replace")
-            except (OSError, http.client.HTTPException) as exc:
-                connection.close()  # the next request reconnects
-                last_error = str(exc) or type(exc).__name__
-                logger.debug("request to %s failed (attempt %d): %s", settings.base_url, attempt, last_error)
-                continue
-            logger.debug("request=%r response_status=%s response=%r (key redacted)", body, status, text[:2000])
-            if status == 429 or status >= 500:
-                last_error = f"HTTP {status}"
-                if status in (429, 503):
-                    retry_after = _retry_after_seconds(response.getheader("Retry-After"))
-                continue
-            if status != 200:
-                raise BackendError(f"HTTP {status}: {text[:200]}")
-            try:
-                return json.loads(text)["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise BackendError(f"malformed completion response: {exc}") from exc
-        raise BackendError(f"gave up after {settings.max_retries + 1} attempts: {last_error}")
+            for attempt in range(settings.max_retries + 1):
+                if attempt:
+                    if retry_after is None:
+                        time.sleep(random.uniform(0, self.backoff_base * 2 ** (attempt - 1)))
+                    else:
+                        time.sleep(retry_after)
+                retry_after = None
+                if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+                    connection.close()  # idle, it reads only at the server's close (or stray bytes): reconnect
+                try:
+                    connection.request("POST", path, json.dumps(body).encode(), self._headers)
+                    response = connection.getresponse()
+                    status, text = response.status, response.read().decode("utf-8", "replace")
+                except (OSError, http.client.HTTPException) as exc:
+                    connection.close()  # the next request reconnects
+                    last_error = str(exc) or type(exc).__name__
+                    logger.debug("request to %s failed (attempt %d): %s", settings.base_url, attempt, last_error)
+                    continue
+                logger.debug("request=%r response_status=%s response=%r (key redacted)", body, status, text[:2000])
+                if status == 429 or status >= 500:
+                    last_error = f"HTTP {status}"
+                    if status in (429, 503):
+                        retry_after = _retry_after_seconds(response.getheader("Retry-After"))
+                    continue
+                if status != 200:
+                    raise BackendError(f"HTTP {status}: {text[:200]}")
+                try:
+                    content = json.loads(text)["choices"][0]["message"]["content"]
+                except (KeyError, IndexError, TypeError, ValueError) as exc:
+                    raise BackendError(f"malformed completion response: {exc}") from exc
+                if not isinstance(content, str):  # a refusal or a tool call carries null content
+                    raise BackendError(f"malformed completion response: content is {content!r}")
+                return content
+            raise BackendError(f"gave up after {settings.max_retries + 1} attempts: {last_error}")
+        finally:
+            self._idle.append(connection)
 
 
-def _call_each(closers: list) -> None:
-    for close in closers:
-        close()
+def _close_all(connections: deque) -> None:
+    while connections:
+        connections.pop().close()
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:

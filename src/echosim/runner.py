@@ -65,19 +65,13 @@ class RunArtifacts:
     deltas: tuple
 
 
-def _build_backend(config: RunConfig) -> TextBackend:
-    if config.backend.kind == "mock":
-        return MockBackend()
-    backend = RemoteChatBackend(config.backend)
-    backend._api_key()  # fail fast on missing credentials, before any work
-    return backend
-
-
 def _preflight(config: RunConfig) -> Optional[TextBackend]:
     """Validate ``config`` and build its backend (None for a numeric engine),
     so a bad config or a missing API key fails before any work."""
     config.validate()
-    return _build_backend(config) if config.engine == "llm" else None
+    if config.engine != "llm":
+        return None
+    return MockBackend() if config.backend.kind == "mock" else RemoteChatBackend(config.backend)
 
 
 @contextmanager

@@ -8,6 +8,10 @@ prompt, so a remote run against it matches a mock run. A scripted reply is
 
 - an ``int`` status, or a ``(status, headers)`` pair, with an empty JSON body;
 - ``MALFORMED``: 200 with a JSON body that holds no completion;
+- ``REFUSAL``: 200 with a completion whose ``content`` is null, the shape a
+  refusal or a tool call takes;
+- a ``threading.Barrier``: the default reply, once as many requests as the
+  barrier has parties are waiting on it, so that many are in flight at once;
 - ``DROP``: the connection closes without a reply;
 - ``STALL``: no reply until the server closes, past any client timeout;
 - ``CLOSE``: the default reply, after which the server closes the connection
@@ -28,7 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from echosim.backends import MockBackend
 
-MALFORMED, DROP, STALL, CLOSE = "malformed", "drop", "stall", "close"
+MALFORMED, REFUSAL, DROP, STALL, CLOSE = "malformed", "refusal", "drop", "stall", "close"
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -42,6 +46,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
             server.received.append({"path": self.path, "headers": self.headers, "body": body,
                                     "client": self.client_address})
             reply = server.script.pop(0) if server.script else None
+        if isinstance(reply, threading.Barrier):
+            reply.wait()
+            reply = None
         if reply in (DROP, STALL):
             if reply == STALL:
                 server.closing.wait()
@@ -51,6 +58,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
         if reply in (None, CLOSE):
             content = MockBackend().complete(body["messages"][0]["content"], body["max_tokens"], body["temperature"])
             payload = {"choices": [{"message": {"content": content}}]}
+        elif reply == REFUSAL:
+            payload = {"choices": [{"message": {"content": None, "refusal": "no"}}]}
         elif reply != MALFORMED:
             status, headers = reply if isinstance(reply, tuple) else (reply, {})
             payload = {}

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import re
 import select
@@ -30,7 +31,7 @@ from echosim.prompts import (
     parse_opinion_output,
 )
 from echosim.runner import run
-from loopback import CLOSE, DROP, MALFORMED, STALL, LoopbackServer
+from loopback import CLOSE, DROP, MALFORMED, REFUSAL, STALL, LoopbackServer
 
 PERSONA = Persona(index=0, gender="male", age=33, education="bachelor",
                   traits=(True,) * 5)
@@ -209,10 +210,17 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="malformed"):
             remote(server).complete(PROMPT, 10, 0.0)
 
+    def test_a_completion_whose_content_is_not_a_string_is_malformed(self, monkeypatch, server):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        server.script = [REFUSAL]
+        with pytest.raises(BackendError, match="malformed completion response: content is None"):
+            remote(server).complete(PROMPT, 10, 0.0)
+        assert len(server.received) == 1  # not retried, like any other malformed reply
+
     def test_missing_key_fails_before_any_request(self, monkeypatch, server):
         monkeypatch.delenv("ECHOSIM_TEST_KEY", raising=False)
         with pytest.raises(BackendError, match="ECHOSIM_TEST_KEY"):
-            remote(server).complete(PROMPT, 10, 0.0)
+            remote(server)
         assert server.received == [] and server.connections == []
 
 
@@ -283,28 +291,24 @@ class TestRetryAfter:
 
 
 class TestConnections:
-    def test_each_thread_gets_its_own_connection(self, monkeypatch, server):
+    def test_calls_at_once_get_distinct_connections_that_are_reused(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
         backend = remote(server)
         assert backend.name == "remote:test-model"
         barrier = threading.Barrier(2, timeout=5)
-
-        def two_calls():
-            barrier.wait()  # both threads hold a connection at the same time
-            backend.complete(PROMPT, 10, 0.0)
-            backend.complete(PROMPT, 10, 0.0)
-
-        threads = [threading.Thread(target=two_calls) for _ in range(2)]
+        server.script = [barrier, barrier]  # neither is answered until both are in flight
+        threads = [threading.Thread(target=backend.complete, args=(PROMPT, 10, 0.0)) for _ in range(2)]
         assert server.connections == []  # connections are opened on first use
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
-        backend.complete(PROMPT, 10, 0.0)
-        assert len(server.connections) == 3
+        assert not barrier.broken and len(server.connections) == 2
+        assert backend.complete(PROMPT, 10, 0.0) == ANSWER  # on this thread, which made neither connection
+        assert len(server.connections) == 2
         calls = Counter(request["client"] for request in server.received)
-        assert sorted(calls.values()) == [1, 2, 2] and set(calls) == set(server.connections)
+        assert sorted(calls.values()) == [1, 2] and set(calls) == set(server.connections)
 
     def test_serial_calls_on_one_thread_reuse_one_connection(self, monkeypatch, server):
         monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
@@ -332,7 +336,7 @@ class TestConnections:
         backend = remote(server, max_retries=0)
         assert backend.complete(PROMPT, 10, 0.0) == ANSWER
         assert server.wait_closed(1)
-        assert select.select([backend._local.connection.sock], [], [], 5)[0]  # the close has reached the client
+        assert select.select([backend._idle[-1].sock], [], [], 5)[0]  # the close has reached the client
         assert backend.complete(PROMPT, 10, 0.0) == ANSWER  # no attempt is spent on the dead connection
         assert len(server.received) == 2 and len(server.connections) == 2
 
@@ -366,13 +370,40 @@ def test_a_remote_run_against_the_mock_rules_matches_a_mock_run(tmp_path, monkey
     assert len(server.received) > 30 * 4 and len(server.connections) > 1  # through the worker pool
 
 
+@pytest.mark.parametrize("days", [4, 12])
+def test_a_pooled_remote_run_opens_at_most_max_in_flight_connections(tmp_path, monkeypatch, server, days):
+    # the language engine starts a new worker pool each day; the backend's connections outlive them
+    monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+    config = {"n": 30, "days": days, "seed": 3, "engine": "llm", "llm": {"max_in_flight": 4},
+              "backend": {"kind": "remote", "base_url": server.url(), "api_key_env": "ECHOSIM_TEST_KEY"}}
+    run(config_from_dict(config), tmp_path / "run")
+    assert len(server.received) > 30 * days and 1 < len(server.connections) <= 4
+    assert server.wait_closed(len(server.connections))
+
+
 def test_a_serial_remote_run_closes_its_connection_when_it_returns(tmp_path, monkeypatch, server):
     monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
     config = {"n": 10, "days": 2, "seed": 3, "engine": "llm", "llm": {"max_in_flight": 1},
               "backend": {"kind": "remote", "base_url": server.url(), "api_key_env": "ECHOSIM_TEST_KEY"}}
     run(config_from_dict(config), tmp_path / "run")
-    assert len(server.connections) == 1  # every call on this thread, which outlives the run
+    assert len(server.connections) == 1  # the calls are serial, so each finds the last one's connection idle
     assert server.wait_closed(1)
+
+
+def test_a_run_through_null_completions_keeps_the_belief_and_truncates_the_summary(tmp_path, monkeypatch, server):
+    monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+    n = 10
+    config = {"n": n, "days": 1, "seed": 3, "engine": "llm", "llm": {"max_in_flight": 1},
+              "backend": {"kind": "remote", "base_url": server.url(), "api_key_env": "ECHOSIM_TEST_KEY"}}
+    # serial calls: agent 0's reflection and its retries, the other reflections, then agent 0's compression
+    server.script = [REFUSAL] * 3 + [None] * (n - 1) + [REFUSAL]
+    run_dir = run(config_from_dict(config), tmp_path / "run").run_dir
+    events = [json.loads(line) for line in (run_dir / "transcript.jsonl").read_text().splitlines()]
+    refused = "transport_error:malformed completion response: content is None"
+    flagged = [(e["agent"], e["payload"]) for e in events if e["kind"] == "reflection" and e["payload"] != "ok"]
+    assert flagged == [(0, ";".join([refused] * 3 + ["kept_previous_belief"])),
+                       (0, "summary_transport_error;used_truncation_fallback")]
+    assert not [e for e in events if e["agent"] == 0 and e["kind"] == "update"]
 
 
 def test_importing_echosim_leaves_http_client_and_ssl_unloaded():

@@ -197,7 +197,7 @@ class TestWrites:
                     raise RuntimeError("model gone")
                 return super().complete(prompt, max_length, temperature)
 
-        monkeypatch.setattr(runner_mod, "_build_backend", lambda config: FailingBackend())
+        monkeypatch.setattr(runner_mod, "MockBackend", FailingBackend)
         with pytest.raises(RuntimeError, match="model gone"):
             run(cfg, d)
         assert not list(d.glob(".*.tmp"))
