@@ -144,7 +144,7 @@ def config_hash(cfg: RunConfig) -> str:
 def load_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)

@@ -148,12 +148,21 @@ def _write_files(out: Path, files: dict) -> None:
             handles[name].write(text)
 
 
-def _remove_stale_runs(out: Path, pattern: str, kept) -> None:
-    """Remove each directory under ``out`` named by ``pattern`` that holds a
-    ``manifest.txt``, so a run wrote it, and that is not in ``kept``."""
+def _multi_run_dir(out_dir, pattern: str, tables, configs) -> Path:
+    """Check every config and build its backend, so a bad config or a missing API
+    key fails with ``out_dir`` untouched; then make ``out_dir`` and remove its
+    ``tables`` and each directory named by ``pattern`` that holds a ``manifest.txt``,
+    so a run wrote it. From the first run on, the directory holds no run or table
+    of an earlier call, however this call ends."""
+    for cfg in configs:
+        _preflight(cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_files(out, dict.fromkeys(tables))
     for path in out.iterdir():
-        if path.name not in kept and re.fullmatch(pattern, path.name) and (path / "manifest.txt").is_file():
+        if re.fullmatch(pattern, path.name) and (path / "manifest.txt").is_file():
             shutil.rmtree(path)
+    return out
 
 
 def run(config: RunConfig, out_dir) -> RunArtifacts:
@@ -270,35 +279,22 @@ def _fmt(value) -> str:
 def compare(configs: Sequence[RunConfig], out_dir) -> ComparisonResult:
     """Run each config and emit a metric-delta grid (rows = deltas,
     columns = engine x structure). All configs must share n, topic, and seed
-    so the initialized agents stay consistent across columns."""
+    so the initialized agents stay consistent across columns. Every config is
+    checked before the first run, which finds no table or run of an earlier
+    call; a failing column stops the compare, and no table is written."""
     if not configs:
         raise ParameterError("compare needs at least one config")
     head = configs[0]
     for cfg in configs[1:]:
         if (cfg.n, cfg.topic, cfg.seed) != (head.n, head.topic, head.seed):
             raise ParameterError("compare configs must share n, topic, and seed")
-    for cfg in configs:
-        _preflight(cfg)
-
     labels = []
     for cfg in configs:
         label = f"{cfg.engine}-{cfg.graph.kind}"
         labels.append(f"{label}-{len(labels)}" if label in labels else label)
     label_pattern = rf"({'|'.join(ENGINES)})-({'|'.join(GRAPH_KINDS)})(-\d+)?"
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # a compare that fails leaves no table and no run of an earlier call, only its own runs
-    _write_files(out, {"comparison.csv": None, "comparison.txt": None})
-    _remove_stale_runs(out, label_pattern, labels)
-    columns = []
-    try:
-        for cfg, label in zip(configs, labels):
-            columns.append(run(cfg, out / label).deltas)
-    except BaseException:
-        # the failed column's directory, and those of the columns after it, hold an earlier call's runs
-        _remove_stale_runs(out, label_pattern, labels[:len(columns)])
-        raise
+    out = _multi_run_dir(out_dir, label_pattern, ("comparison.csv", "comparison.txt"), configs)
+    columns = [run(cfg, out / label).deltas for cfg, label in zip(configs, labels)]
 
     table = {name: [col[k] for col in columns] for k, name in enumerate(DELTA_ROWS)}
 
@@ -328,9 +324,9 @@ class SweepResult:
 
 def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     """Run the config once per seed, aggregate metric deltas (mean, stddev).
-
-    A failing seed is recorded and skipped; remaining seeds still run.
-    """
+    Every seed's config is checked before the first run, which finds no table
+    or run of an earlier call. A failing seed is recorded and skipped, and no
+    run stands in its directory; remaining seeds still run."""
     if len(seeds) < 2:
         raise ParameterError(f"sweep needs at least 2 seeds, got {len(seeds)}")
     # a float or a bool would be truncated to a seed the caller did not name
@@ -341,25 +337,17 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ParameterError(f"sweep seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
-    for s in seeds:  # a bad seed or backend is an error of the sweep, not a failure of its run
-        _preflight(replace(config, seed=s))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # an interrupted sweep leaves no table and no run of an earlier call, only its own runs
-    _write_files(out, {"aggregate.csv": None, "failures.txt": None})
-    _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in seeds})
+    configs = [replace(config, seed=s) for s in seeds]
+    # a bad seed or backend is an error of the sweep, not a failure of its run
+    out = _multi_run_dir(out_dir, r"seed_\d+", ("aggregate.csv", "failures.txt"), configs)
 
     per_seed: dict = {}
     failures: dict = {}
-    try:
-        for s in seeds:
-            try:
-                per_seed[s] = run(replace(config, seed=s), out / f"seed_{s}").deltas
-            except Exception as exc:  # keep sweeping; report at the end
-                failures[s] = f"{type(exc).__name__}: {exc}"
-    finally:
-        # a seed that failed, or that an interrupt kept the sweep from, may hold an earlier sweep's run
-        _remove_stale_runs(out, r"seed_\d+", {f"seed_{s}" for s in per_seed})
+    for s, cfg in zip(seeds, configs):
+        try:
+            per_seed[s] = run(cfg, out / f"seed_{s}").deltas
+        except Exception as exc:  # keep sweeping; report at the end
+            failures[s] = f"{type(exc).__name__}: {exc}"
 
     csv_lines = ["metric,mean,stddev,count"]
     for k, name in enumerate(DELTA_ROWS):
@@ -383,32 +371,38 @@ def export_projection(run_dir, out_path=None) -> str:
     """Rebuild the projection CSV for a completed run from its persisted
     config and trajectory; writes to ``out_path`` when given. The graph and the
     layout are generated again, so a run without a manifest of this code
-    version is rejected: another version may lay the graph out otherwise."""
+    version is rejected: another version may lay the graph out otherwise. A
+    ``manifest.txt`` or ``trajectory.jsonl`` that cannot be read or used raises
+    ParameterError, and such a ``config.yaml`` ConfigError."""
     run_dir = Path(run_dir)
     manifest = run_dir / "manifest.txt"
     if not manifest.is_file():
         raise ParameterError(f"{manifest}: missing, so {run_dir} holds no completed run")
-    fields = dict(line.partition(": ")[::2] for line in manifest.read_text(encoding="utf-8").splitlines())
+    try:
+        fields = dict(line.partition(": ")[::2] for line in manifest.read_text(encoding="utf-8").splitlines())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"{manifest}: cannot read it: {exc}") from exc
     if fields.get("code_version") != __version__:
         raise ParameterError(f"{manifest}: code_version {fields.get('code_version')!r} is not {__version__!r}, "
                              "whose graph and layout may differ")
     cfg = config_from_dict(load_config_file(run_dir / "config.yaml"))
-    g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
-    positions = force_layout(g, component_rng(cfg.seed, "layout"))
 
     # the final day is the file's last n lines; parse only those
-    with (run_dir / "trajectory.jsonl").open(encoding="utf-8") as lines:
-        tail = deque(lines, maxlen=cfg.n)
+    trajectory = run_dir / "trajectory.jsonl"
     try:
-        records = [json.loads(line) for line in tail]
+        with trajectory.open(encoding="utf-8") as lines:
+            records = [json.loads(line) for line in deque(lines, maxlen=cfg.n)]
         final_day = {(r["day"], r["agent"]): float(r["belief"]) for r in records}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"{trajectory}: cannot read it: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise ParameterError(f"{run_dir / 'trajectory.jsonl'}: malformed record: {exc}") from exc
+        raise ParameterError(f"{trajectory}: malformed record: {exc}") from exc
     if final_day.keys() != {(cfg.days, a) for a in range(cfg.n)}:
-        raise ParameterError(f"{run_dir / 'trajectory.jsonl'}: its last {cfg.n} lines are not "
+        raise ParameterError(f"{trajectory}: its last {cfg.n} lines are not "
                              f"one record per agent 0..{cfg.n - 1} of day {cfg.days}")
     final = [final_day[cfg.days, a] for a in range(cfg.n)]
-    text = projection_text(final, positions)
+    g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
+    text = projection_text(final, force_layout(g, component_rng(cfg.seed, "layout")))
     if out_path is not None:
         out_path = Path(out_path)
         _write_files(out_path.parent, {out_path.name: text})

@@ -143,6 +143,18 @@ class TestValidateConfig:
         assert not (tmp_path / "out").exists()
 
 
+class TestFilesThatAreNotUtf8:
+    @pytest.mark.parametrize("command", [["validate-config"], ["run", "--out"], ["sweep", "--out"],
+                                         ["compare", "--out"]], ids=lambda c: c[0])
+    def test_a_config_file_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"n: 10\n\xff\n")
+        out = [str(tmp_path / "out")] if command[1:] else []
+        assert main([*command, *out, "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {bad}: 'utf-8' codec")
+        assert not (tmp_path / "out").exists()
+
+
 class TestCompareCommand:
     def test_compare_three_structures(self, tmp_path, capsys):
         paths = [
@@ -261,6 +273,28 @@ class TestExportProjectionCommand:
                             encoding="utf-8")
         assert main(["export-projection", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"run directory error: {manifest}: code_version '0.")
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "config.yaml", "trajectory.jsonl"])
+    def test_a_file_that_is_not_utf8_is_a_run_directory_error(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, BASE)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        path = tmp_path / "out" / name
+        path.write_bytes(path.read_bytes() + b"\xff")
+        assert main(["export-projection", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run directory error: ") and f"{path}: " in err and "'utf-8' codec" in err
+
+    @pytest.mark.parametrize("replace", [lambda path: path.unlink(), lambda path: (path.unlink(), path.mkdir())],
+                             ids=["missing", "a directory"])
+    def test_a_trajectory_it_cannot_open_is_a_run_directory_error(self, tmp_path, capsys, replace):
+        cfg = write_config(tmp_path, BASE)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        path = tmp_path / "out" / "trajectory.jsonl"
+        replace(path)
+        assert main(["export-projection", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"run directory error: {path}: cannot read it: ")
 
 
 class TestLogLevel:

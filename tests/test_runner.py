@@ -469,6 +469,87 @@ class TestSweep:
         assert float(line.split(",")[1]) == pytest.approx(np.mean(pols))
 
 
+def read_tree(root):
+    """Every directory and file under ``root``, by relative path; a file maps to its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def layout_fails_on_call(monkeypatch, call):
+    """Make the force layout raise on its ``call``-th call, after that run's days and writer fork."""
+    real_layout, calls = runner_mod.force_layout, []
+
+    def layout(g, rng):
+        calls.append(1)
+        if len(calls) == call:
+            raise RuntimeError("layout exploded")
+        return real_layout(g, rng)
+
+    monkeypatch.setattr(runner_mod, "force_layout", layout)
+
+
+REMOTE = {"engine": "llm", "backend": {"kind": "remote", "api_key_env": "ECHOSIM_MISSING_KEY"}}
+
+
+class TestMultiRunDirectories:
+    """``compare`` and ``sweep`` clear an earlier call's tables and runs before their first run."""
+
+    @pytest.mark.parametrize("first, again", [
+        (lambda out: sweep(config_from_dict(cfg_dict()), [1, 2, 3], out),
+         lambda out: sweep(config_from_dict(cfg_dict()), [2, 3, 4], out)),
+        (lambda out: compare([config_from_dict(cfg_dict(engine=e)) for e in ("bcm", "fj")], out),
+         lambda out: compare([config_from_dict(cfg_dict(engine=e)) for e in ("fj", "bcm")], out)),
+    ], ids=["sweep", "compare"])
+    def test_a_rerun_starts_from_an_empty_directory(self, tmp_path, monkeypatch, first, again):
+        first(tmp_path)
+        real_run, listings = runner_mod.run, []
+
+        def spy(config, out_dir):
+            listings.append(sorted(p.name for p in tmp_path.iterdir()))
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr(runner_mod, "run", spy)
+        again(tmp_path)
+        assert listings[0] == []
+
+    def test_a_seed_that_fails_mid_run_leaves_an_empty_directory(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(cfg_dict())
+        sweep(cfg, [1, 2], tmp_path)
+        layout_fails_on_call(monkeypatch, 2)
+        result = sweep(cfg, [1, 2], tmp_path)
+        assert result.failures == {2: "RuntimeError: layout exploded"}
+        assert (tmp_path / "failures.txt").read_text() == "seed 2: RuntimeError: layout exploded\n"
+        assert list((tmp_path / "seed_2").iterdir()) == []  # no manifest.txt, no .tmp file
+        monkeypatch.undo()
+        assert read_all(tmp_path / "seed_1") == read_all(run(cfg, tmp_path / "alone").run_dir)
+
+    def test_a_column_that_fails_mid_run_stops_the_compare_with_an_empty_directory(self, tmp_path, monkeypatch):
+        bcm, fj = (config_from_dict(cfg_dict(engine=e)) for e in ("bcm", "fj"))
+        compare([bcm, fj], tmp_path)
+        layout_fails_on_call(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="layout exploded"):
+            compare([bcm, fj], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bcm-small_world", "fj-small_world"]
+        assert list((tmp_path / "fj-small_world").iterdir()) == []
+        monkeypatch.undo()
+        assert read_all(tmp_path / "bcm-small_world") == read_all(run(bcm, tmp_path / "alone").run_dir)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda out: sweep(config_from_dict(cfg_dict()), [3, -1], out), ConfigError),
+        (lambda out: compare([config_from_dict(cfg_dict(seed=s)) for s in (1, 2)], out), ParameterError),
+        (lambda out: sweep(config_from_dict(cfg_dict(**REMOTE)), [3, 4], out), BackendError),
+        (lambda out: compare([config_from_dict(cfg_dict(engine="fj")), config_from_dict(cfg_dict(**REMOTE))], out),
+         BackendError),
+    ], ids=["negative seed", "mismatched configs", "sweep without an API key", "compare without an API key"])
+    def test_a_rejected_call_leaves_the_earlier_directory_byte_for_byte(self, tmp_path, monkeypatch, call, error):
+        monkeypatch.delenv("ECHOSIM_MISSING_KEY", raising=False)
+        sweep(config_from_dict(cfg_dict()), [1, 2], tmp_path)
+        compare([config_from_dict(cfg_dict())], tmp_path)
+        earlier = read_tree(tmp_path)
+        with pytest.raises(error):
+            call(tmp_path)
+        assert read_tree(tmp_path) == earlier
+
+
 @contextmanager
 def another_thread():
     """Keep one more thread alive, so ``run()`` may not fork its writer process."""
