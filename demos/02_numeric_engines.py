@@ -43,20 +43,18 @@ def main():
     population = init_population(N, TOPIC, False, np.random.default_rng([SEED, 1]))
 
     for mode in ("recommended", "all_neighbors"):
-        bcm = run_numeric("bcm", g, population.beliefs,
-                          BcmParams(epsilon=2.0, mu=0.3, exposure_mode=mode), DAYS)
+        bcm = run_numeric(g, population.beliefs, BcmParams(epsilon=2.0, mu=0.3, exposure_mode=mode), DAYS)
         metric_table(g, bcm, f"bounded confidence, {mode}")
 
-        fj = run_numeric("fj", g, population.beliefs,
-                         FjParams(alpha=0.3, exposure_mode=mode), DAYS)
+        fj = run_numeric(g, population.beliefs, FjParams(alpha=0.3, exposure_mode=mode), DAYS)
         metric_table(g, fj, f"anchored averaging, {mode}")
 
     print("\n--- long-horizon behavior ---")
-    consensus = run_numeric("bcm", g, population.beliefs,
+    consensus = run_numeric(g, population.beliefs,
                             BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
     print(f"bounded confidence with a wide-open gate reaches consensus: "
           f"final spread {consensus[-1].max() - consensus[-1].min():.2e}")
-    anchored = run_numeric("fj", g, population.beliefs, FjParams(alpha=0.3), 200)
+    anchored = run_numeric(g, population.beliefs, FjParams(alpha=0.3), 200)
     print(f"anchored averaging settles to a fixed point: "
           f"terminal day-over-day change {np.abs(anchored[-1] - anchored[-2]).max():.2e}")
 

@@ -143,13 +143,15 @@ class RemoteChatBackend:
 
     The API key is read when the backend is built, from the environment
     variable that ``settings.api_key_env`` names, never from configuration
-    files. Transient transport failures and 429/5xx responses are retried after
-    exactly the server's numeric ``Retry-After`` on a 429 or 503, or else
-    after a "full jitter" backoff: a uniform draw from
-    [0, backoff_base * 2 ** (attempt - 1)] seconds. Anything else raises
-    BackendError. A call takes an idle ``http.client`` connection of the
-    backend's, or opens one when all are busy, and gives it back when it
-    returns, so no two calls share one. A transport error closes it and the
+    files. A key must be printable ASCII, which a header can carry (no CR,
+    no curly quote); an empty or other key raises BackendError, which names
+    the variable and not the key. Transient transport failures and 429/5xx
+    responses are retried after the server's numeric ``Retry-After`` on a 429
+    or 503, capped at ``settings.timeout`` seconds, or else after a "full
+    jitter" backoff: a uniform draw from [0, backoff_base * 2 ** (attempt - 1)]
+    seconds. Anything else raises BackendError. A call takes an idle
+    ``http.client`` connection of the backend's, or opens one when all are
+    busy, and gives it back when it returns, so no two calls share one. A transport error closes it and the
     next attempt reconnects; so does a kept-alive connection that the server
     closed while it was idle, found by a zero-timeout ``select`` before each
     request. Idle connections are closed when the backend is collected. HTTPS
@@ -162,6 +164,9 @@ class RemoteChatBackend:
         key = os.environ.get(settings.api_key_env, "")
         if not key:
             raise BackendError(f"environment variable {settings.api_key_env} is not set")
+        if not (key.isascii() and key.isprintable()):
+            raise BackendError(f"environment variable {settings.api_key_env} holds a character that is not "
+                               "printable ASCII, which an HTTP header cannot carry")
         self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         self._idle = deque()  # connections no call holds, the last given back on top
         weakref.finalize(self, _close_all, self._idle)
@@ -192,7 +197,7 @@ class RemoteChatBackend:
                     if retry_after is None:
                         time.sleep(random.uniform(0, self.backoff_base * 2 ** (attempt - 1)))
                     else:
-                        time.sleep(retry_after)
+                        time.sleep(min(retry_after, settings.timeout))
                 retry_after = None
                 if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
                     connection.close()  # idle, it reads only at the server's close (or stray bytes): reconnect

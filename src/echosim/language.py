@@ -17,10 +17,10 @@ All exposures read start-of-day state, so the day is synchronous. A
 compression call reads only what phase 1 heard, so phase 4's calls share
 the day's pool of ``max_in_flight`` workers with phase 3's: the n
 reflections, then the n compressions, all applied at the day barrier in
-agent order. The day's transcript events are appended at that barrier too,
-agent by agent, each agent's in the order they happened (exposure, nudge,
-reflection, update, summary failure), so a day that raises appends none,
-and handed with the day's texts to ``run_llm``'s ``on_day`` hook, if any.
+agent order. ``llm_day`` returns the day's transcript events with the new
+lists, built at that barrier agent by agent, each agent's in the order they
+happened (exposure, nudge, reflection, update, summary failure), so a day
+that raises returns none; ``run_llm`` hands them to its ``on_day`` hook.
 With the mock backend, entire runs are bit-reproducible per seed.
 """
 
@@ -138,11 +138,10 @@ def llm_day(
     passive_feed: Optional[Iterator],
     rng: np.random.Generator,
     day: int,
-    transcript,
 ) -> tuple:
     """One synchronous day: new end-of-day (beliefs, texts, long_term) lists from
-    the start-of-day ones, which are left as they are; the day's events go to
-    ``transcript.append`` in (day, agent) order, once every backend call has returned."""
+    the start-of-day ones, which are left as they are, and the day's events, a
+    new list in agent order built once every backend call has returned."""
     params.validate()
     nudge_policy.validate()
     if nudge_policy.kind == "passive" and passive_feed is None:
@@ -189,27 +188,26 @@ def llm_day(
         results = [call(k) for k in range(2 * n)]
 
     # the day barrier: apply results and log each agent's events in the order they happened
-    new_beliefs, new_texts = list(beliefs), list(texts)
+    new_beliefs, new_texts, events = list(beliefs), list(texts), []
     for i, ((parsed, flags), (_, summary_failed)) in enumerate(zip(results[:n], results[n:])):
         before = beliefs[i]
         after = parsed.belief if parsed else before
         if heard[i]:
-            transcript.append(TranscriptEvent(day, i, "exposure", ",".join(map(str, heard[i]))))
+            events.append(TranscriptEvent(day, i, "exposure", ",".join(map(str, heard[i]))))
         if i in nudges:
-            transcript.append(TranscriptEvent(day, i, "nudge", nudges[i], belief_before=before))
-        transcript.append(TranscriptEvent(day, i, "reflection", ";".join(flags) if flags else "ok",
-                                          belief_before=before, belief_after=after))
+            events.append(TranscriptEvent(day, i, "nudge", nudges[i], belief_before=before))
+        events.append(TranscriptEvent(day, i, "reflection", ";".join(flags) if flags else "ok",
+                                      belief_before=before, belief_after=after))
         if parsed:
             new_texts[i] = parsed.opinion_text
             if after != before:
                 new_beliefs[i] = after
-                transcript.append(TranscriptEvent(day, i, "update", parsed.opinion_text,
-                                                  belief_before=before, belief_after=after))
+                events.append(TranscriptEvent(day, i, "update", parsed.opinion_text,
+                                              belief_before=before, belief_after=after))
         if summary_failed:
-            transcript.append(TranscriptEvent(day, i, "reflection",
-                                              "summary_transport_error;used_truncation_fallback"))
+            events.append(TranscriptEvent(day, i, "reflection", "summary_transport_error;used_truncation_fallback"))
     # phase 4: the summaries replace long-term memory
-    return new_beliefs, new_texts, [summary for summary, _ in results[n:]]
+    return new_beliefs, new_texts, [summary for summary, _ in results[n:]], events
 
 
 @dataclass
@@ -255,9 +253,8 @@ def run_llm(
     trajectory[0] = beliefs
     on_day(0, beliefs, texts, [])
     for day in range(1, days + 1):
-        events: list = []
-        beliefs, texts, long_term = llm_day(g, population, beliefs, texts, long_term, backend, params,
-                                            nudge_policy, feed, rng, day, events)
+        beliefs, texts, long_term, events = llm_day(g, population, beliefs, texts, long_term, backend, params,
+                                                    nudge_policy, feed, rng, day)
         trajectory[day] = beliefs
         on_day(day, beliefs, texts, events)
     return LlmRunResult(

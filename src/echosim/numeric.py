@@ -81,19 +81,16 @@ def fj_day(g: NetworkGraph, beliefs, p: FjParams, anchors) -> np.ndarray:
     return new
 
 
-def run_numeric(engine: str, g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
+def run_numeric(g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
     """Belief trajectory of shape (days + 1, n); row 0 is the initial vector.
 
-    ``engine`` is "bcm" (``params`` a BcmParams) or "fj" (an FjParams, with
-    the initial beliefs as anchors). The days run until one repeats, bit for
-    bit, the day before it or the day two before it; the rows of that one- or
-    two-day cycle then fill the rest of the trajectory.
+    The class of ``params`` names the engine: a BcmParams runs ``bcm_day``, an
+    FjParams ``fj_day`` with row 0 as the anchors. The days run until one
+    repeats, bit for bit, the day before it or the day two before it; the rows
+    of that one- or two-day cycle then fill the rest of the trajectory.
     """
-    if engine not in NUMERIC_ENGINES:
-        raise ParameterError(f"unknown numeric engine {engine!r}")
-    expected = BcmParams if engine == "bcm" else FjParams
-    if not isinstance(params, expected):
-        raise ParameterError(f"the {engine} engine needs {expected.__name__}, got {type(params).__name__}")
+    if not isinstance(params, (BcmParams, FjParams)):
+        raise ParameterError(f"numeric engine params must be BcmParams or FjParams, got {type(params).__name__}")
     check_days(days)
     trajectory = np.empty((days + 1, g.n), dtype=float)
     trajectory[0] = belief_vector(g, initial_beliefs)
@@ -103,7 +100,7 @@ def run_numeric(engine: str, g: NetworkGraph, initial_beliefs, params, days: int
                              f"{float(trajectory[0, outside[0]])!r} for agent {outside[0]}")
     bits = trajectory.view(np.int64)  # bits, not ==: a day that turns 0.0 into -0.0 is no repeat
     for t in range(1, days + 1):
-        if engine == "bcm":
+        if isinstance(params, BcmParams):
             trajectory[t] = bcm_day(g, trajectory[t - 1], params)
         else:
             trajectory[t] = fj_day(g, trajectory[t - 1], params, trajectory[0])

@@ -40,7 +40,7 @@ STANCE_STATEMENTS = {
     2: "I strongly support this.",
 }
 
-_BELIEF_RE = re.compile(r"BELIEF:\s*([+-]?\d+)")
+_BELIEF_RE = re.compile(r"BELIEF:\s*([+-]?)0*(\d+)")  # sign, then the digits without leading zeros
 _OPINION_RE = re.compile(r"OPINION:\s*(.+)", re.DOTALL)
 
 
@@ -121,14 +121,18 @@ def build_summary_prompt(old_summary: str, day_items: Sequence[tuple], budget: i
 def parse_opinion_output(raw: str) -> OpinionOutput:
     """Extract the first BELIEF integer and the OPINION text from a reply.
 
-    Out-of-grid integers are clamped to the nearest endpoint and flagged.
+    Out-of-grid integers, of any length, are clamped to the nearest endpoint
+    and flagged; leading zeros are read as the number.
     Raises OpinionParseError when no belief integer (or no usable opinion
     text) can be found.
     """
     belief_match = _BELIEF_RE.search(raw)
     if belief_match is None:
         raise OpinionParseError(f"no BELIEF line in reply: {raw[:80]!r}")
-    value = int(belief_match.group(1))
+    sign, digits = belief_match.groups()
+    if len(digits) > 3:  # off the grid whatever the digits, and int() refuses more than 4,300 of them
+        digits = "999"
+    value = int(sign + digits)
     clamped = not BELIEF_GRID[0] <= value <= BELIEF_GRID[-1]
     belief = clamp_to_grid(value)
 

@@ -192,7 +192,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
                 days=config.days, rng=component_rng(config.seed, "engine"), on_day=write_day,
             ).belief_trajectory.astype(float)
         else:
-            trajectory = run_numeric(config.engine, g, population.beliefs, params, config.days)
+            trajectory = run_numeric(g, population.beliefs, params, config.days)
         # the files that need neither the metrics nor the layout are rendered by a child while those run
         apart = [(files["population.txt"], lambda: [population_to_text(population)]),
                  (files["graph.txt"], lambda: [to_edge_list_text(g)]),

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from echosim.graphs import NetworkGraph
 from echosim.interventions import ACTIVE_NUDGE_PREFIX
-from echosim.numeric import bcm_day, fj_day
+from echosim.numeric import BcmParams, bcm_day, fj_day
 from echosim.recommendation import exposure_mask
 
 # every code point, lone surrogates included, plus the characters JSON must escape
@@ -123,13 +123,13 @@ def naive_fj_day(g: NetworkGraph, beliefs, p, anchors):
     return new
 
 
-def full_loop_run_numeric(engine: str, g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
+def full_loop_run_numeric(g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
     """The earlier body of ``run_numeric``: every one of the ``days`` days computed
     by the module's day function, settled or not."""
     trajectory = np.empty((days + 1, g.n), dtype=float)
     trajectory[0] = initial_beliefs
     for t in range(1, days + 1):
-        if engine == "bcm":
+        if isinstance(params, BcmParams):
             trajectory[t] = bcm_day(g, trajectory[t - 1], params)
         else:
             trajectory[t] = fj_day(g, trajectory[t - 1], params, trajectory[0])

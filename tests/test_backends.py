@@ -223,6 +223,14 @@ class TestRemoteBackend:
             remote(server)
         assert server.received == [] and server.connections == []
 
+    @pytest.mark.parametrize("key", ["abc\r", "abc\n", "\u201cabc\u201d"], ids=["cr", "lf", "curly-quotes"])
+    def test_a_key_a_header_cannot_carry_fails_before_any_request(self, monkeypatch, server, key):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", key)
+        with pytest.raises(BackendError, match="ECHOSIM_TEST_KEY holds a character that is not printable") as info:
+            remote(server)
+        assert "abc" not in str(info.value)
+        assert server.received == [] and server.connections == []
+
 
 def record_sleeps(monkeypatch):
     sleeps = []
@@ -279,6 +287,14 @@ class TestRetryAfter:
         jitter_at_its_bound(monkeypatch)
         server.script = [(status, {"Retry-After": value})]
         assert remote(server, backoff_base=0.5).complete(PROMPT, 10, 0.0) == ANSWER
+        assert sleeps == [0.5]
+
+    @pytest.mark.parametrize("status, value", [(429, "1e300"), (503, "86400")])
+    def test_a_longer_wait_than_the_timeout_is_cut_to_the_timeout(self, monkeypatch, server, status, value):
+        monkeypatch.setenv("ECHOSIM_TEST_KEY", "k")
+        sleeps = record_sleeps(monkeypatch)
+        server.script = [(status, {"Retry-After": value})]
+        assert remote(server, timeout=0.5).complete(PROMPT, 10, 0.0) == ANSWER
         assert sleeps == [0.5]
 
     def test_no_sleep_after_the_last_attempt(self, monkeypatch, server):

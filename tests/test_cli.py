@@ -58,6 +58,18 @@ class TestRunCommand:
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("key", ["sk-secret\r", "sk-secret\n", "\u201csk-secret\u201d"],
+                             ids=["cr", "lf", "curly-quotes"])
+    def test_a_key_a_header_cannot_carry_exits_3_without_showing_it(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.setenv("ECHOSIM_BAD_KEY", key)
+        cfg = write_config(tmp_path, BASE + "engine: llm\nbackend:\n  kind: remote\n"
+                                            "  base_url: http://127.0.0.1:9/v1\n  api_key_env: ECHOSIM_BAD_KEY\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "backend error: environment variable ECHOSIM_BAD_KEY" in err
+        assert "sk-secret" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("i am a file")

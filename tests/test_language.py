@@ -16,6 +16,7 @@ from echosim.language import (
     LlmParams,
     Transcript,
     TranscriptEvent,
+    events_jsonl,
     llm_day,
     run_llm,
 )
@@ -40,15 +41,14 @@ def rng(seed=1):
 
 
 def one_day(g, beliefs, nudge=NudgePolicy(), params=LlmParams(), backend=None, seed=1):
-    """(end-of-day beliefs, long-term summaries, transcript) of day 1 from ``beliefs``."""
+    """(end-of-day beliefs, long-term summaries, events) of day 1 from ``beliefs``."""
     population = make_population(beliefs)
-    transcript = Transcript()
     from echosim.interventions import passive_nudge_feed
     feed = passive_nudge_feed(rng(seed), nudge.passive_texts) if nudge.kind == "passive" else None
-    beliefs, _, long_term = llm_day(g, population, list(beliefs), [stance_statement(b) for b in beliefs],
-                                    [""] * g.n, backend or MockBackend(), params, nudge, feed,
-                                    rng(seed), day=1, transcript=transcript)
-    return beliefs, long_term, transcript
+    beliefs, _, long_term, events = llm_day(g, population, list(beliefs), [stance_statement(b) for b in beliefs],
+                                            [""] * g.n, backend or MockBackend(), params, nudge, feed,
+                                            rng(seed), day=1)
+    return beliefs, long_term, events
 
 
 def heard_lines(prompt):
@@ -98,7 +98,7 @@ class TestSingleDay:
         beliefs, texts, long_term = list(start), [stance_statement(b) for b in start], ["a", "b", "", "c"]
         inputs = (list(beliefs), list(texts), list(long_term))
         out = llm_day(g, population, beliefs, texts, long_term, MockBackend(), LlmParams(),
-                      NudgePolicy(kind="active"), None, rng(), day=1, transcript=Transcript())
+                      NudgePolicy(kind="active"), None, rng(), day=1)
         assert (beliefs, texts, long_term) == inputs
         assert all(new is not old for new, old in zip(out, (beliefs, texts, long_term)))
 
@@ -422,7 +422,7 @@ class TestDayPool:
                                               params=LlmParams(max_in_flight=1))
         _, pooled_long_term, pooled = one_day(g, beliefs, backend=SummaryFailingBackend(),
                                               params=LlmParams(max_in_flight=3))
-        assert pooled.to_jsonl() == serial.to_jsonl()
+        assert events_jsonl(pooled) == events_jsonl(serial)
         failed = [e for e in serial if "summary_transport_error" in e.payload]
         assert failed  # the fallback ran
         assert pooled_long_term == serial_long_term
@@ -448,28 +448,29 @@ class MixedFailureBackend:
 
 
 class ExplodingBackend:
-    """The mock, except that the fifth call raises an error that is not a
-    BackendError; every other call first waits ``delay`` seconds."""
+    """The mock, except that call ``fail_at`` (the fifth by default) raises an
+    error that is not a BackendError; every other call first waits ``delay`` seconds."""
 
     name = "exploding"
 
-    def __init__(self, delay=0.0):
+    def __init__(self, delay=0.0, fail_at=5):
         self.inner = MockBackend()
         self.delay = delay
+        self.fail_at = fail_at
         self.calls = 0
         self._lock = threading.Lock()
 
     def complete(self, prompt, max_length, temperature):
         with self._lock:
             self.calls += 1
-            if self.calls == 5:
+            if self.calls == self.fail_at:
                 raise RuntimeError("backend bug")
         time.sleep(self.delay)
         return self.inner.complete(prompt, max_length, temperature)
 
 
 class TestTranscriptOrder:
-    """Each day's events are appended at the day barrier, in the order the file stores them."""
+    """Each day's events are built at the day barrier, in the order the file stores them."""
 
     @pytest.mark.parametrize("kind", NUDGE_KINDS)
     def test_events_are_appended_in_file_order(self, kind):
@@ -485,20 +486,16 @@ class TestTranscriptOrder:
             assert flag in payloads
 
     def test_a_day_that_raises_appends_no_events(self):
+        # the backend raises on day 2's fifth call, so the hook sees days 0 and 1 alone
         g = cycle_graph(12)
-        beliefs = [i % 5 - 2 for i in range(12)]
-        population = make_population(beliefs)
-        texts, long_term = [stance_statement(b) for b in beliefs], [""] * g.n
-        transcript = Transcript()
-        day_rng = rng(3)
-        state = llm_day(g, population, beliefs, texts, long_term, MockBackend(), LlmParams(),
-                        NudgePolicy(kind="active"), None, day_rng, day=1, transcript=transcript)
-        before = list(transcript)
-        assert {e.kind for e in before} >= {"exposure", "nudge"}
+        population = make_population([i % 5 - 2 for i in range(12)])
+        seen = []
         with pytest.raises(RuntimeError, match="backend bug"):
-            llm_day(g, population, *state, ExplodingBackend(), LlmParams(max_in_flight=2),
-                    NudgePolicy(kind="active"), None, day_rng, day=2, transcript=transcript)
-        assert transcript == before
+            run_llm(g, population, ExplodingBackend(fail_at=2 * g.n + 5), LlmParams(max_in_flight=2),
+                    NudgePolicy(kind="active"), days=3, rng=rng(3),
+                    on_day=lambda day, beliefs, texts, events: seen.append((day, events)))
+        assert [day for day, _ in seen] == [0, 1]
+        assert {e.kind for e in seen[1][1]} >= {"exposure", "nudge"}
 
     def test_a_day_that_raises_stops_queuing_backend_calls(self):
         # the pool's map cancels the calls that have not started once one raises;
@@ -508,8 +505,7 @@ class TestTranscriptOrder:
         backend = ExplodingBackend(delay=0.01)
         with pytest.raises(RuntimeError, match="backend bug"):
             llm_day(g, make_population(beliefs), beliefs, [stance_statement(b) for b in beliefs], [""] * g.n,
-                    backend, LlmParams(max_in_flight=2), NudgePolicy(), None, rng(3), day=1,
-                    transcript=Transcript())
+                    backend, LlmParams(max_in_flight=2), NudgePolicy(), None, rng(3), day=1)
         assert 5 <= backend.calls < 2 * g.n
 
 
@@ -526,8 +522,7 @@ class TestValidation:
         beliefs = [2, -2, 0, 1]
         with pytest.raises(ParameterError, match="passive feed"):
             llm_day(cycle_graph(4), make_population(beliefs), beliefs, [stance_statement(b) for b in beliefs],
-                    [""] * 4, MockBackend(), LlmParams(), NudgePolicy(kind="passive"), None, rng(),
-                    day=1, transcript=Transcript())
+                    [""] * 4, MockBackend(), LlmParams(), NudgePolicy(kind="passive"), None, rng(), day=1)
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):

@@ -7,6 +7,7 @@ import echosim.numeric as numeric_mod
 from echosim.config import config_from_dict
 from echosim.errors import ParameterError
 from echosim.graphs import GRAPH_KINDS, GraphSpec, NetworkGraph, generate_graph, generate_small_world
+from echosim.language import LlmParams
 from echosim.metrics import polarization
 from echosim.numeric import NUMERIC_ENGINES, BcmParams, FjParams, bcm_day, fj_day, run_numeric
 from echosim.population import init_population
@@ -49,7 +50,7 @@ class TestBcmDay:
         rng = np.random.default_rng(8)
         g = generate_small_world(30, 4, 0.2, rng)
         beliefs = np.random.default_rng(9).uniform(-2, 2, 30)
-        traj = run_numeric("bcm", g, beliefs, BcmParams(epsilon=4.0, mu=0.5), 50)
+        traj = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5), 50)
         assert traj.min() >= beliefs.min() - 1e-12
         assert traj.max() <= beliefs.max() + 1e-12
 
@@ -57,7 +58,7 @@ class TestBcmDay:
         rng = np.random.default_rng(12)
         g = generate_small_world(30, 4, 0.2, rng)
         beliefs = np.random.default_rng(13).uniform(-2, 2, 30)
-        traj = run_numeric("bcm", g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 80)
+        traj = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 80)
         initial = polarization(traj[0])
         assert all(polarization(day) <= initial + 1e-12 for day in traj)
 
@@ -96,27 +97,27 @@ class TestRunNumeric:
     def test_single_day_equals_direct_call(self):
         beliefs = np.array([0.0, 1.0])
         p = BcmParams(epsilon=2.0, mu=0.5)
-        traj = run_numeric("bcm", TWO_NODES, beliefs, p, 1)
+        traj = run_numeric(TWO_NODES, beliefs, p, 1)
         assert traj.shape == (2, 2)
         assert np.array_equal(traj[1], bcm_day(TWO_NODES, beliefs, p))
 
     def test_bcm_consensus_under_full_confidence(self):
         g = generate_small_world(50, 4, 0.1, np.random.default_rng(2))
         beliefs = np.random.default_rng(2).uniform(-2, 2, 50)
-        traj = run_numeric("bcm", g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+        traj = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
         assert traj[-1].max() - traj[-1].min() < 0.01
 
     def test_fj_converges_to_fixed_point(self):
         g = generate_small_world(50, 4, 0.1, np.random.default_rng(3))
         beliefs = np.random.default_rng(4).uniform(-2, 2, 50)
-        traj = run_numeric("fj", g, beliefs, FjParams(alpha=0.3), 200)
+        traj = run_numeric(g, beliefs, FjParams(alpha=0.3), 200)
         assert np.abs(traj[-1] - traj[-2]).max() < 1e-6
 
     def test_fj_contracts_geometrically(self):
         g = generate_small_world(40, 4, 0.1, np.random.default_rng(6))
         beliefs = np.random.default_rng(7).uniform(-2, 2, 40)
         alpha = 0.3
-        traj = run_numeric("fj", g, beliefs, FjParams(alpha=alpha, exposure_mode="all_neighbors"), 60)
+        traj = run_numeric(g, beliefs, FjParams(alpha=alpha, exposure_mode="all_neighbors"), 60)
         changes = np.abs(np.diff(traj, axis=0)).max(axis=1)
         for prev, curr in zip(changes, changes[1:]):
             if prev > 1e-14:
@@ -125,8 +126,8 @@ class TestRunNumeric:
     def test_trajectory_deterministic(self):
         g = generate_small_world(30, 4, 0.2, np.random.default_rng(5))
         beliefs = np.random.default_rng(5).uniform(-2, 2, 30)
-        a = run_numeric("fj", g, beliefs, FjParams(alpha=0.3), 40)
-        b = run_numeric("fj", g, beliefs, FjParams(alpha=0.3), 40)
+        a = run_numeric(g, beliefs, FjParams(alpha=0.3), 40)
+        b = run_numeric(g, beliefs, FjParams(alpha=0.3), 40)
         assert np.array_equal(a, b)
 
     def test_relabeling_equivariance(self):
@@ -137,9 +138,9 @@ class TestRunNumeric:
         remapped = NetworkGraph.from_edges(20, [(int(perm[i]), int(perm[j])) for i, j in zip(*g.upper())])
         permuted = np.empty_like(beliefs)
         permuted[perm] = beliefs
-        for engine, params in (("bcm", BcmParams()), ("fj", FjParams(alpha=0.3))):
-            base = run_numeric(engine, g, beliefs, params, 20)
-            other = run_numeric(engine, remapped, permuted, params, 20)
+        for params in (BcmParams(), FjParams(alpha=0.3)):
+            base = run_numeric(g, beliefs, params, 20)
+            other = run_numeric(remapped, permuted, params, 20)
             assert np.allclose(base, other[:, perm], atol=1e-12)
 
     def test_fj_matches_closed_form_fixed_point(self):
@@ -158,7 +159,7 @@ class TestRunNumeric:
                     rhs[i] = alpha * anchors[i]
             expected = np.linalg.solve(system, rhs)
             params = FjParams(alpha=alpha, exposure_mode="all_neighbors")
-            final = run_numeric("fj", g, anchors, params, 400)[-1]
+            final = run_numeric(g, anchors, params, 400)[-1]
             assert np.max(np.abs(final - expected)) <= 1e-9
             assert np.array_equal(final[40:], anchors[40:])
 
@@ -172,32 +173,30 @@ class TestRunNumeric:
         with pytest.raises(ParameterError):
             FjParams(alpha=1.2).validate()
         with pytest.raises(ParameterError):
-            run_numeric("degroot", TWO_NODES, [0.0, 1.0], BcmParams(), 5)
-        with pytest.raises(ParameterError):
-            run_numeric("bcm", TWO_NODES, [0.0, 1.0], BcmParams(), 0)
+            run_numeric(TWO_NODES, [0.0, 1.0], BcmParams(), 0)
 
     @pytest.mark.parametrize("days", [0, -3, 2.5, 1.0, True, False, "3", None])
     def test_days_must_be_an_integer_of_at_least_one(self, days):
         with pytest.raises(ParameterError, match="days must be an integer >= 1"):
-            run_numeric("bcm", TWO_NODES, [0.0, 1.0], BcmParams(), days)
+            run_numeric(TWO_NODES, [0.0, 1.0], BcmParams(), days)
 
     def test_numpy_integer_days_accepted(self):
-        assert run_numeric("fj", TWO_NODES, [0.0, 1.0], FjParams(), np.int64(3)).shape == (4, 2)
+        assert run_numeric(TWO_NODES, [0.0, 1.0], FjParams(), np.int64(3)).shape == (4, 2)
 
-    @pytest.mark.parametrize("engine, params", [("bcm", FjParams()), ("fj", BcmParams()), ("fj", None)])
-    def test_params_of_another_engine_rejected(self, engine, params):
-        with pytest.raises(ParameterError, match=f"the {engine} engine needs"):
-            run_numeric(engine, TWO_NODES, [0.0, 1.0], params, 2)
+    @pytest.mark.parametrize("params", [None, LlmParams(), {"epsilon": 2.0, "mu": 0.3}], ids=["None", "LlmParams", "dict"])
+    def test_params_of_no_numeric_engine_rejected(self, params):
+        with pytest.raises(ParameterError, match=f"must be BcmParams or FjParams, got {type(params).__name__}$"):
+            run_numeric(TWO_NODES, [0.0, 1.0], params, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 5.0, -2.0000000000000004])
     def test_initial_beliefs_outside_the_belief_range_rejected(self, bad):
-        for engine, params in (("bcm", BcmParams()), ("fj", FjParams())):
+        for params in (BcmParams(), FjParams()):
             with pytest.raises(ParameterError, match="initial beliefs must be finite and in"):
-                run_numeric(engine, TWO_NODES, [0.0, bad], params, 2)
+                run_numeric(TWO_NODES, [0.0, bad], params, 2)
 
     def test_beliefs_at_the_ends_of_the_range_accepted(self):
         p = BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors")
-        traj = run_numeric("bcm", TWO_NODES, [-2.0, 2.0], p, 1)
+        traj = run_numeric(TWO_NODES, [-2.0, 2.0], p, 1)
         assert traj.tolist() == [[-2.0, 2.0], [0.0, 0.0]]
 
 
@@ -226,10 +225,10 @@ class TestFixedPointExit:
                                 "n": 300, "days": 200, "seed": seed})
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
         beliefs = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population")).beliefs
-        trajectory = run_numeric("fj", g, beliefs, cfg.fj, cfg.days)
+        trajectory = run_numeric(g, beliefs, cfg.fj, cfg.days)
         assert 1 < day_calls["fj_day"] <= 100
         assert day_calls["bcm_day"] == 0
-        expected = full_loop_run_numeric("fj", g, beliefs, cfg.fj, cfg.days)
+        expected = full_loop_run_numeric(g, beliefs, cfg.fj, cfg.days)
         assert same_bits(trajectory, expected)
         assert same_bits(expected[-1], expected[-2]) == (period == 1)
         assert same_bits(expected[-1], expected[-3])
@@ -254,19 +253,19 @@ class TestFixedPointExit:
     def test_day_functions_run_until_a_day_repeats(self, day_calls, engine, params, graph, days, expected_calls):
         g = generate_graph(graph, np.random.default_rng(5))
         beliefs = np.random.default_rng(6).uniform(-2, 2, g.n)
-        trajectory = run_numeric(engine, g, beliefs, params, days)
+        trajectory = run_numeric(g, beliefs, params, days)
         calls = day_calls[f"{engine}_day"]
         if expected_calls == "mid-run":
             assert 1 < calls < days
         else:
             assert calls == expected_calls
         assert sum(day_calls.values()) == calls
-        assert same_bits(trajectory, full_loop_run_numeric(engine, g, beliefs, params, days))
+        assert same_bits(trajectory, full_loop_run_numeric(g, beliefs, params, days))
 
 
 @st.composite
 def numeric_runs(draw):
-    """(engine, graph, initial beliefs, params, days) over both engines, both
+    """(graph, initial beliefs, params, days) over both engines, both
     exposure modes and all three graph kinds, edgeless random graphs included."""
     engine, mode = draw(st.sampled_from(NUMERIC_ENGINES)), draw(st.sampled_from(EXPOSURE_MODES))
     kind, n = draw(st.sampled_from(GRAPH_KINDS)), draw(st.integers(5, 30))
@@ -283,7 +282,7 @@ def numeric_runs(draw):
     else:
         params = FjParams(alpha=draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])), exposure_mode=mode,
                           similarity_threshold=threshold)
-    return engine, g, beliefs, params, draw(st.integers(1, 300))
+    return g, beliefs, params, draw(st.integers(1, 300))
 
 
 def oracle_instance(seed: int):
@@ -335,14 +334,14 @@ def test_fj_day_matches_loop_oracle(seed, exposure_mode, threshold, alpha):
 
 @settings(max_examples=150, deadline=None)
 @given(numeric_runs())
-@example(("fj", complete_graph(6), np.linspace(-2, 2, 6), FjParams(alpha=1.0), 300))
-@example(("bcm", cycle_graph(6), np.linspace(-2, 2, 6), BcmParams(epsilon=0.0), 300))
-@example(("bcm", NetworkGraph.from_edges(6, []), np.linspace(-2, 2, 6), BcmParams(epsilon=4.0, mu=0.5), 300))
-@example(("fj", cycle_graph(6), np.linspace(-2, 2, 6), FjParams(alpha=0.3, exposure_mode="all_neighbors"), 1))
+@example((complete_graph(6), np.linspace(-2, 2, 6), FjParams(alpha=1.0), 300))
+@example((cycle_graph(6), np.linspace(-2, 2, 6), BcmParams(epsilon=0.0), 300))
+@example((NetworkGraph.from_edges(6, []), np.linspace(-2, 2, 6), BcmParams(epsilon=4.0, mu=0.5), 300))
+@example((cycle_graph(6), np.linspace(-2, 2, 6), FjParams(alpha=0.3, exposure_mode="all_neighbors"), 1))
 def test_run_numeric_equals_the_full_loop_bit_for_bit(run_args):
-    engine, g, beliefs, params, days = run_args
-    assert same_bits(run_numeric(engine, g, beliefs, params, days),
-                     full_loop_run_numeric(engine, g, beliefs, params, days))
+    g, beliefs, params, days = run_args
+    assert same_bits(run_numeric(g, beliefs, params, days),
+                     full_loop_run_numeric(g, beliefs, params, days))
 
 
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 0.25, -1.5, 2.0, -2.0])

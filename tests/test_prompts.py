@@ -69,6 +69,16 @@ class TestParsing:
         low = parse_opinion_output("BELIEF: -9\nOPINION: y")
         assert low.belief == -2 and low.clamped
 
+    @pytest.mark.parametrize("sign, end", [("", 2), ("+", 2), ("-", -2)], ids=["unsigned", "plus", "minus"])
+    def test_an_integer_too_long_for_int_clamps_to_the_end_of_its_sign(self, sign, end):
+        out = parse_opinion_output(f"BELIEF: {sign}{'9' * 5000}\nOPINION: x")
+        assert (out.belief, out.clamped, out.opinion_text) == (end, True, "x")
+
+    @pytest.mark.parametrize("sign, value", [("", 1), ("-", -2), ("+", 0)], ids=["one", "minus-two", "plus-zero"])
+    def test_leading_zeros_read_as_the_number(self, sign, value):
+        out = parse_opinion_output(f"BELIEF: {sign}{'0' * 5000}{abs(value)}\nOPINION: x")
+        assert (out.belief, out.clamped) == (value, False)
+
     def test_unstructured_reply_is_an_error(self):
         with pytest.raises(OpinionParseError):
             parse_opinion_output("no structure here")

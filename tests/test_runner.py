@@ -714,7 +714,7 @@ class TestTrajectoryWriter:
         artifacts = run(cfg, tmp_path / "r")
         population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
-        trajectory = run_numeric("fj", g, population.beliefs, cfg.fj, cfg.days)
+        trajectory = run_numeric(g, population.beliefs, cfg.fj, cfg.days)
         written = (artifacts.run_dir / "trajectory.jsonl").read_text(encoding="utf-8")
         assert written == json_dumps_trajectory(trajectory)
 
@@ -778,7 +778,7 @@ class TestSettledDays:
         artifacts = run(cfg, tmp_path / "r")
         population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
-        trajectory = run_numeric(cfg.engine, g, population.beliefs, getattr(cfg, cfg.engine), cfg.days)
+        trajectory = run_numeric(g, population.beliefs, getattr(cfg, cfg.engine), cfg.days)
         bits = trajectory.view(np.int64)
         repeated = [day for day in range(1, cfg.days + 1) if np.array_equal(bits[day], bits[day - 1])]
         assert len(repeated) >= 20
