@@ -5,7 +5,9 @@ simulated day maps the start-of-day lists of the three to new lists:
 
 1. exposure -- every agent hears the start-of-day opinion texts of its
    exposure set (all neighbors, or the similarity-filtered set, capped for
-   context-size control), which are its short-term memory for the day;
+   context-size control), which are its short-term memory for the day. One
+   ``all_exposure_sets`` query gives every agent's set, and each speaker's
+   heard line is rendered once, for every prompt that lists it;
 2. nudge -- the active policy may inject one note per flagged agent;
 3. reflection -- one backend call per agent produces an updated opinion
    text and grid belief (with retries on unparseable replies, falling back
@@ -42,10 +44,12 @@ from .prompts import (
     OpinionOutput,
     build_reflection_prompt,
     build_summary_prompt,
+    heard_items,
     parse_opinion_output,
     stance_statement,
 )
-from .recommendation import DEFAULT_EXPOSURE_CAP, ExposureRule, exposure_set
+from .recommendation import DEFAULT_EXPOSURE_CAP, ExposureRule, all_exposure_sets
+from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
 
 
 class TranscriptEvent(NamedTuple):
@@ -91,9 +95,10 @@ class LlmParams(ExposureRule):
 
 
 def compress_long_term(backend: TextBackend, old_summary: str, day_items, budget: int) -> tuple:
-    """Fold the day's items into the running summary, never exceeding
-    ``budget`` characters; returns (summary, transport_failed). Transport
-    failures fall back to truncating (old summary + newest items)."""
+    """Fold the day's heard items (``prompts.HeardItem``) into the running
+    summary, never exceeding ``budget`` characters; returns (summary,
+    transport_failed). Transport failures fall back to truncating the old
+    summary followed by the items' bare texts."""
     if not day_items:
         return old_summary[:budget], False
     prompt = build_summary_prompt(old_summary, day_items, budget)
@@ -148,15 +153,12 @@ def llm_day(
         raise ParameterError("a passive nudge policy needs a passive feed")
     n = g.n
     start_beliefs = np.array(beliefs, dtype=float)
-    broadcasts = [f"(stance {b:+d}) {text}" for b, text in zip(beliefs, texts)]
+    broadcasts = heard_items(enumerate([f"(stance {b:+d}) {text}" for b, text in zip(beliefs, texts)]))
 
     # phase 1: exposure against start-of-day beliefs; the heard items are short-term memory
-    heard = [
-        exposure_set(g, start_beliefs, i, params.exposure_mode,
-                     cap=params.cap, rng=rng, threshold=params.similarity_threshold)
-        for i in range(n)
-    ]
-    heard_items = [[(j, broadcasts[j]) for j in agents] for agents in heard]
+    heard = all_exposure_sets(g, start_beliefs, params.exposure_mode,
+                              cap=params.cap, rng=rng, threshold=params.similarity_threshold)
+    short_term = [[broadcasts[j] for j in agents] for agents in heard]
 
     # phase 2: nudges, one per flagged agent at most
     nudges: dict = {}
@@ -169,7 +171,7 @@ def llm_day(
 
     # phase 3: reflection; one backend call per agent, retried on bad parses
     prompts = [
-        build_reflection_prompt(population.personas[i], population.topic, long_term[i], heard_items[i],
+        build_reflection_prompt(population.personas[i], population.topic, long_term[i], short_term[i],
                                 OpinionOutput(opinion_text=texts[i], belief=beliefs[i]), nudges.get(i))
         for i in range(n)
     ]
@@ -179,7 +181,7 @@ def llm_day(
     def call(k: int):
         if k < n:
             return _reflect_once(backend, prompts[k], params.retries, params.max_length, params.temperature)
-        return compress_long_term(backend, long_term[k - n], heard_items[k - n], params.long_term_budget)
+        return compress_long_term(backend, long_term[k - n], short_term[k - n], params.long_term_budget)
 
     if params.max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=params.max_in_flight) as pool:

@@ -8,13 +8,17 @@ line; out-of-range integers are clamped to the nearest grid endpoint.
 
 Exposure items embed the speaker's numeric stance (``(stance +1) ...``) so
 the stance signal reaches the model explicitly and a deterministic mock
-backend can act on it.
+backend can act on it. Both templates list what an agent heard as one
+``- Agent {source}: {text}`` line per item. ``heard_items`` renders those lines
+into ``HeardItem``s, and the templates take the items as they are, so a day
+renders each speaker's line once, however many agents hear it and in however
+many prompts.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import OpinionParseError
 from .population import BELIEF_GRID, Persona, clamp_to_grid
@@ -52,6 +56,19 @@ class OpinionOutput(NamedTuple):
     clamped: bool = False
 
 
+class HeardItem(NamedTuple):
+    """One opinion an agent heard: its prompt ``line``, ``- Agent {source}: {text}``,
+    and the bare ``text``, which the truncation fallback of compression keeps."""
+
+    line: str
+    text: str
+
+
+def heard_items(said: Iterable[tuple]) -> list:
+    """The ``HeardItem`` of each ``(source, text)`` pair, in the order given."""
+    return [HeardItem(f"- Agent {source}: {text}", text) for source, text in said]
+
+
 def stance_statement(belief: int) -> str:
     """Canonical opinion text for a grid belief; used for day-0 states."""
     return STANCE_STATEMENTS[clamp_to_grid(belief)]
@@ -61,12 +78,12 @@ def build_reflection_prompt(
     persona: Persona,
     topic: str,
     long_term: str,
-    heard: Sequence[tuple],
+    heard: Sequence[HeardItem],
     current: OpinionOutput,
     nudge: Optional[str] = None,
 ) -> str:
-    """Deterministic daily prompt: persona, topic, long-term summary, today's
-    heard (source, text) items, optional note, current position, reply format."""
+    """Deterministic daily prompt: persona, topic, long-term summary, the lines
+    of today's heard items, optional note, current position, reply format."""
     parts = [
         REFLECTION_HEADER,
         "",
@@ -81,7 +98,7 @@ def build_reflection_prompt(
     ]
     if heard:
         parts += ["", SECTION_HEARD]
-        parts += [f"- Agent {source}: {text}" for source, text in heard]
+        parts += [line for line, _ in heard]
     if nudge is not None:
         parts += ["", SECTION_NOTE, nudge]
     parts += [
@@ -99,7 +116,9 @@ def build_reflection_prompt(
     return "\n".join(parts)
 
 
-def build_summary_prompt(old_summary: str, day_items: Sequence[tuple], budget: int) -> str:
+def build_summary_prompt(old_summary: str, day_items: Sequence[HeardItem], budget: int) -> str:
+    """Deterministic compression prompt: the old notes, the lines of the day's
+    heard items, and the character budget of the rewritten notes."""
     parts = [
         SUMMARY_HEADER,
         "",
@@ -108,7 +127,7 @@ def build_summary_prompt(old_summary: str, day_items: Sequence[tuple], budget: i
         "",
         SECTION_EXCHANGES,
     ]
-    parts += [f"- Agent {source}: {text}" for source, text in day_items]
+    parts += [line for line, _ in day_items]
     parts += [
         "",
         SECTION_FORMAT,

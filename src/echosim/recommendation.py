@@ -42,6 +42,28 @@ def exposure_mask(mode: str, threshold: float, distance: np.ndarray) -> np.ndarr
     return distance <= threshold
 
 
+def _check_query(mode: str, threshold: float, cap: Optional[int]) -> None:
+    """ExposureRule's checks and the cap's, as scalar comparisons: the queries
+    run every day, and ``exposure_set`` once per agent."""
+    if mode not in EXPOSURE_MODES:
+        raise ParameterError(f"exposure_mode must be one of {', '.join(map(repr, EXPOSURE_MODES))}, got {mode!r}")
+    if not 0 <= threshold < INF:  # NaN fails both comparisons
+        raise ParameterError(f"similarity_threshold must be >= 0, got {threshold!r}")
+    if cap is not None and cap < 1:
+        raise ParameterError(f"cap must be >= 1, got {cap}")
+
+
+def _capped(selected: list, cap: Optional[int], rng: Optional[np.random.Generator]) -> list:
+    """``selected`` as it is, or when it holds more than ``cap`` agents a uniform
+    subset of ``cap`` of them drawn from ``rng``, in ascending order again."""
+    if cap is None or len(selected) <= cap:
+        return selected
+    if rng is None:
+        raise ParameterError("capping an exposure set requires an rng")
+    picked = rng.choice(len(selected), size=cap, replace=False)
+    return sorted(selected[k] for k in picked)
+
+
 def exposure_set(
     g: NetworkGraph,
     beliefs,
@@ -60,22 +82,34 @@ def exposure_set(
     supplied ``rng`` (ascending order is restored afterwards). A ``mode`` or
     ``threshold`` that ``ExposureRule`` rejects raises its ParameterError.
     """
-    # ExposureRule's checks as scalar comparisons: this runs n times a day
-    if mode not in EXPOSURE_MODES:
-        raise ParameterError(f"exposure_mode must be one of {', '.join(map(repr, EXPOSURE_MODES))}, got {mode!r}")
-    if not 0 <= threshold < INF:  # NaN fails both comparisons
-        raise ParameterError(f"similarity_threshold must be >= 0, got {threshold!r}")
+    _check_query(mode, threshold, cap)
     if not 0 <= i < g.n:
         raise ParameterError(f"agent index {i} out of range for n={g.n}")
     values = belief_vector(g, beliefs)
     neighbors = g.indices[g.indptr[i]:g.indptr[i + 1]]
     selected = neighbors[exposure_mask(mode, threshold, np.abs(values[neighbors] - values[i]))].tolist()
-    if cap is not None:
-        if cap < 1:
-            raise ParameterError(f"cap must be >= 1, got {cap}")
-        if len(selected) > cap:
-            if rng is None:
-                raise ParameterError("capping an exposure set requires an rng")
-            picked = rng.choice(len(selected), size=cap, replace=False)
-            selected = sorted(selected[k] for k in picked)
-    return selected
+    return _capped(selected, cap, rng)
+
+
+def all_exposure_sets(
+    g: NetworkGraph,
+    beliefs,
+    mode: str,
+    cap: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
+) -> list:
+    """Every agent's exposure set, as ``[exposure_set(g, beliefs, i, mode, cap,
+    rng, threshold) for i in range(g.n)]`` returns them, with the same draws
+    from ``rng`` and the same errors: one ``exposure_mask`` over the belief
+    distance of every CSR entry, the rows cut from one list, and a capped draw,
+    in agent order, only for the rows longer than ``cap``."""
+    _check_query(mode, threshold, cap)
+    values = belief_vector(g, beliefs)
+    keep = exposure_mask(mode, threshold, np.abs(values[g.indices] - values[g.rows]))
+    kept = g.indices[keep].tolist()
+    # bounds[i] is the number of kept entries before row i
+    bounds = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=bounds[1:])
+    bounds = bounds[g.indptr].tolist()
+    return [_capped(kept[start:end], cap, rng) for start, end in zip(bounds, bounds[1:])]

@@ -77,6 +77,8 @@ def _preflight(config: RunConfig) -> Optional[TextBackend]:
 @contextmanager
 def _staged(out: Path, names) -> Iterator[dict]:
     """Yield a UTF-8 text handle with ``\\n`` newlines on ``out/.<name>.tmp`` per name.
+    Each is a new file: whatever stood at that path is unlinked first, so no handle
+    reaches a file that the writer process of a killed run may still hold open.
     On a clean exit each is closed and renamed to ``out/<name>``, in order; on any
     error every one is unlinked, so no partial file stands under a real name, and a
     block that raises renames none. A writer process the block forks onto a handle
@@ -85,8 +87,11 @@ def _staged(out: Path, names) -> Iterator[dict]:
     tmps = {name: out / f".{name}.tmp" for name in names}
     try:
         with ExitStack() as stack:
-            yield {name: stack.enter_context(tmp.open("w", encoding="utf-8", newline="\n"))
-                   for name, tmp in tmps.items()}
+            handles = {}
+            for name, tmp in tmps.items():
+                tmp.unlink(missing_ok=True)
+                handles[name] = stack.enter_context(tmp.open("x", encoding="utf-8", newline="\n"))
+            yield handles
         for name, tmp in tmps.items():
             os.replace(tmp, out / name)
     except BaseException:
@@ -100,8 +105,9 @@ def _written_apart(pairs) -> Iterator[None]:
     """For each ``(handle, render)`` pair, write the text chunks ``render()`` yields to
     ``handle`` from one forked child while the block runs, then reap it: a failed child
     raises OSError naming its exception, and a block that raises kills and reaps it
-    first. Inline, with the same bytes, where forking is unsafe: no ``os.fork``, or
-    other threads, which may hold a lock."""
+    first. A child whose parent was killed outright leaves before its next chunk, as it
+    finds itself re-parented: one ``getppid`` call a chunk. Inline, with the same bytes,
+    where forking is unsafe: no ``os.fork``, or other threads, which may hold a lock."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         for handle, render in pairs:
             handle.writelines(render())
@@ -109,6 +115,7 @@ def _written_apart(pairs) -> Iterator[None]:
         return
     for handle, _ in pairs:
         handle.flush()  # else the child would write the parent's buffered text again
+    parent = os.getpid()
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as report, open(write_end, "wb", buffering=0) as sink:
         pid = os.fork()
@@ -116,7 +123,10 @@ def _written_apart(pairs) -> Iterator[None]:
             status = 1
             try:
                 for handle, render in pairs:
-                    handle.writelines(render())
+                    for chunk in render():
+                        if os.getppid() != parent:  # orphaned: no run will rename what it writes
+                            os._exit(status)
+                        handle.write(chunk)
                     handle.flush()
                 status = 0
             except BaseException as exc:
@@ -178,6 +188,8 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     g = generate_graph(config.graph, component_rng(config.seed, "graph"))
 
     streamed = ("trajectory.jsonl", "transcript.jsonl") if llm else ("trajectory.jsonl",)
+    if not llm:  # _staged replaces every other temporary file a killed run may have left here
+        (run_dir / ".transcript.jsonl.tmp").unlink(missing_ok=True)
     with _staged(run_dir, streamed + ("metrics.csv", "projection.csv", "population.txt", "graph.txt",
                                       "config.yaml", "manifest.txt")) as files:
         if llm:

@@ -28,6 +28,7 @@ from echosim.prompts import (
     OpinionOutput,
     build_reflection_prompt,
     build_summary_prompt,
+    heard_items,
     parse_opinion_output,
 )
 from echosim.runner import run
@@ -39,7 +40,7 @@ TOPIC = "Euthanasia should be legal."
 
 
 def reflection_prompt(own, heard=(), nudge=None):
-    items = [(j, f"(stance {b:+d}) text {j}") for j, b in enumerate(heard)]
+    items = heard_items((j, f"(stance {b:+d}) text {j}") for j, b in enumerate(heard))
     current = OpinionOutput(opinion_text="current view", belief=own)
     return build_reflection_prompt(PERSONA, TOPIC, "", items, current, nudge)
 
@@ -85,22 +86,21 @@ class TestMockRule:
 
 class TestMockSummary:
     def test_digest_keeps_newest_items_within_budget(self):
-        items = [(j, f"(stance +1) message {j}") for j in range(6)]
+        items = heard_items((j, f"(stance +1) message {j}") for j in range(6))
         prompt = build_summary_prompt("old notes", items, 600)
         digest = mock_summary_rule(prompt)
-        expected = "; ".join(f"Agent {j}: (stance +1) message {j}" for j, _ in items[-MOCK_DIGEST_ITEMS:])
+        expected = "; ".join(f"Agent {j}: (stance +1) message {j}" for j in range(6)[-MOCK_DIGEST_ITEMS:])
         assert digest == expected
         assert len(digest) <= 600
 
     def test_budget_truncation(self):
-        items = [(1, "(stance 0) " + "x" * 400)]
-        prompt = build_summary_prompt("", items, 50)
+        prompt = build_summary_prompt("", heard_items([(1, "(stance 0) " + "x" * 400)]), 50)
         assert len(mock_summary_rule(prompt)) <= 50
 
     def test_backend_dispatches_on_prompt_kind(self):
         backend = MockBackend()
         assert backend.name == "mock"
-        summary = backend.complete(build_summary_prompt("", [(1, "(stance 0) hi")], 100), 64, 0.0)
+        summary = backend.complete(build_summary_prompt("", heard_items([(1, "(stance 0) hi")]), 100), 64, 0.0)
         assert "BELIEF:" not in summary
         reply = backend.complete(reflection_prompt(0), 64, 0.7)
         assert reply.startswith("BELIEF:")
@@ -121,20 +121,20 @@ class TestCompression:
         assert compress_long_term(MockBackend(), "keep me", [], 600) == ("keep me", False)
 
     def test_mock_digest_matches_rule(self):
-        items = [(j, f"(stance -1) note {j}") for j in range(5)]
+        items = heard_items((j, f"(stance -1) note {j}") for j in range(5))
         out, failed = compress_long_term(MockBackend(), "old", items, 600)
-        expected = "; ".join(f"Agent {j}: (stance -1) note {j}" for j, _ in items[-MOCK_DIGEST_ITEMS:])
+        expected = "; ".join(f"Agent {j}: (stance -1) note {j}" for j in range(5)[-MOCK_DIGEST_ITEMS:])
         assert out == expected and failed is False
 
     def test_transport_failure_falls_back_to_truncation(self):
-        items = [(1, "aaa"), (2, "bbb")]
+        items = heard_items([(1, "aaa"), (2, "bbb")])
         out, failed = compress_long_term(FailingBackend(), "old summary", items, 18)
         assert out == "old summary aaa bb"
         assert failed is True
         assert len(out) <= 18
 
     def test_result_never_exceeds_budget(self):
-        items = [(j, "(stance +2) " + "y" * 300) for j in range(4)]
+        items = heard_items((j, "(stance +2) " + "y" * 300) for j in range(4))
         out, _ = compress_long_term(MockBackend(), "z" * 500, items, 100)
         assert len(out) <= 100
 

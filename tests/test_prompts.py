@@ -8,6 +8,7 @@ from echosim.prompts import (
     OpinionOutput,
     build_reflection_prompt,
     build_summary_prompt,
+    heard_items,
     parse_opinion_output,
     stance_statement,
 )
@@ -28,12 +29,11 @@ class TestReflectionPrompt:
         assert "Stance value: +1" in prompt
 
     def test_short_term_items_appear_verbatim(self):
-        heard = [(3, "(stance -1) first take"),
-                 (7, "(stance +2) second take"),
-                 (9, "(stance 0) third take")]
+        heard = heard_items([(3, "(stance -1) first take"),
+                             (7, "(stance +2) second take"),
+                             (9, "(stance 0) third take")])
         prompt = build_reflection_prompt(PERSONA, TOPIC, "", heard, CURRENT)
-        for _, text in heard:
-            assert text in prompt
+        assert SECTION_HEARD + "\n" + "\n".join(line for line, _ in heard) + "\n\n" in prompt
         assert prompt.count(SECTION_HEARD) == 1
 
     def test_nudge_block_appears_exactly_once(self):
@@ -50,9 +50,15 @@ class TestReflectionPrompt:
 
 class TestSummaryPrompt:
     def test_contains_items_and_budget(self):
-        prompt = build_summary_prompt("old", [(4, "(stance +1) hello")], 600)
+        prompt = build_summary_prompt("old", heard_items([(4, "(stance +1) hello")]), 600)
         assert "- Agent 4: (stance +1) hello" in prompt
         assert "at most 600 characters" in prompt
+
+
+def test_a_heard_item_is_its_prompt_line_and_its_bare_text():
+    items = heard_items([(4, "(stance +1) hello"), (0, "")])
+    assert items == [("- Agent 4: (stance +1) hello", "(stance +1) hello"), ("- Agent 0: ", "")]
+    assert [(item.line, item.text) for item in items] == items
 
 
 class TestParsing:

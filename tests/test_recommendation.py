@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echosim.errors import ParameterError
-from echosim.graphs import NetworkGraph
+from echosim.graphs import GRAPH_KINDS, NetworkGraph, default_graph_spec, generate_graph
 from echosim.language import LlmParams
 from echosim.numeric import BcmParams, FjParams
-from echosim.recommendation import ExposureRule, exposure_set
+from echosim.recommendation import EXPOSURE_MODES, ExposureRule, all_exposure_sets, exposure_set
 from helpers import cycle_graph, random_instance, star_graph
 
 
@@ -138,3 +138,46 @@ def test_exposure_set_rejects_a_mode_in_the_rule_s_words():
     with pytest.raises(ParameterError) as rule_error:
         ExposureRule(exposure_mode="everything").validate()
     assert str(exposure_error.value) == str(rule_error.value)
+
+
+def exposure_graph(kind: str, n: int, seed: int) -> NetworkGraph:
+    """A generated graph of ``kind``, or for "isolated" a scale-free one with three
+    nodes of no edge added, one before every other node."""
+    g = generate_graph(default_graph_spec(kind if kind in GRAPH_KINDS else "scale_free", n),
+                       np.random.default_rng(seed))
+    if kind == "isolated":
+        i, j = g.upper()
+        g = NetworkGraph.from_edges(n + 3, np.stack([i + 1, j + 1], axis=1))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(GRAPH_KINDS + ("isolated",)), n=st.integers(5, 40), seed=st.integers(0, 10_000),
+       mode=st.sampled_from(EXPOSURE_MODES), threshold=st.sampled_from([0.0, 2.0, 10.0]),
+       cap=st.sampled_from([None, 1, 8]), tied=st.booleans())
+def test_all_exposure_sets_equal_one_query_per_agent(kind, n, seed, mode, threshold, cap, tied):
+    g = exposure_graph(kind, n, seed)
+    draw = np.random.default_rng(seed + 1)
+    # grid beliefs tie often, and many of their distances equal a threshold of 0 or 2
+    beliefs = draw.integers(-2, 3, g.n).astype(float) if tied else draw.uniform(-2, 2, g.n)
+    per_agent, whole_day = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = [exposure_set(g, beliefs, i, mode, cap, per_agent, threshold) for i in range(g.n)]
+    assert all_exposure_sets(g, beliefs, mode, cap, whole_day, threshold) == expected
+    assert whole_day.bit_generator.state == per_agent.bit_generator.state
+
+
+@pytest.mark.parametrize("mode, threshold, cap", [
+    ("everything", 2.0, None),
+    ("recommended", -1.0, None),
+    ("recommended", math.nan, 8),
+    ("all_neighbors", 2.0, 0),
+    ("all_neighbors", 2.0, 3),  # bites at the hub, the last agent, and no rng is given
+], ids=["bad mode", "negative threshold", "NaN threshold", "cap below 1", "cap without rng"])
+def test_all_exposure_sets_raise_what_one_query_per_agent_raises(mode, threshold, cap):
+    g = NetworkGraph.from_edges(8, [(7, i) for i in range(7)])
+    beliefs = [0.0] * 8
+    with pytest.raises(ParameterError) as per_agent:
+        [exposure_set(g, beliefs, i, mode, cap, None, threshold) for i in range(g.n)]
+    with pytest.raises(ParameterError) as whole_day:
+        all_exposure_sets(g, beliefs, mode, cap, None, threshold)
+    assert str(whole_day.value) == str(per_agent.value)

@@ -1,8 +1,11 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -665,6 +668,114 @@ class TestWriterProcess:
         assert_no_child_process()
         assert not list(d.glob(".*.tmp"))
         assert read_all(d) == earlier
+
+
+# Runs a config into a directory, as a process a test can SIGKILL where the run blocks.
+# A numeric run's forked writer writes day 0, then an empty chunk every CHUNK_S seconds
+# for BLOCK_S seconds, then the other days; an llm run blocks in its day 2. Each writes
+# its pid to the marker file where it blocks: the writer's, or the run's.
+KILLABLE_RUN = """
+import json, os, sys, time
+import echosim.runner as runner
+from echosim.config import config_from_dict
+
+out, marker, over, block_s, chunk_s = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), *map(float, sys.argv[4:])
+
+def mark():
+    with open(marker + ".new", "w") as f:
+        f.write(str(os.getpid()))
+    os.replace(marker + ".new", marker)
+
+real_chunks, real_lines = runner.trajectory_chunks, runner.grid_day_lines
+
+def trajectory_chunks(trajectory):
+    chunks = real_chunks(trajectory)
+    yield next(chunks)
+    mark()
+    for _ in range(round(block_s / chunk_s)):
+        time.sleep(chunk_s)
+        yield ""
+    yield from chunks
+
+def grid_day_lines(day, beliefs, texts):
+    if day == 2:
+        mark()
+        time.sleep(block_s)
+    return real_lines(day, beliefs, texts)
+
+runner.trajectory_chunks, runner.grid_day_lines = trajectory_chunks, grid_day_lines
+runner.run(config_from_dict(over), out)
+"""
+BLOCK_S = 10.0
+CHUNK_S = 0.05
+
+
+def kill_where_it_blocks(tmp_path, out, over) -> tuple:
+    """SIGKILL a ``KILLABLE_RUN`` of ``over`` into ``out`` once it blocks, and reap it;
+    returns the pid it marked and the ``time.monotonic()`` of the kill."""
+    marker = tmp_path / "blocked.pid"
+    env = {**os.environ, "PYTHONPATH": str(Path(echosim.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", KILLABLE_RUN, str(out), str(marker), json.dumps(over),
+                             str(BLOCK_S), str(CHUNK_S)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None, "the run ended before it blocked"
+            assert time.monotonic() < deadline, "the run did not block within 60 s"
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    return int(marker.read_text()), time.monotonic()
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` still runs; a zombie that no process has reaped yet does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def seconds_until_gone(pid: int, since: float, timeout: float) -> float:
+    """Seconds from ``since`` until ``pid`` stops running, or ``timeout`` if it still runs then."""
+    while running(pid) and time.monotonic() < since + timeout:
+        time.sleep(0.01)
+    return time.monotonic() - since
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.exists("/proc/self/stat"),
+                    reason="needs os.fork and a Linux /proc")
+class TestKilledRun:
+    """A run killed outright (SIGKILL) cleans nothing up, and its writer child outlives
+    it. The next run into its directory must write exactly what it writes into an empty
+    one, hidden files included."""
+
+    def test_an_orphaned_writer_leaves_at_its_next_chunk(self, tmp_path):
+        writer, killed_at = kill_where_it_blocks(tmp_path, tmp_path / "d", cfg_dict(engine="bcm", n=60, days=30))
+        # the blocking render would end BLOCK_S seconds after the kill
+        assert seconds_until_gone(writer, killed_at, BLOCK_S) < BLOCK_S / 5
+
+    def test_a_rerun_after_a_killed_run_equals_a_fresh_run(self, tmp_path):
+        d = tmp_path / "d"
+        writer, killed_at = kill_where_it_blocks(tmp_path, d, cfg_dict(engine="bcm", n=60, days=30))
+        assert {".trajectory.jsonl.tmp", ".metrics.csv.tmp"} <= {p.name for p in d.iterdir()}
+        cfg = config_from_dict(cfg_dict(engine="bcm", n=20, days=30, seed=2))
+        run(cfg, d)
+        # had the killed run's writer gone on, it would have written the other days by now
+        seconds_until_gone(writer, killed_at, BLOCK_S + 30)
+        assert not running(writer)
+        assert read_tree(d) == read_tree(run(cfg, tmp_path / "fresh").run_dir)
+
+    def test_a_numeric_rerun_after_a_killed_llm_run_leaves_no_temporary_file(self, tmp_path):
+        d = tmp_path / "d"
+        kill_where_it_blocks(tmp_path, d, cfg_dict(engine="llm", n=10, days=4))
+        assert (d / ".transcript.jsonl.tmp").is_file()
+        cfg = config_from_dict(cfg_dict(engine="fj"))
+        run(cfg, d)
+        assert not (d / ".transcript.jsonl.tmp").exists()
+        assert read_tree(d) == read_tree(run(cfg, tmp_path / "fresh").run_dir)
 
 
 def json_dumps_trajectory(trajectory) -> str:
