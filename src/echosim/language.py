@@ -172,7 +172,7 @@ def llm_day(
     # phase 3: reflection; one backend call per agent, retried on bad parses
     prompts = [
         build_reflection_prompt(population.personas[i], population.topic, long_term[i], short_term[i],
-                                OpinionOutput(opinion_text=texts[i], belief=beliefs[i]), nudges.get(i))
+                                OpinionOutput(texts[i], beliefs[i]), nudges.get(i))
         for i in range(n)
     ]
 
@@ -191,11 +191,12 @@ def llm_day(
 
     # the day barrier: apply results and log each agent's events in the order they happened
     new_beliefs, new_texts, events = list(beliefs), list(texts), []
+    names = [str(j) for j in range(n)]  # each agent's index as the exposure payloads list it
     for i, ((parsed, flags), (_, summary_failed)) in enumerate(zip(results[:n], results[n:])):
         before = beliefs[i]
         after = parsed.belief if parsed else before
         if heard[i]:
-            events.append(TranscriptEvent(day, i, "exposure", ",".join(map(str, heard[i]))))
+            events.append(TranscriptEvent(day, i, "exposure", ",".join([names[j] for j in heard[i]])))
         if i in nudges:
             events.append(TranscriptEvent(day, i, "nudge", nudges[i], belief_before=before))
         events.append(TranscriptEvent(day, i, "reflection", ";".join(flags) if flags else "ok",

@@ -44,6 +44,16 @@ STANCE_STATEMENTS = {
     2: "I strongly support this.",
 }
 
+# the reply format that ends every reflection prompt, after a blank line
+REFLECTION_FORMAT = "\n".join([
+    "",
+    SECTION_FORMAT,
+    "Think about what you heard today and whether it changes your view.",
+    "Reply with exactly two lines:",
+    "BELIEF: <integer from -2 (strongly oppose) to 2 (strongly support)>",
+    "OPINION: <one or two sentences giving your current view>",
+])
+
 _BELIEF_RE = re.compile(r"BELIEF:\s*([+-]?)0*(\d+)")  # sign, then the digits without leading zeros
 _OPINION_RE = re.compile(r"OPINION:\s*(.+)", re.DOTALL)
 
@@ -106,12 +116,7 @@ def build_reflection_prompt(
         SECTION_POSITION,
         f"Stance value: {current.belief:+d}",
         f"Statement: {current.opinion_text}",
-        "",
-        SECTION_FORMAT,
-        "Think about what you heard today and whether it changes your view.",
-        "Reply with exactly two lines:",
-        "BELIEF: <integer from -2 (strongly oppose) to 2 (strongly support)>",
-        "OPINION: <one or two sentences giving your current view>",
+        REFLECTION_FORMAT,
     ]
     return "\n".join(parts)
 
