@@ -45,7 +45,7 @@ STANCE_STATEMENTS = {
 }
 
 # the reply format that ends every reflection prompt, after a blank line
-REFLECTION_FORMAT = "\n".join([
+_REFLECTION_FORMAT = "\n".join([
     "",
     SECTION_FORMAT,
     "Think about what you heard today and whether it changes your view.",
@@ -116,7 +116,7 @@ def build_reflection_prompt(
         SECTION_POSITION,
         f"Stance value: {current.belief:+d}",
         f"Statement: {current.opinion_text}",
-        REFLECTION_FORMAT,
+        _REFLECTION_FORMAT,
     ]
     return "\n".join(parts)
 
