@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -241,27 +241,38 @@ def degree_sequence(g: NetworkGraph) -> list:
     return np.diff(g.indptr).tolist()
 
 
-def hop_distances(g: NetworkGraph, source: int) -> list:
-    """BFS hop count from ``source`` to every node; unreachable nodes get ``None``."""
+def hop_layers(g: NetworkGraph, source: int) -> Iterator[np.ndarray]:
+    """Breadth-first search from ``source``: one array per hop count from 1 on,
+    of the nodes first reached at that count, each once, in no set order. A
+    search stopped after a layer has read only the rows of the layers before it."""
     if not 0 <= source < g.n:
         raise ParameterError(f"source {source} out of range for n={g.n}")
-    dist = np.full(g.n, -1)
-    dist[source] = 0
+    seen = np.zeros(g.n, dtype=bool)
+    seen[source] = True
     slot = np.empty(g.n, dtype=np.intp)
     frontier = np.array([source])
-    hops = 0
-    while frontier.size:
-        hops += 1
+    while True:
         # the CSR entries of the frontier's rows only, so a whole search reads each entry once
         starts, counts = g.indptr[frontier], g.indptr[frontier + 1] - g.indptr[frontier]
         ends = np.cumsum(counts)
         reached = g.indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
-        reached = reached[dist[reached] < 0]
-        dist[reached] = hops
+        reached = reached[~seen[reached]]
+        if not reached.size:
+            return
+        seen[reached] = True
         # one copy of each node: the position whose write to ``slot`` stood
         positions = np.arange(reached.size)
         slot[reached] = positions
         frontier = reached[slot[reached] == positions]
+        yield frontier
+
+
+def hop_distances(g: NetworkGraph, source: int) -> list:
+    """BFS hop count from ``source`` to every node; unreachable nodes get ``None``."""
+    dist = np.full(g.n, -1)
+    for hops, layer in enumerate(hop_layers(g, source), 1):
+        dist[layer] = hops
+    dist[source] = 0  # after the search has checked ``source``
     return [None if d < 0 else d for d in dist.tolist()]
 
 

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, check_fields
-from .graphs import NetworkGraph, hop_distances
+from .graphs import NetworkGraph, hop_layers
 
 NUDGE_KINDS = ("none", "active", "passive")
 
@@ -53,19 +53,24 @@ def active_nudge_content(
     On the integer grid, the agents most opposed to a positive target hold the
     population's lowest belief, and those most opposed to a negative one its
     highest, if that belief has the opposite sign. Ties break toward the
-    candidate nearest to the target in the graph, then toward the lowest
-    index. Returns None when no agent holds an opposite-sign belief.
+    candidate nearest to the target in the graph, found by a breadth-first
+    search that stops at the first hop layer holding one, then toward the
+    lowest index. Returns None when no agent holds an opposite-sign belief.
     """
     beliefs = np.asarray(beliefs, dtype=float)
     own = beliefs[target]
     far = beliefs.min() if own > 0 else beliefs.max()
     if not far * own < 0:  # also a neutral target
         return None
-    tied = np.flatnonzero(beliefs == far).tolist()
-    if len(tied) > 1:
-        dist = hop_distances(g, target)
-        tied.sort(key=lambda j: (dist[j] if dist[j] is not None else float("inf"), j))
-    return f'{ACTIVE_NUDGE_PREFIX}"{opinion_texts[tied[0]]}"'
+    tied = beliefs == far
+    winner = np.argmax(tied)  # the lowest index, kept when no tied candidate is reachable
+    if np.count_nonzero(tied) > 1:
+        for layer in hop_layers(g, target):
+            nearest = layer[tied[layer]]
+            if nearest.size:
+                winner = nearest.min()
+                break
+    return f'{ACTIVE_NUDGE_PREFIX}"{opinion_texts[winner]}"'
 
 
 def passive_nudge_feed(rng: np.random.Generator, texts: Sequence[str] = DEFAULT_PASSIVE_TEXTS) -> Iterator[str]:

@@ -6,13 +6,14 @@ simulated day maps the start-of-day lists of the three to new lists:
 1. exposure -- every agent hears the start-of-day opinion texts of its
    exposure set (all neighbors, or the similarity-filtered set, capped for
    context-size control), which are its short-term memory for the day. One
-   ``all_exposure_sets`` query gives every agent's set, and each speaker's
-   heard line is rendered once, for every prompt that lists it;
+   ``all_exposure_sets`` query gives every agent's set, each speaker's heard
+   line is rendered once, and each agent's lines are joined once into the
+   block that both of its prompts list;
 2. nudge -- the active policy may inject one note per flagged agent;
 3. reflection -- one backend call per agent produces an updated opinion
    text and grid belief (with retries on unparseable replies, falling back
    to the previous belief);
-4. compression -- the heard items are folded into the budget-bounded
+4. compression -- the heard block is folded into the budget-bounded
    long-term summary.
 
 All exposures read start-of-day state, so the day is synchronous. A
@@ -31,7 +32,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,14 +41,7 @@ from .errors import INF, BackendError, OpinionParseError, ParameterError, check_
 from .graphs import NetworkGraph
 from .interventions import NudgePolicy, active_nudge_content, passive_nudge_feed, select_targets
 from .population import Population
-from .prompts import (
-    OpinionOutput,
-    build_reflection_prompt,
-    build_summary_prompt,
-    heard_items,
-    parse_opinion_output,
-    stance_statement,
-)
+from .prompts import build_reflection_prompt, build_summary_prompt, heard_lines, parse_opinion_output, stance_statement
 from .recommendation import DEFAULT_EXPOSURE_CAP, ExposureRule, all_exposure_sets
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
 
@@ -94,19 +88,20 @@ class LlmParams(ExposureRule):
     max_in_flight: int = field(default=4, metadata={"range": ("[", 1, 64, "]")})
 
 
-def compress_long_term(backend: TextBackend, old_summary: str, day_items, budget: int) -> tuple:
-    """Fold the day's heard items (``prompts.HeardItem``) into the running
-    summary, never exceeding ``budget`` characters; returns (summary,
-    transport_failed). Transport failures fall back to truncating the old
-    summary followed by the items' bare texts."""
-    if not day_items:
+def compress_long_term(backend: TextBackend, old_summary: str, heard: str, budget: int,
+                       heard_texts: Iterable[str]) -> tuple:
+    """Fold the day's block of heard lines into the running summary, never
+    exceeding ``budget`` characters; returns (summary, transport_failed).
+    Transport failures fall back to truncating the old summary followed by
+    ``heard_texts``, the heard agents' bare texts, which only that reads."""
+    if not heard:
         return old_summary[:budget], False
-    prompt = build_summary_prompt(old_summary, day_items, budget)
+    prompt = build_summary_prompt(old_summary, heard, budget)
     try:
         out = backend.complete(prompt, max_length=max(64, budget // 2), temperature=0.0)
         return out.strip()[:budget], False
     except BackendError:
-        joined = " ".join(text for _, text in day_items)
+        joined = " ".join(heard_texts)
         return f"{old_summary} {joined}".strip()[:budget], True
 
 
@@ -153,12 +148,13 @@ def llm_day(
         raise ParameterError("a passive nudge policy needs a passive feed")
     n = g.n
     start_beliefs = np.array(beliefs, dtype=float)
-    broadcasts = heard_items(enumerate([f"(stance {b:+d}) {text}" for b, text in zip(beliefs, texts)]))
+    said = [f"(stance {b:+d}) {text}" for b, text in zip(beliefs, texts)]
 
-    # phase 1: exposure against start-of-day beliefs; the heard items are short-term memory
+    # phase 1: exposure against start-of-day beliefs; the heard lines are short-term memory
     heard = all_exposure_sets(g, start_beliefs, params.exposure_mode,
                               cap=params.cap, rng=rng, threshold=params.similarity_threshold)
-    short_term = [[broadcasts[j] for j in agents] for agents in heard]
+    lines = heard_lines(said)
+    blocks = ["\n".join([lines[j] for j in agents]) for agents in heard]
 
     # phase 2: nudges, one per flagged agent at most
     nudges: dict = {}
@@ -171,8 +167,8 @@ def llm_day(
 
     # phase 3: reflection; one backend call per agent, retried on bad parses
     prompts = [
-        build_reflection_prompt(population.personas[i], population.topic, long_term[i], short_term[i],
-                                OpinionOutput(texts[i], beliefs[i]), nudges.get(i))
+        build_reflection_prompt(population.personas[i], population.topic, long_term[i], blocks[i],
+                                beliefs[i], texts[i], nudges.get(i))
         for i in range(n)
     ]
 
@@ -181,7 +177,9 @@ def llm_day(
     def call(k: int):
         if k < n:
             return _reflect_once(backend, prompts[k], params.retries, params.max_length, params.temperature)
-        return compress_long_term(backend, long_term[k - n], short_term[k - n], params.long_term_budget)
+        i = k - n
+        return compress_long_term(backend, long_term[i], blocks[i], params.long_term_budget,
+                                  (said[j] for j in heard[i]))
 
     if params.max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=params.max_in_flight) as pool:

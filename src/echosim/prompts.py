@@ -9,16 +9,15 @@ line; out-of-range integers are clamped to the nearest grid endpoint.
 Exposure items embed the speaker's numeric stance (``(stance +1) ...``) so
 the stance signal reaches the model explicitly and a deterministic mock
 backend can act on it. Both templates list what an agent heard as one
-``- Agent {source}: {text}`` line per item. ``heard_items`` renders those lines
-into ``HeardItem``s, and the templates take the items as they are, so a day
-renders each speaker's line once, however many agents hear it and in however
-many prompts.
+``- Agent {source}: {text}`` line per item, and take those lines as one block,
+joined by newlines: ``heard_lines`` renders every speaker's line once a day, and
+the language engine joins each listener's block once, for both of its prompts.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import OpinionParseError
 from .population import BELIEF_GRID, Persona, clamp_to_grid
@@ -66,17 +65,9 @@ class OpinionOutput(NamedTuple):
     clamped: bool = False
 
 
-class HeardItem(NamedTuple):
-    """One opinion an agent heard: its prompt ``line``, ``- Agent {source}: {text}``,
-    and the bare ``text``, which the truncation fallback of compression keeps."""
-
-    line: str
-    text: str
-
-
-def heard_items(said: Iterable[tuple]) -> list:
-    """The ``HeardItem`` of each ``(source, text)`` pair, in the order given."""
-    return [HeardItem(f"- Agent {source}: {text}", text) for source, text in said]
+def heard_lines(texts: Sequence[str]) -> list:
+    """The prompt line of each agent's text, ``- Agent {j}: {text}``, by index."""
+    return [f"- Agent {j}: {text}" for j, text in enumerate(texts)]
 
 
 def stance_statement(belief: int) -> str:
@@ -88,58 +79,28 @@ def build_reflection_prompt(
     persona: Persona,
     topic: str,
     long_term: str,
-    heard: Sequence[HeardItem],
-    current: OpinionOutput,
+    heard: str,
+    belief: int,
+    text: str,
     nudge: Optional[str] = None,
 ) -> str:
-    """Deterministic daily prompt: persona, topic, long-term summary, the lines
-    of today's heard items, optional note, current position, reply format."""
-    parts = [
-        REFLECTION_HEADER,
-        "",
-        SECTION_PROFILE,
-        persona.card,
-        "",
-        SECTION_TOPIC,
-        topic,
-        "",
-        SECTION_MEMORY,
-        long_term if long_term else "Nothing so far.",
-    ]
-    if heard:
-        parts += ["", SECTION_HEARD]
-        parts += [line for line, _ in heard]
-    if nudge is not None:
-        parts += ["", SECTION_NOTE, nudge]
-    parts += [
-        "",
-        SECTION_POSITION,
-        f"Stance value: {current.belief:+d}",
-        f"Statement: {current.opinion_text}",
-        _REFLECTION_FORMAT,
-    ]
-    return "\n".join(parts)
+    """Deterministic daily prompt: persona, topic, long-term summary, the block
+    of today's heard lines (no section when it is empty), optional note, the
+    current position (grid ``belief`` and opinion ``text``), reply format."""
+    heard = f"\n\n{SECTION_HEARD}\n{heard}" if heard else ""
+    note = "" if nudge is None else f"\n\n{SECTION_NOTE}\n{nudge}"
+    return (f"{REFLECTION_HEADER}\n\n{SECTION_PROFILE}\n{persona.card}\n\n{SECTION_TOPIC}\n{topic}\n\n"
+            f"{SECTION_MEMORY}\n{long_term or 'Nothing so far.'}{heard}{note}\n\n"
+            f"{SECTION_POSITION}\nStance value: {belief:+d}\nStatement: {text}\n{_REFLECTION_FORMAT}")
 
 
-def build_summary_prompt(old_summary: str, day_items: Sequence[HeardItem], budget: int) -> str:
-    """Deterministic compression prompt: the old notes, the lines of the day's
-    heard items, and the character budget of the rewritten notes."""
-    parts = [
-        SUMMARY_HEADER,
-        "",
-        SECTION_OLD_NOTES,
-        old_summary if old_summary else "(none)",
-        "",
-        SECTION_EXCHANGES,
-    ]
-    parts += [line for line, _ in day_items]
-    parts += [
-        "",
-        SECTION_FORMAT,
-        f"Rewrite the notes to at most {budget} characters, keeping what will matter",
-        "in future conversations. Reply with the notes text only.",
-    ]
-    return "\n".join(parts)
+def build_summary_prompt(old_summary: str, heard: str, budget: int) -> str:
+    """Deterministic compression prompt: the old notes, the block of the day's
+    heard lines, and the character budget of the rewritten notes."""
+    heard = f"{heard}\n" if heard else ""
+    return (f"{SUMMARY_HEADER}\n\n{SECTION_OLD_NOTES}\n{old_summary or '(none)'}\n\n{SECTION_EXCHANGES}\n{heard}\n"
+            f"{SECTION_FORMAT}\nRewrite the notes to at most {budget} characters, keeping what will matter\n"
+            "in future conversations. Reply with the notes text only.")
 
 
 def parse_opinion_output(raw: str) -> OpinionOutput:
@@ -156,9 +117,10 @@ def parse_opinion_output(raw: str) -> OpinionOutput:
     sign, digits = belief_match.groups()
     if len(digits) > 3:  # off the grid whatever the digits, and int() refuses more than 4,300 of them
         digits = "999"
-    value = int(sign + digits)
-    clamped = not BELIEF_GRID[0] <= value <= BELIEF_GRID[-1]
-    belief = clamp_to_grid(value)
+    belief = int(sign + digits)
+    clamped = not BELIEF_GRID[0] <= belief <= BELIEF_GRID[-1]
+    if clamped:
+        belief = clamp_to_grid(belief)
 
     opinion_match = _OPINION_RE.search(raw)
     if opinion_match is not None:

@@ -53,6 +53,12 @@ _STREAMS = {"graph": 0, "population": 1, "engine": 2, "layout": 3}
 
 DELTA_ROWS = ("delta_polarization", "delta_global_disagreement", "delta_nci")
 
+# every file a run writes, the transcript (llm runs only) first and the manifest,
+# which marks a complete run, last; and their names while staged
+_RUN_FILES = ("transcript.jsonl", "trajectory.jsonl", "metrics.csv", "projection.csv", "population.txt",
+             "graph.txt", "config.yaml", "manifest.txt")
+_RUN_NAMES = frozenset(_RUN_FILES) | {f".{name}.tmp" for name in _RUN_FILES}
+
 
 def component_rng(seed: int, component: str) -> np.random.Generator:
     return np.random.default_rng([seed, _STREAMS[component]])
@@ -158,19 +164,28 @@ def _write_files(out: Path, files: dict) -> None:
             handles[name].write(text)
 
 
+def _a_run_wrote(path: Path) -> bool:
+    """Whether ``path`` is a run's directory: it holds a ``manifest.txt``, or it is a
+    directory of nothing but run files and their temporary copies, as a run killed
+    before its renames leaves it (an empty one too)."""
+    if (path / "manifest.txt").is_file():
+        return True
+    return path.is_dir() and all(entry.name in _RUN_NAMES and entry.is_file() for entry in path.iterdir())
+
+
 def _multi_run_dir(out_dir, pattern: str, tables, configs) -> Path:
     """Check every config and build its backend, so a bad config or a missing API
     key fails with ``out_dir`` untouched; then make ``out_dir`` and remove its
-    ``tables`` and each directory named by ``pattern`` that holds a ``manifest.txt``,
-    so a run wrote it. From the first run on, the directory holds no run or table
-    of an earlier call, however this call ends."""
+    ``tables`` and each directory named by ``pattern`` that a run wrote, whole or
+    killed, and none that holds any other file. From the first run on, the
+    directory holds no run or table of an earlier call, however this call ends."""
     for cfg in configs:
         _preflight(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_files(out, dict.fromkeys(tables))
     for path in out.iterdir():
-        if re.fullmatch(pattern, path.name) and (path / "manifest.txt").is_file():
+        if re.fullmatch(pattern, path.name) and _a_run_wrote(path):
             shutil.rmtree(path)
     return out
 
@@ -187,11 +202,9 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     population = init_population(config.n, config.topic, llm, component_rng(config.seed, "population"))
     g = generate_graph(config.graph, component_rng(config.seed, "graph"))
 
-    streamed = ("trajectory.jsonl", "transcript.jsonl") if llm else ("trajectory.jsonl",)
     if not llm:  # _staged replaces every other temporary file a killed run may have left here
         (run_dir / ".transcript.jsonl.tmp").unlink(missing_ok=True)
-    with _staged(run_dir, streamed + ("metrics.csv", "projection.csv", "population.txt", "graph.txt",
-                                      "config.yaml", "manifest.txt")) as files:
+    with _staged(run_dir, _RUN_FILES if llm else _RUN_FILES[1:]) as files:
         if llm:
             def write_day(day, beliefs, texts, events):
                 files["trajectory.jsonl"].write(grid_day_lines(day, beliefs, texts))

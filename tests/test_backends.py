@@ -24,13 +24,7 @@ from echosim.config import config_from_dict
 from echosim.errors import BackendError, ParameterError
 from echosim.language import compress_long_term
 from echosim.population import Persona
-from echosim.prompts import (
-    OpinionOutput,
-    build_reflection_prompt,
-    build_summary_prompt,
-    heard_items,
-    parse_opinion_output,
-)
+from echosim.prompts import build_reflection_prompt, build_summary_prompt, heard_lines, parse_opinion_output
 from echosim.runner import run
 from loopback import CLOSE, DROP, MALFORMED, REFUSAL, STALL, LoopbackServer
 
@@ -40,9 +34,8 @@ TOPIC = "Euthanasia should be legal."
 
 
 def reflection_prompt(own, heard=(), nudge=None):
-    items = heard_items((j, f"(stance {b:+d}) text {j}") for j, b in enumerate(heard))
-    current = OpinionOutput(opinion_text="current view", belief=own)
-    return build_reflection_prompt(PERSONA, TOPIC, "", items, current, nudge)
+    block = "\n".join(heard_lines([f"(stance {b:+d}) text {j}" for j, b in enumerate(heard)]))
+    return build_reflection_prompt(PERSONA, TOPIC, "", block, own, "current view", nudge)
 
 
 class TestMockRule:
@@ -70,8 +63,7 @@ class TestMockRule:
         assert out.belief == -1
 
     def test_stale_stances_in_memory_are_not_exposures(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "Agent 9: (stance +2) old extreme take", [],
-                                         OpinionOutput(opinion_text="v", belief=0))
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "Agent 9: (stance +2) old extreme take", "", 0, "v")
         out = parse_opinion_output(mock_backend_rule(prompt))
         assert out.belief == 0  # nothing heard today
 
@@ -86,21 +78,21 @@ class TestMockRule:
 
 class TestMockSummary:
     def test_digest_keeps_newest_items_within_budget(self):
-        items = heard_items((j, f"(stance +1) message {j}") for j in range(6))
-        prompt = build_summary_prompt("old notes", items, 600)
+        block = "\n".join(heard_lines([f"(stance +1) message {j}" for j in range(6)]))
+        prompt = build_summary_prompt("old notes", block, 600)
         digest = mock_summary_rule(prompt)
         expected = "; ".join(f"Agent {j}: (stance +1) message {j}" for j in range(6)[-MOCK_DIGEST_ITEMS:])
         assert digest == expected
         assert len(digest) <= 600
 
     def test_budget_truncation(self):
-        prompt = build_summary_prompt("", heard_items([(1, "(stance 0) " + "x" * 400)]), 50)
+        prompt = build_summary_prompt("", "- Agent 1: (stance 0) " + "x" * 400, 50)
         assert len(mock_summary_rule(prompt)) <= 50
 
     def test_backend_dispatches_on_prompt_kind(self):
         backend = MockBackend()
         assert backend.name == "mock"
-        summary = backend.complete(build_summary_prompt("", heard_items([(1, "(stance 0) hi")]), 100), 64, 0.0)
+        summary = backend.complete(build_summary_prompt("", "- Agent 1: (stance 0) hi", 100), 64, 0.0)
         assert "BELIEF:" not in summary
         reply = backend.complete(reflection_prompt(0), 64, 0.7)
         assert reply.startswith("BELIEF:")
@@ -115,27 +107,27 @@ class FailingBackend:
 
 class TestCompression:
     def test_empty_day_empty_summary(self):
-        assert compress_long_term(MockBackend(), "", [], 600) == ("", False)
+        assert compress_long_term(MockBackend(), "", "", 600, []) == ("", False)
 
     def test_empty_day_keeps_old_summary(self):
-        assert compress_long_term(MockBackend(), "keep me", [], 600) == ("keep me", False)
+        assert compress_long_term(MockBackend(), "keep me", "", 600, []) == ("keep me", False)
 
     def test_mock_digest_matches_rule(self):
-        items = heard_items((j, f"(stance -1) note {j}") for j in range(5))
-        out, failed = compress_long_term(MockBackend(), "old", items, 600)
+        texts = [f"(stance -1) note {j}" for j in range(5)]
+        out, failed = compress_long_term(MockBackend(), "old", "\n".join(heard_lines(texts)), 600, texts)
         expected = "; ".join(f"Agent {j}: (stance -1) note {j}" for j in range(5)[-MOCK_DIGEST_ITEMS:])
         assert out == expected and failed is False
 
     def test_transport_failure_falls_back_to_truncation(self):
-        items = heard_items([(1, "aaa"), (2, "bbb")])
-        out, failed = compress_long_term(FailingBackend(), "old summary", items, 18)
+        out, failed = compress_long_term(FailingBackend(), "old summary", "- Agent 1: aaa\n- Agent 2: bbb", 18,
+                                         ["aaa", "bbb"])
         assert out == "old summary aaa bb"
         assert failed is True
         assert len(out) <= 18
 
     def test_result_never_exceeds_budget(self):
-        items = heard_items((j, "(stance +2) " + "y" * 300) for j in range(4))
-        out, _ = compress_long_term(MockBackend(), "z" * 500, items, 100)
+        texts = ["(stance +2) " + "y" * 300] * 4
+        out, _ = compress_long_term(MockBackend(), "z" * 500, "\n".join(heard_lines(texts)), 100, texts)
         assert len(out) <= 100
 
 

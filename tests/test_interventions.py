@@ -76,6 +76,24 @@ class TestActiveNudge:
         content = active_nudge_content(0, [2.0, 0.5, -2.0, -2.0], ["a", "b", "reach", "island"], g)
         assert '"reach"' in content
 
+    # target 0 at +2 on six nodes; the expected winner, also checked against the oracle
+    @pytest.mark.parametrize("edges, beliefs, winner", [
+        # the nearest layer, two hops out, is reached as 5 then 4; node 1 is tied but three hops out
+        ([(0, 2), (0, 3), (2, 5), (3, 4), (5, 1)], [2, -2, 0.5, 0.5, -2, -2], 4),
+        # a reachable candidate wins over lower indices in another component
+        ([(0, 1), (0, 5), (2, 3)], [2, 0.5, -2, -2, -2, -2], 5),
+        # every candidate in another component: the lowest index
+        ([(0, 1), (2, 3), (4, 5)], [2, 0.5, -2, -2, 0.5, -2], 2),
+        # an isolated target: the lowest index
+        ([(1, 2), (2, 3), (3, 4)], [2, 0.5, 0.5, -2, 0.5, -2], 3),
+    ], ids=["nearest-layer-out-of-order", "other-component-loses", "only-other-component", "isolated-target"])
+    def test_the_search_stops_at_the_nearest_layer_with_a_candidate(self, edges, beliefs, winner):
+        g = NetworkGraph.from_edges(6, edges)
+        texts = [f"t{i}" for i in range(6)]
+        content = active_nudge_content(0, np.array(beliefs, dtype=float), texts, g)
+        assert content == f'{ACTIVE_NUDGE_PREFIX}"t{winner}"'
+        assert content == naive_active_nudge_content(0, beliefs, texts, g)
+
     @settings(max_examples=200, deadline=None)
     @given(grid_instances())
     def test_matches_the_three_scan_oracle_on_grid_beliefs(self, instance):

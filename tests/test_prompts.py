@@ -5,10 +5,8 @@ from echosim.population import Persona
 from echosim.prompts import (
     SECTION_HEARD,
     SECTION_NOTE,
-    OpinionOutput,
     build_reflection_prompt,
     build_summary_prompt,
-    heard_items,
     parse_opinion_output,
     stance_statement,
 )
@@ -16,12 +14,12 @@ from echosim.prompts import (
 PERSONA = Persona(index=12, gender="female", age=40, education="master",
                   traits=(True, False, True, False, True))
 TOPIC = "Euthanasia should be legal."
-CURRENT = OpinionOutput(opinion_text="I lean in favor of this.", belief=1)
+CURRENT = (1, "I lean in favor of this.")  # belief, opinion text
 
 
 class TestReflectionPrompt:
     def test_empty_memory_no_nudge(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "", [], CURRENT)
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "", "", *CURRENT)
         assert PERSONA.card in prompt
         assert TOPIC in prompt
         assert SECTION_HEARD not in prompt
@@ -29,36 +27,62 @@ class TestReflectionPrompt:
         assert "Stance value: +1" in prompt
 
     def test_short_term_items_appear_verbatim(self):
-        heard = heard_items([(3, "(stance -1) first take"),
-                             (7, "(stance +2) second take"),
-                             (9, "(stance 0) third take")])
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "", heard, CURRENT)
-        assert SECTION_HEARD + "\n" + "\n".join(line for line, _ in heard) + "\n\n" in prompt
+        heard = ["- Agent 3: (stance -1) first take",
+                 "- Agent 7: (stance +2) second take",
+                 "- Agent 9: (stance 0) third take"]
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "", "\n".join(heard), *CURRENT)
+        assert SECTION_HEARD + "\n" + "\n".join(heard) + "\n\n" in prompt
         assert prompt.count(SECTION_HEARD) == 1
 
     def test_nudge_block_appears_exactly_once(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "", [], CURRENT,
+        prompt = build_reflection_prompt(PERSONA, TOPIC, "", "", *CURRENT,
                                          nudge="Issues are rarely black and white.")
         assert prompt.count(SECTION_NOTE) == 1
         assert "Issues are rarely black and white." in prompt
 
     def test_deterministic(self):
-        a = build_reflection_prompt(PERSONA, TOPIC, "old notes", [], CURRENT)
-        b = build_reflection_prompt(PERSONA, TOPIC, "old notes", [], CURRENT)
+        a = build_reflection_prompt(PERSONA, TOPIC, "old notes", "", *CURRENT)
+        b = build_reflection_prompt(PERSONA, TOPIC, "old notes", "", *CURRENT)
         assert a == b
 
 
 class TestSummaryPrompt:
     def test_contains_items_and_budget(self):
-        prompt = build_summary_prompt("old", heard_items([(4, "(stance +1) hello")]), 600)
+        prompt = build_summary_prompt("old", "- Agent 4: (stance +1) hello", 600)
         assert "- Agent 4: (stance +1) hello" in prompt
         assert "at most 600 characters" in prompt
 
+    def test_an_empty_block_leaves_no_line_between_the_sections(self):
+        assert build_summary_prompt("old", "", 600) == (
+            "You keep private discussion notes for one participant.\n"
+            "\n"
+            "== Existing notes ==\n"
+            "old\n"
+            "\n"
+            "== Today's exchanges ==\n"
+            "\n"
+            "== How to answer ==\n"
+            "Rewrite the notes to at most 600 characters, keeping what will matter\n"
+            "in future conversations. Reply with the notes text only."
+        )
 
-def test_a_heard_item_is_its_prompt_line_and_its_bare_text():
-    items = heard_items([(4, "(stance +1) hello"), (0, "")])
-    assert items == [("- Agent 4: (stance +1) hello", "(stance +1) hello"), ("- Agent 0: ", "")]
-    assert [(item.line, item.text) for item in items] == items
+    def test_a_multi_line_opinion_text_stands_as_it_is(self):
+        block = "- Agent 2: (stance -1) line one\nline two\n- Agent 5: (stance +2) yes"
+        assert build_summary_prompt("", block, 80) == (
+            "You keep private discussion notes for one participant.\n"
+            "\n"
+            "== Existing notes ==\n"
+            "(none)\n"
+            "\n"
+            "== Today's exchanges ==\n"
+            "- Agent 2: (stance -1) line one\n"
+            "line two\n"
+            "- Agent 5: (stance +2) yes\n"
+            "\n"
+            "== How to answer ==\n"
+            "Rewrite the notes to at most 80 characters, keeping what will matter\n"
+            "in future conversations. Reply with the notes text only."
+        )
 
 
 class TestParsing:

@@ -402,6 +402,7 @@ class TestSweep:
 
     def test_rerun_keeps_directories_no_run_wrote(self, tmp_path):
         # a directory is a run's only when it has a seed's or a label's name and holds a manifest.txt
+        # or nothing but a run's files
         mine = (("seed_9", "notes.txt"), ("bcm-random", "notes.txt"), ("results", "manifest.txt"))
         for name, file in mine:
             (tmp_path / name).mkdir()
@@ -493,6 +494,18 @@ def layout_fails_on_call(monkeypatch, call):
 REMOTE = {"engine": "llm", "backend": {"kind": "remote", "api_key_env": "ECHOSIM_MISSING_KEY"}}
 
 
+# what a run killed before its manifest was renamed may leave in its directory, and one
+# such directory that also holds a file of the user's
+KILLED_RUN_LEFTOVERS = {
+    "empty": [],
+    "temporary files only": [".trajectory.jsonl.tmp", ".metrics.csv.tmp", ".projection.csv.tmp",
+                             ".population.txt.tmp", ".graph.txt.tmp", ".config.yaml.tmp", ".manifest.txt.tmp"],
+    "renamed files and temporary files": ["trajectory.jsonl", "transcript.jsonl", "metrics.csv",
+                                          ".population.txt.tmp", ".manifest.txt.tmp"],
+    "a foreign file": [".trajectory.jsonl.tmp", "metrics.csv", "notes.txt"],
+}
+
+
 class TestMultiRunDirectories:
     """``compare`` and ``sweep`` clear an earlier call's tables and runs before their first run."""
 
@@ -535,6 +548,24 @@ class TestMultiRunDirectories:
         assert list((tmp_path / "fj-small_world").iterdir()) == []
         monkeypatch.undo()
         assert read_all(tmp_path / "bcm-small_world") == read_all(run(bcm, tmp_path / "alone").run_dir)
+
+    @pytest.mark.parametrize("leftover", sorted(KILLED_RUN_LEFTOVERS))
+    @pytest.mark.parametrize("name, call, listing", [
+        ("seed_2", lambda out: sweep(config_from_dict(cfg_dict()), [3, 4], out), ["aggregate.csv", "seed_3", "seed_4"]),
+        ("fj-random", lambda out: compare([config_from_dict(cfg_dict())], out),
+         ["bcm-small_world", "comparison.csv", "comparison.txt"]),
+    ], ids=["sweep", "compare"])
+    def test_a_killed_runs_directory_goes_unless_it_holds_another_file(self, tmp_path, name, call, listing, leftover):
+        files = KILLED_RUN_LEFTOVERS[leftover]
+        (tmp_path / name).mkdir()
+        for file in files:
+            (tmp_path / name / file).write_text("partial")
+        call(tmp_path)
+        if "notes.txt" in files:
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(listing + [name])
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted(files)
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
     @pytest.mark.parametrize("call, error", [
         (lambda out: sweep(config_from_dict(cfg_dict()), [3, -1], out), ConfigError),
