@@ -35,7 +35,7 @@ def main():
 
     print("=== one agent, close up ===")
     agent = 12
-    print(population.personas[agent].card)
+    print(population.cards[agent])
     print(f"\nstance by day: {result.belief_trajectory[:, agent].tolist()}")
     print(f"final statement: {result.opinion_trajectory[-1][agent]}")
     print(f"memory summary:  {result.long_term[agent][:120] or '(empty)'}")

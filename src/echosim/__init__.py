@@ -27,7 +27,7 @@ from .language import LlmParams, LlmRunResult, Transcript, compress_long_term, l
 from .layout import force_layout
 from .metrics import MetricsSnapshot, deltas, global_disagreement, nci, polarization, snapshot
 from .numeric import BcmParams, FjParams, bcm_day, fj_day, run_numeric
-from .population import Persona, Population, init_population
+from .population import Population, init_population
 from .prompts import OpinionOutput, build_reflection_prompt, heard_lines, parse_opinion_output
 from .recommendation import ExposureRule, all_exposure_sets, exposure_set
 from .runner import compare, component_rng, run, sweep

@@ -31,8 +31,8 @@ from .prompts import (
     SECTION_FORMAT,
     SECTION_HEARD,
     SECTION_NOTE,
+    STANCE_STATEMENTS,
     SUMMARY_HEADER,
-    stance_statement,
 )
 
 logger = logging.getLogger(__name__)
@@ -113,7 +113,7 @@ def mock_backend_rule(prompt: str) -> str:
     if SECTION_NOTE in prompt and abs(own) == 2 and target != 0:
         target += -1 if target > 0 else 1
     target = clamp_to_grid(target)
-    return f"BELIEF: {target}\nOPINION: {stance_statement(target)}"
+    return f"BELIEF: {target}\nOPINION: {STANCE_STATEMENTS[target]}"
 
 
 def mock_summary_rule(prompt: str) -> str:

@@ -1,6 +1,7 @@
 """The language-agent engine: text-exchanging agents with dual memory.
 
-An agent is a grid belief, an opinion text and a long-term summary. Each
+An agent is a grid belief, an opinion text and a long-term summary, shown
+to the model by its card (``Population.cards``, rendered once a run). Each
 simulated day maps the start-of-day lists of the three to new lists:
 
 1. exposure -- every agent hears the start-of-day opinion texts of its
@@ -167,7 +168,7 @@ def llm_day(
 
     # phase 3: reflection; one backend call per agent, retried on bad parses
     prompts = [
-        build_reflection_prompt(population.personas[i], population.topic, long_term[i], blocks[i],
+        build_reflection_prompt(population.cards[i], population.topic, long_term[i], blocks[i],
                                 beliefs[i], texts[i], nudges.get(i))
         for i in range(n)
     ]

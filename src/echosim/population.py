@@ -1,9 +1,11 @@
-"""Agent pool: personas and initial beliefs.
+"""Agent pool: the agents as aligned columns, and initial beliefs.
 
 Beliefs live on the scale -2 (strong opposition) to +2 (strong support).
 Numeric engines use the continuous interval; the language engine uses the
-integer grid {-2, -1, 0, 1, 2}. Persona attributes are drawn independently
-of initial beliefs. Prompts and logs show a persona by its ``card``.
+integer grid {-2, -1, 0, 1, 2}. Each agent's gender, age, education and Big
+Five trait polarities are drawn independently of its initial belief, and are
+kept as one array per attribute. Prompts and logs show an agent by its card,
+which only the language engine renders, once a run, from those columns.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ GENDERS = ("female", "male", "non-binary")
 EDUCATION_LEVELS = ("high school", "bachelor", "master", "doctorate")
 
 # Big Five dimensions with one adjective per polarity (positive, negative).
-# Fixed here so persona cards are stable across runs and machines.
+# Fixed here so agent cards are stable across runs and machines.
 TRAIT_NAMES = ("openness", "conscientiousness", "extraversion", "agreeableness", "neuroticism")
 TRAIT_ADJECTIVES = {
     "openness": ("curious", "conventional"),
@@ -45,58 +47,50 @@ def clamp_to_grid(value: float) -> int:
 
 
 @dataclass(frozen=True)
-class Persona:
-    """Immutable agent identity. ``traits`` holds one positive-polarity flag
-    per Big Five dimension, in TRAIT_NAMES order."""
-
-    index: int
-    gender: str
-    age: int
-    education: str
-    traits: tuple
-
-    def __post_init__(self):
-        if not AGE_MIN <= self.age <= AGE_MAX:
-            raise ParameterError(f"age {self.age} outside [{AGE_MIN}, {AGE_MAX}]")
-        if len(self.traits) != len(TRAIT_NAMES):
-            raise ParameterError(f"expected {len(TRAIT_NAMES)} trait entries, got {len(self.traits)}")
-        if self.gender not in GENDERS:
-            raise ParameterError(f"unknown gender {self.gender!r}")
-        if self.education not in EDUCATION_LEVELS:
-            raise ParameterError(f"unknown education level {self.education!r}")
-
-    def trait_adjectives(self) -> tuple:
-        return tuple(
-            TRAIT_ADJECTIVES[name][0 if positive else 1]
-            for name, positive in zip(TRAIT_NAMES, self.traits)
-        )
-
-    @cached_property
-    def card(self) -> str:
-        """The deterministic text block that renders this persona in prompts and
-        logs. It is rendered on first use and then kept with the persona, so a run
-        renders each card once however many prompts carry it."""
-        adjectives = ", ".join(self.trait_adjectives())
-        return (
-            f"Agent {self.index}. Gender: {self.gender}. Age: {self.age}. Education: {self.education}.\n"
-            f"Personality: {adjectives}."
-        )
-
-
-@dataclass(frozen=True)
 class Population:
-    """Personas plus the aligned initial belief vector and the discussion topic."""
+    """The agents as aligned columns, row i for agent i: ``genders`` and
+    ``educations`` as codes into GENDERS and EDUCATION_LEVELS, ``ages``, an
+    (n, 5) bool ``traits`` of positive-polarity flags in TRAIT_NAMES order,
+    and the initial ``beliefs``; plus the discussion topic and whether the
+    beliefs are on the integer grid."""
 
-    personas: tuple
+    genders: np.ndarray
+    ages: np.ndarray
+    educations: np.ndarray
+    traits: np.ndarray
     beliefs: np.ndarray
     topic: str
     grid: bool
 
     def __post_init__(self):
-        if len(self.personas) != len(self.beliefs):
-            raise ParameterError(
-                f"{len(self.personas)} personas but {len(self.beliefs)} beliefs"
-            )
+        n = len(self.beliefs)
+        for name in ("genders", "ages", "educations", "traits"):
+            if len(getattr(self, name)) != n:
+                raise ParameterError(f"{len(getattr(self, name))} {name} but {n} beliefs")
+        if self.traits.shape[1:] != (len(TRAIT_NAMES),):
+            raise ParameterError(f"expected {len(TRAIT_NAMES)} trait entries, got traits of shape {self.traits.shape}")
+        for name, column, low, high in (("age", self.ages, AGE_MIN, AGE_MAX),
+                                        ("gender code", self.genders, 0, len(GENDERS) - 1),
+                                        ("education code", self.educations, 0, len(EDUCATION_LEVELS) - 1)):
+            outside = column[(column < low) | (column > high)]
+            if outside.size:
+                raise ParameterError(f"{name} {outside[0]} outside [{low}, {high}]")
+
+    @cached_property
+    def cards(self) -> tuple:
+        """Each agent's card, the deterministic text block that renders it in
+        prompts and logs. They are rendered on first use and then kept, so a run
+        renders each card once however many prompts carry it."""
+        personalities = [
+            ", ".join([TRAIT_ADJECTIVES[name][0 if positive else 1] for name, positive in zip(TRAIT_NAMES, flags)])
+            for flags in self.traits.tolist()
+        ]
+        columns = zip(self.genders.tolist(), self.ages.tolist(), self.educations.tolist(), personalities)
+        return tuple(
+            f"Agent {i}. Gender: {GENDERS[gender]}. Age: {age}. Education: {EDUCATION_LEVELS[education]}.\n"
+            f"Personality: {personality}."
+            for i, (gender, age, education, personality) in enumerate(columns)
+        )
 
 
 def check_topic(topic: str) -> None:
@@ -116,43 +110,39 @@ def init_population(n: int, topic: str, grid: bool, rng: np.random.Generator) ->
     genders = rng.integers(0, len(GENDERS), size=n)
     ages = rng.integers(AGE_MIN, AGE_MAX + 1, size=n)
     educations = rng.integers(0, len(EDUCATION_LEVELS), size=n)
-    trait_flags = rng.random((n, len(TRAIT_NAMES))) < 0.5
+    traits = rng.random((n, len(TRAIT_NAMES))) < 0.5
     if grid:
         beliefs = rng.integers(BELIEF_GRID[0], BELIEF_GRID[-1] + 1, size=n).astype(float)
     else:
         beliefs = rng.uniform(BELIEF_MIN, BELIEF_MAX, size=n)
-
-    # through Python ints and bools: indexing the arrays one scalar at a time costs twice as much
-    columns = zip(genders.tolist(), ages.tolist(), educations.tolist(), trait_flags.tolist())
-    personas = tuple(
-        Persona(index=i, gender=GENDERS[gender], age=age, education=EDUCATION_LEVELS[education], traits=tuple(flags))
-        for i, (gender, age, education, flags) in enumerate(columns)
-    )
-    return Population(personas=personas, beliefs=beliefs, topic=topic, grid=grid)
+    return Population(genders=genders, ages=ages, educations=educations, traits=traits, beliefs=beliefs,
+                      topic=topic, grid=grid)
 
 
 def population_to_text(pop: Population) -> str:
     """Serialize for replay/audit: topic line, then one tab-separated agent
     line (index, gender, age, education, trait polarities, initial belief)."""
+    polarities = ["".join(row) for row in np.where(pop.traits, "+", "-").tolist()]
+    values = [str(int(b)) for b in pop.beliefs.tolist()] if pop.grid else [repr(b) for b in pop.beliefs.tolist()]
+    columns = zip(pop.genders.tolist(), pop.ages.tolist(), pop.educations.tolist(), polarities, values)
     lines = [f"topic\t{pop.topic}", f"grid\t{int(pop.grid)}"]
-    for p, belief in zip(pop.personas, pop.beliefs):
-        polarity = "".join("+" if t else "-" for t in p.traits)
-        value = str(int(belief)) if pop.grid else repr(float(belief))
-        lines.append(f"{p.index}\t{p.gender}\t{p.age}\t{p.education}\t{polarity}\t{value}")
+    lines += [f"{i}\t{GENDERS[gender]}\t{age}\t{EDUCATION_LEVELS[education]}\t{polarity}\t{value}"
+              for i, (gender, age, education, polarity, value) in enumerate(columns)]
     return "\n".join(lines) + "\n"
 
 
 def population_from_text(text: str) -> Population:
     """Population from ``population_to_text``'s form; blank lines are skipped. A
-    line that cannot be read, a persona index that is not the record's position
-    from 0, a grid flag other than 0 or 1, and a grid belief off the integer grid
+    line that cannot be read, an agent index that is not the record's position
+    from 0, an unknown gender or education, an age outside [18, 64], a polarity
+    other than five ``+`` or ``-``, a grid flag other than 0 or 1, a belief that is
+    not finite or lies outside [-2, 2], and a grid belief off the integer grid
     are each a ``ParameterError`` naming the line."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 3 or not lines[0][1].startswith("topic\t") or not lines[1][1].startswith("grid\t"):
         raise ParameterError("malformed population record")
     topic = lines[0][1].split("\t", 1)[1]
-    personas = []
-    beliefs = []
+    rows = []
     number, ln = lines[1]
     try:
         flag = ln.split("\t", 1)[1]
@@ -163,23 +153,24 @@ def population_from_text(text: str) -> Population:
             index, gender, age, education, polarity, value = ln.split("\t")
             if int(index) != position:
                 raise ValueError(f"agent {position} has index {index}")
-            personas.append(
-                Persona(
-                    index=position,
-                    gender=gender,
-                    age=int(age),
-                    education=education,
-                    traits=tuple(ch == "+" for ch in polarity),
-                )
-            )
-            beliefs.append(float(value))
-            if grid and beliefs[-1] not in BELIEF_GRID:
+            if gender not in GENDERS:
+                raise ValueError(f"unknown gender {gender!r}")
+            if education not in EDUCATION_LEVELS:
+                raise ValueError(f"unknown education level {education!r}")
+            if not AGE_MIN <= int(age) <= AGE_MAX:
+                raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
+            if len(polarity) != len(TRAIT_NAMES) or polarity.strip("+-"):
+                raise ValueError(f"a polarity must be {len(TRAIT_NAMES)} characters, each + or -, got {polarity!r}")
+            belief = float(value)
+            if grid and belief not in BELIEF_GRID:
                 raise ValueError(f"a grid belief must be an integer in [-2, 2], got {value}")
-    except ValueError as exc:  # a ParameterError of Persona's checks too
+            if not BELIEF_MIN <= belief <= BELIEF_MAX:  # false for nan too
+                raise ValueError(f"a belief must be finite and in [-2, 2], got {value}")
+            rows.append((GENDERS.index(gender), int(age), EDUCATION_LEVELS.index(education),
+                         [ch == "+" for ch in polarity], belief))
+    except ValueError as exc:
         raise ParameterError(f"malformed population record at line {number}: {ln!r} ({exc})") from None
-    return Population(
-        personas=tuple(personas),
-        beliefs=np.array(beliefs, dtype=float),
-        topic=topic,
-        grid=grid,
-    )
+    genders, ages, educations, traits, beliefs = zip(*rows)
+    return Population(genders=np.array(genders), ages=np.array(ages), educations=np.array(educations),
+                      traits=np.array(traits, dtype=bool), beliefs=np.array(beliefs, dtype=float),
+                      topic=topic, grid=grid)

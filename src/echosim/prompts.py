@@ -2,7 +2,8 @@
 
 The wording here is this package's own design. Two templates exist: a daily
 reflection prompt asking for an updated stance, and a note-compression
-prompt for long-term memory. Replies to the reflection prompt must carry a
+prompt for long-term memory; the first opens with the agent's card, as
+``Population.cards`` renders it. Replies to the reflection prompt must carry a
 ``BELIEF:`` line with an integer in [-2, 2] followed by an ``OPINION:``
 line; out-of-range integers are clamped to the nearest grid endpoint.
 
@@ -20,7 +21,7 @@ import re
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import OpinionParseError
-from .population import BELIEF_GRID, Persona, clamp_to_grid
+from .population import BELIEF_GRID, clamp_to_grid
 
 REFLECTION_HEADER = "You are a participant in a long-running online discussion. Stay in character."
 SUMMARY_HEADER = "You keep private discussion notes for one participant."
@@ -76,7 +77,7 @@ def stance_statement(belief: int) -> str:
 
 
 def build_reflection_prompt(
-    persona: Persona,
+    card: str,
     topic: str,
     long_term: str,
     heard: str,
@@ -84,12 +85,12 @@ def build_reflection_prompt(
     text: str,
     nudge: Optional[str] = None,
 ) -> str:
-    """Deterministic daily prompt: persona, topic, long-term summary, the block
-    of today's heard lines (no section when it is empty), optional note, the
-    current position (grid ``belief`` and opinion ``text``), reply format."""
+    """Deterministic daily prompt: the agent's card, topic, long-term summary,
+    the block of today's heard lines (no section when it is empty), optional
+    note, the current position (grid ``belief`` and opinion ``text``), reply format."""
     heard = f"\n\n{SECTION_HEARD}\n{heard}" if heard else ""
     note = "" if nudge is None else f"\n\n{SECTION_NOTE}\n{nudge}"
-    return (f"{REFLECTION_HEADER}\n\n{SECTION_PROFILE}\n{persona.card}\n\n{SECTION_TOPIC}\n{topic}\n\n"
+    return (f"{REFLECTION_HEADER}\n\n{SECTION_PROFILE}\n{card}\n\n{SECTION_TOPIC}\n{topic}\n\n"
             f"{SECTION_MEMORY}\n{long_term or 'Nothing so far.'}{heard}{note}\n\n"
             f"{SECTION_POSITION}\nStance value: {belief:+d}\nStatement: {text}\n{_REFLECTION_FORMAT}")
 

@@ -23,19 +23,18 @@ from echosim.backends import (
 from echosim.config import config_from_dict
 from echosim.errors import BackendError, ParameterError
 from echosim.language import compress_long_term
-from echosim.population import Persona
 from echosim.prompts import build_reflection_prompt, build_summary_prompt, heard_lines, parse_opinion_output
 from echosim.runner import run
 from loopback import CLOSE, DROP, MALFORMED, REFUSAL, STALL, LoopbackServer
 
-PERSONA = Persona(index=0, gender="male", age=33, education="bachelor",
-                  traits=(True,) * 5)
+CARD = ("Agent 0. Gender: male. Age: 33. Education: bachelor.\n"
+        "Personality: curious, organized, spontaneous, cooperative, anxious.")
 TOPIC = "Euthanasia should be legal."
 
 
 def reflection_prompt(own, heard=(), nudge=None):
     block = "\n".join(heard_lines([f"(stance {b:+d}) text {j}" for j, b in enumerate(heard)]))
-    return build_reflection_prompt(PERSONA, TOPIC, "", block, own, "current view", nudge)
+    return build_reflection_prompt(CARD, TOPIC, "", block, own, "current view", nudge)
 
 
 class TestMockRule:
@@ -63,7 +62,7 @@ class TestMockRule:
         assert out.belief == -1
 
     def test_stale_stances_in_memory_are_not_exposures(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "Agent 9: (stance +2) old extreme take", "", 0, "v")
+        prompt = build_reflection_prompt(CARD, TOPIC, "Agent 9: (stance +2) old extreme take", "", 0, "v")
         out = parse_opinion_output(mock_backend_rule(prompt))
         assert out.belief == 0  # nothing heard today
 

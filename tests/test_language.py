@@ -20,20 +20,19 @@ from echosim.language import (
     llm_day,
     run_llm,
 )
-from echosim.population import BELIEF_GRID, Persona, Population
+from echosim.population import BELIEF_GRID, Population
 from echosim.prompts import SECTION_HEARD, SUMMARY_HEADER, stance_statement
 from helpers import AWKWARD_TEXT, cycle_graph, json_dumps_transcript
 
 TOPIC = "Euthanasia should be legal."
 
 
-def make_population(beliefs):
-    personas = tuple(
-        Persona(index=i, gender="female", age=30, education="bachelor", traits=(True,) * 5)
-        for i in range(len(beliefs))
-    )
-    return Population(personas=personas, beliefs=np.array(beliefs, dtype=float),
-                      topic=TOPIC, grid=True)
+def make_population(beliefs, grid=True):
+    """Female bachelor's graduates of 30 with every trait positive, at ``beliefs``."""
+    n = len(beliefs)
+    return Population(genders=np.zeros(n, dtype=int), ages=np.full(n, 30), educations=np.ones(n, dtype=int),
+                      traits=np.ones((n, 5), dtype=bool), beliefs=np.array(beliefs, dtype=float),
+                      topic=TOPIC, grid=grid)
 
 
 def rng(seed=1):
@@ -511,10 +510,7 @@ class TestTranscriptOrder:
 
 class TestValidation:
     def test_grid_population_required(self):
-        personas = tuple(Persona(index=i, gender="male", age=25, education="master",
-                                 traits=(True,) * 5) for i in range(3))
-        continuous = Population(personas=personas, beliefs=np.array([0.5, 1.1, -0.3]),
-                                topic=TOPIC, grid=False)
+        continuous = make_population([0.5, 1.1, -0.3], grid=False)
         with pytest.raises(ParameterError, match="grid"):
             run_llm(cycle_graph(3), continuous, MockBackend(), LlmParams(), NudgePolicy(), days=1, rng=rng())
 

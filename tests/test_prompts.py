@@ -1,7 +1,6 @@
 import pytest
 
 from echosim.errors import OpinionParseError
-from echosim.population import Persona
 from echosim.prompts import (
     SECTION_HEARD,
     SECTION_NOTE,
@@ -11,16 +10,16 @@ from echosim.prompts import (
     stance_statement,
 )
 
-PERSONA = Persona(index=12, gender="female", age=40, education="master",
-                  traits=(True, False, True, False, True))
+CARD = ("Agent 12. Gender: female. Age: 40. Education: master.\n"
+        "Personality: curious, careless, spontaneous, argumentative, anxious.")
 TOPIC = "Euthanasia should be legal."
 CURRENT = (1, "I lean in favor of this.")  # belief, opinion text
 
 
 class TestReflectionPrompt:
     def test_empty_memory_no_nudge(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "", "", *CURRENT)
-        assert PERSONA.card in prompt
+        prompt = build_reflection_prompt(CARD, TOPIC, "", "", *CURRENT)
+        assert CARD in prompt
         assert TOPIC in prompt
         assert SECTION_HEARD not in prompt
         assert SECTION_NOTE not in prompt
@@ -30,19 +29,19 @@ class TestReflectionPrompt:
         heard = ["- Agent 3: (stance -1) first take",
                  "- Agent 7: (stance +2) second take",
                  "- Agent 9: (stance 0) third take"]
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "", "\n".join(heard), *CURRENT)
+        prompt = build_reflection_prompt(CARD, TOPIC, "", "\n".join(heard), *CURRENT)
         assert SECTION_HEARD + "\n" + "\n".join(heard) + "\n\n" in prompt
         assert prompt.count(SECTION_HEARD) == 1
 
     def test_nudge_block_appears_exactly_once(self):
-        prompt = build_reflection_prompt(PERSONA, TOPIC, "", "", *CURRENT,
+        prompt = build_reflection_prompt(CARD, TOPIC, "", "", *CURRENT,
                                          nudge="Issues are rarely black and white.")
         assert prompt.count(SECTION_NOTE) == 1
         assert "Issues are rarely black and white." in prompt
 
     def test_deterministic(self):
-        a = build_reflection_prompt(PERSONA, TOPIC, "old notes", "", *CURRENT)
-        b = build_reflection_prompt(PERSONA, TOPIC, "old notes", "", *CURRENT)
+        a = build_reflection_prompt(CARD, TOPIC, "old notes", "", *CURRENT)
+        b = build_reflection_prompt(CARD, TOPIC, "old notes", "", *CURRENT)
         assert a == b
 
 

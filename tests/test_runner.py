@@ -53,6 +53,19 @@ class TestRun:
         assert len(rows) == 1 + 6  # header + days 0..5
         assert not (artifacts.run_dir / "transcript.jsonl").exists()
 
+    @pytest.mark.parametrize("engine,renders", [("bcm", False), ("fj", False), ("llm", True)])
+    def test_only_a_language_run_renders_the_cards(self, tmp_path, monkeypatch, engine, renders):
+        made = []
+
+        def recording_init_population(*args):
+            made.append(init_population(*args))
+            return made[-1]
+
+        monkeypatch.setattr(runner_mod, "init_population", recording_init_population)
+        run(config_from_dict(cfg_dict(engine=engine)), tmp_path / "r")
+        assert len(made) == 1
+        assert ("cards" in vars(made[0])) is renders
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a = run(config_from_dict(cfg_dict()), tmp_path / "a")
         b = run(config_from_dict(cfg_dict()), tmp_path / "b")
@@ -1039,5 +1052,6 @@ def test_every_accepted_config_runs_and_reads_back(data):
         assert config_hash(config_from_dict(load_config_file(out / "config.yaml"))) == config_hash(cfg)
         back = population_from_text((out / "population.txt").read_text(encoding="utf-8"))
     made = init_population(cfg.n, cfg.topic, cfg.engine == "llm", component_rng(cfg.seed, "population"))
-    assert (back.personas, back.topic, back.grid) == (made.personas, made.topic, made.grid)
-    assert np.array_equal(back.beliefs, made.beliefs)
+    for name in ("genders", "ages", "educations", "traits", "beliefs"):
+        assert np.array_equal(getattr(back, name), getattr(made, name)), name
+    assert (back.topic, back.grid) == (made.topic, made.grid)
