@@ -2,7 +2,8 @@
 
 An agent is a grid belief, an opinion text and a long-term summary, shown
 to the model by its card (``Population.cards``, rendered once a run). Each
-simulated day maps the start-of-day lists of the three to new lists:
+simulated day maps the start-of-day lists of the three, and of the requests
+that settled each agent's summary (phase 4), to new lists:
 
 1. exposure -- every agent hears the start-of-day opinion texts of its
    exposure set (all neighbors, or the similarity-filtered set, capped for
@@ -14,22 +15,30 @@ simulated day maps the start-of-day lists of the three to new lists:
 3. reflection -- one backend call per agent produces an updated opinion
    text and grid belief (with retries on unparseable replies, falling back
    to the previous belief);
-4. compression -- the heard block is folded into the budget-bounded
-   long-term summary.
+4. compression -- a temperature-0 call folds the heard block into the
+   budget-bounded long-term summary. An agent that heard nothing keeps its
+   notes without a call. So does an agent whose request (notes, heard block,
+   budget) equals its settled one, the last request whose reply was exactly
+   its notes: an agent in an echo chamber hears the same lines day after
+   day, and a backend whose reply depends only on the prompt would answer
+   with those notes again.
 
 All exposures read start-of-day state, so the day is synchronous. A
 compression call reads only what phase 1 heard, so phase 4's calls share
 the day's pool of ``max_in_flight`` workers with phase 3's: the n
-reflections, then the n compressions, all applied at the day barrier in
+reflections, then the compressions sent, all applied at the day barrier in
 agent order. ``llm_day`` returns the day's transcript events with the new
 lists, built at that barrier agent by agent, each agent's in the order they
 happened (exposure, nudge, reflection, update, summary failure), so a day
 that raises returns none; ``run_llm`` hands them to its ``on_day`` hook.
+Each day logs its reflection calls, the compression calls sent and the
+compressions kept without a call at DEBUG on the ``echosim.language`` logger.
 With the mock backend, entire runs are bit-reproducible per seed.
 """
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -45,6 +54,8 @@ from .population import Population
 from .prompts import build_reflection_prompt, build_summary_prompt, heard_lines, parse_opinion_output, stance_statement
 from .recommendation import DEFAULT_EXPOSURE_CAP, ExposureRule, all_exposure_sets
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
+
+logger = logging.getLogger(__name__)
 
 
 class TranscriptEvent(NamedTuple):
@@ -133,6 +144,7 @@ def llm_day(
     beliefs: list,
     texts: list,
     long_term: list,
+    settled: list,
     backend: TextBackend,
     params: LlmParams,
     nudge_policy: NudgePolicy,
@@ -140,9 +152,13 @@ def llm_day(
     rng: np.random.Generator,
     day: int,
 ) -> tuple:
-    """One synchronous day: new end-of-day (beliefs, texts, long_term) lists from
-    the start-of-day ones, which are left as they are, and the day's events, a
-    new list in agent order built once every backend call has returned."""
+    """One synchronous day: new end-of-day (beliefs, texts, long_term, settled)
+    lists from the start-of-day ones, which are left as they are, and the day's
+    events, a new list in agent order built once every backend call has returned.
+    ``settled[i]`` is the compression request ``(notes, heard block, budget)``
+    whose reply was exactly agent i's notes, or None; an agent whose request
+    today equals it keeps its notes without a call. A compression call that
+    fails, or returns other notes, clears it."""
     params.validate()
     nudge_policy.validate()
     if nudge_policy.kind == "passive" and passive_feed is None:
@@ -173,25 +189,44 @@ def llm_day(
         for i in range(n)
     ]
 
-    # phase 4 reads only what phase 1 heard, so its compression calls
-    # join the same bounded pool: reflections first, then compressions
+    # phase 4 reads only what phase 1 heard, so its compression calls join the same
+    # bounded pool, reflections first; an agent that heard nothing, or whose settled
+    # request is today's, keeps its notes (within the budget) without a call
+    budget = params.long_term_budget
+    requests = [(notes, block, budget) for notes, block in zip(long_term, blocks)]
+    sent = [i for i in range(n) if blocks[i] and requests[i] != settled[i]]
+
     def call(k: int):
         if k < n:
             return _reflect_once(backend, prompts[k], params.retries, params.max_length, params.temperature)
-        i = k - n
-        return compress_long_term(backend, long_term[i], blocks[i], params.long_term_budget,
-                                  (said[j] for j in heard[i]))
+        i = sent[k - n]
+        return compress_long_term(backend, long_term[i], blocks[i], budget, (said[j] for j in heard[i]))
 
     if params.max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=params.max_in_flight) as pool:
-            results = list(pool.map(call, range(2 * n)))
+            results = list(pool.map(call, range(n + len(sent))))
     else:
-        results = [call(k) for k in range(2 * n)]
+        results = [call(k) for k in range(n + len(sent))]
+
+    # phase 4: the summaries replace long-term memory; a reply that leaves the notes
+    # as they were settles its request
+    new_long_term, new_settled, summary_failed = [notes[:budget] for notes in long_term], list(settled), set()
+    for i, (summary, failed) in zip(sent, results[n:]):
+        new_long_term[i] = summary
+        new_settled[i] = requests[i] if summary == long_term[i] and not failed else None
+        if failed:
+            summary_failed.add(i)
+    if logger.isEnabledFor(logging.DEBUG):
+        # one call per failed attempt, each flagged, and one per parsed reply
+        attempts = sum((parsed is not None) + sum(flag == "parse_failed" or flag.startswith("transport_error:")
+                                                  for flag in flags) for parsed, flags in results[:n])
+        logger.debug("day %d: %d reflection calls, %d compression calls sent, %d compressions kept without a call "
+                     "(%d of them heard nothing)", day, attempts, len(sent), n - len(sent), blocks.count(""))
 
     # the day barrier: apply results and log each agent's events in the order they happened
     new_beliefs, new_texts, events = list(beliefs), list(texts), []
     names = [str(j) for j in range(n)]  # each agent's index as the exposure payloads list it
-    for i, ((parsed, flags), (_, summary_failed)) in enumerate(zip(results[:n], results[n:])):
+    for i, (parsed, flags) in enumerate(results[:n]):
         before = beliefs[i]
         after = parsed.belief if parsed else before
         if heard[i]:
@@ -206,10 +241,9 @@ def llm_day(
                 new_beliefs[i] = after
                 events.append(TranscriptEvent(day, i, "update", parsed.opinion_text,
                                               belief_before=before, belief_after=after))
-        if summary_failed:
+        if i in summary_failed:
             events.append(TranscriptEvent(day, i, "reflection", "summary_transport_error;used_truncation_fallback"))
-    # phase 4: the summaries replace long-term memory
-    return new_beliefs, new_texts, [summary for summary, _ in results[n:]], events
+    return new_beliefs, new_texts, new_long_term, new_settled, events
 
 
 @dataclass
@@ -241,7 +275,7 @@ def run_llm(
         raise ParameterError("the language engine needs grid (integer) beliefs")
     beliefs = [int(b) for b in population.beliefs]
     texts = [stance_statement(b) for b in beliefs]
-    long_term = [""] * g.n
+    long_term, settled = [""] * g.n, [None] * g.n
     feed = passive_nudge_feed(rng, nudge_policy.passive_texts) if nudge_policy.kind == "passive" else None
     opinion_trajectory, transcript = None, None
     if on_day is None:
@@ -255,8 +289,8 @@ def run_llm(
     trajectory[0] = beliefs
     on_day(0, beliefs, texts, [])
     for day in range(1, days + 1):
-        beliefs, texts, long_term, events = llm_day(g, population, beliefs, texts, long_term, backend, params,
-                                                    nudge_policy, feed, rng, day)
+        beliefs, texts, long_term, settled, events = llm_day(g, population, beliefs, texts, long_term, settled,
+                                                             backend, params, nudge_policy, feed, rng, day)
         trajectory[day] = beliefs
         on_day(day, beliefs, texts, events)
     return LlmRunResult(

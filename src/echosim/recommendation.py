@@ -111,5 +111,10 @@ def all_exposure_sets(
     # bounds[i] is the number of kept entries before row i
     bounds = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(keep, out=bounds[1:])
-    bounds = bounds[g.indptr].tolist()
-    return [_capped(kept[start:end], cap, rng) for start, end in zip(bounds, bounds[1:])]
+    bounds = bounds[g.indptr]
+    cuts = bounds.tolist()
+    sets = [kept[start:end] for start, end in zip(cuts, cuts[1:])]
+    if cap is not None:
+        for i in np.flatnonzero(np.diff(bounds) > cap).tolist():
+            sets[i] = _capped(sets[i], cap, rng)
+    return sets

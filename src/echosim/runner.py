@@ -15,8 +15,9 @@ metrics nor the layout (``population.txt``, ``graph.txt``, ``config.yaml`` and a
 numeric run's trajectory) are written by a forked child while those run, or
 inline with the same bytes where forking is not safe (no ``os.fork``, or other
 threads alive). The parent renders ``metrics.csv``, ``projection.csv`` and the
-manifest while the child may still be writing, and only then waits for it;
-``run()`` always reaps the child.
+manifest while the child may still be writing, and only then waits for the
+child's report that it wrote everything; it reaps the child after the renames,
+while the child's exit may still be tearing down, and ``run()`` always reaps it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ DELTA_ROWS = ("delta_polarization", "delta_global_disagreement", "delta_nci")
 _RUN_FILES = ("transcript.jsonl", "trajectory.jsonl", "metrics.csv", "projection.csv", "population.txt",
              "graph.txt", "config.yaml", "manifest.txt")
 _RUN_NAMES = frozenset(_RUN_FILES) | {f".{name}.tmp" for name in _RUN_FILES}
+# a writer child's report that it wrote everything; a failed one reports "<exception>: <message>"
+_WRITER_DONE = b"\0"
 
 
 def component_rng(seed: int, component: str) -> np.random.Generator:
@@ -88,8 +91,8 @@ def _staged(out: Path, names) -> Iterator[dict]:
     On a clean exit each is closed and renamed to ``out/<name>``, in order; on any
     error every one is unlinked, so no partial file stands under a real name, and a
     block that raises renames none. A writer process the block forks onto a handle
-    is reaped, and killed first on an error, before the block ends, so none writes
-    a file this renames or unlinks."""
+    has reported that it wrote everything, or has been killed and reaped, before the
+    block ends, so none writes a file this renames or unlinks."""
     tmps = {name: out / f".{name}.tmp" for name in names}
     try:
         with ExitStack() as stack:
@@ -107,13 +110,16 @@ def _staged(out: Path, names) -> Iterator[dict]:
 
 
 @contextmanager
-def _written_apart(pairs) -> Iterator[None]:
+def _written_apart(pairs, reap: ExitStack) -> Iterator[None]:
     """For each ``(handle, render)`` pair, write the text chunks ``render()`` yields to
-    ``handle`` from one forked child while the block runs, then reap it: a failed child
-    raises OSError naming its exception, and a block that raises kills and reaps it
-    first. A child whose parent was killed outright leaves before its next chunk, as it
-    finds itself re-parented: one ``getppid`` call a chunk. Inline, with the same bytes,
-    where forking is unsafe: no ``os.fork``, or other threads, which may hold a lock."""
+    ``handle`` from one forked child while the block runs, then wait for its report. A
+    child that wrote everything reports so and closes its pipe before it exits, and is
+    reaped when ``reap`` closes, so its teardown overlaps what the parent does until
+    then; a failed child is reaped at once and raises OSError naming its exception, and
+    a block that raises kills and reaps it first. A child whose parent was killed
+    outright leaves before its next chunk, as it finds itself re-parented: one
+    ``getppid`` call a chunk. Inline, with the same bytes, where forking is unsafe: no
+    ``os.fork``, or other threads, which may hold a lock."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         for handle, render in pairs:
             handle.writelines(render())
@@ -134,23 +140,28 @@ def _written_apart(pairs) -> Iterator[None]:
                             os._exit(status)
                         handle.write(chunk)
                     handle.flush()
+                sink.write(_WRITER_DONE)
                 status = 0
             except BaseException as exc:
                 sink.write(f"{type(exc).__name__}: {exc}".encode())
             finally:
+                sink.close()  # the report ends here, before the child's teardown
                 os._exit(status)
-        sink.close()  # the report ends when the child's copy closes, at its exit
+        sink.close()  # else the parent's own copy would keep the report open
         try:
             yield
-            error = report.read().decode(errors="replace")
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            error = report.read()
         except BaseException:
             os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system
             os.waitpid(pid, 0)
             raise
-    if status:
-        reason = error or (f"killed by signal {-status}" if status < 0 else f"exit status {status}")
-        raise OSError(f"writer process failed: {reason}")
+    if error == _WRITER_DONE:
+        reap.callback(os.waitpid, pid, 0)
+        return
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    reason = error.decode(errors="replace") or (f"killed by signal {-status}" if status < 0
+                                                 else f"exit status {status}")
+    raise OSError(f"writer process failed: {reason}")
 
 
 def _write_files(out: Path, files: dict) -> None:
@@ -204,7 +215,8 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
 
     if not llm:  # _staged replaces every other temporary file a killed run may have left here
         (run_dir / ".transcript.jsonl.tmp").unlink(missing_ok=True)
-    with _staged(run_dir, _RUN_FILES if llm else _RUN_FILES[1:]) as files:
+    # the writer child is reaped after the renames, or on any error, as this block ends
+    with ExitStack() as reap, _staged(run_dir, _RUN_FILES if llm else _RUN_FILES[1:]) as files:
         if llm:
             def write_day(day, beliefs, texts, events):
                 files["trajectory.jsonl"].write(grid_day_lines(day, beliefs, texts))
@@ -224,7 +236,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
                  (files["config.yaml"], lambda: [config_to_yaml(config)])]
         if not llm:  # an llm run wrote its trajectory day by day
             apart.append((files["trajectory.jsonl"], lambda: trajectory_chunks(trajectory)))
-        with _written_apart(apart):
+        with _written_apart(apart, reap):
             snapshots = snapshot(range(config.days + 1), g, trajectory)
             run_deltas = deltas(snapshots)
             positions = force_layout(g, component_rng(config.seed, "layout"))

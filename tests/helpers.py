@@ -24,6 +24,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from echosim.backends import MockBackend
 from echosim.graphs import NetworkGraph
 from echosim.interventions import ACTIVE_NUDGE_PREFIX
 from echosim.numeric import BcmParams, bcm_day, fj_day
@@ -40,6 +41,18 @@ def json_dumps_transcript(events) -> str:
     records = ({"day": e.day, "agent": e.agent, "kind": e.kind, "payload": e.payload,
                 "belief_before": e.belief_before, "belief_after": e.belief_after} for e in events)
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+class RecordingBackend(MockBackend):
+    """The mock backend, keeping every prompt it is sent in ``prompts``, in the
+    order they arrive."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, max_length, temperature):
+        self.prompts.append(prompt)
+        return super().complete(prompt, max_length, temperature)
 
 
 def edge_set(g: NetworkGraph) -> set:

@@ -1,3 +1,6 @@
+import copy
+import itertools
+import logging
 import re
 import threading
 import time
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from echosim.backends import MockBackend
 from echosim.errors import BackendError, ParameterError
-from echosim.graphs import NetworkGraph
+from echosim.graphs import NetworkGraph, generate_scale_free
 from echosim.interventions import NUDGE_KINDS, NudgePolicy
 from echosim.language import (
     LlmParams,
@@ -20,9 +23,9 @@ from echosim.language import (
     llm_day,
     run_llm,
 )
-from echosim.population import BELIEF_GRID, Population
+from echosim.population import BELIEF_GRID, Population, init_population
 from echosim.prompts import SECTION_HEARD, SUMMARY_HEADER, stance_statement
-from helpers import AWKWARD_TEXT, cycle_graph, json_dumps_transcript
+from helpers import AWKWARD_TEXT, RecordingBackend, cycle_graph, json_dumps_transcript
 
 TOPIC = "Euthanasia should be legal."
 
@@ -44,9 +47,9 @@ def one_day(g, beliefs, nudge=NudgePolicy(), params=LlmParams(), backend=None, s
     population = make_population(beliefs)
     from echosim.interventions import passive_nudge_feed
     feed = passive_nudge_feed(rng(seed), nudge.passive_texts) if nudge.kind == "passive" else None
-    beliefs, _, long_term, events = llm_day(g, population, list(beliefs), [stance_statement(b) for b in beliefs],
-                                            [""] * g.n, backend or MockBackend(), params, nudge, feed,
-                                            rng(seed), day=1)
+    beliefs, _, long_term, _, events = llm_day(g, population, list(beliefs), [stance_statement(b) for b in beliefs],
+                                               [""] * g.n, [None] * g.n, backend or MockBackend(), params, nudge,
+                                               feed, rng(seed), day=1)
     return beliefs, long_term, events
 
 
@@ -95,11 +98,12 @@ class TestSingleDay:
         start = [2, 0, -2, 1]
         population = make_population(start)
         beliefs, texts, long_term = list(start), [stance_statement(b) for b in start], ["a", "b", "", "c"]
-        inputs = (list(beliefs), list(texts), list(long_term))
-        out = llm_day(g, population, beliefs, texts, long_term, MockBackend(), LlmParams(),
+        settled = [("a", "- Agent 1: (stance +0) x", 600), None, None, None]
+        inputs = (list(beliefs), list(texts), list(long_term), list(settled))
+        out = llm_day(g, population, beliefs, texts, long_term, settled, MockBackend(), LlmParams(),
                       NudgePolicy(kind="active"), None, rng(), day=1)
-        assert (beliefs, texts, long_term) == inputs
-        assert all(new is not old for new, old in zip(out, (beliefs, texts, long_term)))
+        assert (beliefs, texts, long_term, settled) == inputs
+        assert all(new is not old for new, old in zip(out, (beliefs, texts, long_term, settled)))
 
     def test_every_belief_change_has_an_update_event(self):
         g = cycle_graph(6)
@@ -356,18 +360,6 @@ class InFlightBackend:
                 self.in_flight -= 1
 
 
-class RecordingBackend:
-    name = "recording"
-
-    def __init__(self):
-        self.inner = MockBackend()
-        self.prompts = []
-
-    def complete(self, prompt, max_length, temperature):
-        self.prompts.append(prompt)
-        return self.inner.complete(prompt, max_length, temperature)
-
-
 class SummaryFailingBackend:
     """Answers reflections; every compression call fails in transport."""
 
@@ -504,8 +496,167 @@ class TestTranscriptOrder:
         backend = ExplodingBackend(delay=0.01)
         with pytest.raises(RuntimeError, match="backend bug"):
             llm_day(g, make_population(beliefs), beliefs, [stance_statement(b) for b in beliefs], [""] * g.n,
-                    backend, LlmParams(max_in_flight=2), NudgePolicy(), None, rng(3), day=1)
+                    [None] * g.n, backend, LlmParams(max_in_flight=2), NudgePolicy(), None, rng(3), day=1)
         assert 5 <= backend.calls < 2 * g.n
+
+
+def summary_prompts(prompts) -> list:
+    return [p for p in prompts if SUMMARY_HEADER in p]
+
+
+def consensus_day(long_term, settled, backend, params=LlmParams(max_in_flight=1), day=1):
+    """``llm_day`` on a 4-cycle at stance 0, where every agent hears both
+    neighbours say the mock's stance-0 text every day."""
+    beliefs = [0] * 4
+    return llm_day(cycle_graph(4), make_population(beliefs), beliefs, [stance_statement(0)] * 4, long_term,
+                   settled, backend, params, NudgePolicy(), None, rng(), day)
+
+
+class SummaryFailingRecorder(RecordingBackend):
+    """Records every prompt; every compression call then fails in transport."""
+
+    def complete(self, prompt, max_length, temperature):
+        reply = super().complete(prompt, max_length, temperature)
+        if SUMMARY_HEADER in prompt:
+            raise BackendError("summaries down")
+        return reply
+
+
+class NumberedSummaryBackend(RecordingBackend):
+    """The mock, with each compression reply led by the number of the call, so no
+    two replies are the same."""
+
+    def __init__(self):
+        super().__init__()
+        self.summaries = 0
+
+    def complete(self, prompt, max_length, temperature):
+        reply = super().complete(prompt, max_length, temperature)
+        if SUMMARY_HEADER not in prompt:
+            return reply
+        self.summaries += 1
+        return f"#{self.summaries} {reply}"
+
+
+class TestSettledCompressions:
+    """An agent whose compression request equals the last one whose reply was
+    exactly its notes keeps its notes without a call."""
+
+    def test_a_kept_compression_is_a_repeat_that_would_return_the_notes(self):
+        n = 40
+        g = generate_scale_free(n, 2, rng(3))
+        population = init_population(n, TOPIC, True, rng(4))
+        beliefs = [int(b) for b in population.beliefs]
+        state = (beliefs, [stance_statement(b) for b in beliefs], [""] * n, [None] * n)
+        params, nudge, day_rng = LlmParams(max_in_flight=1), NudgePolicy(kind="active"), rng(8)
+        sent_for = [set() for _ in range(n)]  # each agent's compression prompts sent so far
+        kept_per_day = []
+        for day in range(1, 9):
+            fresh_rng = copy.deepcopy(day_rng)
+            threaded, fresh = RecordingBackend(), RecordingBackend()
+            out = llm_day(g, population, *state, threaded, params, nudge, None, day_rng, day)
+            again = llm_day(g, population, *state[:3], [None] * n, fresh, params, nudge, None, fresh_rng, day)
+            assert out[:3] == again[:3] and out[4] == again[4]
+            assert threaded.prompts[:n] == fresh.prompts[:n]  # the reflections
+            # with no stored requests, every agent that heard something is sent one, in agent order
+            heard = [e.agent for e in out[4] if e.kind == "exposure"]
+            assert len(fresh.prompts) == n + len(heard)
+            pending = iter(threaded.prompts[n:])
+            upcoming, kept = next(pending, None), 0
+            for agent, prompt in zip(heard, fresh.prompts[n:]):
+                if prompt == upcoming:
+                    sent_for[agent].add(prompt)
+                    upcoming = next(pending, None)
+                else:  # kept without a call: the same agent sent these very bytes before
+                    assert prompt in sent_for[agent]
+                    kept += 1
+            assert upcoming is None
+            assert len(fresh.prompts) - len(threaded.prompts) == kept
+            kept_per_day.append(kept)
+            state = out[:4]
+        assert kept_per_day[0] == 0 and sum(k > 0 for k in kept_per_day) >= 4
+
+    def test_replies_that_never_repeat_are_all_sent(self):
+        n = 30
+        g = generate_scale_free(n, 2, rng(5))
+        population = init_population(n, TOPIC, True, rng(6))
+        backend = NumberedSummaryBackend()
+        transcript = run_llm(g, population, backend, LlmParams(max_in_flight=1), NudgePolicy(kind="active"),
+                             days=6, rng=rng(7)).transcript
+        # serial calls: each day's n reflections, then its compressions
+        runs = [(summary, len(list(group))) for summary, group in
+                itertools.groupby(SUMMARY_HEADER in p for p in backend.prompts)]
+        assert [count for summary, count in runs if not summary] == [n] * 6
+        heard_per_day = [sum(e.kind == "exposure" and e.day == day for e in transcript) for day in range(1, 7)]
+        assert [count for summary, count in runs if summary] == heard_per_day
+        assert all(heard_per_day)
+
+    def test_a_compression_that_fell_back_to_truncation_is_sent_again(self):
+        # notes at the budget, so the truncation fallback leaves them as they were
+        budget = 40
+        params = LlmParams(long_term_budget=budget, max_in_flight=1)
+        notes = ["x" * budget] * 4
+        failing = SummaryFailingRecorder()
+        _, _, long_term, settled, events = consensus_day(notes, [None] * 4, failing, params)
+        assert long_term == notes and settled == [None] * 4
+        assert sum("used_truncation_fallback" in e.payload for e in events) == 4
+        backend = RecordingBackend()
+        consensus_day(long_term, settled, backend, params, day=2)
+        assert summary_prompts(backend.prompts) == summary_prompts(failing.prompts)
+
+    def test_other_notes_or_budget_send_the_request_again(self):
+        long_term, settled = [""] * 4, [None] * 4
+        for day in (1, 2):  # day 2 repeats day 1's digest, which settles every request
+            backend = RecordingBackend()
+            _, _, long_term, settled, _ = consensus_day(long_term, settled, backend, day=day)
+            assert len(summary_prompts(backend.prompts)) == 4
+        assert all(request is not None for request in settled)
+        backend = RecordingBackend()
+        _, _, kept, still, _ = consensus_day(long_term, settled, backend, day=3)
+        assert summary_prompts(backend.prompts) == [] and (kept, still) == (long_term, settled)
+        for changed, params in (
+            ([notes + " and more" for notes in long_term], LlmParams(max_in_flight=1)),
+            (long_term, LlmParams(max_in_flight=1, long_term_budget=599)),
+        ):
+            backend = RecordingBackend()
+            consensus_day(changed, settled, backend, params, day=3)
+            assert len(summary_prompts(backend.prompts)) == 4
+
+    def test_a_pool_sends_the_calls_a_serial_run_sends(self):
+        g = generate_scale_free(30, 2, rng(5))
+        population = init_population(30, TOPIC, True, rng(6))
+        runs = {}
+        for max_in_flight in (1, 3):
+            backend = RecordingBackend()
+            result = run_llm(g, population, backend, LlmParams(max_in_flight=max_in_flight),
+                             NudgePolicy(kind="active"), days=6, rng=rng(7))
+            runs[max_in_flight] = (sorted(backend.prompts), result.transcript.to_jsonl())
+        assert runs[3] == runs[1]
+        assert len(runs[1][0]) < 2 * 30 * 6
+
+    def test_each_day_logs_its_calls_at_debug(self, caplog):
+        n = 12
+        population = make_population([(0, 2, 0, -2)[i % 4] for i in range(n)])
+        kinds, per_day = [], []
+
+        class Counted(MixedFailureBackend):
+            def complete(self, prompt, max_length, temperature):
+                kinds.append(SUMMARY_HEADER in prompt)
+                return super().complete(prompt, max_length, temperature)
+
+        def on_day(day, beliefs, texts, events):
+            per_day.append((len(kinds) - sum(kinds), sum(kinds), sum(e.kind == "exposure" for e in events)))
+
+        caplog.set_level(logging.DEBUG, logger="echosim.language")
+        run_llm(cycle_graph(n), population, Counted(), LlmParams(max_in_flight=1), NudgePolicy(kind="active"),
+                days=4, rng=rng(5), on_day=on_day)
+        counts = [(b[0] - a[0], b[1] - a[1], b[2]) for a, b in zip(per_day, per_day[1:])]
+        expected = [f"day {day}: {reflections} reflection calls, {summaries} compression calls sent, "
+                    f"{n - summaries} compressions kept without a call ({n - heard} of them heard nothing)"
+                    for day, (reflections, summaries, heard) in enumerate(counts, 1)]
+        assert [r.getMessage() for r in caplog.records if r.name == "echosim.language"] == expected
+        assert any(reflections > n for reflections, _, _ in counts)  # retries are calls too
+        assert any(summaries < heard for _, summaries, heard in counts)
 
 
 class TestValidation:
@@ -518,7 +669,8 @@ class TestValidation:
         beliefs = [2, -2, 0, 1]
         with pytest.raises(ParameterError, match="passive feed"):
             llm_day(cycle_graph(4), make_population(beliefs), beliefs, [stance_statement(b) for b in beliefs],
-                    [""] * 4, MockBackend(), LlmParams(), NudgePolicy(kind="passive"), None, rng(), day=1)
+                    [""] * 4, [None] * 4, MockBackend(), LlmParams(), NudgePolicy(kind="passive"), None, rng(),
+                    day=1)
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):

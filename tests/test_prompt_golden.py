@@ -18,9 +18,9 @@ import hashlib
 import pytest
 
 import echosim.runner as runner_mod
-from echosim.backends import MockBackend
 from echosim.config import config_from_dict
 from echosim.runner import run
+from helpers import RecordingBackend
 
 CASES = {
     "active": {"engine": "llm", "n": 30, "days": 4, "seed": 11,
@@ -30,23 +30,19 @@ CASES = {
 }
 
 # (sha256 of the prompts joined by NUL, number of prompts): at most 2n a day, as an
-# agent that heard nothing keeps its notes without a compression call
+# agent that heard nothing, or whose notes already answer today's request (the last
+# compression with the same notes, heard lines and budget returned those notes),
+# keeps its notes without a compression call
 GOLDEN = {
-    "active": ("df38733ddbff01875895c618b9834cc1a3f440427dcdf8f904e256c26e641d28", 238),
-    "passive": ("556e456b893463aaf794ac35ed0e2d656b0e410ef350a92a7d09f4ef39e67b71", 240),
+    "active": ("f433af38f9d28806675cc9691a8b1f84ec4652d3e38e482cde2e5abb04d7cff4", 214),
+    "passive": ("39eaf98dc7b0adfba87903397252ccf61250ad3b97d8c9d5df4d792d9e475213", 206),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_prompt_of_a_run_matches_its_pin(tmp_path, monkeypatch, case):
-    prompts = []
-
-    class RecordingBackend(MockBackend):
-        def complete(self, prompt, max_length, temperature):
-            prompts.append(prompt)
-            return super().complete(prompt, max_length, temperature)
-
-    monkeypatch.setattr(runner_mod, "MockBackend", RecordingBackend)
+    backend = RecordingBackend()
+    monkeypatch.setattr(runner_mod, "MockBackend", lambda: backend)
     run(config_from_dict(CASES[case]), tmp_path / case)
-    digest = hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest()
-    assert (digest, len(prompts)) == GOLDEN[case]
+    digest = hashlib.sha256("\0".join(backend.prompts).encode("utf-8")).hexdigest()
+    assert (digest, len(backend.prompts)) == GOLDEN[case]

@@ -696,6 +696,36 @@ class TestWriterProcess:
         assert_no_child_process()
         assert read_all(d) == earlier
 
+    def test_the_writer_is_reaped_after_the_renames(self, tmp_path, monkeypatch):
+        d = tmp_path / "d"
+        forks = self.count_forks(monkeypatch)
+        reaped = []
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            reaped.append((pid, (d / "manifest.txt").is_file()))
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        run(config_from_dict(cfg_dict(engine="fj", seed=1)), d)
+        assert reaped == [(forks[0], True)]  # its teardown overlapped the renames
+        assert_no_child_process()
+
+    def test_a_failed_rename_still_reaps_the_writer(self, tmp_path, monkeypatch):
+        d = tmp_path / "d"
+        forks = self.count_forks(monkeypatch)
+
+        def failing_replace(src, dst):
+            raise OSError("disk gone")
+
+        # the child has reported that it wrote everything by the time the renames start
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            run(config_from_dict(cfg_dict(engine="bcm", seed=1)), d)
+        assert len(forks) == 1
+        assert_no_child_process()
+        assert not list(d.iterdir())
+
     def test_a_parent_that_fails_after_the_fork_kills_and_reaps_the_writer(self, tmp_path, monkeypatch):
         d = tmp_path / "d"
         run(config_from_dict(cfg_dict(engine="bcm", seed=1)), d)
