@@ -37,12 +37,19 @@ class NetworkGraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple]) -> "NetworkGraph":
-        """Graph on ``n`` nodes from ``(i, j)`` pairs, or an int array of shape (m, 2)."""
+        """Graph on ``n`` nodes from integer ``(i, j)`` pairs, or an integer array of
+        shape (m, 2); anything else is a ParameterError. No pairs is no edge."""
         if n < 1:
             raise ParameterError(f"node count must be >= 1, got {n}")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        try:
+            pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
+        except ValueError:
+            raise ParameterError("edges must be (i, j) pairs of integers, got rows of unequal length") from None
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ParameterError(f"edges must be (i, j) pairs of integers, got shape {pairs.shape} of {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
         bad = (pairs[:, 0] == pairs[:, 1]) | (pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)
         if bad.any():
             a, b = pairs[np.argmax(bad)].tolist()

@@ -4,8 +4,9 @@ The wording here is this package's own design. Two templates exist: a daily
 reflection prompt asking for an updated stance, and a note-compression
 prompt for long-term memory; the first opens with the agent's card, as
 ``Population.cards`` renders it. Replies to the reflection prompt must carry a
-``BELIEF:`` line with an integer in [-2, 2] followed by an ``OPINION:``
-line; out-of-range integers are clamped to the nearest grid endpoint.
+``BELIEF:`` integer in [-2, 2] and opinion text, in either order: the text is
+the reply without its first ``BELIEF:`` match, from its ``OPINION:`` tag on
+when it has one. Out-of-range integers are clamped to the nearest grid endpoint.
 
 Exposure items embed the speaker's numeric stance (``(stance +1) ...``) so
 the stance signal reaches the model explicitly and a deterministic mock
@@ -55,7 +56,6 @@ _REFLECTION_FORMAT = "\n".join([
 ])
 
 _BELIEF_RE = re.compile(r"BELIEF:\s*([+-]?)0*(\d+)")  # sign, then the digits without leading zeros
-_OPINION_RE = re.compile(r"OPINION:\s*(.+)", re.DOTALL)
 
 
 class OpinionOutput(NamedTuple):
@@ -105,30 +105,22 @@ def build_summary_prompt(old_summary: str, heard: str, budget: int) -> str:
 
 
 def parse_opinion_output(raw: str) -> OpinionOutput:
-    """Extract the first BELIEF integer and the OPINION text from a reply.
+    """Read a reply by one rule per field, whatever the order of its lines.
 
-    Out-of-grid integers, of any length, are clamped to the nearest endpoint
-    and flagged; leading zeros are read as the number.
-    Raises OpinionParseError when no belief integer (or no usable opinion
-    text) can be found.
+    The belief is the first ``BELIEF:`` integer, read from at most four digits
+    after its leading zeros (more lie off the grid anyway), then clamped to the
+    grid and flagged when it was off it. The opinion text is the reply with that
+    match cut out, from its first ``OPINION:`` tag on when it has one, stripped.
+    Raises OpinionParseError when there is no belief integer or no opinion text.
     """
     belief_match = _BELIEF_RE.search(raw)
     if belief_match is None:
         raise OpinionParseError(f"no BELIEF line in reply: {raw[:80]!r}")
     sign, digits = belief_match.groups()
-    if len(digits) > 3:  # off the grid whatever the digits, and int() refuses more than 4,300 of them
-        digits = "999"
-    belief = int(sign + digits)
-    clamped = not BELIEF_GRID[0] <= belief <= BELIEF_GRID[-1]
-    if clamped:
-        belief = clamp_to_grid(belief)
-
-    opinion_match = _OPINION_RE.search(raw)
-    if opinion_match is not None:
-        text = opinion_match.group(1).strip()
-    else:
-        # tolerate a missing tag: use whatever text surrounds the BELIEF line
-        text = (raw[: belief_match.start()] + raw[belief_match.end():]).strip()
+    read = int(sign + digits[:4])  # int() refuses more than 4,300 digits
+    belief = read if read in BELIEF_GRID else BELIEF_GRID[-1] if read > 0 else BELIEF_GRID[0]
+    head, tag, tail = (raw[:belief_match.start()] + raw[belief_match.end():]).partition("OPINION:")
+    text = (tail if tag else head).strip()
     if not text:
         raise OpinionParseError("reply carries no opinion text")
-    return OpinionOutput(opinion_text=text, belief=belief, clamped=clamped)
+    return OpinionOutput(opinion_text=text, belief=belief, clamped=belief != read)

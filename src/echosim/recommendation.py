@@ -43,12 +43,8 @@ def exposure_mask(mode: str, threshold: float, distance: np.ndarray) -> np.ndarr
 
 
 def _check_query(mode: str, threshold: float, cap: Optional[int]) -> None:
-    """ExposureRule's checks and the cap's, as scalar comparisons: the queries
-    run every day, and ``exposure_set`` once per agent."""
-    if mode not in EXPOSURE_MODES:
-        raise ParameterError(f"exposure_mode must be one of {', '.join(map(repr, EXPOSURE_MODES))}, got {mode!r}")
-    if not 0 <= threshold < INF:  # NaN fails both comparisons
-        raise ParameterError(f"similarity_threshold must be >= 0, got {threshold!r}")
+    """ExposureRule's checks of ``mode`` and ``threshold``, then the cap's."""
+    ExposureRule(exposure_mode=mode, similarity_threshold=threshold).validate()
     if cap is not None and cap < 1:
         raise ParameterError(f"cap must be >= 1, got {cap}")
 

@@ -290,6 +290,22 @@ class TestMeasures:
             with pytest.raises(ParameterError, match=f"source {source} out of range for n=4"):
                 hop_distances(path_graph(4), source)
 
+    @pytest.mark.parametrize("edges, got", [
+        ([(0, 1, 2), (3, 4, 5)], "got shape (2, 3) of int64"),  # not the pairs (0, 1), (2, 3), (4, 5)
+        ([(0, 1.7)], "got shape (1, 2) of float64"),  # not the pair (0, 1)
+        ([(0, 1, 2)], "got shape (1, 3) of int64"),
+        ([(0, 1), (2,)], "got rows of unequal length"),
+    ], ids=["two-triples", "fractional-end", "one-triple", "ragged"])
+    def test_anything_but_integer_pairs_is_a_parameter_error(self, edges, got):
+        with pytest.raises(ParameterError) as error:
+            NetworkGraph.from_edges(6, edges)
+        assert str(error.value) == f"edges must be (i, j) pairs of integers, {got}"
+
+    @pytest.mark.parametrize("edges", [[], set(), np.empty((0, 2), dtype=np.int64)], ids=["list", "set", "array"])
+    def test_no_pairs_is_the_edgeless_graph(self, edges):
+        g = NetworkGraph.from_edges(3, edges)
+        assert g.indptr.tolist() == [0, 0, 0, 0] and g.indices.tolist() == []
+
 
 def pieces_instance(seed: int) -> NetworkGraph:
     """One or two ``random_instance`` graphs side by side with up to three

@@ -236,7 +236,25 @@ class TestBackendDiscipline:
         assert any("clamped" in e.payload for e in transcript if e.kind == "reflection")
 
 
+class SwappedLinesBackend(RecordingBackend):
+    """The recording mock, with the OPINION line of each reflection reply first."""
+
+    def complete(self, prompt, max_length, temperature):
+        reply = super().complete(prompt, max_length, temperature)
+        return "\n".join(reversed(reply.split("\n"))) if reply.startswith("BELIEF:") else reply
+
+
 class TestFullRuns:
+    def test_replies_with_their_lines_swapped_run_as_the_mock_s(self):
+        g = generate_scale_free(30, 2, rng(5))
+        population = init_population(30, TOPIC, True, rng(6))
+        runs = []
+        for backend in (RecordingBackend(), SwappedLinesBackend()):
+            result = run_llm(g, population, backend, LlmParams(max_in_flight=1), NudgePolicy(kind="active"),
+                             days=5, rng=rng(7))
+            runs.append((result.belief_trajectory.tolist(), result.opinion_trajectory, backend.prompts))
+        assert runs[1] == runs[0]
+
     def test_run_is_bit_reproducible(self):
         g = cycle_graph(12)
         population = make_population([(-2 + i) % 5 - 2 for i in range(12)])

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from echosim.errors import OpinionParseError
+from echosim.population import BELIEF_GRID
 from echosim.prompts import (
     SECTION_HEARD,
+    OpinionOutput,
     SECTION_NOTE,
     build_reflection_prompt,
     build_summary_prompt,
@@ -128,6 +132,24 @@ class TestParsing:
     def test_belief_without_any_text_is_an_error(self):
         with pytest.raises(OpinionParseError):
             parse_opinion_output("BELIEF: 1")
+
+    def test_an_opinion_line_first_leaves_no_belief_line_in_the_text(self):
+        out = parse_opinion_output("OPINION: I agree.\nBELIEF: 1")
+        assert (out.opinion_text, out.belief, out.clamped) == ("I agree.", 1, False)
+
+    def test_the_text_runs_from_the_opinion_tag_with_the_belief_cut_out(self):
+        out = parse_opinion_output("Let me think.\nOPINION: I lean against it.\nBELIEF: -1\nThat is all.")
+        assert (out.opinion_text, out.belief) == ("I lean against it.\n\nThat is all.", -1)
+
+    @given(belief=st.sampled_from(BELIEF_GRID),
+           text=st.text().filter(lambda t: "\n" not in t and t.strip()
+                                 and "BELIEF:" not in t and "OPINION:" not in t))
+    @example(belief=-2, text=" 42 ")
+    @example(belief=0, text="OPINION")
+    def test_either_line_order_reads_the_same(self, belief, text):
+        expected = OpinionOutput(text.strip(), belief)
+        assert parse_opinion_output(f"BELIEF: {belief}\nOPINION: {text}") == expected
+        assert parse_opinion_output(f"OPINION: {text}\nBELIEF: {belief}") == expected
 
 
 def test_stance_statements_cover_grid():

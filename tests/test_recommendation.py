@@ -125,6 +125,13 @@ def test_exposure_set_rejects_a_threshold_the_rule_rejects(threshold):
     assert str(exposure_error.value) == str(rule_error.value) == f"similarity_threshold must be >= 0, got {threshold!r}"
 
 
+def test_a_threshold_that_is_not_a_number_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="similarity_threshold must be a number, got str"):
+        exposure_set(cycle_graph(4), [0.0] * 4, 0, "recommended", threshold="2")
+    with pytest.raises(ParameterError, match="similarity_threshold must be a number, got NoneType"):
+        all_exposure_sets(cycle_graph(4), [0.0] * 4, "recommended", threshold=None)
+
+
 @pytest.mark.parametrize("threshold", [0, 0.0, 2.0])
 def test_exposure_set_accepts_a_threshold_the_rule_accepts(threshold):
     ExposureRule(similarity_threshold=threshold).validate()
