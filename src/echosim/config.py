@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
 from .backends import BackendSettings
 from .errors import INF, ConfigError, ParameterError, check_fields
 from .graphs import GraphSpec, default_graph_spec
@@ -133,6 +131,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_to_yaml(cfg: RunConfig) -> str:
+    import yaml  # here, not at the top: only config files need it, and it takes over 10 ms to import
+
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=True, default_flow_style=False)
 
 
@@ -142,6 +142,8 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def load_config_file(path) -> dict:
+    import yaml
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

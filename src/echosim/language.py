@@ -246,7 +246,7 @@ def llm_day(
     return new_beliefs, new_texts, new_long_term, new_settled, events
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity, since its belief trajectory is an array
 class LlmRunResult:
     belief_trajectory: np.ndarray         # (days + 1, n) integer grid values
     opinion_trajectory: Optional[list]    # per day, per agent opinion text; None with an on_day hook

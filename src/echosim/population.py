@@ -46,13 +46,14 @@ def clamp_to_grid(value: float) -> int:
     return int(min(max(round(value), BELIEF_GRID[0]), BELIEF_GRID[-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
     """The agents as aligned columns, row i for agent i: ``genders`` and
     ``educations`` as codes into GENDERS and EDUCATION_LEVELS, ``ages``, an
     (n, 5) bool ``traits`` of positive-polarity flags in TRAIT_NAMES order,
     and the initial ``beliefs``; plus the discussion topic and whether the
-    beliefs are on the integer grid."""
+    beliefs are on the integer grid. Compared and hashed by identity, since
+    the columns are arrays."""
 
     genders: np.ndarray
     ages: np.ndarray

@@ -11,10 +11,10 @@ name, the trajectory and transcript one day at a time, and none is renamed into
 place until all are written, the manifest last: a run that fails before then
 leaves the directory as it was, and one with a manifest holds one whole run. An
 llm run writes each day as the engine runs. The files that need neither the
-metrics nor the layout (``population.txt``, ``graph.txt``, ``config.yaml`` and a
-numeric run's trajectory) are written by a forked child while those run, or
-inline with the same bytes where forking is not safe (no ``os.fork``, or other
-threads alive). The parent renders ``metrics.csv``, ``projection.csv`` and the
+metrics nor the layout (``population.txt``, ``graph.txt`` and a numeric run's
+trajectory) are written by a forked child while those run, or inline with the
+same bytes where forking is not safe (no ``os.fork``, or other threads alive).
+The parent renders ``config.yaml``, ``metrics.csv``, ``projection.csv`` and the
 manifest while the child may still be writing, and only then waits for the
 child's report that it wrote everything; it reaps the child after the renames,
 while the child's exit may still be tearing down, and ``run()`` always reaps it.
@@ -232,8 +232,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             trajectory = run_numeric(g, population.beliefs, params, config.days)
         # the files that need neither the metrics nor the layout are rendered by a child while those run
         apart = [(files["population.txt"], lambda: [population_to_text(population)]),
-                 (files["graph.txt"], lambda: [to_edge_list_text(g)]),
-                 (files["config.yaml"], lambda: [config_to_yaml(config)])]
+                 (files["graph.txt"], lambda: [to_edge_list_text(g)])]
         if not llm:  # an llm run wrote its trajectory day by day
             apart.append((files["trajectory.jsonl"], lambda: trajectory_chunks(trajectory)))
         with _written_apart(apart, reap):
@@ -241,7 +240,9 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             run_deltas = deltas(snapshots)
             positions = force_layout(g, component_rng(config.seed, "layout"))
             # written after the fork, so the child inherits no buffered text of these files,
-            # and while it may still be writing
+            # and while it may still be writing; config.yaml here, so PyYAML is imported once a
+            # process, not again in each run's child
+            files["config.yaml"].write(config_to_yaml(config))
             files["metrics.csv"].write("\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
             files["projection.csv"].write(projection_text(trajectory[-1], positions))
             files["manifest.txt"].write("\n".join([
@@ -407,8 +408,9 @@ def sweep(config: RunConfig, seeds: Sequence[int], out_dir) -> SweepResult:
 def export_projection(run_dir, out_path=None) -> str:
     """Rebuild the projection CSV for a completed run from its persisted
     config and trajectory; writes to ``out_path`` when given. The graph and the
-    layout are generated again, so a run without a manifest of this code
-    version is rejected: another version may lay the graph out otherwise. A
+    layout are generated again, so a run without a manifest of this code and
+    numpy version is rejected: another version of either may lay the graph out
+    otherwise (numpy's random streams may change between its versions). A
     ``manifest.txt`` or ``trajectory.jsonl`` that cannot be read or used raises
     ParameterError, and such a ``config.yaml`` ConfigError."""
     run_dir = Path(run_dir)
@@ -419,9 +421,10 @@ def export_projection(run_dir, out_path=None) -> str:
         fields = dict(line.partition(": ")[::2] for line in manifest.read_text(encoding="utf-8").splitlines())
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"{manifest}: cannot read it: {exc}") from exc
-    if fields.get("code_version") != __version__:
-        raise ParameterError(f"{manifest}: code_version {fields.get('code_version')!r} is not {__version__!r}, "
-                             "whose graph and layout may differ")
+    for key, version in (("code_version", __version__), ("numpy_version", np.__version__)):
+        if fields.get(key) != version:
+            raise ParameterError(f"{manifest}: {key} {fields.get(key)!r} is not {version!r}, "
+                                 "whose graph and layout may differ")
     cfg = config_from_dict(load_config_file(run_dir / "config.yaml"))
 
     # the final day is the file's last n lines; parse only those

@@ -418,3 +418,50 @@ def test_importing_echosim_leaves_http_client_and_ssl_unloaded():
     code = "import sys, echosim; sys.exit('http.client' in sys.modules or 'ssl' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(echosim.__file__).resolve().parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+LAZY_IMPORT_CHECK = """
+import sys, tempfile
+import numpy as np
+import echosim
+
+LAYER = ("yaml", "echosim.runner", "echosim.layout", "echosim.metrics")
+cfg = echosim.resolve_config(overrides={"n": 12, "days": 3, "engine": "llm"})
+cfg.validate()
+g = echosim.generate_graph(cfg.graph, np.random.default_rng(1))
+population = echosim.init_population(cfg.n, cfg.topic, True, np.random.default_rng(2))
+echosim.run_llm(g, population, echosim.MockBackend(), cfg.llm, cfg.nudge, cfg.days, np.random.default_rng(3))
+assert not [name for name in LAYER if name in sys.modules], [name for name in LAYER if name in sys.modules]
+
+for module in ("runner", "layout", "metrics"):
+    assert getattr(echosim, module) is sys.modules["echosim." + module]
+    assert module in dir(echosim)
+for name, module in {"compare": "runner", "component_rng": "runner", "run": "runner", "sweep": "runner",
+                     "force_layout": "layout", "MetricsSnapshot": "metrics", "deltas": "metrics",
+                     "global_disagreement": "metrics", "nci": "metrics", "polarization": "metrics",
+                     "snapshot": "metrics"}.items():
+    assert getattr(echosim, name) is vars(sys.modules["echosim." + module])[name], name
+    assert name in dir(echosim), name
+star = {}
+exec("from echosim import *", star)
+assert star["run"] is echosim.run and star["generate_graph"] is echosim.generate_graph
+try:
+    echosim.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("echosim.no_such_name resolved")
+assert "yaml" not in sys.modules  # reading the run-directory layer's names imports no PyYAML
+
+with tempfile.TemporaryDirectory() as out:
+    echosim.run(echosim.resolve_config(overrides={"n": 12, "days": 3}), out)
+assert "yaml" in sys.modules  # the parent rendered config.yaml, not the writer child
+"""
+
+
+def test_importing_echosim_leaves_the_run_directory_layer_and_yaml_unloaded_until_reached():
+    # a caller that drives the engines directly never writes a run directory, so never needs them
+    env = {**os.environ, "PYTHONPATH": str(Path(echosim.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", LAZY_IMPORT_CHECK], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

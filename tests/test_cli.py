@@ -286,6 +286,16 @@ class TestExportProjectionCommand:
         assert main(["export-projection", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"run directory error: {manifest}: code_version '0.")
 
+    def test_a_run_of_another_numpy_version_is_a_run_directory_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        manifest = tmp_path / "out" / "manifest.txt"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("numpy_version: ", "numpy_version: 0."),
+                            encoding="utf-8")
+        assert main(["export-projection", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"run directory error: {manifest}: numpy_version '0.")
+
     @pytest.mark.parametrize("name", ["manifest.txt", "config.yaml", "trajectory.jsonl"])
     def test_a_file_that_is_not_utf8_is_a_run_directory_error(self, tmp_path, capsys, name):
         cfg = write_config(tmp_path, BASE)

@@ -267,6 +267,16 @@ class TestFullRuns:
         assert results[0].opinion_trajectory == results[1].opinion_trajectory
         assert results[0].transcript.to_jsonl() == results[1].transcript.to_jsonl()
 
+    def test_a_result_is_compared_and_hashed_by_identity(self):
+        # generated field-wise methods would compare the belief arrays (ValueError) and leave it unhashable
+        g = cycle_graph(6)
+        population = make_population([-2, -1, 0, 1, 2, 0])
+        result, twin = (run_llm(g, population, MockBackend(), LlmParams(), NudgePolicy(), days=2, rng=rng(3))
+                        for _ in range(2))
+        assert result == result and result != twin and not result == twin
+        assert hash(result) == hash(result) != hash(twin)
+        assert len({result, twin, result}) == 2
+
     def test_beliefs_never_leave_grid(self):
         g = cycle_graph(10)
         population = make_population([-2, -1, 0, 1, 2, 2, 1, 0, -1, -2])

@@ -87,6 +87,14 @@ def test_cards_are_rendered_once_per_population():
     assert pop.cards is pop.cards
 
 
+def test_a_population_is_compared_and_hashed_by_identity():
+    # generated field-wise methods would compare the array columns: == raised ValueError, hash() TypeError
+    pop, twin = init_population(5, TOPIC, True, rng(3)), init_population(5, TOPIC, True, rng(3))
+    assert pop == pop and pop != twin and not pop == twin
+    assert hash(pop) == hash(pop) != hash(twin)
+    assert len({pop, twin, pop}) == 2
+
+
 def test_card_negative_polarity_adjective():
     traits = np.ones((3, 5), dtype=bool)
     traits[0, 0] = False

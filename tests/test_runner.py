@@ -680,12 +680,12 @@ class TestWriterProcess:
         earlier = read_all(d)
         forks = self.count_forks(monkeypatch)
 
-        def failing_yaml(config):
-            raise RuntimeError("yaml gone")
+        def failing_edge_list(g):
+            raise RuntimeError("edge list gone")
 
-        # config.yaml needs neither the metrics nor the layout, so the forked child renders it
-        monkeypatch.setattr(runner_mod, "config_to_yaml", failing_yaml)
-        with pytest.raises(OSError, match="writer process failed: RuntimeError: yaml gone"):
+        # graph.txt needs neither the metrics nor the layout, so the forked child renders it
+        monkeypatch.setattr(runner_mod, "to_edge_list_text", failing_edge_list)
+        with pytest.raises(OSError, match="writer process failed: RuntimeError: edge list gone"):
             run(config_from_dict(cfg_dict(engine=engine, seed=2)), d)
         assert len(forks) == 1
         assert_no_child_process()
@@ -1021,6 +1021,20 @@ class TestExportProjection:
         manifest.write_text(text.replace(f"code_version: {echosim.__version__}", "code_version: 0.4.0"),
                             encoding="utf-8")
         with pytest.raises(ParameterError, match="code_version '0.4.0' is not"):
+            export_projection(artifacts.run_dir)
+
+    def test_a_run_of_another_numpy_version_is_rejected(self, tmp_path):
+        # numpy's random streams, which draw the graph and the layout's start, may change between its versions
+        artifacts = run(config_from_dict(cfg_dict()), tmp_path / "r")
+        manifest = artifacts.run_dir / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        assert f"numpy_version: {np.__version__}\n" in text
+        manifest.write_text(text.replace(f"numpy_version: {np.__version__}", "numpy_version: 1.26.4"),
+                            encoding="utf-8")
+        with pytest.raises(ParameterError, match="numpy_version '1.26.4' is not"):
+            export_projection(artifacts.run_dir)
+        manifest.write_text(text.replace(f"numpy_version: {np.__version__}\n", ""), encoding="utf-8")
+        with pytest.raises(ParameterError, match="numpy_version None is not"):
             export_projection(artifacts.run_dir)
 
     def test_a_run_without_a_manifest_is_rejected(self, tmp_path):
