@@ -10,6 +10,7 @@ import numpy as np
 
 from echosim import (
     clustering_coefficient,
+    component_rng,
     default_graph_spec,
     degree_sequence,
     generate_graph,
@@ -19,7 +20,7 @@ from echosim import (
 
 
 def describe(kind: str, seed: int = 1, n: int = 50):
-    g = generate_graph(default_graph_spec(kind, n), np.random.default_rng([seed, 0]))
+    g = generate_graph(default_graph_spec(kind, n), component_rng(seed, "graph"))
     degrees = degree_sequence(g)
     print(f"\n=== {kind} (n={n}, seed={seed}) ===")
     print(f"edges:      {g.edge_count}")

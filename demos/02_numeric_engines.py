@@ -12,6 +12,7 @@ import numpy as np
 from echosim import (
     BcmParams,
     FjParams,
+    component_rng,
     default_graph_spec,
     deltas,
     generate_graph,
@@ -39,8 +40,8 @@ def metric_table(g, trajectory, label):
 
 
 def main():
-    g = generate_graph(default_graph_spec("small_world", N), np.random.default_rng([SEED, 0]))
-    population = init_population(N, TOPIC, False, np.random.default_rng([SEED, 1]))
+    g = generate_graph(default_graph_spec("small_world", N), component_rng(SEED, "graph"))
+    population = init_population(N, TOPIC, False, component_rng(SEED, "population"))
 
     for mode in ("recommended", "all_neighbors"):
         bcm = run_numeric(g, population.beliefs, BcmParams(epsilon=2.0, mu=0.3, exposure_mode=mode), DAYS)

@@ -14,6 +14,7 @@ from echosim import (
     LlmParams,
     MockBackend,
     NudgePolicy,
+    component_rng,
     default_graph_spec,
     generate_graph,
     init_population,
@@ -26,11 +27,11 @@ TOPIC = "Euthanasia should be legal."
 
 
 def main():
-    g = generate_graph(default_graph_spec("small_world", N), np.random.default_rng([SEED, 0]))
-    population = init_population(N, TOPIC, True, np.random.default_rng([SEED, 1]))
+    g = generate_graph(default_graph_spec("small_world", N), component_rng(SEED, "graph"))
+    population = init_population(N, TOPIC, True, component_rng(SEED, "population"))
     result = run_llm(
         g, population, MockBackend(), LlmParams(), NudgePolicy(kind="active"),
-        days=DAYS, rng=np.random.default_rng([SEED, 2]),
+        days=DAYS, rng=component_rng(SEED, "engine"),
     )
 
     print("=== one agent, close up ===")
@@ -65,7 +66,7 @@ def main():
 
     rerun = run_llm(
         g, population, MockBackend(), LlmParams(), NudgePolicy(kind="active"),
-        days=DAYS, rng=np.random.default_rng([SEED, 2]),
+        days=DAYS, rng=component_rng(SEED, "engine"),
     )
     identical = np.array_equal(rerun.belief_trajectory, result.belief_trajectory)
     print(f"\nrerun with the same seed is bit-identical: {identical}")

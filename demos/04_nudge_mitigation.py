@@ -12,6 +12,7 @@ from echosim import (
     LlmParams,
     MockBackend,
     NudgePolicy,
+    component_rng,
     default_graph_spec,
     generate_graph,
     init_population,
@@ -27,11 +28,11 @@ TOPIC = "Euthanasia should be legal."
 def run_policy(kind: str):
     finals, extremes = [], []
     for seed in SEEDS:
-        g = generate_graph(default_graph_spec("scale_free", N), np.random.default_rng([seed, 0]))
-        population = init_population(N, TOPIC, True, np.random.default_rng([seed, 1]))
+        g = generate_graph(default_graph_spec("scale_free", N), component_rng(seed, "graph"))
+        population = init_population(N, TOPIC, True, component_rng(seed, "population"))
         result = run_llm(
             g, population, MockBackend(), LlmParams(max_in_flight=1), NudgePolicy(kind=kind),
-            days=DAYS, rng=np.random.default_rng([seed, 2]),
+            days=DAYS, rng=component_rng(seed, "engine"),
         )
         final = result.belief_trajectory[-1]
         finals.append(polarization(final))

@@ -10,7 +10,7 @@ a config file needs."""
 __version__ = "0.6.0"
 
 from .backends import BackendError, BackendSettings, MockBackend, RemoteChatBackend, mock_backend_rule
-from .config import RunConfig, config_from_dict, resolve_config
+from .config import RunConfig, component_rng, config_from_dict, resolve_config
 from .errors import ConfigError, OpinionParseError, ParameterError
 from .graphs import (
     GraphSpec,
@@ -39,7 +39,7 @@ _LAZY = {
     "force_layout": "layout",
     "MetricsSnapshot": "metrics", "deltas": "metrics", "global_disagreement": "metrics", "nci": "metrics",
     "polarization": "metrics", "snapshot": "metrics",
-    "compare": "runner", "component_rng": "runner", "run": "runner", "sweep": "runner",
+    "compare": "runner", "run": "runner", "sweep": "runner",
 }
 # so a star import still binds every public name, the lazy ones too
 __all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZY.keys())

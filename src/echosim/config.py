@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .backends import BackendSettings
 from .errors import INF, ConfigError, ParameterError, check_fields
 from .graphs import GraphSpec, default_graph_spec
@@ -32,6 +34,17 @@ from .population import DEFAULT_TOPIC, check_topic
 from .recommendation import EXPOSURE_MODES
 
 ENGINES = NUMERIC_ENGINES + ("llm",)
+
+# fixed per-component rng streams so e.g. populations match across structures
+_STREAMS = {"graph": 0, "population": 1, "engine": 2, "layout": 3}
+
+
+def component_rng(seed: int, component: str) -> np.random.Generator:
+    """The rng stream of ``component`` under ``seed``: ``run()`` draws from it, and
+    a caller that drives the engines directly draws the same graph and population."""
+    if component not in _STREAMS:
+        raise ParameterError(f"component must be one of {', '.join(map(repr, _STREAMS))}, got {component!r}")
+    return np.random.default_rng([seed, _STREAMS[component]])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the one check of declared field
-types and domains that every config dataclass's ``validate()`` runs, and the
-check of a run's day count that both run functions make."""
+types and domains that every config dataclass's ``validate()`` runs, the
+check of a run's day count that both run functions make, and the check of a
+node index that the per-node graph queries make."""
 
 import math
 import numbers
@@ -82,3 +83,12 @@ def check_days(days) -> None:
     A bool is not one, and a float is not truncated."""
     if isinstance(days, bool) or not isinstance(days, numbers.Integral) or days < 1:
         raise ParameterError(f"days must be an integer >= 1, got {days!r}")
+
+
+def check_index(name: str, index, n: int) -> None:
+    """Raise a ParameterError naming ``name`` unless ``index`` is an integer in
+    ``[0, n)``. A bool is not one, and a float is not truncated."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {index!r}")
+    if not 0 <= index < n:
+        raise ParameterError(f"{name} {index} out of range for n={n}")

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import INF, ParameterError, check_fields
+from .errors import INF, ParameterError, check_fields, check_index
 
 # Each kind's parameters, with defaults chosen so all three structures have
 # expected degree ~4 at n=50, keeping cross-structure comparisons at matched density.
@@ -86,10 +86,6 @@ class NetworkGraph:
         total = np.bincount(rows, weights=values, minlength=self.n)
         nonempty = count > 0
         return nonempty, total[nonempty] / count[nonempty]
-
-    @cached_property
-    def adjacency(self) -> tuple:  # sorted neighbor tuples; read only by perfbench/spans.py
-        return tuple(tuple(ns.tolist()) for ns in np.split(self.indices, self.indptr[1:-1]))
 
     @property
     def edge_count(self) -> int:
@@ -252,8 +248,7 @@ def hop_layers(g: NetworkGraph, source: int) -> Iterator[np.ndarray]:
     """Breadth-first search from ``source``: one array per hop count from 1 on,
     of the nodes first reached at that count, each once, in no set order. A
     search stopped after a layer has read only the rows of the layers before it."""
-    if not 0 <= source < g.n:
-        raise ParameterError(f"source {source} out of range for n={g.n}")
+    check_index("source", source, g.n)
     seen = np.zeros(g.n, dtype=bool)
     seen[source] = True
     slot = np.empty(g.n, dtype=np.intp)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import INF, ParameterError, check_fields
+from .errors import INF, ParameterError, check_fields, check_index
 from .graphs import NetworkGraph, belief_vector
 
 EXPOSURE_MODES = ("all_neighbors", "recommended")
@@ -79,8 +79,7 @@ def exposure_set(
     ``threshold`` that ``ExposureRule`` rejects raises its ParameterError.
     """
     _check_query(mode, threshold, cap)
-    if not 0 <= i < g.n:
-        raise ParameterError(f"agent index {i} out of range for n={g.n}")
+    check_index("agent index", i, g.n)
     values = belief_vector(g, beliefs)
     neighbors = g.indices[g.indptr[i]:g.indptr[i + 1]]
     selected = neighbors[exposure_mask(mode, threshold, np.abs(values[neighbors] - values[i]))].tolist()

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .backends import MockBackend, RemoteChatBackend, TextBackend
-from .config import ENGINES, RunConfig, config_from_dict, config_hash, config_to_yaml, load_config_file
+from .config import ENGINES, RunConfig, component_rng, config_from_dict, config_hash, config_to_yaml, load_config_file
 from .errors import ParameterError
 from .graphs import GRAPH_KINDS, generate_graph, is_connected, to_edge_list_text
 from .language import events_jsonl, run_llm
@@ -48,9 +48,6 @@ from .layout import force_layout
 from .metrics import METRICS_CSV_HEADER, deltas, snapshot
 from .numeric import run_numeric
 from .population import init_population, population_to_text
-
-# fixed per-component rng streams so e.g. populations match across structures
-_STREAMS = {"graph": 0, "population": 1, "engine": 2, "layout": 3}
 
 DELTA_ROWS = ("delta_polarization", "delta_global_disagreement", "delta_nci")
 
@@ -61,10 +58,6 @@ _RUN_FILES = ("transcript.jsonl", "trajectory.jsonl", "metrics.csv", "projection
 _RUN_NAMES = frozenset(_RUN_FILES) | {f".{name}.tmp" for name in _RUN_FILES}
 # a writer child's report that it wrote everything; a failed one reports "<exception>: <message>"
 _WRITER_DONE = b"\0"
-
-
-def component_rng(seed: int, component: str) -> np.random.Generator:
-    return np.random.default_rng([seed, _STREAMS[component]])
 
 
 @dataclass

@@ -55,6 +55,11 @@ class RecordingBackend(MockBackend):
         return super().complete(prompt, max_length, temperature)
 
 
+def neighbors(g: NetworkGraph, i: int) -> list:
+    """Node ``i``'s CSR row, ``indices[indptr[i]:indptr[i + 1]]``, as a list."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+
+
 def edge_set(g: NetworkGraph) -> set:
     """Every edge as both ``(i, j)`` and ``(j, i)``, read with Python loops
     from the CSR rows."""

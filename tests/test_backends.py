@@ -422,21 +422,21 @@ def test_importing_echosim_leaves_http_client_and_ssl_unloaded():
 
 LAZY_IMPORT_CHECK = """
 import sys, tempfile
-import numpy as np
 import echosim
 
 LAYER = ("yaml", "echosim.runner", "echosim.layout", "echosim.metrics")
 cfg = echosim.resolve_config(overrides={"n": 12, "days": 3, "engine": "llm"})
 cfg.validate()
-g = echosim.generate_graph(cfg.graph, np.random.default_rng(1))
-population = echosim.init_population(cfg.n, cfg.topic, True, np.random.default_rng(2))
-echosim.run_llm(g, population, echosim.MockBackend(), cfg.llm, cfg.nudge, cfg.days, np.random.default_rng(3))
+g = echosim.generate_graph(cfg.graph, echosim.component_rng(cfg.seed, "graph"))
+population = echosim.init_population(cfg.n, cfg.topic, True, echosim.component_rng(cfg.seed, "population"))
+echosim.run_llm(g, population, echosim.MockBackend(), cfg.llm, cfg.nudge, cfg.days, echosim.component_rng(3, "engine"))
 assert not [name for name in LAYER if name in sys.modules], [name for name in LAYER if name in sys.modules]
 
 for module in ("runner", "layout", "metrics"):
     assert getattr(echosim, module) is sys.modules["echosim." + module]
     assert module in dir(echosim)
-for name, module in {"compare": "runner", "component_rng": "runner", "run": "runner", "sweep": "runner",
+assert echosim.runner.component_rng is echosim.component_rng  # one stream table, in config
+for name, module in {"compare": "runner", "run": "runner", "sweep": "runner",
                      "force_layout": "layout", "MetricsSnapshot": "metrics", "deltas": "metrics",
                      "global_disagreement": "metrics", "nci": "metrics", "polarization": "metrics",
                      "snapshot": "metrics"}.items():

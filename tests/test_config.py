@@ -5,6 +5,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from echosim.config import (
     ENGINES,
     BackendSettings,
     RunConfig,
+    component_rng,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -349,3 +351,21 @@ def test_persisted_config_bytes_and_hash_are_pinned(name):
     cfg = config_from_dict(data)
     assert hashlib.sha256(config_to_yaml(cfg).encode("utf-8")).hexdigest() == yaml_sha
     assert config_hash(cfg) == expected_hash
+
+
+# the stream each component draws from: runs, demos and direct engine callers
+# all split a seed this way, so changing a number changes every artifact
+STREAM_NUMBERS = {"graph": 0, "population": 1, "engine": 2, "layout": 3}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("component", STREAM_NUMBERS)
+def test_each_component_draws_from_its_pinned_stream(seed, component):
+    expected = np.random.default_rng([seed, STREAM_NUMBERS[component]]).random(4)
+    assert np.array_equal(component_rng(seed, component).random(4), expected)
+
+
+def test_an_unknown_component_is_a_parameter_error_naming_the_four_streams():
+    with pytest.raises(ParameterError,
+                       match="component must be one of 'graph', 'population', 'engine', 'layout', got 'graphs'"):
+        component_rng(1, "graphs")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import cache
 from math import comb
@@ -20,6 +21,7 @@ from echosim.graphs import (
     generate_scale_free,
     generate_small_world,
     hop_distances,
+    hop_layers,
     is_connected,
     to_edge_list_text,
 )
@@ -30,6 +32,7 @@ from helpers import (
     naive_clustering,
     naive_generate_scale_free,
     naive_hop_distances,
+    neighbors,
     path_graph,
     random_instance,
     star_graph,
@@ -70,11 +73,11 @@ def assert_valid(g: NetworkGraph):
     for i, j in zip(*g.upper()):
         assert i != j
         assert 0 <= i < j < g.n
-        assert j in g.adjacency[i] and i in g.adjacency[j]
+        assert j in neighbors(g, i) and i in neighbors(g, j)
     for i in range(g.n):
-        assert list(g.adjacency[i]) == sorted(set(g.adjacency[i]))
-        for j in g.adjacency[i]:
-            assert i in g.adjacency[j]
+        assert neighbors(g, i) == sorted(set(neighbors(g, i)))
+        for j in neighbors(g, i):
+            assert i in neighbors(g, j)
 
 
 class TestSmallWorld:
@@ -289,6 +292,16 @@ class TestMeasures:
         for source in (-1, 4):
             with pytest.raises(ParameterError, match=f"source {source} out of range for n=4"):
                 hop_distances(path_graph(4), source)
+
+    @pytest.mark.parametrize("source", [1.0, 2.5, True, "1"])
+    def test_a_source_that_is_not_an_integer_is_a_parameter_error(self, source):
+        for search in (hop_distances, lambda g, source: next(hop_layers(g, source))):
+            with pytest.raises(ParameterError, match=f"source must be an integer, got {re.escape(repr(source))}"):
+                search(path_graph(4), source)
+
+    def test_a_numpy_integer_source_is_an_index(self):
+        assert hop_distances(path_graph(4), np.int64(1)) == [1, 0, 1, 2]
+        assert sorted(next(hop_layers(path_graph(4), np.int64(1))).tolist()) == [0, 2]
 
     @pytest.mark.parametrize("edges, got", [
         ([(0, 1, 2), (3, 4, 5)], "got shape (2, 3) of int64"),  # not the pairs (0, 1), (2, 3), (4, 5)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from echosim.graphs import GRAPH_KINDS, NetworkGraph, default_graph_spec, genera
 from echosim.language import LlmParams
 from echosim.numeric import BcmParams, FjParams
 from echosim.recommendation import EXPOSURE_MODES, ExposureRule, all_exposure_sets, exposure_set
-from helpers import cycle_graph, random_instance, star_graph
+from helpers import cycle_graph, neighbors, random_instance, star_graph
 
 
 def recommended(g, beliefs, i, threshold):
@@ -28,7 +29,7 @@ def test_threshold_wider_than_range_keeps_all_neighbors():
     g = cycle_graph(6)
     beliefs = [-2.0, -1.0, 0.0, 1.0, 2.0, 0.5]
     for i in range(6):
-        assert recommended(g, beliefs, i, 4.0) == set(g.adjacency[i])
+        assert recommended(g, beliefs, i, 4.0) == set(neighbors(g, i))
 
 
 def test_star_graph_worked_example():
@@ -82,7 +83,7 @@ def test_cap_draws_reproducible_subset():
     assert a == b
     assert len(a) == 3
     assert a == sorted(a)
-    assert set(a) <= set(g.adjacency[0])
+    assert set(a) <= set(neighbors(g, 0))
 
 
 def test_cap_requires_rng_only_when_it_bites():
@@ -104,6 +105,16 @@ def test_parameter_errors():
         exposure_set(g, [0.0] * 4, 0, "everything")
     with pytest.raises(ParameterError):
         exposure_set(g, [0.0] * 4, 0, "all_neighbors", cap=0)
+
+
+@pytest.mark.parametrize("i", [1.0, 2.5, True, "1"])
+def test_an_agent_index_that_is_not_an_integer_is_a_parameter_error(i):
+    with pytest.raises(ParameterError, match=f"agent index must be an integer, got {re.escape(repr(i))}"):
+        exposure_set(cycle_graph(4), [0.0] * 4, i, "all_neighbors")
+
+
+def test_a_numpy_integer_agent_index_is_an_index():
+    assert exposure_set(cycle_graph(4), [0.0] * 4, np.int64(1), "all_neighbors") == [0, 2]
 
 
 def test_every_engine_checks_mode_and_threshold():
