@@ -120,7 +120,9 @@ def mock_summary_rule(prompt: str) -> str:
     """Deterministic reply to a note-compression prompt: a digest of the
     newest exchanges, truncated to the requested budget."""
     budget_match = _BUDGET_RE.search(_section(prompt, SECTION_FORMAT))
-    budget = int(budget_match.group(1)) if budget_match else 600
+    if budget_match is None:
+        raise ValueError("prompt lacks a notes budget")
+    budget = int(budget_match.group(1))
     lines = _EXCHANGE_LINE_RE.findall(_section(prompt, SECTION_EXCHANGES))
     digest = "; ".join(f"{who}: {text}" for who, text in lines[-MOCK_DIGEST_ITEMS:])
     return digest[:budget]

@@ -1,7 +1,8 @@
 """Exception types shared across the package, the one check of declared field
 types and domains that every config dataclass's ``validate()`` runs, the
-check of a run's day count that both run functions make, and the check of a
-node index that the per-node graph queries make."""
+check of a run's day count that both run functions make, the check of a
+node index that the per-node graph queries make, and the integer check under
+it that counts of nodes and agents make too."""
 
 import math
 import numbers
@@ -85,10 +86,16 @@ def check_days(days) -> None:
         raise ParameterError(f"days must be an integer >= 1, got {days!r}")
 
 
+def check_integer(name: str, value) -> None:
+    """Raise a ParameterError naming ``name`` unless ``value`` is an integer.
+    A bool is not one, and a float is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_index(name: str, index, n: int) -> None:
     """Raise a ParameterError naming ``name`` unless ``index`` is an integer in
-    ``[0, n)``. A bool is not one, and a float is not truncated."""
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {index!r}")
+    ``[0, n)``."""
+    check_integer(name, index)
     if not 0 <= index < n:
         raise ParameterError(f"{name} {index} out of range for n={n}")

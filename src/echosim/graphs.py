@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import INF, ParameterError, check_fields, check_index
+from .errors import INF, ParameterError, check_fields, check_index, check_integer
 
 # Each kind's parameters, with defaults chosen so all three structures have
 # expected degree ~4 at n=50, keeping cross-structure comparisons at matched density.
@@ -39,6 +39,7 @@ class NetworkGraph:
     def from_edges(n: int, edges: Iterable[tuple]) -> "NetworkGraph":
         """Graph on ``n`` nodes from integer ``(i, j)`` pairs, or an integer array of
         shape (m, 2); anything else is a ParameterError. No pairs is no edge."""
+        check_integer("node count", n)
         if n < 1:
             raise ParameterError(f"node count must be >= 1, got {n}")
         if not isinstance(edges, np.ndarray):
@@ -76,12 +77,10 @@ class NetworkGraph:
         keep = self.rows < self.indices
         return self.rows[keep], self.indices[keep]
 
-    def row_means(self, values: np.ndarray, keep: Optional[np.ndarray] = None) -> tuple:
+    def row_means(self, values: np.ndarray, keep: np.ndarray) -> tuple:
         """(mask of rows with a kept entry, mean of ``values`` over each such row's
         kept entries, summed in order). ``values`` and ``keep`` run along ``indices``."""
-        rows = self.rows
-        if keep is not None:
-            rows, values = rows[keep], values[keep]
+        rows, values = self.rows[keep], values[keep]
         count = np.bincount(rows, minlength=self.n)
         total = np.bincount(rows, weights=values, minlength=self.n)
         nonempty = count > 0

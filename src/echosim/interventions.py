@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, check_fields
+from .errors import ParameterError, check_fields, check_index
 from .graphs import NetworkGraph, hop_layers
 
 NUDGE_KINDS = ("none", "active", "passive")
@@ -56,8 +56,10 @@ def active_nudge_content(
     candidate nearest to the target in the graph, found by a breadth-first
     search that stops at the first hop layer holding one, then toward the
     lowest index. Returns None when no agent holds an opposite-sign belief.
+    A ``target`` that is not an agent's index is a ParameterError.
     """
     beliefs = np.asarray(beliefs, dtype=float)
+    check_index("target", target, len(beliefs))
     own = beliefs[target]
     far = beliefs.min() if own > 0 else beliefs.max()
     if not far * own < 0:  # also a neutral target

@@ -48,9 +48,9 @@ import numpy as np
 
 from .backends import TextBackend
 from .errors import INF, BackendError, OpinionParseError, ParameterError, check_days
-from .graphs import NetworkGraph
+from .graphs import NetworkGraph, belief_vector
 from .interventions import NudgePolicy, active_nudge_content, passive_nudge_feed, select_targets
-from .population import Population
+from .population import Population, check_beliefs
 from .prompts import build_reflection_prompt, build_summary_prompt, heard_lines, parse_opinion_output, stance_statement
 from .recommendation import DEFAULT_EXPOSURE_CAP, ExposureRule, all_exposure_sets
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
@@ -265,15 +265,18 @@ def run_llm(
     on_day: Optional[Callable] = None,
 ) -> LlmRunResult:
     """Full language-engine run over ``days`` synchronous days, from the
-    population's grid beliefs with their stance statements and no memory. As each
-    day ends, from day 0 on, ``on_day(day, beliefs, texts, events)`` gets its lists,
-    and the run keeps only the belief trajectory; without a hook they are collected."""
+    population's grid beliefs, one per node of ``g``, with their stance statements
+    and no memory. As each day ends, from day 0 on, ``on_day(day, beliefs, texts,
+    events)`` gets its lists, and the run keeps only the belief trajectory; without
+    a hook they are collected."""
     check_days(days)
     params.validate()
     nudge_policy.validate()
     if not population.grid:
         raise ParameterError("the language engine needs grid (integer) beliefs")
-    beliefs = [int(b) for b in population.beliefs]
+    values = belief_vector(g, population.beliefs)
+    check_beliefs(values, grid=True)  # as Population does: its arrays can change after it is made
+    beliefs = values.astype(int).tolist()
     texts = [stance_statement(b) for b in beliefs]
     long_term, settled = [""] * g.n, [None] * g.n
     feed = passive_nudge_feed(rng, nudge_policy.passive_texts) if nudge_policy.kind == "passive" else None

@@ -3,7 +3,8 @@
 Both engines are synchronous: every agent's update for day t reads only the
 day t-1 belief vector, so agent processing order never affects the result.
 Updates are convex combinations of values already inside [-2, 2], so no
-clipping is needed; ``run_numeric`` rejects initial beliefs outside it.
+clipping is needed; ``run_numeric`` rejects initial beliefs outside it by
+``population.check_beliefs``, the check every engine's beliefs pass.
 
 A day is a pure function of the previous day's beliefs, the parameters and
 the fixed anchors. So a day that repeats, bit for bit, the day before it (a
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import INF, ParameterError, check_days
 from .graphs import NetworkGraph, belief_vector
+from .population import check_beliefs
 from .recommendation import ExposureRule, exposure_mask
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
 
@@ -66,16 +68,14 @@ def bcm_day(g: NetworkGraph, beliefs, p: BcmParams) -> np.ndarray:
 
 def fj_day(g: NetworkGraph, beliefs, p: FjParams, anchors) -> np.ndarray:
     """One synchronous day of anchored averaging toward ``anchors``, one per
-    agent. Agents with an empty exposure set keep their previous belief."""
+    agent, over the exposure set that ``exposure_mask`` keeps, as in ``bcm_day``.
+    Agents with an empty exposure set keep their previous belief."""
     p.validate()
     old = belief_vector(g, beliefs)
     anchors = belief_vector(g, anchors)
     heard_values = old[g.indices]
-    if p.exposure_mode == "all_neighbors":  # every entry is kept: the same sums, without a mask
-        heard, mean_heard = g.row_means(heard_values)
-    else:
-        keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
-        heard, mean_heard = g.row_means(heard_values, keep)
+    keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
+    heard, mean_heard = g.row_means(heard_values, keep)
     new = old.copy()
     new[heard] = p.alpha * anchors[heard] + (1.0 - p.alpha) * mean_heard
     return new
@@ -94,10 +94,7 @@ def run_numeric(g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarr
     check_days(days)
     trajectory = np.empty((days + 1, g.n), dtype=float)
     trajectory[0] = belief_vector(g, initial_beliefs)
-    outside = np.flatnonzero(~(np.abs(trajectory[0]) <= 2.0))  # NaN fails the comparison
-    if outside.size:
-        raise ParameterError(f"initial beliefs must be finite and in [-2, 2], got "
-                             f"{float(trajectory[0, outside[0]])!r} for agent {outside[0]}")
+    check_beliefs(trajectory[0])
     bits = trajectory.view(np.int64)  # bits, not ==: a day that turns 0.0 into -0.0 is no repeat
     for t in range(1, days + 1):
         if isinstance(params, BcmParams):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 
 BELIEF_MIN = -2.0
 BELIEF_MAX = 2.0
@@ -46,14 +46,29 @@ def clamp_to_grid(value: float) -> int:
     return int(min(max(round(value), BELIEF_GRID[0]), BELIEF_GRID[-1]))
 
 
+def check_beliefs(values, grid: bool = False) -> None:
+    """Raise a ParameterError naming the first agent whose initial belief in
+    ``values`` is not finite or lies outside [-2, 2], or with ``grid`` set, is
+    not an integer. Every engine's beliefs pass this one check."""
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= BELIEF_MIN) & (values <= BELIEF_MAX))  # NaN fails both comparisons
+    if grid:
+        bad |= values != np.round(values)
+    outside = np.flatnonzero(bad)
+    if outside.size:
+        rule = "integers" if grid else "finite and"
+        raise ParameterError(f"initial beliefs must be {rule} in [-2, 2], got "
+                             f"{float(values[outside[0]])!r} for agent {outside[0]}")
+
+
 @dataclass(frozen=True, eq=False)
 class Population:
     """The agents as aligned columns, row i for agent i: ``genders`` and
     ``educations`` as codes into GENDERS and EDUCATION_LEVELS, ``ages``, an
     (n, 5) bool ``traits`` of positive-polarity flags in TRAIT_NAMES order,
     and the initial ``beliefs``; plus the discussion topic and whether the
-    beliefs are on the integer grid. Compared and hashed by identity, since
-    the columns are arrays."""
+    beliefs are on the integer grid, which ``check_beliefs`` holds them to.
+    Compared and hashed by identity, since the columns are arrays."""
 
     genders: np.ndarray
     ages: np.ndarray
@@ -76,6 +91,7 @@ class Population:
             outside = column[(column < low) | (column > high)]
             if outside.size:
                 raise ParameterError(f"{name} {outside[0]} outside [{low}, {high}]")
+        check_beliefs(self.beliefs, self.grid)
 
     @cached_property
     def cards(self) -> tuple:
@@ -104,6 +120,7 @@ def init_population(n: int, topic: str, grid: bool, rng: np.random.Generator) ->
     """Create ``n`` agents: uniform ages in [18, 64], fair-coin trait
     polarities, uniform education and gender, and initial beliefs uniform on
     [-2, 2] (continuous) or on the integer grid when ``grid`` is set."""
+    check_integer("agent count", n)
     if n < 2:
         raise ParameterError(f"population needs at least 2 agents, got {n}")
     check_topic(topic)

@@ -22,7 +22,7 @@ import re
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import OpinionParseError
-from .population import BELIEF_GRID, clamp_to_grid
+from .population import clamp_to_grid
 
 REFLECTION_HEADER = "You are a participant in a long-running online discussion. Stay in character."
 SUMMARY_HEADER = "You keep private discussion notes for one participant."
@@ -118,7 +118,7 @@ def parse_opinion_output(raw: str) -> OpinionOutput:
         raise OpinionParseError(f"no BELIEF line in reply: {raw[:80]!r}")
     sign, digits = belief_match.groups()
     read = int(sign + digits[:4])  # int() refuses more than 4,300 digits
-    belief = read if read in BELIEF_GRID else BELIEF_GRID[-1] if read > 0 else BELIEF_GRID[0]
+    belief = clamp_to_grid(read)
     head, tag, tail = (raw[:belief_match.start()] + raw[belief_match.end():]).partition("OPINION:")
     text = (tail if tag else head).strip()
     if not text:

@@ -77,16 +77,21 @@ def _preflight(config: RunConfig) -> Optional[TextBackend]:
 
 
 @contextmanager
-def _staged(out: Path, names) -> Iterator[dict]:
+def _staged(out: Path, names, absent=()) -> Iterator[dict]:
     """Yield a UTF-8 text handle with ``\\n`` newlines on ``out/.<name>.tmp`` per name.
     Each is a new file: whatever stood at that path is unlinked first, so no handle
-    reaches a file that the writer process of a killed run may still hold open.
-    On a clean exit each is closed and renamed to ``out/<name>``, in order; on any
-    error every one is unlinked, so no partial file stands under a real name, and a
-    block that raises renames none. A writer process the block forks onto a handle
-    has reported that it wrote everything, or has been killed and reaped, before the
-    block ends, so none writes a file this renames or unlinks."""
+    reaches a file that the writer process of a killed run may still hold open. The
+    temporary file of each name in ``absent``, which this write leaves out, is
+    unlinked too. On a clean exit each handle is closed, ``out/<name>`` unlinked for
+    each absent name, and each temporary file renamed to ``out/<name>``, in order; on
+    any error every one is unlinked, so no partial file stands under a real name, and
+    a block that raises renames none and leaves each absent name's file in place. A
+    writer process the block forks onto a handle has reported that it wrote
+    everything, or has been killed and reaped, before the block ends, so none writes
+    a file this renames or unlinks."""
     tmps = {name: out / f".{name}.tmp" for name in names}
+    for name in absent:
+        (out / f".{name}.tmp").unlink(missing_ok=True)
     try:
         with ExitStack() as stack:
             handles = {}
@@ -94,6 +99,8 @@ def _staged(out: Path, names) -> Iterator[dict]:
                 tmp.unlink(missing_ok=True)
                 handles[name] = stack.enter_context(tmp.open("x", encoding="utf-8", newline="\n"))
             yield handles
+        for name in absent:
+            (out / name).unlink(missing_ok=True)
         for name, tmp in tmps.items():
             os.replace(tmp, out / name)
     except BaseException:
@@ -161,9 +168,7 @@ def _write_files(out: Path, files: dict) -> None:
     """Write each ``name: text`` under ``out`` through ``_staged``; a name whose
     text is None is removed, so no file of an earlier run survives."""
     texts = {name: text for name, text in files.items() if text is not None}
-    for name in files.keys() - texts.keys():
-        (out / name).unlink(missing_ok=True)
-    with _staged(out, texts) as handles:
+    with _staged(out, texts, absent=files.keys() - texts.keys()) as handles:
         for name, text in texts.items():
             handles[name].write(text)
 
@@ -206,10 +211,10 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     population = init_population(config.n, config.topic, llm, component_rng(config.seed, "population"))
     g = generate_graph(config.graph, component_rng(config.seed, "graph"))
 
-    if not llm:  # _staged replaces every other temporary file a killed run may have left here
-        (run_dir / ".transcript.jsonl.tmp").unlink(missing_ok=True)
+    # a numeric run writes no transcript, so it removes one an earlier llm run left here
+    absent = () if llm else ("transcript.jsonl",)
     # the writer child is reaped after the renames, or on any error, as this block ends
-    with ExitStack() as reap, _staged(run_dir, _RUN_FILES if llm else _RUN_FILES[1:]) as files:
+    with ExitStack() as reap, _staged(run_dir, [name for name in _RUN_FILES if name not in absent], absent) as files:
         if llm:
             def write_day(day, beliefs, texts, events):
                 files["trajectory.jsonl"].write(grid_day_lines(day, beliefs, texts))
@@ -251,8 +256,6 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             ]) + "\n")
         # the manifest, renamed last, marks a complete run: none stands while the files change
         (run_dir / "manifest.txt").unlink(missing_ok=True)
-        if not llm:  # a numeric run removes the transcript an earlier llm run left here
-            (run_dir / "transcript.jsonl").unlink(missing_ok=True)
     return RunArtifacts(run_dir=run_dir, snapshots=snapshots, deltas=run_deltas)
 
 

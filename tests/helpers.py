@@ -8,12 +8,11 @@ oracle sums forces one pair at a time, and ``exact_repulsion`` is the dense
 all-pairs field the particle mesh approximates; ``float64_mesh_repulsion`` is
 that mesh in double precision throughout. ``naive_active_nudge_content`` and
 ``naive_deep_merge`` keep earlier, more general bodies of the package's nudge
-search and config merge; ``full_loop_run_numeric`` and ``masked_fj_day`` keep
-those of ``run_numeric``, which computed every day, and of ``fj_day``, which
-masked under every mode. ``naive_generate_scale_free`` draws each target by
-``rng.choice`` over the normalised degrees, the distribution that
-``generate_scale_free`` samples from its list of edge ends, and
-``frontier_mask_hop_distances`` keeps the body of ``hop_distances`` that
+search and config merge; ``full_loop_run_numeric`` keeps that of
+``run_numeric``, which computed every day. ``naive_generate_scale_free``
+draws each target by ``rng.choice`` over the normalised degrees, the
+distribution that ``generate_scale_free`` samples from its list of edge ends,
+and ``frontier_mask_hop_distances`` keeps the body of ``hop_distances`` that
 masked every CSR entry on each hop. ``adjacency_sets_small_world`` keeps the
 body of ``generate_small_world`` that held a Python set of neighbors per node.
 """
@@ -28,7 +27,6 @@ from echosim.backends import MockBackend
 from echosim.graphs import NetworkGraph
 from echosim.interventions import ACTIVE_NUDGE_PREFIX
 from echosim.numeric import BcmParams, bcm_day, fj_day
-from echosim.recommendation import exposure_mask
 
 # every code point, lone surrogates included, plus the characters JSON must escape
 AWKWARD_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
@@ -152,19 +150,6 @@ def full_loop_run_numeric(g: NetworkGraph, initial_beliefs, params, days: int) -
         else:
             trajectory[t] = fj_day(g, trajectory[t - 1], params, trajectory[0])
     return trajectory
-
-
-def masked_fj_day(g: NetworkGraph, beliefs, p, anchors) -> np.ndarray:
-    """The earlier body of ``fj_day``: the exposure mask is built from the belief
-    distances under every mode, all true under "all_neighbors"."""
-    old = np.asarray(beliefs, dtype=float)
-    anchors = np.asarray(anchors, dtype=float)
-    heard_values = old[g.indices]
-    keep = exposure_mask(p.exposure_mode, p.similarity_threshold, np.abs(heard_values - old[g.rows]))
-    heard, mean_heard = g.row_means(heard_values, keep)
-    new = old.copy()
-    new[heard] = p.alpha * anchors[heard] + (1.0 - p.alpha) * mean_heard
-    return new
 
 
 def naive_force_layout(g: NetworkGraph, rng, iterations):

@@ -88,6 +88,11 @@ class TestMockSummary:
         prompt = build_summary_prompt("", "- Agent 1: (stance 0) " + "x" * 400, 50)
         assert len(mock_summary_rule(prompt)) <= 50
 
+    def test_a_prompt_without_a_budget_is_rejected(self):
+        prompt = build_summary_prompt("", "- Agent 1: (stance 0) hi", 100)
+        with pytest.raises(ValueError, match="lacks a notes budget"):
+            mock_summary_rule(prompt.replace("at most 100 characters", "briefly"))
+
     def test_backend_dispatches_on_prompt_kind(self):
         backend = MockBackend()
         assert backend.name == "mock"

@@ -2,7 +2,8 @@
 
 Each pin is the sha256 of one file of one run: a mock ``llm`` run for every
 graph kind with every nudge kind, n=30, 4 days; a ``bcm`` and an ``fj`` run on
-every graph kind, n=30, 6 days; and a ``bcm`` run with n=400. Every layout is
+every graph kind, n=30, 6 days; an ``fj`` run over all neighbours on the small
+world, n=30, 6 days; and a ``bcm`` run with n=400. Every layout is
 the particle mesh, on a 16 x 16 grid at n=30 and a 64 x 64 grid at n=400.
 Every file but ``manifest.txt`` is pinned; the manifest names the Python and
 numpy versions. An llm run's ``trajectory.jsonl`` and
@@ -52,6 +53,9 @@ CASES = {
        for graph_kind in GRAPH_KINDS for nudge_kind in NUDGE_KINDS},
     **{(engine, graph_kind): {"engine": engine, "n": 30, "days": 6, "seed": 11, "graph": {"kind": graph_kind}}
        for engine in NUMERIC_ENGINES for graph_kind in GRAPH_KINDS},
+    # every other numeric case recommends by similarity; this one hears every neighbour
+    ("fj", "small_world", "all_neighbors"): {"engine": "fj", "n": 30, "days": 6, "seed": 11,
+                                             "graph": {"kind": "small_world"}, "exposure_mode": "all_neighbors"},
     # a larger mesh grid than n=30's, on the path where numpy's FMA loops once changed the rounding
     ("bcm", "random", 400): {"engine": "bcm", "n": 400, "days": 6, "seed": 11,
                              "graph": {"kind": "random", "p_edge": 0.01}},
@@ -201,6 +205,14 @@ GOLDEN = {
         "graph.txt": "37935a057e16c827fc46f5a9264f836ccb8cc2c27902fa2754d46013565ff3e8",
         "config.yaml": "2683fd8104ca394ea464d9bcd7c5dd3d658a35e5c6c2475e6ac56d5d24c2c705",
     },
+    ("fj", "small_world", "all_neighbors"): {
+        "trajectory.jsonl": "0af3b9e6ce55ae216724853ca8fd2d1dad3e0d49138b9cc696cd49f4d8cb8afe",
+        "metrics.csv": "4f25b66306a346b1f145868243514d943f052cf8bc5b61a33cc9abae1495794c",
+        "projection.csv": "f9b426bd76d3af61de6a2aac3203a4ded62a7a7931592158eac199270147c657",
+        "population.txt": "61b3541ad55b5062dfeab86724be88506f89ceff947c11f6924aed15f64ea951",
+        "graph.txt": "58b8ed8fb6e5fc5baa30393fc7a73d34d91573a3c1e89a00a217f6b9981147fa",
+        "config.yaml": "0e3978a7624a428472f4e359dee5c70487b99e0f0faad47e79c316636a3deb6b",
+    },
     ("bcm", "random", 400): {
         "trajectory.jsonl": "265ce8ff89e05b6ff328e392c7cf94167061f713b2a6a79cce5696ac2d4f481c",
         "metrics.csv": "8c044b840952b88dd3c049c844d6b8a8b959c63ec8447e9d646e3bc11002b9f7",
@@ -222,6 +234,11 @@ def test_llm_artifacts_match_their_pins(tmp_path, graph_kind, nudge_kind):
 @pytest.mark.parametrize("engine", NUMERIC_ENGINES)
 def test_numeric_artifacts_match_their_pins(tmp_path, engine, graph_kind):
     assert case_digests((engine, graph_kind), tmp_path) == GOLDEN[engine, graph_kind]
+
+
+def test_fj_over_all_neighbors_artifacts_match_their_pins(tmp_path):
+    case = ("fj", "small_world", "all_neighbors")
+    assert case_digests(case, tmp_path) == GOLDEN[case]
 
 
 def test_mesh_layout_artifacts_match_their_pins(tmp_path):

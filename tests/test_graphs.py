@@ -293,6 +293,15 @@ class TestMeasures:
             with pytest.raises(ParameterError, match=f"source {source} out of range for n=4"):
                 hop_distances(path_graph(4), source)
 
+    @pytest.mark.parametrize("n", [3.0, 3.5, True, "3", None])
+    def test_a_node_count_that_is_not_an_integer_is_a_parameter_error(self, n):
+        with pytest.raises(ParameterError, match=f"node count must be an integer, got {re.escape(repr(n))}"):
+            NetworkGraph.from_edges(n, [])
+
+    def test_a_numpy_integer_node_count_is_a_count(self):
+        g = NetworkGraph.from_edges(np.int64(3), [(0, 2)])
+        assert g.indptr.tolist() == [0, 1, 1, 2] and g.indices.tolist() == [2, 0]
+
     @pytest.mark.parametrize("source", [1.0, 2.5, True, "1"])
     def test_a_source_that_is_not_an_integer_is_a_parameter_error(self, source):
         for search in (hop_distances, lambda g, source: next(hop_layers(g, source))):

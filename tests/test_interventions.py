@@ -94,6 +94,20 @@ class TestActiveNudge:
         assert content == f'{ACTIVE_NUDGE_PREFIX}"t{winner}"'
         assert content == naive_active_nudge_content(0, beliefs, texts, g)
 
+    @pytest.mark.parametrize("target, message", [
+        (-1, "target -1 out of range for n=3"),  # not agent 2's belief
+        (3, "target 3 out of range for n=3"),
+        (1.0, "target must be an integer, got 1.0"),
+        (True, "target must be an integer, got True"),
+    ])
+    def test_a_target_that_is_no_agent_is_a_parameter_error(self, target, message):
+        with pytest.raises(ParameterError, match=message):
+            active_nudge_content(target, [-2.0, 0.0, 2.0], ["a", "b", "c"], path_graph(3))
+
+    def test_a_numpy_integer_target_is_an_agent(self):
+        content = active_nudge_content(np.int64(2), [-2.0, 0.0, 2.0], ["a", "b", "c"], path_graph(3))
+        assert content == f'{ACTIVE_NUDGE_PREFIX}"a"'
+
     @settings(max_examples=200, deadline=None)
     @given(grid_instances())
     def test_matches_the_three_scan_oracle_on_grid_beliefs(self, instance):

@@ -693,6 +693,29 @@ class TestValidation:
         with pytest.raises(ParameterError, match="grid"):
             run_llm(cycle_graph(3), continuous, MockBackend(), LlmParams(), NudgePolicy(), days=1, rng=rng())
 
+    @pytest.mark.parametrize("beliefs, message", [
+        # day 0 once read [1, 5, -7, 0, 1, 2]: 1.5 truncated, 5 and -7 recorded
+        ([1.5, 5, -7, 0, 1, 2], "must be integers in [-2, 2], got 1.5 for agent 0"),
+        ([0, 5, -7, 0, 1, 2], "must be integers in [-2, 2], got 5.0 for agent 1"),
+        ([0, 1, np.nan, 0, 1, 2], "must be integers in [-2, 2], got nan for agent 2"),
+    ], ids=["off-grid", "out-of-range", "nan"])
+    def test_beliefs_off_the_grid_never_reach_a_run(self, beliefs, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            run_llm(cycle_graph(6), make_population(beliefs), MockBackend(), LlmParams(), NudgePolicy(),
+                    days=1, rng=rng())
+
+    def test_beliefs_changed_off_the_grid_after_the_population_was_made_are_rejected(self):
+        population = make_population([0, 1, 2, 0, -1, -2])
+        population.beliefs[1] = 1.5
+        with pytest.raises(ParameterError, match=re.escape("must be integers in [-2, 2], got 1.5 for agent 1")):
+            run_llm(cycle_graph(6), population, MockBackend(), LlmParams(), NudgePolicy(), days=1, rng=rng())
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_a_population_of_another_size_than_the_graph_is_rejected(self, n):
+        with pytest.raises(ParameterError, match=f"belief vector length {n} != node count 12"):
+            run_llm(cycle_graph(12), make_population([0] * n), MockBackend(), LlmParams(), NudgePolicy(),
+                    days=1, rng=rng())
+
     def test_a_passive_policy_needs_a_feed(self):
         beliefs = [2, -2, 0, 1]
         with pytest.raises(ParameterError, match="passive feed"):

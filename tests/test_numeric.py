@@ -13,8 +13,7 @@ from echosim.numeric import NUMERIC_ENGINES, BcmParams, FjParams, bcm_day, fj_da
 from echosim.population import init_population
 from echosim.recommendation import EXPOSURE_MODES
 from echosim.runner import component_rng
-from helpers import (complete_graph, cycle_graph, edge_set, full_loop_run_numeric, masked_fj_day, naive_bcm_day,
-                     naive_fj_day)
+from helpers import complete_graph, cycle_graph, edge_set, full_loop_run_numeric, naive_bcm_day, naive_fj_day
 
 TWO_NODES = NetworkGraph.from_edges(2, [(0, 1)])
 
@@ -342,20 +341,3 @@ def test_run_numeric_equals_the_full_loop_bit_for_bit(run_args):
     g, beliefs, params, days = run_args
     assert same_bits(run_numeric(g, beliefs, params, days),
                      full_loop_run_numeric(g, beliefs, params, days))
-
-
-SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 0.25, -1.5, 2.0, -2.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([0.0, 0.3, 1.0]), st.data())
-def test_fj_day_without_a_mask_equals_the_masked_formula(seed, alpha, data):
-    g, beliefs = oracle_instance(seed)  # with isolated nodes
-    signed = data.draw(st.lists(SIGNED_ZEROS, min_size=g.n, max_size=g.n))
-    beliefs = np.where(np.arange(g.n) % 2 == 0, beliefs, signed)  # -0.0 among the beliefs and the anchors
-    anchors = np.array(data.draw(st.lists(SIGNED_ZEROS, min_size=g.n, max_size=g.n)))
-    p = FjParams(alpha=alpha, exposure_mode="all_neighbors")
-    for _ in range(4):
-        got = fj_day(g, beliefs, p, anchors)
-        assert same_bits(got, masked_fj_day(g, beliefs, p, anchors))
-        beliefs = got

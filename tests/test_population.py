@@ -11,6 +11,7 @@ from echosim.population import (
     TRAIT_ADJECTIVES,
     TRAIT_NAMES,
     Population,
+    check_beliefs,
     init_population,
     population_from_text,
     population_to_text,
@@ -115,6 +116,45 @@ def test_serialization_round_trip_grid():
     restored = population_from_text(population_to_text(pop))
     assert_same_population(restored, pop)
     assert restored.grid is True
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, True, "3", None])
+def test_an_agent_count_that_is_not_an_integer_is_a_parameter_error(n):
+    with pytest.raises(ParameterError, match=f"agent count must be an integer, got {re.escape(repr(n))}"):
+        init_population(n, TOPIC, False, rng())
+
+
+def test_a_numpy_integer_agent_count_is_a_count():
+    assert len(init_population(np.int64(4), TOPIC, True, rng()).beliefs) == 4
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("beliefs, bad, agent", [
+    ([0.0, np.nan, 1.0], "nan", 1),
+    ([np.inf, 0.0, 1.0], "inf", 0),
+    ([0.0, 1.0, -2.0000000000000004], "-2.0000000000000004", 2),
+    ([5.0, -7.0, 0.0], "5.0", 0),
+], ids=["nan", "inf", "just-below-the-range", "outside-the-grid"])
+def test_beliefs_outside_the_range_are_rejected(beliefs, bad, agent, grid):
+    rule = "integers" if grid else "finite and"
+    message = f"initial beliefs must be {rule} in [-2, 2], got {bad} for agent {agent}"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        check_beliefs(beliefs, grid)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        Population(**columns(beliefs=np.array(beliefs), grid=grid))
+
+
+def test_grid_beliefs_off_the_integer_grid_are_rejected():
+    # the continuous scale takes them
+    check_beliefs([1.5, -0.25, 2.0])
+    Population(**columns(beliefs=np.array([1.5, -0.25, 2.0])))
+    with pytest.raises(ParameterError, match=re.escape("must be integers in [-2, 2], got 1.5 for agent 0")):
+        Population(**columns(beliefs=np.array([1.5, -0.25, 2.0]), grid=True))
+
+
+def test_beliefs_at_the_ends_of_the_range_are_accepted():
+    for grid in (False, True):
+        assert Population(**columns(beliefs=np.array([-2.0, 0.0, 2.0]), grid=grid)).grid is grid
 
 
 def test_rejects_bad_arguments():

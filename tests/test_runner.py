@@ -172,6 +172,22 @@ class TestWrites:
         assert not (d / "manifest.txt").exists()
         assert not list(d.glob(".*.tmp"))
 
+    def test_an_absent_name_loses_its_temporary_file_at_once_and_its_file_at_the_renames(self, tmp_path):
+        (tmp_path / ".gone.txt.tmp").write_text("partial")  # as a killed write leaves it
+        (tmp_path / "gone.txt").write_text("earlier")
+        with runner_mod._staged(tmp_path, ["kept.txt"], absent=["gone.txt"]) as files:
+            assert sorted(p.name for p in tmp_path.iterdir()) == [".kept.txt.tmp", "gone.txt"]
+            files["kept.txt"].write("new")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+
+    def test_a_block_that_raises_leaves_an_absent_names_file(self, tmp_path):
+        (tmp_path / ".gone.txt.tmp").write_text("partial")
+        (tmp_path / "gone.txt").write_text("earlier")
+        with pytest.raises(RuntimeError, match="block failed"):
+            with runner_mod._staged(tmp_path, ["kept.txt"], absent=["gone.txt"]):
+                raise RuntimeError("block failed")
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"gone.txt": "earlier"}
+
     def test_a_failing_stream_leaves_no_partial_file(self, tmp_path, monkeypatch):
         d = tmp_path / "d"
         run(config_from_dict(cfg_dict(engine="llm", seed=1)), d)
