@@ -50,7 +50,7 @@ from .backends import TextBackend
 from .errors import INF, BackendError, OpinionParseError, ParameterError, check_days
 from .graphs import NetworkGraph, belief_vector
 from .interventions import NudgePolicy, active_nudge_content, passive_nudge_feed, select_targets
-from .population import Population, check_beliefs
+from .population import Population
 from .prompts import build_reflection_prompt, build_summary_prompt, heard_lines, parse_opinion_output, stance_statement
 from .recommendation import DEFAULT_EXPOSURE_CAP, ExposureRule, all_exposure_sets
 from .recommendation import exposure_set  # noqa: F401  unused; perfbench/spans.py patches this name
@@ -274,9 +274,7 @@ def run_llm(
     nudge_policy.validate()
     if not population.grid:
         raise ParameterError("the language engine needs grid (integer) beliefs")
-    values = belief_vector(g, population.beliefs)
-    check_beliefs(values, grid=True)  # as Population does: its arrays can change after it is made
-    beliefs = values.astype(int).tolist()
+    beliefs = belief_vector(g, population.beliefs).astype(int).tolist()
     texts = [stance_statement(b) for b in beliefs]
     long_term, settled = [""] * g.n, [None] * g.n
     feed = passive_nudge_feed(rng, nudge_policy.passive_texts) if nudge_policy.kind == "passive" else None

@@ -46,8 +46,16 @@ def clamp_to_grid(value: float) -> int:
     return int(min(max(round(value), BELIEF_GRID[0]), BELIEF_GRID[-1]))
 
 
+class AgentError(ParameterError):
+    """A value of one agent is outside its valid range; ``agent`` is its index."""
+
+    def __init__(self, agent: int, message: str):
+        super().__init__(message)
+        self.agent = agent
+
+
 def check_beliefs(values, grid: bool = False) -> None:
-    """Raise a ParameterError naming the first agent whose initial belief in
+    """Raise an AgentError naming the first agent whose initial belief in
     ``values`` is not finite or lies outside [-2, 2], or with ``grid`` set, is
     not an integer. Every engine's beliefs pass this one check."""
     values = np.asarray(values, dtype=float)
@@ -57,18 +65,18 @@ def check_beliefs(values, grid: bool = False) -> None:
     outside = np.flatnonzero(bad)
     if outside.size:
         rule = "integers" if grid else "finite and"
-        raise ParameterError(f"initial beliefs must be {rule} in [-2, 2], got "
-                             f"{float(values[outside[0]])!r} for agent {outside[0]}")
+        raise AgentError(int(outside[0]), f"initial beliefs must be {rule} in [-2, 2], got "
+                                          f"{float(values[outside[0]])!r} for agent {outside[0]}")
 
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """The agents as aligned columns, row i for agent i: ``genders`` and
-    ``educations`` as codes into GENDERS and EDUCATION_LEVELS, ``ages``, an
-    (n, 5) bool ``traits`` of positive-polarity flags in TRAIT_NAMES order,
-    and the initial ``beliefs``; plus the discussion topic and whether the
-    beliefs are on the integer grid, which ``check_beliefs`` holds them to.
-    Compared and hashed by identity, since the columns are arrays."""
+    """The agents as aligned read-only columns, row i for agent i: ``genders``
+    and ``educations`` as codes into GENDERS and EDUCATION_LEVELS, ``ages``, an
+    (n, 5) bool ``traits`` of positive-polarity flags in TRAIT_NAMES order, and
+    the initial ``beliefs``; plus the one-line topic and whether the beliefs are
+    on the integer grid, which ``check_beliefs`` holds them to. The columns are
+    copies, so these checks hold for good. Compared and hashed by identity."""
 
     genders: np.ndarray
     ages: np.ndarray
@@ -79,18 +87,21 @@ class Population:
     grid: bool
 
     def __post_init__(self):
-        n = len(self.beliefs)
-        for name in ("genders", "ages", "educations", "traits"):
-            if len(getattr(self, name)) != n:
-                raise ParameterError(f"{len(getattr(self, name))} {name} but {n} beliefs")
+        check_topic(self.topic)
+        for name in ("genders", "ages", "educations", "traits", "beliefs"):
+            column = np.array(getattr(self, name))
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+            if len(column) != len(self.beliefs):
+                raise ParameterError(f"{len(column)} {name} but {len(self.beliefs)} beliefs")
         if self.traits.shape[1:] != (len(TRAIT_NAMES),):
             raise ParameterError(f"expected {len(TRAIT_NAMES)} trait entries, got traits of shape {self.traits.shape}")
         for name, column, low, high in (("age", self.ages, AGE_MIN, AGE_MAX),
                                         ("gender code", self.genders, 0, len(GENDERS) - 1),
                                         ("education code", self.educations, 0, len(EDUCATION_LEVELS) - 1)):
-            outside = column[(column < low) | (column > high)]
+            outside = np.flatnonzero((column < low) | (column > high))
             if outside.size:
-                raise ParameterError(f"{name} {outside[0]} outside [{low}, {high}]")
+                raise AgentError(int(outside[0]), f"{name} {column[outside[0]]} outside [{low}, {high}]")
         check_beliefs(self.beliefs, self.grid)
 
     @cached_property
@@ -123,7 +134,6 @@ def init_population(n: int, topic: str, grid: bool, rng: np.random.Generator) ->
     check_integer("agent count", n)
     if n < 2:
         raise ParameterError(f"population needs at least 2 agents, got {n}")
-    check_topic(topic)
 
     genders = rng.integers(0, len(GENDERS), size=n)
     ages = rng.integers(AGE_MIN, AGE_MAX + 1, size=n)
@@ -151,22 +161,19 @@ def population_to_text(pop: Population) -> str:
 
 def population_from_text(text: str) -> Population:
     """Population from ``population_to_text``'s form; blank lines are skipped. A
-    line that cannot be read, an agent index that is not the record's position
-    from 0, an unknown gender or education, an age outside [18, 64], a polarity
-    other than five ``+`` or ``-``, a grid flag other than 0 or 1, a belief that is
-    not finite or lies outside [-2, 2], and a grid belief off the integer grid
+    line that cannot be read, a grid flag other than 0 or 1, an agent index that
+    is not the record's position from 0, an unknown gender or education, a
+    polarity other than five ``+`` or ``-``, and any value ``Population`` rejects
     are each a ``ParameterError`` naming the line."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 3 or not lines[0][1].startswith("topic\t") or not lines[1][1].startswith("grid\t"):
         raise ParameterError("malformed population record")
-    topic = lines[0][1].split("\t", 1)[1]
     rows = []
     number, ln = lines[1]
     try:
         flag = ln.split("\t", 1)[1]
         if flag not in ("0", "1"):
             raise ValueError("the grid flag must be 0 or 1")
-        grid = flag == "1"
         for position, (number, ln) in enumerate(lines[2:]):
             index, gender, age, education, polarity, value = ln.split("\t")
             if int(index) != position:
@@ -175,20 +182,15 @@ def population_from_text(text: str) -> Population:
                 raise ValueError(f"unknown gender {gender!r}")
             if education not in EDUCATION_LEVELS:
                 raise ValueError(f"unknown education level {education!r}")
-            if not AGE_MIN <= int(age) <= AGE_MAX:
-                raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
             if len(polarity) != len(TRAIT_NAMES) or polarity.strip("+-"):
                 raise ValueError(f"a polarity must be {len(TRAIT_NAMES)} characters, each + or -, got {polarity!r}")
-            belief = float(value)
-            if grid and belief not in BELIEF_GRID:
-                raise ValueError(f"a grid belief must be an integer in [-2, 2], got {value}")
-            if not BELIEF_MIN <= belief <= BELIEF_MAX:  # false for nan too
-                raise ValueError(f"a belief must be finite and in [-2, 2], got {value}")
             rows.append((GENDERS.index(gender), int(age), EDUCATION_LEVELS.index(education),
-                         [ch == "+" for ch in polarity], belief))
+                         [ch == "+" for ch in polarity], float(value)))
+        genders, ages, educations, traits, beliefs = map(np.array, zip(*rows))
+        number, ln = lines[0]  # a refusal that names no agent is the topic's
+        return Population(genders=genders, ages=ages, educations=educations, traits=traits, beliefs=beliefs,
+                          topic=ln.split("\t", 1)[1], grid=flag == "1")
     except ValueError as exc:
+        if isinstance(exc, AgentError):
+            number, ln = lines[2 + exc.agent]
         raise ParameterError(f"malformed population record at line {number}: {ln!r} ({exc})") from None
-    genders, ages, educations, traits, beliefs = zip(*rows)
-    return Population(genders=np.array(genders), ages=np.array(ages), educations=np.array(educations),
-                      traits=np.array(traits, dtype=bool), beliefs=np.array(beliefs, dtype=float),
-                      topic=topic, grid=grid)

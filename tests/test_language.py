@@ -706,9 +706,10 @@ class TestValidation:
 
     def test_beliefs_changed_off_the_grid_after_the_population_was_made_are_rejected(self):
         population = make_population([0, 1, 2, 0, -1, -2])
-        population.beliefs[1] = 1.5
-        with pytest.raises(ParameterError, match=re.escape("must be integers in [-2, 2], got 1.5 for agent 1")):
-            run_llm(cycle_graph(6), population, MockBackend(), LlmParams(), NudgePolicy(), days=1, rng=rng())
+        with pytest.raises(ValueError, match="read-only"):
+            population.beliefs[1] = 1.5
+        result = run_llm(cycle_graph(6), population, MockBackend(), LlmParams(), NudgePolicy(), days=1, rng=rng())
+        assert result.belief_trajectory[0].tolist() == [0, 1, 2, 0, -1, -2]
 
     @pytest.mark.parametrize("n", [10, 14])
     def test_a_population_of_another_size_than_the_graph_is_rejected(self, n):

@@ -2,12 +2,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from echosim.errors import ParameterError
 from echosim.population import (
     AGE_MAX,
     AGE_MIN,
     BELIEF_GRID,
+    BELIEF_MAX,
+    BELIEF_MIN,
+    EDUCATION_LEVELS,
+    GENDERS,
     TRAIT_ADJECTIVES,
     TRAIT_NAMES,
     Population,
@@ -16,6 +22,7 @@ from echosim.population import (
     population_from_text,
     population_to_text,
 )
+from helpers import AWKWARD_TEXT
 
 TOPIC = "Euthanasia should be legal."
 COLUMNS = ("genders", "ages", "educations", "traits", "beliefs")
@@ -184,6 +191,7 @@ def test_the_columns_are_checked(over, message):
 
 
 @pytest.mark.parametrize("number,line", [
+    (1, "topic\t"),
     (3, "0\tfemale\t30\tmaster\t+++++\t0.1\textra"),
     (4, "1\tfemale\t30\tmaster\t+++++"),
     (3, "0\tfemale\tthirty\tmaster\t+++++\t0.1"),
@@ -208,8 +216,8 @@ def test_a_malformed_line_is_named(number, line):
     (False, 3, "9\tfemale\t30\tmaster\t+++++\t0.1", "agent 0 has index 9"),
     (False, 5, "1\tfemale\t30\tmaster\t+++++\t0.1", "agent 2 has index 1"),
     (False, 2, "grid\t7", "the grid flag must be 0 or 1"),
-    (True, 4, "1\tfemale\t30\tmaster\t+++++\t3", "a grid belief must be an integer in [-2, 2], got 3"),
-    (True, 4, "1\tfemale\t30\tmaster\t+++++\t0.5", "a grid belief must be an integer in [-2, 2], got 0.5"),
+    (True, 4, "1\tfemale\t30\tmaster\t+++++\t3", "initial beliefs must be integers in [-2, 2], got 3.0 for agent 1"),
+    (True, 4, "1\tfemale\t30\tmaster\t+++++\t0.5", "initial beliefs must be integers in [-2, 2], got 0.5 for agent 1"),
 ])
 def test_a_record_at_odds_with_its_position_or_the_grid_flag_is_named(grid, number, line, reason):
     lines = population_to_text(init_population(3, TOPIC, grid, rng())).splitlines()
@@ -224,9 +232,9 @@ def test_a_record_at_odds_with_its_position_or_the_grid_flag_is_named(grid, numb
     (4, "1\tfemale\t17\tmaster\t+++++\t0.1", "age 17 outside [18, 64]"),
     (4, "1\tfemale\t30\tmaster\t+x+++\t0.1", "a polarity must be 5 characters, each + or -, got '+x+++'"),
     (4, "1\tfemale\t30\tmaster\t++++\t0.1", "a polarity must be 5 characters, each + or -, got '++++'"),
-    (5, "2\tfemale\t30\tmaster\t+++++\tnan", "a belief must be finite and in [-2, 2], got nan"),
-    (5, "2\tfemale\t30\tmaster\t+++++\t7.5", "a belief must be finite and in [-2, 2], got 7.5"),
-    (5, "2\tfemale\t30\tmaster\t+++++\tinf", "a belief must be finite and in [-2, 2], got inf"),
+    (5, "2\tfemale\t30\tmaster\t+++++\tnan", "initial beliefs must be finite and in [-2, 2], got nan for agent 2"),
+    (5, "2\tfemale\t30\tmaster\t+++++\t7.5", "initial beliefs must be finite and in [-2, 2], got 7.5 for agent 2"),
+    (5, "2\tfemale\t30\tmaster\t+++++\tinf", "initial beliefs must be finite and in [-2, 2], got inf for agent 2"),
 ])
 def test_a_field_outside_its_range_is_named_with_the_reason(number, line, reason):
     lines = population_to_text(init_population(3, TOPIC, False, rng())).splitlines()
@@ -237,7 +245,7 @@ def test_a_field_outside_its_range_is_named_with_the_reason(number, line, reason
 
 def test_a_grid_flag_over_continuous_beliefs_is_named():
     text = population_to_text(init_population(3, TOPIC, False, rng())).replace("grid\t0", "grid\t1")
-    with pytest.raises(ParameterError, match="malformed population record at line 3: .*a grid belief must be"):
+    with pytest.raises(ParameterError, match="malformed population record at line 3: .*initial beliefs must be integers"):
         population_from_text(text)
 
 
@@ -246,5 +254,72 @@ def test_every_topic_init_population_accepts_reads_back():
     for topic in ("a\nb", "a\rb", "a\u2028b", "ends with a newline\n", "", None):
         with pytest.raises(ParameterError, match="topic must be non-empty and one line"):
             init_population(3, topic, False, rng())
+        with pytest.raises(ParameterError, match="topic must be non-empty and one line"):
+            Population(**columns(topic=topic))
     pop = init_population(3, "Cats rule, \"dogs\" drool.", False, rng())
     assert population_from_text(population_to_text(pop)).topic == pop.topic
+
+
+@st.composite
+def population_columns(draw):
+    """Keyword arguments of a Population: valid columns of 1 to 6 agents, grid
+    or continuous beliefs, and any topic, one line or not."""
+    n, grid = draw(st.integers(1, 6)), draw(st.booleans())
+
+    def column(element):
+        return np.array(draw(st.lists(element, min_size=n, max_size=n)))
+
+    belief = st.integers(BELIEF_GRID[0], BELIEF_GRID[-1]).map(float) if grid else st.floats(BELIEF_MIN, BELIEF_MAX)
+    return {"genders": column(st.integers(0, len(GENDERS) - 1)), "ages": column(st.integers(AGE_MIN, AGE_MAX)),
+            "educations": column(st.integers(0, len(EDUCATION_LEVELS) - 1)),
+            "traits": column(st.lists(st.booleans(), min_size=len(TRAIT_NAMES), max_size=len(TRAIT_NAMES))),
+            "beliefs": column(belief), "topic": draw(AWKWARD_TEXT), "grid": grid}
+
+
+@given(population_columns())
+@example(columns(topic="\ttabs\tinside, and 'é', 世界 and 😀 "))
+@example(columns(topic="  leading and trailing spaces  ", beliefs=np.array([-2.0, 1e-300, 2.0])))
+@example(columns(topic="a\nb"))
+@example(columns(topic="a\rb"))
+@example(columns(topic="a\u2028b"))
+def test_every_population_that_can_be_built_reads_back_equal(kwargs):
+    try:
+        pop = Population(**kwargs)
+    except ParameterError:
+        # valid columns, so the topic is the one thing Population can refuse here
+        assert kwargs["topic"].splitlines() != [kwargs["topic"]]
+        return
+    assert_same_population(population_from_text(population_to_text(pop)), pop)
+
+
+@pytest.mark.parametrize("grid,name,value", [
+    (False, "ages", 17),
+    (False, "ages", 65),
+    (False, "beliefs", np.nan),
+    (False, "beliefs", np.inf),
+    (False, "beliefs", -np.inf),
+    (False, "beliefs", 7.5),
+    (True, "beliefs", 0.5),
+])
+def test_a_value_population_refuses_is_refused_in_a_record_on_its_line(grid, name, value):
+    # gender and education codes have no place in the text: a record names them
+    pop = init_population(3, TOPIC, grid, rng())
+    given = {column: np.array(getattr(pop, column)) for column in COLUMNS}
+    given[name][1] = value
+    with pytest.raises(ParameterError) as refused:
+        Population(**given, topic=TOPIC, grid=grid)
+    lines = population_to_text(pop).splitlines()
+    fields = lines[3].split("\t")
+    fields[2 if name == "ages" else 5] = str(value)
+    lines[3] = "\t".join(fields)
+    with pytest.raises(ParameterError, match=re.escape(f"line 4: {lines[3]!r} ({refused.value})")):
+        population_from_text("\n".join(lines))
+
+
+def test_the_columns_of_a_built_population_are_read_only_copies():
+    given = columns()
+    pop = Population(**given)
+    for name in COLUMNS:
+        assert not np.shares_memory(getattr(pop, name), given[name]), name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pop, name)[0] = getattr(pop, name)[1]
