@@ -44,18 +44,19 @@ def main():
     population = init_population(N, TOPIC, False, component_rng(SEED, "population"))
 
     for mode in ("recommended", "all_neighbors"):
-        bcm = run_numeric(g, population.beliefs, BcmParams(epsilon=2.0, mu=0.3, exposure_mode=mode), DAYS)
-        metric_table(g, bcm, f"bounded confidence, {mode}")
+        rows, index = run_numeric(g, population.beliefs, BcmParams(epsilon=2.0, mu=0.3, exposure_mode=mode), DAYS)
+        metric_table(g, rows[index], f"bounded confidence, {mode}")
 
-        fj = run_numeric(g, population.beliefs, FjParams(alpha=0.3, exposure_mode=mode), DAYS)
-        metric_table(g, fj, f"anchored averaging, {mode}")
+        rows, index = run_numeric(g, population.beliefs, FjParams(alpha=0.3, exposure_mode=mode), DAYS)
+        metric_table(g, rows[index], f"anchored averaging, {mode}")
 
     print("\n--- long-horizon behavior ---")
-    consensus = run_numeric(g, population.beliefs,
-                            BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+    rows, index = run_numeric(g, population.beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+    consensus = rows[index]
     print(f"bounded confidence with a wide-open gate reaches consensus: "
           f"final spread {consensus[-1].max() - consensus[-1].min():.2e}")
-    anchored = run_numeric(g, population.beliefs, FjParams(alpha=0.3), 200)
+    rows, index = run_numeric(g, population.beliefs, FjParams(alpha=0.3), 200)
+    anchored = rows[index]
     print(f"anchored averaging settles to a fixed point: "
           f"terminal day-over-day change {np.abs(anchored[-1] - anchored[-2]).max():.2e}")
 

@@ -10,7 +10,7 @@ A day is a pure function of the previous day's beliefs, the parameters and
 the fixed anchors. So a day that repeats, bit for bit, the day before it (a
 fixed point) or the day two before it (rounding can leave a few last bits
 alternating) starts a cycle every later day follows, and ``run_numeric``
-copies that cycle forward instead of computing it.
+maps those days to the cycle's rows instead of computing or storing them.
 """
 
 from __future__ import annotations
@@ -81,28 +81,30 @@ def fj_day(g: NetworkGraph, beliefs, p: FjParams, anchors) -> np.ndarray:
     return new
 
 
-def run_numeric(g: NetworkGraph, initial_beliefs, params, days: int) -> np.ndarray:
-    """Belief trajectory of shape (days + 1, n); row 0 is the initial vector.
+def run_numeric(g: NetworkGraph, initial_beliefs, params, days: int) -> tuple:
+    """The belief trajectory as ``(rows, index)``: day d's beliefs are
+    ``rows[index[d]]``, so ``rows[index]`` is the (days + 1, n) trajectory.
 
     The class of ``params`` names the engine: a BcmParams runs ``bcm_day``, an
-    FjParams ``fj_day`` with row 0 as the anchors. The days run until one
-    repeats, bit for bit, the day before it or the day two before it; the rows
-    of that one- or two-day cycle then fill the rest of the trajectory.
-    """
+    FjParams ``fj_day`` with day 0 as the anchors. The days run until one repeats,
+    bit for bit, the day before it or the day two before it: ``rows`` ends before
+    it, in a (days + 1, n) buffer whose later rows are never written, so never
+    resident, and ``index`` follows that one- or two-day cycle to the end."""
     if not isinstance(params, (BcmParams, FjParams)):
         raise ParameterError(f"numeric engine params must be BcmParams or FjParams, got {type(params).__name__}")
     check_days(days)
-    trajectory = np.empty((days + 1, g.n), dtype=float)
-    trajectory[0] = belief_vector(g, initial_beliefs)
-    check_beliefs(trajectory[0])
-    bits = trajectory.view(np.int64)  # bits, not ==: a day that turns 0.0 into -0.0 is no repeat
+    rows = np.empty((days + 1, g.n), dtype=float)
+    rows[0] = belief_vector(g, initial_beliefs)
+    check_beliefs(rows[0])
+    bits = rows.view(np.int64)  # bits, not ==: a day that turns 0.0 into -0.0 is no repeat
+    index = np.arange(days + 1)
     for t in range(1, days + 1):
         if isinstance(params, BcmParams):
-            trajectory[t] = bcm_day(g, trajectory[t - 1], params)
+            rows[t] = bcm_day(g, rows[t - 1], params)
         else:
-            trajectory[t] = fj_day(g, trajectory[t - 1], params, trajectory[0])
+            rows[t] = fj_day(g, rows[t - 1], params, rows[0])
         period = next((p for p in (1, 2) if p <= t and (bits[t] == bits[t - p]).all()), 0)
-        if period:  # the last ``period`` days repeat from here on
-            trajectory[t + 1:] = trajectory[t + 1 - period:t + 1][np.arange(days - t) % period]
-            break
-    return trajectory
+        if period:  # day t is row t - period, and the later days follow the cycle
+            index[t:] = t - period + np.arange(days + 1 - t) % period
+            return rows[:t], index
+    return rows, index

@@ -88,14 +88,24 @@ class Population:
 
     def __post_init__(self):
         check_topic(self.topic)
-        for name in ("genders", "ages", "educations", "traits", "beliefs"):
+        # what population_to_text writes and population_from_text reads back: numpy dtype kinds
+        for name, kinds, form in (("genders", "iu", "a 1-D array of integer codes"),
+                                  ("ages", "iu", "a 1-D array of integers"),
+                                  ("educations", "iu", "a 1-D array of integer codes"),
+                                  ("traits", "b", f"an (n, {len(TRAIT_NAMES)}) array of booleans"),
+                                  ("beliefs", "iuf", "a 1-D array of real numbers")):
             column = np.array(getattr(self, name))
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-            if len(column) != len(self.beliefs):
-                raise ParameterError(f"{len(column)} {name} but {len(self.beliefs)} beliefs")
+            if column.dtype.kind not in kinds or (column.ndim != 1 and name != "traits"):
+                raise ParameterError(f"{name} must be {form}, got {column.dtype} of shape {column.shape}")
         if self.traits.shape[1:] != (len(TRAIT_NAMES),):
             raise ParameterError(f"expected {len(TRAIT_NAMES)} trait entries, got traits of shape {self.traits.shape}")
+        if not len(self.beliefs):
+            raise ParameterError("a population needs at least one agent, got 0 beliefs")
+        for name in ("genders", "ages", "educations", "traits"):
+            if len(getattr(self, name)) != len(self.beliefs):
+                raise ParameterError(f"{len(getattr(self, name))} {name} but {len(self.beliefs)} beliefs")
         for name, column, low, high in (("age", self.ages, AGE_MIN, AGE_MAX),
                                         ("gender code", self.genders, 0, len(GENDERS) - 1),
                                         ("education code", self.educations, 0, len(EDUCATION_LEVELS) - 1)):

@@ -222,19 +222,21 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             if config.backend.kind == "mock":
                 # the mock is CPU-bound under the GIL, so a pool only adds overhead
                 params = replace(params, max_in_flight=1)
-            trajectory = run_llm(
+            rows = run_llm(
                 g, population, backend, params, config.nudge,
                 days=config.days, rng=component_rng(config.seed, "engine"), on_day=write_day,
             ).belief_trajectory.astype(float)
+            index = np.arange(len(rows))
         else:
-            trajectory = run_numeric(g, population.beliefs, params, config.days)
+            rows, index = run_numeric(g, population.beliefs, params, config.days)
         # the files that need neither the metrics nor the layout are rendered by a child while those run
         apart = [(files["population.txt"], lambda: [population_to_text(population)]),
                  (files["graph.txt"], lambda: [to_edge_list_text(g)])]
         if not llm:  # an llm run wrote its trajectory day by day
-            apart.append((files["trajectory.jsonl"], lambda: trajectory_chunks(trajectory)))
+            apart.append((files["trajectory.jsonl"], lambda: trajectory_chunks(rows, index)))
         with _written_apart(apart, reap):
-            snapshots = snapshot(range(config.days + 1), g, trajectory)
+            row_snapshots = snapshot(range(len(rows)), g, rows)
+            snapshots = [replace(row_snapshots[row], day=d) for d, row in enumerate(index.tolist())]
             run_deltas = deltas(snapshots)
             positions = force_layout(g, component_rng(config.seed, "layout"))
             # written after the fork, so the child inherits no buffered text of these files,
@@ -242,7 +244,7 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
             # process, not again in each run's child
             files["config.yaml"].write(config_to_yaml(config))
             files["metrics.csv"].write("\n".join([METRICS_CSV_HEADER] + [s.csv_row() for s in snapshots]) + "\n")
-            files["projection.csv"].write(projection_text(trajectory[-1], positions))
+            files["projection.csv"].write(projection_text(rows[index[-1]], positions))
             files["manifest.txt"].write("\n".join([
                 f"config_hash: {config_hash(config)}",
                 f"code_version: {__version__}",
@@ -259,26 +261,22 @@ def run(config: RunConfig, out_dir) -> RunArtifacts:
     return RunArtifacts(run_dir=run_dir, snapshots=snapshots, deltas=run_deltas)
 
 
-def trajectory_chunks(trajectory) -> Iterator[str]:
-    """Yield the JSON lines of one day at a time: one record per agent, keys
-    sorted, exactly as ``json.dumps(record, sort_keys=True)`` would write them.
-    Beliefs are written as floats, by ``repr``, which is what ``json.dumps``
-    writes for a finite float. Each agent's record head, its prefix and its
-    belief, is kept across days, and after day 0 only the heads whose belief
-    bits changed since the previous day are rendered again, so a day costs one
-    join plus one concatenation per changed belief."""
-    values = np.ascontiguousarray(trajectory, dtype=float)
-    # bits, not ==: -0.0 == 0.0, but their reprs differ
-    bits = values.view(np.int64)
-    prefixes = [f'{{"agent": {a}, "belief": ' for a in range(values.shape[1])]
-    heads = list(map(operator.add, prefixes, map(repr, values[0].tolist())))
-    for d in range(len(values)):
-        if d:
-            changed = np.flatnonzero(bits[d] != bits[d - 1])
-            for a, b in zip(changed.tolist(), values[d, changed].tolist()):
-                heads[a] = prefixes[a] + repr(b)
+def trajectory_chunks(rows, index) -> Iterator[str]:
+    """Yield the JSON lines of one day at a time, day d's beliefs being
+    ``rows[index[d]]``: one record per agent, keys sorted, exactly as
+    ``json.dumps(record, sort_keys=True)`` would write them, beliefs by ``repr``
+    as ``json.dumps`` writes a finite float. A row's record heads (prefixes and
+    beliefs) are rendered the first time a day needs it, and kept if it is a row
+    of the cycle the days past ``len(rows)`` repeat: a cycle's day costs one join."""
+    prefixes = [f'{{"agent": {a}, "belief": ' for a in range(rows.shape[1])]
+    cycle = set(index[len(rows):].tolist())
+    kept = {}
+    for d, row in enumerate(index.tolist()):
+        if row not in kept:
+            kept = {r: heads for r, heads in kept.items() if r in cycle}
+            kept[row] = list(map(operator.add, prefixes, map(repr, rows[row].astype(float, copy=False).tolist())))
         sep = f', "day": {d}}}\n'
-        yield sep.join(heads) + sep
+        yield sep.join(kept[row]) + sep
 
 
 def grid_day_lines(day: int, beliefs, texts) -> str:

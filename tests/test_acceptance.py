@@ -102,8 +102,9 @@ def test_criterion_03_bcm_consensus():
         assert is_connected(g), "pinned seed must give a connected graph"
         beliefs = init_population(50, TOPIC, False,
                                   component_rng(CONSENSUS_SEED, "population")).beliefs
-        traj = run_numeric(g, beliefs,
-                           BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+        rows, index = run_numeric(g, beliefs,
+                                  BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+        traj = rows[index]
         spread = float(traj[-1].max() - traj[-1].min())
         d_pol, d_dg, _ = deltas([snapshot(0, g, traj[0]), snapshot(200, g, traj[-1])])
     ok = spread < 0.01 and d_pol < 0 and d_dg < 0 and sw.elapsed < 2.0
@@ -117,9 +118,11 @@ def test_criterion_04_fj_contraction():
     for kind in ("small_world", "scale_free", "random"):
         g = generate_graph(default_graph_spec(kind, 50), component_rng(1, "graph"))
         beliefs = init_population(50, TOPIC, False, component_rng(1, "population")).beliefs
-        traj = run_numeric(g, beliefs, FjParams(alpha=0.3), 200)
+        rows, index = run_numeric(g, beliefs, FjParams(alpha=0.3), 200)
+        traj = rows[index]
         worst_change = max(worst_change, float(np.abs(traj[-1] - traj[-2]).max()))
-        anchored = run_numeric(g, beliefs, FjParams(alpha=1.0), 200)
+        rows, index = run_numeric(g, beliefs, FjParams(alpha=1.0), 200)
+        anchored = rows[index]
         anchors_exact = anchors_exact and np.array_equal(anchored[-1], beliefs)
     ok = worst_change < 1e-6 and anchors_exact
     assert report(4, "anchored-averaging contraction", ok,

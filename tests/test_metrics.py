@@ -161,7 +161,8 @@ class TestSnapshotsAndDeltas:
         rng = np.random.default_rng(2)
         g = generate_small_world(50, 4, 0.1, rng)
         beliefs0 = np.random.default_rng(5).uniform(-2, 2, 50)
-        traj = run_numeric(g, beliefs0, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+        rows, index = run_numeric(g, beliefs0, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+        traj = rows[index]
         snaps = [snapshot(0, g, traj[0]), snapshot(200, g, traj[-1])]
         d_pol, d_dg, _ = deltas(snaps)
         assert d_pol < 0 and d_dg < 0

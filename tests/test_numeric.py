@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import echosim
 import echosim.numeric as numeric_mod
 from echosim.config import config_from_dict
 from echosim.errors import ParameterError
@@ -49,7 +55,8 @@ class TestBcmDay:
         rng = np.random.default_rng(8)
         g = generate_small_world(30, 4, 0.2, rng)
         beliefs = np.random.default_rng(9).uniform(-2, 2, 30)
-        traj = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5), 50)
+        rows, index = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5), 50)
+        traj = rows[index]
         assert traj.min() >= beliefs.min() - 1e-12
         assert traj.max() <= beliefs.max() + 1e-12
 
@@ -57,7 +64,8 @@ class TestBcmDay:
         rng = np.random.default_rng(12)
         g = generate_small_world(30, 4, 0.2, rng)
         beliefs = np.random.default_rng(13).uniform(-2, 2, 30)
-        traj = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 80)
+        rows, index = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 80)
+        traj = rows[index]
         initial = polarization(traj[0])
         assert all(polarization(day) <= initial + 1e-12 for day in traj)
 
@@ -96,27 +104,31 @@ class TestRunNumeric:
     def test_single_day_equals_direct_call(self):
         beliefs = np.array([0.0, 1.0])
         p = BcmParams(epsilon=2.0, mu=0.5)
-        traj = run_numeric(TWO_NODES, beliefs, p, 1)
+        rows, index = run_numeric(TWO_NODES, beliefs, p, 1)
+        traj = rows[index]
         assert traj.shape == (2, 2)
         assert np.array_equal(traj[1], bcm_day(TWO_NODES, beliefs, p))
 
     def test_bcm_consensus_under_full_confidence(self):
         g = generate_small_world(50, 4, 0.1, np.random.default_rng(2))
         beliefs = np.random.default_rng(2).uniform(-2, 2, 50)
-        traj = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+        rows, index = run_numeric(g, beliefs, BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors"), 200)
+        traj = rows[index]
         assert traj[-1].max() - traj[-1].min() < 0.01
 
     def test_fj_converges_to_fixed_point(self):
         g = generate_small_world(50, 4, 0.1, np.random.default_rng(3))
         beliefs = np.random.default_rng(4).uniform(-2, 2, 50)
-        traj = run_numeric(g, beliefs, FjParams(alpha=0.3), 200)
+        rows, index = run_numeric(g, beliefs, FjParams(alpha=0.3), 200)
+        traj = rows[index]
         assert np.abs(traj[-1] - traj[-2]).max() < 1e-6
 
     def test_fj_contracts_geometrically(self):
         g = generate_small_world(40, 4, 0.1, np.random.default_rng(6))
         beliefs = np.random.default_rng(7).uniform(-2, 2, 40)
         alpha = 0.3
-        traj = run_numeric(g, beliefs, FjParams(alpha=alpha, exposure_mode="all_neighbors"), 60)
+        rows, index = run_numeric(g, beliefs, FjParams(alpha=alpha, exposure_mode="all_neighbors"), 60)
+        traj = rows[index]
         changes = np.abs(np.diff(traj, axis=0)).max(axis=1)
         for prev, curr in zip(changes, changes[1:]):
             if prev > 1e-14:
@@ -125,8 +137,10 @@ class TestRunNumeric:
     def test_trajectory_deterministic(self):
         g = generate_small_world(30, 4, 0.2, np.random.default_rng(5))
         beliefs = np.random.default_rng(5).uniform(-2, 2, 30)
-        a = run_numeric(g, beliefs, FjParams(alpha=0.3), 40)
-        b = run_numeric(g, beliefs, FjParams(alpha=0.3), 40)
+        rows, index = run_numeric(g, beliefs, FjParams(alpha=0.3), 40)
+        a = rows[index]
+        rows, index = run_numeric(g, beliefs, FjParams(alpha=0.3), 40)
+        b = rows[index]
         assert np.array_equal(a, b)
 
     def test_relabeling_equivariance(self):
@@ -138,8 +152,10 @@ class TestRunNumeric:
         permuted = np.empty_like(beliefs)
         permuted[perm] = beliefs
         for params in (BcmParams(), FjParams(alpha=0.3)):
-            base = run_numeric(g, beliefs, params, 20)
-            other = run_numeric(remapped, permuted, params, 20)
+            rows, index = run_numeric(g, beliefs, params, 20)
+            base = rows[index]
+            rows, index = run_numeric(remapped, permuted, params, 20)
+            other = rows[index]
             assert np.allclose(base, other[:, perm], atol=1e-12)
 
     def test_fj_matches_closed_form_fixed_point(self):
@@ -158,7 +174,8 @@ class TestRunNumeric:
                     rhs[i] = alpha * anchors[i]
             expected = np.linalg.solve(system, rhs)
             params = FjParams(alpha=alpha, exposure_mode="all_neighbors")
-            final = run_numeric(g, anchors, params, 400)[-1]
+            rows, index = run_numeric(g, anchors, params, 400)
+            final = rows[index][-1]
             assert np.max(np.abs(final - expected)) <= 1e-9
             assert np.array_equal(final[40:], anchors[40:])
 
@@ -180,7 +197,8 @@ class TestRunNumeric:
             run_numeric(TWO_NODES, [0.0, 1.0], BcmParams(), days)
 
     def test_numpy_integer_days_accepted(self):
-        assert run_numeric(TWO_NODES, [0.0, 1.0], FjParams(), np.int64(3)).shape == (4, 2)
+        rows, index = run_numeric(TWO_NODES, [0.0, 1.0], FjParams(), np.int64(3))
+        assert rows[index].shape == (4, 2)
 
     @pytest.mark.parametrize("params", [None, LlmParams(), {"epsilon": 2.0, "mu": 0.3}], ids=["None", "LlmParams", "dict"])
     def test_params_of_no_numeric_engine_rejected(self, params):
@@ -195,7 +213,8 @@ class TestRunNumeric:
 
     def test_beliefs_at_the_ends_of_the_range_accepted(self):
         p = BcmParams(epsilon=4.0, mu=0.5, exposure_mode="all_neighbors")
-        traj = run_numeric(TWO_NODES, [-2.0, 2.0], p, 1)
+        rows, index = run_numeric(TWO_NODES, [-2.0, 2.0], p, 1)
+        traj = rows[index]
         assert traj.tolist() == [[-2.0, 2.0], [0.0, 0.0]]
 
 
@@ -215,6 +234,22 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# fj on a 2,000-node small world, which settles within 100 days, run for argv[1] days in a
+# fresh process; prints the number of rows computed and the process's peak RSS in KiB
+LONG_FJ_RUN = """
+import resource, sys
+from echosim.config import component_rng
+from echosim.graphs import default_graph_spec, generate_graph
+from echosim.numeric import FjParams, run_numeric
+from echosim.population import init_population
+n, days = 2000, int(sys.argv[1])
+g = generate_graph(default_graph_spec("small_world", n), component_rng(1, "graph"))
+beliefs = init_population(n, "topic", False, component_rng(1, "population")).beliefs
+rows, index = run_numeric(g, beliefs, FjParams(alpha=0.3, exposure_mode="all_neighbors"), days)
+print(len(rows), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 class TestFixedPointExit:
     # seed 1 reaches its fixed point; at seed 5 a few beliefs end alternating between two values
     @pytest.mark.parametrize("seed, period", [(1, 1), (5, 2)])
@@ -224,7 +259,8 @@ class TestFixedPointExit:
                                 "n": 300, "days": 200, "seed": seed})
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
         beliefs = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population")).beliefs
-        trajectory = run_numeric(g, beliefs, cfg.fj, cfg.days)
+        rows, index = run_numeric(g, beliefs, cfg.fj, cfg.days)
+        trajectory = rows[index]
         assert 1 < day_calls["fj_day"] <= 100
         assert day_calls["bcm_day"] == 0
         expected = full_loop_run_numeric(g, beliefs, cfg.fj, cfg.days)
@@ -252,7 +288,8 @@ class TestFixedPointExit:
     def test_day_functions_run_until_a_day_repeats(self, day_calls, engine, params, graph, days, expected_calls):
         g = generate_graph(graph, np.random.default_rng(5))
         beliefs = np.random.default_rng(6).uniform(-2, 2, g.n)
-        trajectory = run_numeric(g, beliefs, params, days)
+        rows, index = run_numeric(g, beliefs, params, days)
+        trajectory = rows[index]
         calls = day_calls[f"{engine}_day"]
         if expected_calls == "mid-run":
             assert 1 < calls < days
@@ -260,6 +297,18 @@ class TestFixedPointExit:
             assert calls == expected_calls
         assert sum(day_calls.values()) == calls
         assert same_bits(trajectory, full_loop_run_numeric(g, beliefs, params, days))
+
+
+    def test_resident_memory_past_the_fixed_point_does_not_grow_with_days(self):
+        # 3,800 more days of 2,000 beliefs would fill 58 MiB if they were stored
+        env = {**os.environ, "PYTHONPATH": str(Path(echosim.__file__).resolve().parents[1])}
+        peak_kib = {}
+        for days in (200, 4000):
+            out = subprocess.run([sys.executable, "-c", LONG_FJ_RUN, str(days)], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120).stdout
+            computed, peak_kib[days] = map(int, out.split())
+            assert computed <= 100
+        assert peak_kib[4000] - peak_kib[200] < 8 * 1024
 
 
 @st.composite
@@ -339,5 +388,10 @@ def test_fj_day_matches_loop_oracle(seed, exposure_mode, threshold, alpha):
 @example((cycle_graph(6), np.linspace(-2, 2, 6), FjParams(alpha=0.3, exposure_mode="all_neighbors"), 1))
 def test_run_numeric_equals_the_full_loop_bit_for_bit(run_args):
     g, beliefs, params, days = run_args
-    assert same_bits(run_numeric(g, beliefs, params, days),
-                     full_loop_run_numeric(g, beliefs, params, days))
+    rows, index = run_numeric(g, beliefs, params, days)
+    expected = full_loop_run_numeric(g, beliefs, params, days)
+    assert same_bits(rows[index], expected)
+    # the rows stop at the first day that repeats the day before it or the day two before it
+    bits = expected.view(np.int64)
+    repeats = [t for t in range(1, days + 1) if any(np.array_equal(bits[t], bits[t - p]) for p in (1, 2) if p <= t)]
+    assert len(rows) == (repeats[0] if repeats else days + 1)

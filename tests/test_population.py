@@ -184,6 +184,18 @@ def test_rejects_bad_arguments():
     ({"ages": np.full(4, 30)}, "4 ages but 3 beliefs"),
     ({"educations": np.zeros(2, dtype=int)}, "2 educations but 3 beliefs"),
     ({"traits": np.ones((2, 5), dtype=bool)}, "2 traits but 3 beliefs"),
+    # columns population_to_text cannot write, or population_from_text cannot read back as they were
+    ({name: np.zeros(0, dtype=int) for name in ("genders", "ages", "educations")}
+     | {"traits": np.ones((0, 5), dtype=bool), "beliefs": np.zeros(0)},
+     "a population needs at least one agent, got 0 beliefs"),
+    ({"ages": [30.5, 30, 30]}, "ages must be a 1-D array of integers, got float64 of shape (3,)"),
+    ({"genders": [0.5, 0, 0]}, "genders must be a 1-D array of integer codes, got float64 of shape (3,)"),
+    ({"educations": [[2], [2], [2]]}, "educations must be a 1-D array of integer codes, got int64 of shape (3, 1)"),
+    ({"traits": np.full((3, 5), 0.5)}, "traits must be an (n, 5) array of booleans, got float64 of shape (3, 5)"),
+    ({"traits": np.full((3, 5), 2)}, "traits must be an (n, 5) array of booleans, got int64 of shape (3, 5)"),
+    ({"beliefs": np.zeros((3, 2))}, "beliefs must be a 1-D array of real numbers, got float64 of shape (3, 2)"),
+    ({"beliefs": ["1", "0", "0"]}, "beliefs must be a 1-D array of real numbers, got <U1 of shape (3,)"),
+    ({"beliefs": [True, False, False]}, "beliefs must be a 1-D array of real numbers, got bool of shape (3,)"),
 ])
 def test_the_columns_are_checked(over, message):
     with pytest.raises(ParameterError, match=re.escape(message)):

@@ -675,7 +675,7 @@ class TestWriterProcess:
         run(config_from_dict(cfg_dict(engine="fj", seed=1)), d)
         earlier = read_all(d)
 
-        def failing_chunks(trajectory):
+        def failing_chunks(rows, index):
             raise RuntimeError("renderer gone")
 
         # the forked child inherits the patched name
@@ -778,8 +778,8 @@ def mark():
 
 real_chunks, real_lines = runner.trajectory_chunks, runner.grid_day_lines
 
-def trajectory_chunks(trajectory):
-    chunks = real_chunks(trajectory)
+def trajectory_chunks(rows, index):
+    chunks = real_chunks(rows, index)
     yield next(chunks)
     mark()
     for _ in range(round(block_s / chunk_s)):
@@ -902,20 +902,31 @@ class TestTrajectoryWriter:
         awkward = [[0.1 + 0.2, -0.0, 1e16, 5e-324, -1.5e-7, 2.0], [-2.0, 1 / 3, 0.0, 1e-5, -1e22, 123.456]]
         random_rows = np.random.default_rng(3).uniform(-2, 2, size=(4, 6))
         for trajectory in (np.array(awkward), random_rows):
-            assert "".join(trajectory_chunks(trajectory)) == json_dumps_trajectory(trajectory)
+            written = "".join(trajectory_chunks(trajectory, np.arange(len(trajectory))))
+            assert written == json_dumps_trajectory(trajectory)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(settling_trajectories(BELIEF_FLOATS).map(lambda rows: np.array(rows, dtype=float)),
                      settling_trajectories(st.integers(-2, 2)).map(lambda rows: np.array(rows, dtype=np.int64))))
     def test_rows_rendered_from_the_previous_day_match_json_dumps(self, trajectory):
-        assert "".join(trajectory_chunks(trajectory)) == json_dumps_trajectory(trajectory)
+        assert "".join(trajectory_chunks(trajectory, np.arange(len(trajectory)))) == json_dumps_trajectory(trajectory)
+
+    @settings(max_examples=100, deadline=None)
+    @given(settling_trajectories(BELIEF_FLOATS).map(lambda rows: np.array(rows, dtype=float)),
+           st.sampled_from([1, 2]), st.integers(0, 5))
+    def test_days_of_a_cycle_match_json_dumps_of_their_rows(self, rows, period, later_days):
+        # as run_numeric's index: each computed row once, then ``later_days`` days of a one- or two-day cycle
+        period = min(period, len(rows))
+        index = np.concatenate([np.arange(len(rows)), len(rows) - period + np.arange(later_days) % period])
+        assert "".join(trajectory_chunks(rows, index)) == json_dumps_trajectory(rows[index])
 
     def test_written_file_matches_json_dumps_of_the_run(self, tmp_path):
         cfg = config_from_dict(cfg_dict(engine="fj", n=12, days=8, exposure_mode="all_neighbors"))
         artifacts = run(cfg, tmp_path / "r")
         population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
-        trajectory = run_numeric(g, population.beliefs, cfg.fj, cfg.days)
+        rows, index = run_numeric(g, population.beliefs, cfg.fj, cfg.days)
+        trajectory = rows[index]
         written = (artifacts.run_dir / "trajectory.jsonl").read_text(encoding="utf-8")
         assert written == json_dumps_trajectory(trajectory)
 
@@ -979,7 +990,8 @@ class TestSettledDays:
         artifacts = run(cfg, tmp_path / "r")
         population = init_population(cfg.n, cfg.topic, False, component_rng(cfg.seed, "population"))
         g = generate_graph(cfg.graph, component_rng(cfg.seed, "graph"))
-        trajectory = run_numeric(g, population.beliefs, getattr(cfg, cfg.engine), cfg.days)
+        rows, index = run_numeric(g, population.beliefs, getattr(cfg, cfg.engine), cfg.days)
+        trajectory = rows[index]
         bits = trajectory.view(np.int64)
         repeated = [day for day in range(1, cfg.days + 1) if np.array_equal(bits[day], bits[day - 1])]
         assert len(repeated) >= 20
